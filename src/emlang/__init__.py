@@ -25,7 +25,7 @@ from .classifier import (
     train,
 )
 from .data import Dataset, SynthSpec, generate_synthetic, load_csv, save_csv, split
-from .gumbel import GumbelSoftmaxSampler, SymbolRecord, gumbel_noise, hard_decode
+from .gumbel import GumbelSoftmaxSampler, gumbel_noise, hard_decode
 from .nn import AdamState, DenseLayer, adam_step, softmax, softmax_cross_entropy
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "EvalReport",
     "GumbelSoftmaxSampler",
     "ModelGraph",
-    "SymbolRecord",
     "SynthSpec",
     "TrainConfig",
     "TrainLog",

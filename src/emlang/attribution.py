@@ -208,23 +208,23 @@ def per_symbol_report(model, dataset, config):
         )
     if dataset.num_samples == 0:
         raise InputError("dataset must be non-empty")
-    logits, records = model.forward(dataset.features, mode="eval")
+    logits, sample_symbols = model.forward(dataset.features, mode="eval")
     predictions = np.argmax(logits, axis=1)
     symbol_layer = len(model.sender) - 1
     sums = {}
     counts = {}
-    for record, pred, x in zip(records, predictions, dataset.features):
+    for symbol, pred, x in zip(sample_symbols.tolist(), predictions, dataset.features):
         target = config.target_class if config.target_class is not None else int(pred)
         sample_config = replace(
-            config, neuron=(symbol_layer, record.symbol_index), target_class=target
+            config, neuron=(symbol_layer, symbol), target_class=target
         )
         vec = neuron_conductance(model, x, sample_config)
-        if record.symbol_index in sums:
-            sums[record.symbol_index] += vec
-            counts[record.symbol_index] += 1
+        if symbol in sums:
+            sums[symbol] += vec
+            counts[symbol] += 1
         else:
-            sums[record.symbol_index] = vec
-            counts[record.symbol_index] = 1
+            sums[symbol] = vec
+            counts[symbol] = 1
     symbols = sorted(sums)
     matrix = np.stack([sums[s] / counts[s] for s in symbols])
     return ConductanceReport(

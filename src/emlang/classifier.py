@@ -5,9 +5,10 @@ channel turns them into a (relaxed) one-hot symbol, and the receiver
 classifies from the symbol alone. A baseline model is the same graph with
 the channel removed: the sender output feeds the receiver directly.
 
-Training runs mini-batch Adam on cross-entropy through the soft relaxation;
-evaluation decodes hard, noise-free symbols. Early stopping restores the
-parameters of the best validation epoch.
+Training runs mini-batch Adam on cross-entropy through the soft relaxation,
+with every layer's weights and bias packed into one flat vector so each batch
+is one optimizer step; evaluation decodes hard, noise-free symbols. Early
+stopping restores the parameters of the best validation epoch.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     StateError,
     TrainingDivergedError,
 )
-from .gumbel import GumbelSoftmaxSampler, SymbolRecord, hard_decode, noise_from_uniform
+from .gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
 from .nn import AdamState, DenseLayer, adam_step, as_f64, softmax_cross_entropy
 
 CHECKPOINT_VERSION = 1
@@ -111,8 +112,9 @@ class ModelGraph:
         return self.sender + self.receiver
 
     def forward(self, x, mode="train", noise=None):
-        """Class logits for a batch; with a bottleneck, also one SymbolRecord
-        per sample (soft relaxation in train mode, hard one-hot in eval)."""
+        """Class logits for a batch, and the decoded symbol index per sample
+        as an int array (argmax of the soft relaxation in train mode, of the
+        hard one-hot in eval); symbols is None without a bottleneck."""
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = as_f64(x)
@@ -123,24 +125,17 @@ class ModelGraph:
         h = x
         for layer in self.sender:
             h = layer.forward(h)
-        records = None
+        symbols = None
         if self.bottleneck is not None:
             if mode == "train":
-                relaxed = self.bottleneck.forward(h, noise=noise, mode="soft")
-                symbols = hard_decode(relaxed)
-                records = [
-                    SymbolRecord(int(s), i, relaxed_vector=relaxed[i].copy())
-                    for i, s in enumerate(symbols)
-                ]
-                h = relaxed
+                h = self.bottleneck.forward(h, noise=noise, mode="soft")
             else:
                 h = self.bottleneck.forward(h, mode="hard_eval")
-                symbols = hard_decode(h)
-                records = [SymbolRecord(int(s), i) for i, s in enumerate(symbols)]
+            symbols = hard_decode(h)
         for layer in self.receiver:
             h = layer.forward(h)
         self._train_path = mode == "train"
-        return h, records
+        return h, symbols
 
     def backward(self, upstream_grad):
         """Backpropagate a logit gradient through the cached train forward.
@@ -236,14 +231,26 @@ class TrainLog:
     stopped_early: bool = False
 
 
-def _snapshot(model):
-    return [(layer.weights.copy(), layer.bias.copy()) for layer in model.layers()]
-
-
-def _restore(model, snapshot):
-    for layer, (w, b) in zip(model.layers(), snapshot):
-        layer.weights = w
-        layer.bias = b
+def _pack(model):
+    """Copy all weights and biases into one float64 vector `params` and point
+    the layers at views of it. Also returns `grads`, a vector of the same
+    layout, with each layer's (weight, bias) views into it in forward order."""
+    layers = model.layers()
+    params = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
+    grads = np.empty_like(params)
+    grad_views = []
+    start = 0
+    for layer in layers:
+        views = []
+        for name in ("weights", "bias"):
+            value = getattr(layer, name)
+            stop = start + value.size
+            params[start:stop] = value.ravel()
+            setattr(layer, name, params[start:stop].reshape(value.shape))
+            views.append(grads[start:stop].reshape(value.shape))
+            start = stop
+        grad_views.append(views)
+    return params, grads, grad_views
 
 
 def _batches(n, batch_size, order=None):
@@ -278,8 +285,8 @@ def train(model, train_set, val_set, config):
     """Mini-batch Adam with per-epoch validation and early stopping.
 
     Returns a TrainLog; the model is left holding the best-validation-epoch
-    parameters. Raises TrainingDivergedError (with the epoch) on a
-    non-finite loss.
+    parameters as views into one flat vector. Raises TrainingDivergedError
+    (with the epoch) on a non-finite loss.
     """
     config.validate()
     if train_set.num_samples == 0 or val_set.num_samples == 0:
@@ -297,18 +304,12 @@ def train(model, train_set, val_set, config):
                 f"label {ds.labels.max()} out of range for {model.num_classes} classes"
             )
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
-    states = [
-        (
-            AdamState.for_param(layer.weights, learning_rate=config.learning_rate),
-            AdamState.for_param(layer.bias, learning_rate=config.learning_rate),
-        )
-        for layer in model.layers()
-    ]
-    state_by_layer = {id(layer): pair for layer, pair in zip(model.layers(), states)}
+    params, grads, grad_views = _pack(model)
+    state = AdamState.for_param(params, learning_rate=config.learning_rate)
 
     stopper = EarlyStopping(config.patience)
     log = TrainLog()
-    best = _snapshot(model)
+    best = params.copy()
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(train_set.num_samples)
         running = 0.0
@@ -323,11 +324,11 @@ def train(model, train_set, val_set, config):
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             running += loss * len(idx)
-            _, grads = model.backward(dlogits)
-            for layer, gw, gb in grads:
-                sw, sb = state_by_layer[id(layer)]
-                layer.weights = adam_step(sw, layer.weights, gw)
-                layer.bias = adam_step(sb, layer.bias, gb)
+            _, layer_grads = model.backward(dlogits)
+            for (vw, vb), (_, gw, gb) in zip(grad_views, layer_grads):
+                vw[...] = gw
+                vb[...] = gb
+            adam_step(state, params, grads)
         train_loss = running / train_set.num_samples
         # validation noise stream is rebuilt each epoch so losses are
         # comparable across epochs
@@ -341,11 +342,11 @@ def train(model, train_set, val_set, config):
             raise TrainingDivergedError(epoch)
         log.epochs.append(EpochStats(epoch, train_loss, val_loss))
         if stopper.update(epoch, val_loss):
-            best = _snapshot(model)
+            best = params.copy()
         if stopper.should_stop:
             log.stopped_early = True
             break
-    _restore(model, best)
+    params[...] = best
     log.best_epoch = stopper.best_epoch
     log.best_val_loss = stopper.best_loss
     return log
@@ -386,8 +387,8 @@ class EvalReport:
 
 def confusion_matrix(labels, predictions, num_classes):
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(labels, predictions):
-        cm[t, p] += 1
+    np.add.at(cm, (np.asarray(labels, dtype=np.int64),
+                   np.asarray(predictions, dtype=np.int64)), 1)
     return cm
 
 
@@ -411,19 +412,21 @@ def evaluate(model, test_set):
     predicted-class histograms."""
     if test_set.num_samples == 0:
         raise InputError("test set must be non-empty")
-    logits, records = model.forward(test_set.features, mode="eval")
+    if not np.all(np.isfinite(test_set.features)):
+        raise InputError("test features contain non-finite values")
+    logits, symbols = model.forward(test_set.features, mode="eval")
     predictions = np.argmax(logits, axis=1)
     accuracy = float((predictions == test_set.labels).mean())
     f1 = macro_f1(test_set.labels, predictions, model.num_classes)
     inventory = []
-    if records is not None:
-        by_symbol = {}
-        for record, pred in zip(records, predictions):
-            hist = by_symbol.setdefault(record.symbol_index, [0] * model.num_classes)
-            hist[pred] += 1
-        for symbol in sorted(by_symbol):
-            hist = by_symbol[symbol]
-            inventory.append(SymbolStat(symbol, sum(hist), hist))
+    if symbols is not None:
+        unique, rows = np.unique(symbols, return_inverse=True)
+        hists = np.zeros((unique.size, model.num_classes), dtype=np.int64)
+        np.add.at(hists, (rows, predictions), 1)
+        inventory = [
+            SymbolStat(int(symbol), int(hist.sum()), hist.tolist())
+            for symbol, hist in zip(unique, hists)
+        ]
     return EvalReport(accuracy, f1, inventory)
 
 

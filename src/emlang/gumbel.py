@@ -9,8 +9,6 @@ differentiable, so gradients reach the sender.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, InputError, StateError
@@ -48,16 +46,6 @@ def hard_decode(relaxed):
     if relaxed.ndim != 2:
         raise DimensionError(f"expected [batch, K] rows, got shape {relaxed.shape}")
     return np.argmax(relaxed, axis=1)
-
-
-@dataclass
-class SymbolRecord:
-    """One decoded symbol: its index, batch position, and (soft mode only)
-    the relaxed vector it was decoded from."""
-
-    symbol_index: int
-    sample_id: int
-    relaxed_vector: np.ndarray | None = None
 
 
 class GumbelSoftmaxSampler:
@@ -124,7 +112,7 @@ class GumbelSoftmaxSampler:
                 )
         log_p = log_softmax(logits)
         relaxed = softmax((log_p + noise) / self.temperature)
-        self._cache = (np.exp(log_softmax(logits)), relaxed)
+        self._cache = (np.exp(log_p), relaxed)
         return relaxed
 
     def backward(self, upstream_grad):

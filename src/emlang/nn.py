@@ -3,7 +3,8 @@
 Everything runs on plain numpy arrays, batch-first and float64. Layers cache
 their last forward pass so ``backward`` can run without re-supplying inputs;
 a cache belongs to a single training context and is overwritten by the next
-forward call.
+forward call. ``adam_step`` updates parameters and moments in place, so one
+call steps every layer whose weights are views into a shared flat vector.
 """
 
 from __future__ import annotations
@@ -170,7 +171,12 @@ class AdamState:
 
 
 def adam_step(state, params, grads):
-    """One bias-corrected Adam update. Mutates state, returns new params."""
+    """One bias-corrected Adam update, in place.
+
+    Overwrites `params` (when it is already a float64 array) and the moments
+    in `state`, and returns `params`. Elementwise, so one call on a flat
+    vector equals separate calls on any split of it, bit for bit.
+    """
     params = as_f64(params)
     grads = as_f64(grads)
     if params.shape != state.first_moment.shape:
@@ -184,10 +190,12 @@ def adam_step(state, params, grads):
         )
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    state.second_moment = (
-        state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
-    )
-    m_hat = state.first_moment / (1.0 - state.beta1 ** t)
-    v_hat = state.second_moment / (1.0 - state.beta2 ** t)
-    return params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return params

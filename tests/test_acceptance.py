@@ -324,8 +324,7 @@ def test_criterion_6_attribution_faithfulness():
     report = per_symbol_report(model, test_set, AttributionConfig())
     dominant = dict(zip(report.symbols, report.dominant_blocks(spec.block_size)))
 
-    _, records = model.forward(test_set.features, mode="eval")
-    sample_symbols = np.array([r.symbol_index for r in records])
+    _, sample_symbols = model.forward(test_set.features, mode="eval")
     results = []
     for k in range(spec.num_classes):
         class_symbols = sample_symbols[test_set.labels == k]

@@ -206,12 +206,12 @@ def test_per_symbol_report_single_sample():
     report = per_symbol_report(model, one, config)
     assert report.counts == [1]
     assert report.matrix.shape == (1, spec.feature_dim)
-    _, records = model.forward(one.features, mode="eval")
+    _, symbols = model.forward(one.features, mode="eval")
     direct = neuron_conductance(
         model,
         one.features[0],
         AttributionConfig(riemann_steps=40,
-                          neuron=(len(model.sender) - 1, records[0].symbol_index)),
+                          neuron=(len(model.sender) - 1, int(symbols[0]))),
     )
     np.testing.assert_allclose(report.matrix[0], direct, atol=1e-12)
 
@@ -234,9 +234,9 @@ def test_per_symbol_report_finds_informative_blocks():
                                AttributionConfig(riemann_steps=100))
     blocks = report.dominant_blocks(spec.block_size)
     # majority class per symbol determines the expected block
-    _, records = model.forward(test_set.features, mode="eval")
+    _, symbols = model.forward(test_set.features, mode="eval")
     for (symbol, (block, share)) in zip(report.symbols, blocks):
-        rows = [i for i, r in enumerate(records) if r.symbol_index == symbol]
+        rows = [i for i, s in enumerate(symbols) if s == symbol]
         majority = np.bincount(test_set.labels[rows]).argmax()
         assert block == majority
         assert share > 1.0 / spec.num_classes

@@ -41,38 +41,50 @@ def test_forward_shapes_and_records():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 5))
     el = build_model(5, 3, vocab_size=7, hidden_dim=4, seed=2)
-    logits, records = el.forward(x, mode="train")
+    noise = noise_from_uniform(rng.uniform(size=(6, 7)))
+    logits, symbols = el.forward(x, mode="train", noise=noise)
     assert logits.shape == (6, 3)
-    assert len(records) == 6
-    for record in records:
-        assert 0 <= record.symbol_index < 7
-        assert record.relaxed_vector.shape == (7,)
-        assert record.symbol_index == int(np.argmax(record.relaxed_vector))
+    assert symbols.shape == (6,)
+    assert np.issubdtype(symbols.dtype, np.integer)
+    assert np.all((0 <= symbols) & (symbols < 7))
+    # each symbol is the argmax of the sampler's output under the same noise
+    h = x
+    for layer in el.sender:
+        h = layer.forward(h)
+    relaxed = el.bottleneck.forward(h, noise=noise, mode="soft")
+    assert relaxed.shape == (6, 7)
+    np.testing.assert_array_equal(symbols, np.argmax(relaxed, axis=1))
 
     baseline = build_model(5, 3, vocab_size=7, hidden_dim=4,
                            with_bottleneck=False, seed=2)
-    logits, records = baseline.forward(x, mode="train")
+    logits, symbols = baseline.forward(x, mode="train")
     assert logits.shape == (6, 3)
-    assert records is None
+    assert symbols is None
 
 
 def test_eval_forward_emits_one_record_per_sample():
     model = build_model(5, 3, vocab_size=9, hidden_dim=4, seed=3)
-    logits, records = model.forward(np.random.default_rng(4).normal(size=(1, 5)),
-                                    mode="eval")
+    x = np.random.default_rng(4).normal(size=(1, 5))
+    logits, symbols = model.forward(x, mode="eval")
     assert logits.shape == (1, 3)
-    assert len(records) == 1
-    assert 0 <= records[0].symbol_index < 9
-    assert records[0].relaxed_vector is None
+    assert symbols.shape == (1,)
+    assert 0 <= symbols[0] < 9
+    # eval symbols are noise-free hard decodes: no relaxation is kept
+    h = x
+    for layer in model.sender:
+        h = layer.forward(h)
+    assert symbols[0] == np.argmax(h[0])
+    with pytest.raises(StateError):
+        model.backward(np.zeros((1, 3)))
 
 
 def test_eval_forward_is_deterministic():
     model = build_model(5, 3, vocab_size=9, hidden_dim=4, seed=5)
     x = np.random.default_rng(6).normal(size=(8, 5))
-    first, rec_a = model.forward(x, mode="eval")
-    second, rec_b = model.forward(x, mode="eval")
+    first, sym_a = model.forward(x, mode="eval")
+    second, sym_b = model.forward(x, mode="eval")
     np.testing.assert_array_equal(first, second)
-    assert [r.symbol_index for r in rec_a] == [r.symbol_index for r in rec_b]
+    np.testing.assert_array_equal(sym_a, sym_b)
 
 
 def test_bottleneck_bypass_reproduces_baseline_exactly():
@@ -212,6 +224,51 @@ def test_training_is_bit_deterministic():
     for la, lb in zip(model_a.layers(), model_b.layers()):
         np.testing.assert_array_equal(la.weights, lb.weights)
         np.testing.assert_array_equal(la.bias, lb.bias)
+
+
+@pytest.mark.parametrize("with_bottleneck", [True, False], ids=["el", "baseline"])
+def test_train_twice_from_one_config_gives_equal_parameters(with_bottleneck):
+    ds = two_class_toy(n=16, seed=50)
+    val = two_class_toy(n=8, seed=51)
+    config = TrainConfig(max_epochs=10, patience=3, vocab_size=4, seed=52)
+
+    def run():
+        model = build_model(2, 2, vocab_size=4, hidden_dim=4,
+                            with_bottleneck=with_bottleneck, seed=52)
+        train(model, ds, val, config)
+        return [a.copy() for layer in model.layers()
+                for a in (layer.weights, layer.bias)]
+
+    for a, b in zip(run(), run()):
+        assert np.array_equal(a, b)
+
+
+def test_trained_model_round_trips_through_checkpoint():
+    ds = two_class_toy(n=16, seed=53)
+    val = two_class_toy(n=8, seed=54)
+    model = build_model(2, 2, vocab_size=5, hidden_dim=4, seed=55)
+    train(model, ds, val, TrainConfig(max_epochs=10, patience=4, vocab_size=5,
+                                      seed=55))
+    # the trained layers are views into one flat parameter vector
+    params = [a for layer in model.layers() for a in (layer.weights, layer.bias)]
+    assert len({id(a.base) for a in params}) == 1
+    assert params[0].base.size == sum(a.size for a in params)
+
+    restored = load_checkpoint(json.loads(json.dumps(save_checkpoint(model))))
+    for la, lb in zip(model.layers(), restored.layers()):
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.bias, lb.bias)
+    logits_a, symbols_a = model.forward(ds.features, mode="eval")
+    logits_b, symbols_b = restored.forward(ds.features, mode="eval")
+    assert np.array_equal(logits_a, logits_b)
+    assert np.array_equal(symbols_a, symbols_b)
+
+    # training the original further leaves the restored copy untouched
+    saved = [lb.weights.copy() for lb in restored.layers()]
+    train(model, ds, val, TrainConfig(max_epochs=2, patience=2, vocab_size=5,
+                                      seed=56))
+    for lb, weights in zip(restored.layers(), saved):
+        assert np.array_equal(lb.weights, weights)
 
 
 def test_train_rejects_empty_datasets():

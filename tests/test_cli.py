@@ -232,6 +232,21 @@ def test_train_divergence_exit_code_3(tmp_path):
     assert code == 3
 
 
+def test_train_rejects_nonfinite_test_features(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    test_csv = data / "test.csv"
+    header, *rows = test_csv.read_text().splitlines()
+    assert header.startswith("f0,")
+    rows = ["nan," + row.split(",", 1)[1] for row in rows]
+    test_csv.write_text("\n".join([header, *rows]) + "\n")
+    for kind in ("baseline", "el"):
+        assert run([
+            "train", "--data", str(data), "--out", str(tmp_path / kind),
+            "--model", kind, *SMALL_TRAIN,
+        ]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 def test_repro_small_end_to_end(tmp_path):
     out = tmp_path / "repro"
     assert run([

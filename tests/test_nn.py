@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emlang.errors import DimensionError, InputError, StateError
 from emlang.nn import (
@@ -213,6 +216,54 @@ def test_adam_first_step_is_signed_learning_rate():
     state = AdamState.for_param(params, learning_rate=1e-3)
     out = adam_step(state, params, grads)
     np.testing.assert_allclose(out, -1e-3 * np.sign(grads), atol=1e-9)
+
+
+def _out_of_place_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    # the textbook update, allocating fresh arrays at every step
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    for t, g in enumerate(grad_steps, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params, m, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fused_adam_on_flat_vector_equals_per_tensor_steps(data):
+    size = data.draw(st.integers(1, 30), label="size")
+    steps = data.draw(st.integers(1, 8), label="steps")
+    cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=5), label="cuts"))
+    lr = data.draw(st.floats(1e-6, 1.0), label="lr")
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    params = data.draw(arrays(np.float64, size, elements=finite), label="params")
+    grad_steps = data.draw(arrays(np.float64, (steps, size), elements=finite),
+                           label="grads")
+
+    flat = params.copy()
+    state = AdamState.for_param(flat, learning_rate=lr)
+    for g in grad_steps:
+        assert adam_step(state, flat, g) is flat  # updated in place
+    assert state.step_count == steps
+
+    pieces = [p.copy() for p in np.split(params, cuts)]
+    states = [AdamState.for_param(p, learning_rate=lr) for p in pieces]
+    for g in grad_steps:
+        for piece, piece_state, piece_grad in zip(pieces, states, np.split(g, cuts)):
+            adam_step(piece_state, piece, piece_grad)
+    assert np.array_equal(flat, np.concatenate(pieces))
+    assert np.array_equal(state.first_moment,
+                          np.concatenate([s.first_moment for s in states]))
+    assert np.array_equal(state.second_moment,
+                          np.concatenate([s.second_moment for s in states]))
+
+    ref_params, ref_m, ref_v = _out_of_place_adam(params, grad_steps, lr)
+    assert np.array_equal(flat, ref_params)
+    assert np.array_equal(state.first_moment, ref_m)
+    assert np.array_equal(state.second_moment, ref_v)
 
 
 def test_adam_default_learning_rate():
