@@ -19,6 +19,7 @@ from .classifier import (
     TrainConfig,
     TrainLog,
     build_model,
+    checkpoint_standardization,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -42,6 +43,7 @@ __all__ = [
     "TrainLog",
     "adam_step",
     "build_model",
+    "checkpoint_standardization",
     "evaluate",
     "generate_synthetic",
     "gumbel_noise",

@@ -1,15 +1,23 @@
 """Integrated gradients and neuron conductance over dense stacks.
 
-Both attributions integrate gradients along the straight line from a
-baseline x' to the input x, discretized with a midpoint Riemann rule (the
-midpoint avoids evaluating exactly on relu kinks at the endpoints):
+Both attributions integrate gradients along the straight line
+x' + a (x - x'), a in [0, 1], from a baseline x' to the input x:
 
-  IG_i      = (x_i - x'_i) * mean_s dF/dx_i            at point s
-  Cond^y_i  = (x_i - x'_i) * mean_s (dF/dy * dy/dx_i)  at point s
+  IG_i      = (x_i - x'_i) * integral dF/dx_i da
+  Cond^y_i  = (x_i - x'_i) * integral dF/dy * dy/dx_i da
 
 F is the pre-softmax logit of a target class by default (a probability
 output is selectable); y is a post-activation hidden unit. Summing Cond^y
 over all units of one layer recovers IG componentwise.
+
+The stack holds only relu and identity layers, so for the logit output the
+integrand is piecewise constant along the path: it changes only where some
+relu pre-activation changes sign. `path_segments` finds those breakpoints
+exactly, and the integral is one gradient per segment, taken at its
+midpoint and weighted by its length; completeness then holds to rounding.
+The probability output is not piecewise constant and keeps the midpoint
+Riemann rule with `riemann_steps` points (the midpoint avoids evaluating
+exactly on relu kinks at the endpoints).
 
 For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
@@ -73,9 +81,54 @@ def _resolve_inputs(stack, x, config):
     return x, baseline
 
 
-def _midpoints(x, baseline, m):
-    alphas = (np.arange(m) + 0.5) / m
-    return baseline + alphas[:, None] * (x - baseline)
+def midpoint_rule(m):
+    """m equal segments of [0, 1]: (midpoints, weights 1/m)."""
+    return (np.arange(m) + 0.5) / m, np.full(m, 1.0 / m)
+
+
+def path_segments(stack, x, baseline):
+    """Exact segments of the path baseline + a (x - baseline), a in [0, 1],
+    on which every relu of the stack keeps one sign.
+
+    Walks the stack one layer at a time, keeping the breakpoints found so
+    far with the layer input at each. Between two consecutive breakpoints a
+    pre-activation is linear in a, so a strict sign change from z_a to z_b
+    adds the breakpoint a_a + (a_b - a_a) * z_a / (z_a - z_b), with every
+    pre-activation there interpolated from the two ends. Returns (midpoints,
+    lengths) of the segments of nonzero length.
+    """
+    alphas = np.array([0.0, 1.0])
+    h = np.stack([baseline, x])
+    for layer in stack:
+        z = h @ layer.weights.T + layer.bias
+        if layer.activation != "relu":
+            h = z
+            continue
+        za, zb = z[:-1], z[1:]
+        seg, unit = np.nonzero(((za > 0) & (zb < 0)) | ((za < 0) & (zb > 0)))
+        if seg.size:
+            t = za[seg, unit] / (za[seg, unit] - zb[seg, unit])
+            new = alphas[seg] + (alphas[seg + 1] - alphas[seg]) * t
+            alphas = np.concatenate([alphas, new])
+            z = np.concatenate([z, za[seg] + t[:, None] * (zb[seg] - za[seg])])
+            order = np.argsort(alphas, kind="stable")
+            alphas, z = alphas[order], z[order]
+        h = np.maximum(z, 0.0)
+    lengths = np.diff(alphas)
+    keep = lengths > 0
+    return ((alphas[:-1] + alphas[1:]) / 2)[keep], lengths[keep]
+
+
+def _path_forward(stack, x, baseline, config):
+    """Forward pass at the quadrature points of the path, with their
+    weights: the exact segments for the logit output, which is piecewise
+    linear in a, and the midpoint rule for the probability output."""
+    if config.output == "logit":
+        alphas, weights = path_segments(stack, x, baseline)
+    else:
+        alphas, weights = midpoint_rule(config.riemann_steps)
+    points = baseline + alphas[:, None] * (x - baseline)
+    return _stack_forward(stack, points), weights
 
 
 def _stack_forward(stack, points):
@@ -116,22 +169,21 @@ def _output_upstream(logits, target, output):
 
 
 def integrated_gradients(model, x, config):
-    """Midpoint-rule integrated gradients of the target output w.r.t. x."""
+    """Integrated gradients of the target output w.r.t. x."""
     config.validate()
     stack = attribution_stack(model)
     x, baseline = _resolve_inputs(stack, x, config)
     target = _target_class(stack, x, config)
-    points = _midpoints(x, baseline, config.riemann_steps)
-    activations = _stack_forward(stack, points)
+    activations, weights = _path_forward(stack, x, baseline, config)
     g = _output_upstream(activations[-1], target, config.output)
     for layer in reversed(stack):
         g, _, _ = layer.backward(g)
-    return (x - baseline) * g.mean(axis=0)
+    return (x - baseline) * (weights @ g)
 
 
 def neuron_conductance(model, x, config):
-    """Midpoint-rule conductance of hidden unit y = config.neuron: the part
-    of the integrated-gradient attribution that flows through y."""
+    """Conductance of hidden unit y = config.neuron: the part of the
+    integrated-gradient attribution that flows through y."""
     config.validate()
     stack = attribution_stack(model)
     if config.neuron is None:
@@ -148,8 +200,7 @@ def neuron_conductance(model, x, config):
         )
     x, baseline = _resolve_inputs(stack, x, config)
     target = _target_class(stack, x, config)
-    points = _midpoints(x, baseline, config.riemann_steps)
-    activations = _stack_forward(stack, points)
+    activations, weights = _path_forward(stack, x, baseline, config)
     # dF/dy for every unit of the cut layer
     g = _output_upstream(activations[-1], target, config.output)
     for layer in reversed(stack[layer_index + 1 :]):
@@ -160,7 +211,7 @@ def neuron_conductance(model, x, config):
     g[:, unit] = 1.0
     for layer in reversed(stack[: layer_index + 1]):
         g, _, _ = layer.backward(g)
-    return (x - baseline) * (df_dy[:, None] * g).mean(axis=0)
+    return (x - baseline) * ((weights * df_dy) @ g)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .errors import (
 from .gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
 from .nn import AdamState, DenseLayer, adam_step, as_f64, softmax_cross_entropy
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Offsets deriving the independent RNG streams from one user seed.
 _SAMPLER_STREAM = 1
@@ -457,9 +457,11 @@ def _layer_from_doc(doc):
         raise FormatError(str(exc)) from None
 
 
-def save_checkpoint(model):
+def save_checkpoint(model, standardization=None):
     """Self-describing document; round-trips weights bit-exactly via decimal
-    text (JSON float rendering is shortest-round-trip)."""
+    text (JSON float rendering is shortest-round-trip). `standardization` is
+    the (mean, std) the model's inputs were scaled by, or None for raw
+    features."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "el" if model.bottleneck is not None else "baseline",
@@ -467,7 +469,14 @@ def save_checkpoint(model):
         "num_classes": model.num_classes,
         "sender": [_layer_doc(layer) for layer in model.sender],
         "receiver": [_layer_doc(layer) for layer in model.receiver],
+        "standardization": None,
     }
+    if standardization is not None:
+        mean, std = standardization
+        doc["standardization"] = {
+            "mean": as_f64(mean).tolist(),
+            "std": as_f64(std).tolist(),
+        }
     if model.bottleneck is not None:
         doc["vocab_size"] = model.bottleneck.vocab_size
         doc["temperature"] = model.bottleneck.temperature
@@ -511,3 +520,26 @@ def load_checkpoint(doc):
     ):
         raise FormatError("checkpoint metadata does not match layer shapes")
     return model
+
+
+def checkpoint_standardization(doc):
+    """The (mean, std) a checkpoint's model expects its inputs scaled by, or
+    None when it was trained on raw features."""
+    try:
+        section = doc["standardization"]
+    except (KeyError, TypeError):
+        raise FormatError("checkpoint missing section 'standardization'") from None
+    if section is None:
+        return None
+    try:
+        mean, std = (as_f64(section[key]) for key in ("mean", "std"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed standardization: {exc!r}") from None
+    for values in (mean, std):
+        if values.shape != (doc.get("input_dim"),) or not np.all(np.isfinite(values)):
+            raise FormatError(
+                "standardization must hold input_dim finite means and stds"
+            )
+    if not np.all(std > 0):
+        raise FormatError("standardization std must be positive")
+    return mean, std

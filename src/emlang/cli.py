@@ -29,12 +29,20 @@ from .attribution import AttributionConfig, per_symbol_report
 from .classifier import (
     TrainConfig,
     build_model,
+    checkpoint_standardization,
     evaluate,
     load_checkpoint,
     save_checkpoint,
     train,
 )
-from .data import SynthSpec, generate_synthetic, load_csv, save_csv, standardize
+from .data import (
+    SynthSpec,
+    generate_synthetic,
+    load_csv,
+    rescale,
+    save_csv,
+    standardization,
+)
 from .errors import (
     DimensionError,
     FormatError,
@@ -85,17 +93,19 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def write_checkpoint(model, path):
-    _write_json(path, save_checkpoint(model))
+def write_checkpoint(model, path, stats=None):
+    _write_json(path, save_checkpoint(model, stats))
 
 
 def read_checkpoint(path):
+    """(model, standardization) from a checkpoint file; standardization is
+    the inputs' (mean, std) or None."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid checkpoint JSON: {exc}") from None
-    return load_checkpoint(doc)
+    return load_checkpoint(doc), checkpoint_standardization(doc)
 
 
 def _resolve(defaults, args):
@@ -148,11 +158,19 @@ def cmd_gen(args):
     _generate_to(opts, args.out)
 
 
+def _load_finite_csv(path, label_column, split):
+    """load_csv, rejecting non-finite features before any output is written."""
+    ds = load_csv(path, label_column=label_column, split=split)
+    if not np.all(np.isfinite(ds.features)):
+        raise InputError(f"{path}: features contain non-finite values")
+    return ds
+
+
 def _load_split_dir(data_dir, label_column):
     sets = []
     for tag in ("train", "val", "test"):
         path = os.path.join(data_dir, f"{tag}.csv")
-        sets.append(load_csv(path, label_column=label_column, split=tag))
+        sets.append(_load_finite_csv(path, label_column, tag))
     train_set, val_set, test_set = sets
     for ds in (val_set, test_set):
         if ds.num_features != train_set.num_features:
@@ -192,8 +210,11 @@ def _train_to(opts, data_dir, out_dir):
     if opts["hidden"] < 1:
         raise InputError("hidden must be a positive integer")
     train_set, val_set, test_set = _load_split_dir(data_dir, opts["label_column"])
-    if opts["standardize"]:
-        train_set, val_set, test_set = standardize(train_set, val_set, test_set)
+    stats = standardization(train_set) if opts["standardize"] else None
+    if stats is not None:
+        train_set, val_set, test_set = (
+            rescale(ds, stats) for ds in (train_set, val_set, test_set)
+        )
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "config.json"), opts)
 
@@ -209,7 +230,7 @@ def _train_to(opts, data_dir, out_dir):
     log = train(model, train_set, val_set, config)
     report = evaluate(model, test_set)
 
-    write_checkpoint(model, os.path.join(out_dir, "checkpoint.json"))
+    write_checkpoint(model, os.path.join(out_dir, "checkpoint.json"), stats)
     _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
     report_doc = {"model": opts["model"], **report.to_dict(),
                   "best_epoch": log.best_epoch,
@@ -240,13 +261,20 @@ def _parse_baseline_vector(text, dim):
 
 
 def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
-    model = read_checkpoint(checkpoint_path)
+    model, stats = read_checkpoint(checkpoint_path)
     if model.bottleneck is None:
         raise InputError(
             "checkpoint holds a baseline model without a symbol bottleneck; "
             "attribution needs a model trained with --model el"
         )
-    test_set = load_csv(test_csv, label_column=opts["label_column"], split="test")
+    test_set = _load_finite_csv(test_csv, opts["label_column"], "test")
+    if test_set.num_features != model.input_dim:
+        raise InputError(
+            f"{test_csv} has {test_set.num_features} features, the checkpoint's "
+            f"model expects {model.input_dim}"
+        )
+    if stats is not None:
+        test_set = rescale(test_set, stats)
     if test_set.num_features % opts["block_size"] != 0:
         raise InputError(
             f"feature count {test_set.num_features} is not a multiple of "
@@ -355,9 +383,11 @@ def _add_train_options(p, with_model=True):
 
 def _add_attribute_options(p, with_block_size=True):
     p.add_argument("--riemann-steps", type=int, dest="riemann_steps",
-                   help="path integration steps")
+                   help="midpoint-rule steps for --output-mode probability; "
+                   "the logit output is integrated exactly")
     p.add_argument("--baseline-vector", dest="baseline_vector",
-                   help="'zero' or comma-separated floats")
+                   help="'zero' or comma-separated floats, in the model's "
+                   "input space (after any checkpoint standardization)")
     p.add_argument("--output-mode", dest="output_mode",
                    choices=("logit", "probability"))
     if with_block_size:

@@ -212,12 +212,14 @@ def split(dataset, fractions, seed):
     return tuple(out)
 
 
-def standardize(train, *others):
-    """Center/scale every split by the train split's feature mean and std."""
+def standardization(train):
+    """The train split's feature mean and std, a zero std replaced by 1."""
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    out = []
-    for ds in (train, *others):
-        out.append(replace(ds, features=(ds.features - mean) / std))
-    return tuple(out)
+    return mean, np.where(std == 0.0, 1.0, std)
+
+
+def rescale(ds, stats):
+    """ds with its features centered and scaled by stats = (mean, std)."""
+    mean, std = stats
+    return replace(ds, features=(ds.features - mean) / std)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emlang.attribution import (
     AttributionConfig,
+    midpoint_rule,
+    path_segments,
     per_symbol_report,
     integrated_gradients,
     neuron_conductance,
@@ -10,7 +14,7 @@ from emlang.attribution import (
 from emlang.classifier import TrainConfig, build_model, evaluate, train
 from emlang.data import Dataset, SynthSpec, generate_synthetic
 from emlang.errors import InputError, UnsupportedModelError
-from emlang.nn import DenseLayer, softmax
+from emlang.nn import DenseLayer, glorot_uniform, softmax
 
 
 def linear_stack(w):
@@ -57,11 +61,34 @@ def test_ig_zero_path_is_zero():
     np.testing.assert_array_equal(attrib, np.zeros(6))
 
 
-def completeness_error(stack, x, m, target=1):
-    config = AttributionConfig(riemann_steps=m, target_class=target)
-    attrib = integrated_gradients(stack, x, config)
+def logit_gradients(stack, points, target):
+    """d(target logit)/dx at every row of points."""
+    h = points
+    for layer in stack:
+        h = layer.forward(h)
+    g = np.zeros_like(h)
+    g[:, target] = 1.0
+    for layer in reversed(stack):
+        g, _, _ = layer.backward(g)
+    return g
+
+
+def midpoint_ig(stack, x, baseline, m, target):
+    """Reference: integrated gradients of the target logit by the midpoint
+    rule at m points."""
+    alphas, weights = midpoint_rule(m)
+    points = baseline + alphas[:, None] * (x - baseline)
+    return (x - baseline) * (weights @ logit_gradients(stack, points, target))
+
+
+def gap_error(stack, x, attrib, target):
     gap = stack_output(stack, x)[target] - stack_output(stack, np.zeros(6))[target]
     return abs(attrib.sum() - gap) / max(1.0, abs(gap))
+
+
+def completeness_error(stack, x, m, target=1):
+    config = AttributionConfig(riemann_steps=m, target_class=target)
+    return gap_error(stack, x, integrated_gradients(stack, x, config), target)
 
 
 def test_ig_completeness_on_random_relu_nets():
@@ -76,17 +103,107 @@ def test_ig_completeness_error_tightens_with_steps():
     # relative to the Riemann grid
     mean_errors = []
     for m in (75, 150, 300, 600):
-        errs = [
-            completeness_error(
-                random_relu_net(seed),
-                np.random.default_rng(100 + seed).normal(size=6),
-                m,
+        errs = []
+        for seed in range(20):
+            stack = random_relu_net(seed)
+            x = np.random.default_rng(100 + seed).normal(size=6)
+            errs.append(
+                gap_error(stack, x, midpoint_ig(stack, x, np.zeros(6), m, 1), 1)
             )
-            for seed in range(20)
-        ]
         mean_errors.append(np.mean(errs))
     for coarse, fine in zip(mean_errors, mean_errors[1:]):
         assert fine <= coarse * 1.1
+
+
+@st.composite
+def relu_paths(draw, zero_bias=False):
+    """A random Glorot relu net (identity output layer), an input, a baseline
+    (zero when zero_bias) and a target class."""
+    dims = draw(st.lists(st.integers(1, 8), min_size=3, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    stack = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        bias = np.zeros(fan_out) if zero_bias else rng.normal(size=fan_out) * scale
+        last = i == len(dims) - 2
+        stack.append(DenseLayer(glorot_uniform(rng, fan_out, fan_in), bias,
+                                "identity" if last else "relu"))
+    x = rng.normal(size=dims[0]) * scale
+    baseline = np.zeros(dims[0]) if zero_bias else rng.normal(size=dims[0]) * scale
+    target = draw(st.integers(0, dims[-1] - 1))
+    return stack, x, baseline, target
+
+
+def exact_ig(stack, x, baseline, target, riemann_steps=300):
+    config = AttributionConfig(baseline=baseline, target_class=target,
+                               riemann_steps=riemann_steps)
+    return integrated_gradients(stack, x, config)
+
+
+def assert_complete(stack, x, baseline, target, ig):
+    f_x = stack_output(stack, x)[target]
+    f_base = stack_output(stack, baseline)[target]
+    scale = max(1.0, abs(f_x), abs(f_base), np.abs(ig).sum())
+    assert abs(ig.sum() - (f_x - f_base)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(relu_paths())
+def test_exact_ig_sums_to_the_logit_gap(path):
+    stack, x, baseline, target = path
+    ig = exact_ig(stack, x, baseline, target)
+    assert_complete(stack, x, baseline, target, ig)
+    # the logit path is exact, so the Riemann step count plays no part
+    np.testing.assert_array_equal(ig, exact_ig(stack, x, baseline, target, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(relu_paths())
+def test_exact_conductance_of_a_layer_sums_to_exact_ig(path):
+    stack, x, baseline, target = path
+    ig = exact_ig(stack, x, baseline, target)
+    scale = max(1.0, np.abs(ig).max())
+    for layer_index, layer in enumerate(stack[:-1]):
+        total = sum(
+            neuron_conductance(
+                stack, x,
+                AttributionConfig(baseline=baseline, target_class=target,
+                                  neuron=(layer_index, unit)),
+            )
+            for unit in range(layer.out_dim)
+        )
+        assert np.max(np.abs(total - ig)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(relu_paths())
+def test_midpoint_rule_converges_to_the_exact_path(path):
+    # The IG integrand is piecewise constant in a, so the midpoint rule at m
+    # points is off by at most its total variation over m.
+    stack, x, baseline, target = path
+    ig = exact_ig(stack, x, baseline, target)
+    mids, _ = path_segments(stack, x, baseline)
+    per_segment = (x - baseline) * logit_gradients(
+        stack, baseline + mids[:, None] * (x - baseline), target
+    )
+    variation = np.abs(np.diff(per_segment, axis=0)).sum(axis=0)
+    slack = 1e-12 * max(1.0, np.abs(per_segment).max())
+    for m in (75, 150, 300, 600):
+        error = np.abs(midpoint_ig(stack, x, baseline, m, target) - ig)
+        assert np.all(error <= variation / m + slack)
+
+
+@settings(max_examples=30, deadline=None)
+@given(relu_paths(zero_bias=True))
+def test_exact_path_from_zero_through_zero_bias_net(path):
+    # Every pre-activation is exactly 0 at a = 0 and the net is positively
+    # homogeneous along the path: one segment, no spurious breakpoints.
+    stack, x, baseline, target = path
+    mids, lengths = path_segments(stack, x, baseline)
+    np.testing.assert_array_equal(mids, [0.5])
+    np.testing.assert_array_equal(lengths, [1.0])
+    ig = exact_ig(stack, x, baseline, target)
+    assert_complete(stack, x, baseline, target, ig)
 
 
 def test_conductance_two_layer_linear_closed_form():

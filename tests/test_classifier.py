@@ -8,6 +8,7 @@ from emlang.classifier import (
     ModelGraph,
     TrainConfig,
     build_model,
+    checkpoint_standardization,
     confusion_matrix,
     evaluate,
     load_checkpoint,
@@ -393,11 +394,36 @@ def test_checkpoint_baseline_round_trip_has_no_bottleneck():
     assert save_checkpoint(model)["kind"] == "baseline"
 
 
+def test_checkpoint_standardization_round_trip_and_errors():
+    model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39)
+    assert checkpoint_standardization(save_checkpoint(model)) is None
+    mean = np.array([0.1, -2.5, 1e3])
+    std = np.array([1.0 / 3.0, 2.0, 7.5])
+    doc = json.loads(json.dumps(save_checkpoint(model, (mean, std))))
+    got_mean, got_std = checkpoint_standardization(doc)
+    np.testing.assert_array_equal(got_mean, mean)
+    np.testing.assert_array_equal(got_std, std)
+    for bad in (
+        {"mean": [0.0, 0.0], "std": [1.0, 1.0]},
+        {"mean": [0.0, 0.0, 0.0], "std": [1.0, 0.0, 1.0]},
+        {"mean": [0.0, None, 0.0], "std": [1.0, 1.0, 1.0]},
+        {"mean": [0.0, 0.0, 0.0]},
+        "not a mapping",
+    ):
+        with pytest.raises(FormatError):
+            checkpoint_standardization({**doc, "standardization": bad})
+    missing = {k: v for k, v in doc.items() if k != "standardization"}
+    with pytest.raises(FormatError):
+        checkpoint_standardization(missing)
+
+
 def test_checkpoint_version_and_corruption_errors():
     model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=38)
     doc = save_checkpoint(model)
     with pytest.raises(FormatError):
         load_checkpoint({**doc, "format_version": 99})
+    with pytest.raises(FormatError):
+        load_checkpoint({**doc, "format_version": 1})
     with pytest.raises(FormatError):
         load_checkpoint({**doc, "kind": "mystery"})
     truncated = {**doc, "sender": doc["sender"][:1]}

@@ -245,6 +245,103 @@ def test_train_rejects_nonfinite_test_features(tmp_path, capsys):
             "--model", kind, *SMALL_TRAIN,
         ]) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / kind).exists()
+
+
+def test_attribute_rejects_nonfinite_features_before_writing(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    test_csv = data / "test.csv"
+    header, first, *rows = test_csv.read_text().splitlines()
+    test_csv.write_text("\n".join([header, "inf," + first.split(",", 1)[1], *rows]) + "\n")
+    assert run([
+        "attribute", "--checkpoint", str(out / "checkpoint.json"),
+        "--test-csv", str(test_csv), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
+def scale_csvs(data, factor, offset):
+    """Rewrite every feature column of the split CSVs as factor * x + offset."""
+    for tag in ("train", "val", "test"):
+        path = data / f"{tag}.csv"
+        header, *rows = path.read_text().splitlines()
+        out = [header]
+        for row in rows:
+            *features, label = row.split(",")
+            out.append(",".join([repr(float(v) * factor + offset) for v in features]
+                                + [label]))
+        path.write_text("\n".join(out) + "\n")
+
+
+def test_attribute_applies_checkpoint_standardization(tmp_path):
+    import numpy as np
+
+    from emlang.attribution import AttributionConfig, per_symbol_report
+    from emlang.cli import read_checkpoint
+    from emlang.data import load_csv, rescale, standardization
+
+    data = gen_small(tmp_path)
+    scale_csvs(data, 10.0, 100.0)
+    out = train_small(tmp_path, data, "el", extra=("--standardize",))
+    attr = tmp_path / "attr"
+    assert run([
+        "attribute", "--checkpoint", str(out / "checkpoint.json"),
+        "--test-csv", str(data / "test.csv"), "--out", str(attr),
+    ]) == 0
+    summary = read_json(attr / "attribution_summary.json")["symbols"]
+    assert [s["symbol"] for s in summary] == read_json(out / "eval_report.json")["symbols"]
+
+    # the report on the splits as training standardized them
+    model, stats = read_checkpoint(out / "checkpoint.json")
+    train_set = load_csv(data / "train.csv", split="train")
+    test_set = load_csv(data / "test.csv", split="test")
+    train_stats = standardization(train_set)
+    for stored, expected in zip(stats, train_stats):
+        np.testing.assert_array_equal(stored, expected)
+    scaled_test = rescale(test_set, train_stats)
+    report = per_symbol_report(model, scaled_test, AttributionConfig())
+    blocks = report.dominant_blocks(7)
+    assert [s["dominant_block"] for s in summary] == [b for b, _ in blocks]
+    assert [s["attribution_share"] for s in summary] == [s for _, s in blocks]
+
+
+def test_attribute_rejects_feature_count_mismatch(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el", extra=("--standardize",))
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("".join(
+        line.split(",", 1)[1] + "\n"
+        for line in (data / "test.csv").read_text().splitlines()
+    ))
+    assert run([
+        "attribute", "--checkpoint", str(out / "checkpoint.json"),
+        "--test-csv", str(narrow), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert "expects 28" in capsys.readouterr().err
+
+
+def test_checkpoint_records_no_standardization_by_default(tmp_path):
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "baseline")
+    assert read_json(out / "checkpoint.json")["standardization"] is None
+
+
+def test_attribute_rejects_version_1_checkpoint(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    ckpt = out / "checkpoint.json"
+    doc = read_json(ckpt)
+    doc["format_version"] = 1
+    del doc["standardization"]
+    ckpt.write_text(json.dumps(doc))
+    assert run([
+        "attribute", "--checkpoint", str(ckpt),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert "version" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
 
 
 def test_repro_small_end_to_end(tmp_path):

@@ -6,9 +6,10 @@ from emlang.data import (
     SynthSpec,
     generate_synthetic,
     load_csv,
+    rescale,
     save_csv,
     split,
-    standardize,
+    standardization,
 )
 from emlang.errors import FormatError, InputError
 
@@ -205,7 +206,8 @@ def test_standardize_uses_train_statistics():
                     rng.integers(0, 2, size=200), ["a", "b"])
     test = Dataset(rng.normal(5.0, 3.0, size=(50, 4)),
                    rng.integers(0, 2, size=50), ["a", "b"])
-    s_train, s_test = standardize(train, test)
+    stats = standardization(train)
+    s_train, s_test = rescale(train, stats), rescale(test, stats)
     np.testing.assert_allclose(s_train.features.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(s_train.features.std(axis=0), 1.0, atol=1e-12)
     expected = (test.features - train.features.mean(axis=0)) / train.features.std(axis=0)
