@@ -19,6 +19,7 @@ from .classifier import (
     TrainConfig,
     TrainLog,
     build_model,
+    checkpoint_names,
     checkpoint_standardization,
     evaluate,
     load_checkpoint,
@@ -43,6 +44,7 @@ __all__ = [
     "TrainLog",
     "adam_step",
     "build_model",
+    "checkpoint_names",
     "checkpoint_standardization",
     "evaluate",
     "generate_synthetic",

@@ -19,6 +19,15 @@ The probability output is not piecewise constant and keeps the midpoint
 Riemann rule with `riemann_steps` points (the midpoint avoids evaluating
 exactly on relu kinks at the endpoints).
 
+Every attribution is one batched pass of `attribute_block` over the paths
+of several samples: quadrature rows carry a sample id and stay sorted by
+(sample, a), one forward over all rows keeps its relu masks in local
+arrays, one backward computes input gradients only, and `np.add.reduceat`
+sums each sample's rows. `per_symbol_report` feeds it BLOCK samples at a
+time; `integrated_gradients` and `neuron_conductance` are the one-sample
+case. No layer's forward cache is read or written, so attribution leaves a
+model's training state untouched.
+
 For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
 by receiver layers) and y is the sender output logit feeding the decoded
@@ -29,15 +38,21 @@ symbol-specific.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import ModelGraph
 from .errors import InputError, NumericalError, UnsupportedModelError
+from .gumbel import one_hot
 from .nn import as_f64, softmax
 
 OUTPUT_MODES = ("logit", "probability")
+
+# Samples per batched pass of `per_symbol_report`. Larger blocks run faster
+# but hold more rows at once: on the benchmark's study workload, blocks of 16
+# raised peak memory by ~2 MiB (blocks of 8 by ~0.3 MiB).
+BLOCK = 4
 
 
 @dataclass
@@ -62,93 +77,26 @@ def attribution_stack(model):
     return list(model)
 
 
-def _resolve_inputs(stack, x, config):
+def _resolve_inputs(stack, x, config, ndim=1):
+    """x (one sample, or rows when ndim is 2) and the baseline, checked."""
     x = as_f64(x)
-    if x.ndim != 1 or x.shape[0] != stack[0].in_dim:
+    if x.ndim != ndim or x.shape[-1] != stack[0].in_dim:
         raise InputError(
             f"input shape {x.shape} incompatible with stack input dim "
             f"{stack[0].in_dim}"
         )
     if not np.all(np.isfinite(x)):
         raise InputError("input contains non-finite values")
-    baseline = (
-        np.zeros_like(x) if config.baseline is None else as_f64(config.baseline)
-    )
-    if baseline.shape != x.shape:
+    dim = stack[0].in_dim
+    baseline = np.zeros(dim) if config.baseline is None else as_f64(config.baseline)
+    if baseline.shape != (dim,):
         raise InputError(
-            f"baseline shape {baseline.shape} does not match input {x.shape}"
+            f"baseline shape {baseline.shape} does not match input ({dim},)"
         )
     return x, baseline
 
 
-def midpoint_rule(m):
-    """m equal segments of [0, 1]: (midpoints, weights 1/m)."""
-    return (np.arange(m) + 0.5) / m, np.full(m, 1.0 / m)
-
-
-def path_segments(stack, x, baseline):
-    """Exact segments of the path baseline + a (x - baseline), a in [0, 1],
-    on which every relu of the stack keeps one sign.
-
-    Walks the stack one layer at a time, keeping the breakpoints found so
-    far with the layer input at each. Between two consecutive breakpoints a
-    pre-activation is linear in a, so a strict sign change from z_a to z_b
-    adds the breakpoint a_a + (a_b - a_a) * z_a / (z_a - z_b), with every
-    pre-activation there interpolated from the two ends. Returns (midpoints,
-    lengths) of the segments of nonzero length.
-    """
-    alphas = np.array([0.0, 1.0])
-    h = np.stack([baseline, x])
-    for layer in stack:
-        z = h @ layer.weights.T + layer.bias
-        if layer.activation != "relu":
-            h = z
-            continue
-        za, zb = z[:-1], z[1:]
-        seg, unit = np.nonzero(((za > 0) & (zb < 0)) | ((za < 0) & (zb > 0)))
-        if seg.size:
-            t = za[seg, unit] / (za[seg, unit] - zb[seg, unit])
-            new = alphas[seg] + (alphas[seg + 1] - alphas[seg]) * t
-            alphas = np.concatenate([alphas, new])
-            z = np.concatenate([z, za[seg] + t[:, None] * (zb[seg] - za[seg])])
-            order = np.argsort(alphas, kind="stable")
-            alphas, z = alphas[order], z[order]
-        h = np.maximum(z, 0.0)
-    lengths = np.diff(alphas)
-    keep = lengths > 0
-    return ((alphas[:-1] + alphas[1:]) / 2)[keep], lengths[keep]
-
-
-def _path_forward(stack, x, baseline, config):
-    """Forward pass at the quadrature points of the path, with their
-    weights: the exact segments for the logit output, which is piecewise
-    linear in a, and the midpoint rule for the probability output."""
-    if config.output == "logit":
-        alphas, weights = path_segments(stack, x, baseline)
-    else:
-        alphas, weights = midpoint_rule(config.riemann_steps)
-    points = baseline + alphas[:, None] * (x - baseline)
-    return _stack_forward(stack, points), weights
-
-
-def _stack_forward(stack, points):
-    h = points
-    activations = []
-    for layer in stack:
-        h = layer.forward(h)
-        activations.append(h)
-    if not np.all(np.isfinite(h)):
-        bad = int(np.argwhere(~np.isfinite(h).all(axis=1))[0][0])
-        raise NumericalError(bad, f"non-finite network output at path step {bad}")
-    return activations
-
-
-def _target_class(stack, x, config):
-    if config.target_class is not None:
-        target = int(config.target_class)
-    else:
-        out = _stack_forward(stack, x[None, :])[-1]
-        target = int(np.argmax(out[0]))
+def _check_target(stack, target):
     if not (0 <= target < stack[-1].out_dim):
         raise InputError(
             f"target class {target} out of range [0, {stack[-1].out_dim})"
@@ -156,16 +104,169 @@ def _target_class(stack, x, config):
     return target
 
 
-def _output_upstream(logits, target, output):
-    # gradient of F w.r.t. the logits, per interpolation point
+def midpoint_rule(m):
+    """m equal segments of [0, 1]: (midpoints, weights 1/m)."""
+    return (np.arange(m) + 0.5) / m, np.full(m, 1.0 / m)
+
+
+def _affine(layer, h):
+    z = h @ layer.weights.T
+    z += layer.bias
+    return z
+
+
+def _forward(layers, h):
+    """(masks, output) of `layers` on the rows h: masks holds, per layer,
+    where a relu's pre-activation is positive (None for an identity layer);
+    no hidden activation outlives the layer after it."""
+    masks = []
+    for layer in layers:
+        h = _affine(layer, h)
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+            masks.append(h > 0.0)
+        else:
+            masks.append(None)
+    return masks, h
+
+
+def _backward(layers, masks, g):
+    """Input gradient of `layers` for the upstream gradient g at their
+    output, which it overwrites; relu takes the subgradient 0 at exactly
+    zero."""
+    for layer, mask in zip(reversed(layers), reversed(masks)):
+        if mask is not None:
+            g *= mask
+        g = g @ layer.weights
+    return g
+
+
+def path_segments(stack, xs, baseline):
+    """Exact segments of the paths baseline + a (xs[i] - baseline), a in
+    [0, 1], on which every relu of the stack keeps one sign.
+
+    Walks the stack one layer at a time up to its last relu, keeping the
+    breakpoints found so far with the layer input at each, as rows that
+    carry a sample id and stay sorted by (sample, a). Between two
+    consecutive rows of one sample a pre-activation is linear in a, so a
+    strict sign change from z_a to z_b adds the breakpoint
+    a_a + (a_b - a_a) * z_a / (z_a - z_b), with the layer's pre-activations
+    there interpolated from the two ends for the layers after it. Returns
+    (sample, midpoints, lengths) of the segments of nonzero length, in
+    (sample, a) order.
+    """
+    n = xs.shape[0]
+    sample = np.repeat(np.arange(n), 2)
+    alphas = np.tile([0.0, 1.0], n)
+    h = np.empty((2 * n, xs.shape[1]))
+    h[0::2] = baseline
+    h[1::2] = xs
+    relus = [i for i, layer in enumerate(stack) if layer.activation == "relu"]
+    for i, layer in enumerate(stack[: relus[-1] + 1] if relus else []):
+        z = _affine(layer, h)
+        if layer.activation != "relu":
+            h = z
+            continue
+        pos, neg = z > 0.0, z < 0.0
+        cross = pos[:-1] & neg[1:]
+        cross |= neg[:-1] & pos[1:]
+        cross[sample[:-1] != sample[1:]] = False
+        # flat indices of the crossings, row-major: each lies between row
+        # seg = hit // width and the next, at unit hit % width
+        hit = np.flatnonzero(cross)
+        width = z.shape[1]
+        seg = hit // width
+        za_u = z.ravel()[hit]
+        t = za_u / (za_u - z.ravel()[hit + width])
+        new = alphas[seg] + (alphas[seg + 1] - alphas[seg]) * t
+        alphas = np.concatenate([alphas, new])
+        sample = np.concatenate([sample, sample[seg]])
+        order = np.lexsort((alphas, sample))
+        alphas, sample = alphas[order], sample[order]
+        if i == relus[-1]:
+            break  # no later layer reads the last relu's output
+        za = z[seg]
+        inserted = z[seg + 1] - za
+        inserted *= t[:, None]
+        inserted += za
+        h = np.concatenate([z, inserted])[order]
+        np.maximum(h, 0.0, out=h)
+    lengths = np.diff(alphas)
+    keep = (sample[:-1] == sample[1:]) & (lengths > 0)
+    mids = (alphas[:-1] + alphas[1:]) / 2
+    return sample[:-1][keep], mids[keep], lengths[keep]
+
+
+def _output_upstream(logits, targets, output):
+    # gradient of F w.r.t. the logits, per quadrature row
+    rows = np.arange(logits.shape[0])
     if output == "logit":
         up = np.zeros_like(logits)
-        up[:, target] = 1.0
+        up[rows, targets] = 1.0
         return up
     probs = softmax(logits)
-    up = -probs * probs[:, [target]]
-    up[:, target] += probs[:, target]
+    p_target = probs[rows, targets]
+    up = -probs * p_target[:, None]
+    up[rows, targets] += p_target
     return up
+
+
+def attribute_block(stack, xs, baseline, targets, output="logit",
+                    riemann_steps=300, layer=None, units=None):
+    """Path attributions for every row of xs in one batched pass.
+
+    Row i gets the integrated gradients of output targets[i] when layer is
+    None, and otherwise the conductance of unit units[i] of hidden layer
+    `layer`. The logit output is integrated exactly over the relu segments
+    of each path, the probability output by the midpoint rule at
+    `riemann_steps` points. Takes its arguments as checked: the public entry
+    points validate them. Raises NumericalError on a non-finite output.
+    """
+    n = xs.shape[0]
+    diff = xs - baseline
+    if output == "logit":
+        sample, alphas, weights = path_segments(stack, xs, baseline)
+    else:
+        alphas, weights = midpoint_rule(riemann_steps)
+        sample = np.repeat(np.arange(n), riemann_steps)
+        alphas, weights = np.tile(alphas, n), np.tile(weights, n)
+    starts = np.searchsorted(sample, np.arange(n))
+    points = diff[sample]
+    points *= alphas[:, None]
+    points += baseline
+    masks, out = _forward(stack, points)
+    if not np.all(np.isfinite(out)):
+        bad = int(np.argmin(np.isfinite(out).all(axis=1)))
+        step = bad - int(starts[sample[bad]])
+        raise NumericalError(step, f"non-finite network output at path step {step}")
+    g = _output_upstream(out, np.asarray(targets)[sample], output)
+    if layer is None:
+        g = _backward(stack, masks, g)
+    else:
+        unit = np.asarray(units)[sample]
+        above = layer + 1
+        # dF/dy: back to the next layer's pre-activation, then a row-wise
+        # dot with column `unit` of its weights
+        g = _backward(stack[above + 1 :], masks[above + 1 :], g)
+        if masks[above] is not None:
+            g *= masks[above]
+        weights = weights * np.einsum("ij,ij->i", g, stack[above].weights.T[unit])
+        # dy/dx: from row `unit` of the cut layer's weights down to the input
+        g = stack[layer].weights[unit]
+        if masks[layer] is not None:
+            g *= masks[layer][np.arange(unit.size), unit][:, None]
+        g = _backward(stack[:layer], masks[:layer], g)
+    g *= weights[:, None]
+    return diff * np.add.reduceat(g, starts, axis=0)
+
+
+def _target_class(stack, x, config):
+    if config.target_class is not None:
+        return _check_target(stack, int(config.target_class))
+    _, out = _forward(stack, x[None, :])
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(0, "non-finite network output at path step 0")
+    return _check_target(stack, int(np.argmax(out[0])))
 
 
 def integrated_gradients(model, x, config):
@@ -174,11 +275,8 @@ def integrated_gradients(model, x, config):
     stack = attribution_stack(model)
     x, baseline = _resolve_inputs(stack, x, config)
     target = _target_class(stack, x, config)
-    activations, weights = _path_forward(stack, x, baseline, config)
-    g = _output_upstream(activations[-1], target, config.output)
-    for layer in reversed(stack):
-        g, _, _ = layer.backward(g)
-    return (x - baseline) * (weights @ g)
+    return attribute_block(stack, x[None, :], baseline, [target], config.output,
+                           config.riemann_steps)[0]
 
 
 def neuron_conductance(model, x, config):
@@ -200,18 +298,8 @@ def neuron_conductance(model, x, config):
         )
     x, baseline = _resolve_inputs(stack, x, config)
     target = _target_class(stack, x, config)
-    activations, weights = _path_forward(stack, x, baseline, config)
-    # dF/dy for every unit of the cut layer
-    g = _output_upstream(activations[-1], target, config.output)
-    for layer in reversed(stack[layer_index + 1 :]):
-        g, _, _ = layer.backward(g)
-    df_dy = g[:, unit]
-    # dy/dx through the layers below the cut, reusing the cached forward
-    g = np.zeros_like(activations[layer_index])
-    g[:, unit] = 1.0
-    for layer in reversed(stack[: layer_index + 1]):
-        g, _, _ = layer.backward(g)
-    return (x - baseline) * ((weights * df_dy) @ g)
+    return attribute_block(stack, x[None, :], baseline, [target], config.output,
+                           config.riemann_steps, layer_index, [unit])[0]
 
 
 @dataclass
@@ -249,6 +337,17 @@ class ConductanceReport:
         return out
 
 
+def _decode(model, xs):
+    """Each row's symbol and predicted class as the eval forward of
+    `ModelGraph.forward` gives them, without writing any layer's cache."""
+    _, logits = _forward(model.sender, xs)
+    if not np.all(np.isfinite(logits)):
+        raise InputError("logits contain non-finite values")
+    symbols = np.argmax(logits, axis=1)
+    _, out = _forward(model.receiver, one_hot(symbols, model.vocab_size))
+    return symbols, np.argmax(out, axis=1)
+
+
 def per_symbol_report(model, dataset, config):
     """Decode each sample's symbol, attribute the matching sender logit back
     to the input features, and average the attributions per symbol."""
@@ -259,28 +358,27 @@ def per_symbol_report(model, dataset, config):
         )
     if dataset.num_samples == 0:
         raise InputError("dataset must be non-empty")
-    logits, sample_symbols = model.forward(dataset.features, mode="eval")
-    predictions = np.argmax(logits, axis=1)
+    stack = attribution_stack(model)
+    features, baseline = _resolve_inputs(stack, dataset.features, config, ndim=2)
+    if config.target_class is not None:
+        _check_target(stack, int(config.target_class))
     symbol_layer = len(model.sender) - 1
-    sums = {}
-    counts = {}
-    for symbol, pred, x in zip(sample_symbols.tolist(), predictions, dataset.features):
-        target = config.target_class if config.target_class is not None else int(pred)
-        sample_config = replace(
-            config, neuron=(symbol_layer, symbol), target_class=target
-        )
-        vec = neuron_conductance(model, x, sample_config)
-        if symbol in sums:
-            sums[symbol] += vec
-            counts[symbol] += 1
-        else:
-            sums[symbol] = vec
-            counts[symbol] = 1
-    symbols = sorted(sums)
-    matrix = np.stack([sums[s] / counts[s] for s in symbols])
+    sums = np.zeros((model.vocab_size, dataset.num_features))
+    counts = np.zeros(model.vocab_size, dtype=np.int64)
+    for start in range(0, dataset.num_samples, BLOCK):
+        xs = features[start : start + BLOCK]
+        symbols, targets = _decode(model, xs)
+        if config.target_class is not None:
+            targets = np.full(xs.shape[0], int(config.target_class))
+        vecs = attribute_block(stack, xs, baseline, targets, config.output,
+                               config.riemann_steps, symbol_layer, symbols)
+        # in sample order, so each symbol's sum adds up as one at a time
+        np.add.at(sums, symbols, vecs)
+        np.add.at(counts, symbols, 1)
+    symbols = np.flatnonzero(counts)
     return ConductanceReport(
-        symbols=symbols,
-        counts=[counts[s] for s in symbols],
-        matrix=matrix,
-        feature_labels=[f"f{i}" for i in range(dataset.num_features)],
+        symbols=symbols.tolist(),
+        counts=counts[symbols].tolist(),
+        matrix=sums[symbols] / counts[symbols, None],
+        feature_labels=list(dataset.feature_names),
     )

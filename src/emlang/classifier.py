@@ -28,7 +28,7 @@ from .errors import (
 from .gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
 from .nn import AdamState, DenseLayer, adam_step, as_f64, softmax_cross_entropy
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Offsets deriving the independent RNG streams from one user seed.
 _SAMPLER_STREAM = 1
@@ -457,11 +457,16 @@ def _layer_from_doc(doc):
         raise FormatError(str(exc)) from None
 
 
-def save_checkpoint(model, standardization=None):
+def save_checkpoint(model, standardization=None, feature_names=None,
+                    class_names=None):
     """Self-describing document; round-trips weights bit-exactly via decimal
     text (JSON float rendering is shortest-round-trip). `standardization` is
     the (mean, std) the model's inputs were scaled by, or None for raw
-    features."""
+    features. `feature_names` are the input columns in order (default
+    f0..f{D-1}, the names a Dataset gives unnamed columns); `class_names`
+    name each class index, or are None when unknown."""
+    if feature_names is None:
+        feature_names = [f"f{i}" for i in range(model.input_dim)]
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "el" if model.bottleneck is not None else "baseline",
@@ -470,6 +475,8 @@ def save_checkpoint(model, standardization=None):
         "sender": [_layer_doc(layer) for layer in model.sender],
         "receiver": [_layer_doc(layer) for layer in model.receiver],
         "standardization": None,
+        "feature_names": list(feature_names),
+        "class_names": None if class_names is None else list(class_names),
     }
     if standardization is not None:
         mean, std = standardization
@@ -543,3 +550,28 @@ def checkpoint_standardization(doc):
     if not np.all(std > 0):
         raise FormatError("standardization std must be positive")
     return mean, std
+
+
+def checkpoint_names(doc):
+    """(feature_names, class_names) of a checkpoint's model: its input
+    columns in order, and the name of each class index or None."""
+    try:
+        features, classes = doc["feature_names"], doc["class_names"]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"checkpoint missing section {exc}") from None
+    for names, count, optional in (
+        (features, doc.get("input_dim"), False),
+        (classes, doc.get("num_classes"), True),
+    ):
+        if names is None and optional:
+            continue
+        if (
+            not isinstance(names, list)
+            or len(names) != count
+            or not all(isinstance(name, str) for name in names)
+        ):
+            raise FormatError(
+                "checkpoint names must be lists of input_dim feature and "
+                "num_classes class strings"
+            )
+    return features, classes

@@ -29,6 +29,7 @@ from .attribution import AttributionConfig, per_symbol_report
 from .classifier import (
     TrainConfig,
     build_model,
+    checkpoint_names,
     checkpoint_standardization,
     evaluate,
     load_checkpoint,
@@ -93,19 +94,25 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def write_checkpoint(model, path, stats=None):
-    _write_json(path, save_checkpoint(model, stats))
+def write_checkpoint(model, path, train_set, stats=None):
+    """The checkpoint of a model trained on `train_set`, whose feature header
+    and class names it records."""
+    doc = save_checkpoint(model, stats, train_set.feature_names,
+                          train_set.class_names)
+    _write_json(path, doc)
 
 
 def read_checkpoint(path):
-    """(model, standardization) from a checkpoint file; standardization is
-    the inputs' (mean, std) or None."""
+    """(model, standardization, feature_names) from a checkpoint file;
+    standardization is the inputs' (mean, std) or None, and feature_names
+    the input columns the model expects, in order."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid checkpoint JSON: {exc}") from None
-    return load_checkpoint(doc), checkpoint_standardization(doc)
+    model = load_checkpoint(doc)
+    return model, checkpoint_standardization(doc), checkpoint_names(doc)[0]
 
 
 def _resolve(defaults, args):
@@ -166,6 +173,21 @@ def _load_finite_csv(path, label_column, split):
     return ds
 
 
+def _check_columns(path, names, expected, owner):
+    """InputError unless the feature columns `names` read from `path` are
+    `expected`, the columns `owner` expects, in the same order."""
+    if len(names) != len(expected):
+        raise InputError(
+            f"{path} has {len(names)} features, {owner} expects {len(expected)}"
+        )
+    for column, (got, want) in enumerate(zip(names, expected)):
+        if got != want:
+            raise InputError(
+                f"{path}: feature column {column} is {got!r}, {owner} expects "
+                f"{want!r}"
+            )
+
+
 def _load_split_dir(data_dir, label_column):
     sets = []
     for tag in ("train", "val", "test"):
@@ -173,11 +195,8 @@ def _load_split_dir(data_dir, label_column):
         sets.append(_load_finite_csv(path, label_column, tag))
     train_set, val_set, test_set = sets
     for ds in (val_set, test_set):
-        if ds.num_features != train_set.num_features:
-            raise InputError(
-                f"{ds.split}.csv has {ds.num_features} features, train.csv has "
-                f"{train_set.num_features}"
-            )
+        _check_columns(f"{ds.split}.csv", ds.feature_names,
+                       train_set.feature_names, "train.csv")
         if ds.class_names != train_set.class_names:
             raise InputError(
                 f"{ds.split}.csv classes {ds.class_names} do not match "
@@ -230,7 +249,8 @@ def _train_to(opts, data_dir, out_dir):
     log = train(model, train_set, val_set, config)
     report = evaluate(model, test_set)
 
-    write_checkpoint(model, os.path.join(out_dir, "checkpoint.json"), stats)
+    write_checkpoint(model, os.path.join(out_dir, "checkpoint.json"), train_set,
+                     stats)
     _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
     report_doc = {"model": opts["model"], **report.to_dict(),
                   "best_epoch": log.best_epoch,
@@ -261,18 +281,15 @@ def _parse_baseline_vector(text, dim):
 
 
 def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
-    model, stats = read_checkpoint(checkpoint_path)
+    model, stats, feature_names = read_checkpoint(checkpoint_path)
     if model.bottleneck is None:
         raise InputError(
             "checkpoint holds a baseline model without a symbol bottleneck; "
             "attribution needs a model trained with --model el"
         )
     test_set = _load_finite_csv(test_csv, opts["label_column"], "test")
-    if test_set.num_features != model.input_dim:
-        raise InputError(
-            f"{test_csv} has {test_set.num_features} features, the checkpoint's "
-            f"model expects {model.input_dim}"
-        )
+    _check_columns(test_csv, test_set.feature_names, feature_names,
+                   "the checkpoint's model")
     if stats is not None:
         test_set = rescale(test_set, stats)
     if test_set.num_features % opts["block_size"] != 0:

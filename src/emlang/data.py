@@ -24,12 +24,20 @@ class Dataset:
     labels: np.ndarray
     class_names: list[str]
     split: str = ""
+    feature_names: list[str] | None = None  # None means f0..f{D-1}
 
     def __post_init__(self):
         self.features = as_f64(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise InputError(f"features must be 2-d, got shape {self.features.shape}")
+        if self.feature_names is None:
+            self.feature_names = [f"f{i}" for i in range(self.features.shape[1])]
+        if len(self.feature_names) != self.features.shape[1]:
+            raise InputError(
+                f"{len(self.feature_names)} feature names for "
+                f"{self.features.shape[1]} feature columns"
+            )
         if self.labels.shape != (self.features.shape[0],):
             raise InputError(
                 f"label count {self.labels.shape} does not match "
@@ -113,10 +121,11 @@ def generate_synthetic(spec):
 
 
 def save_csv(dataset, path, label_column="label"):
-    """Header row f0..f{D-1} plus the label column; floats as repr text."""
+    """Header row of the feature names plus the label column; floats as repr
+    text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = [f"f{i}" for i in range(dataset.num_features)] + [label_column]
+        header = list(dataset.feature_names) + [label_column]
         writer.writerow(header)
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow(
@@ -126,7 +135,8 @@ def save_csv(dataset, path, label_column="label"):
 
 def load_csv(path, label_column="label", split=""):
     """Parse a headered CSV: non-label columns become features in header
-    order, label strings map to dense indices in sorted order."""
+    order, named by their header cells, and label strings map to dense
+    indices in sorted order."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -162,7 +172,9 @@ def load_csv(path, label_column="label", split=""):
     class_names = sorted(set(raw_labels))
     index = {name: i for i, name in enumerate(class_names)}
     labels = np.array([index[name] for name in raw_labels], dtype=np.int64)
-    return Dataset(np.array(rows), labels, class_names, split=split)
+    feature_names = header[:label_pos] + header[label_pos + 1 :]
+    return Dataset(np.array(rows), labels, class_names, split=split,
+                   feature_names=feature_names)
 
 
 def _allocate(count, fractions):
@@ -207,6 +219,7 @@ def split(dataset, fractions, seed):
                 dataset.labels[idx],
                 list(dataset.class_names),
                 split=tag,
+                feature_names=list(dataset.feature_names),
             )
         )
     return tuple(out)

@@ -10,7 +10,7 @@ call steps every layer whose weights are views into a shared flat vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,7 +147,8 @@ def softmax_cross_entropy(logits, labels):
 
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one parameter tensor."""
+    """Adam moments and hyperparameters for one parameter tensor, with two
+    scratch tensors of the same shape that `adam_step` computes in."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -156,6 +157,13 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (
+            np.empty_like(self.first_moment),
+            np.empty_like(self.first_moment),
+        )
 
     @classmethod
     def for_param(cls, param, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -175,7 +183,9 @@ def adam_step(state, params, grads):
 
     Overwrites `params` (when it is already a float64 array) and the moments
     in `state`, and returns `params`. Elementwise, so one call on a flat
-    vector equals separate calls on any split of it, bit for bit.
+    vector equals separate calls on any split of it, bit for bit. Every
+    intermediate goes to the state's scratch tensors, so a step allocates no
+    array of the parameters' size.
     """
     params = as_f64(params)
     grads = as_f64(grads)
@@ -191,11 +201,23 @@ def adam_step(state, params, grads):
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
+    a, b = state.scratch
+    # in place, in the elementwise order of the textbook update, so the
+    # result matches it bit for bit:
+    #   m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+    #   params -= (lr (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
     m *= state.beta1
-    m += (1.0 - state.beta1) * grads
+    np.multiply(grads, 1.0 - state.beta1, out=a)
+    m += a
     v *= state.beta2
-    v += (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    np.multiply(grads, 1.0 - state.beta2, out=a)
+    a *= grads
+    v += a
+    np.divide(m, 1.0 - state.beta1 ** t, out=a)
+    a *= state.learning_rate
+    np.divide(v, 1.0 - state.beta2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    a /= b
+    params -= a
     return params

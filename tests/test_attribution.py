@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlang.attribution import (
+    BLOCK,
+    OUTPUT_MODES,
     AttributionConfig,
+    attribute_block,
+    attribution_stack,
     midpoint_rule,
     path_segments,
     per_symbol_report,
@@ -14,6 +20,7 @@ from emlang.attribution import (
 from emlang.classifier import TrainConfig, build_model, evaluate, train
 from emlang.data import Dataset, SynthSpec, generate_synthetic
 from emlang.errors import InputError, UnsupportedModelError
+from emlang.gumbel import noise_from_uniform
 from emlang.nn import DenseLayer, glorot_uniform, softmax
 
 
@@ -182,7 +189,7 @@ def test_midpoint_rule_converges_to_the_exact_path(path):
     # points is off by at most its total variation over m.
     stack, x, baseline, target = path
     ig = exact_ig(stack, x, baseline, target)
-    mids, _ = path_segments(stack, x, baseline)
+    _, mids, _ = path_segments(stack, x[None, :], baseline)
     per_segment = (x - baseline) * logit_gradients(
         stack, baseline + mids[:, None] * (x - baseline), target
     )
@@ -199,11 +206,184 @@ def test_exact_path_from_zero_through_zero_bias_net(path):
     # Every pre-activation is exactly 0 at a = 0 and the net is positively
     # homogeneous along the path: one segment, no spurious breakpoints.
     stack, x, baseline, target = path
-    mids, lengths = path_segments(stack, x, baseline)
+    _, mids, lengths = path_segments(stack, x[None, :], baseline)
     np.testing.assert_array_equal(mids, [0.5])
     np.testing.assert_array_equal(lengths, [1.0])
     ig = exact_ig(stack, x, baseline, target)
     assert_complete(stack, x, baseline, target, ig)
+
+
+def reference_segments(stack, x, baseline):
+    """Per-sample reference for the segment walk: one path, every layer
+    walked, sign changes found by comparisons, a stable sort by a."""
+    alphas = np.array([0.0, 1.0])
+    h = np.stack([baseline, x])
+    for layer in stack:
+        z = h @ layer.weights.T + layer.bias
+        if layer.activation == "relu":
+            za, zb = z[:-1], z[1:]
+            seg, unit = np.nonzero(((za > 0) & (zb < 0)) | ((za < 0) & (zb > 0)))
+            t = za[seg, unit] / (za[seg, unit] - zb[seg, unit])
+            alphas = np.concatenate(
+                [alphas, alphas[seg] + (alphas[seg + 1] - alphas[seg]) * t]
+            )
+            z = np.concatenate([z, za[seg] + t[:, None] * (zb[seg] - za[seg])])
+            order = np.argsort(alphas, kind="stable")
+            alphas, z = alphas[order], np.maximum(z[order], 0.0)
+        h = z
+    lengths = np.diff(alphas)
+    keep = lengths > 0
+    return ((alphas[:-1] + alphas[1:]) / 2)[keep], lengths[keep]
+
+
+def reference_attribution(stack, x, baseline, target, output, steps, neuron=None):
+    """Per-sample reference: DenseLayer forward and backward at each
+    quadrature point, with a one-hot gradient at the cut. Returns the
+    attribution and, per feature, the larger of the summed and the largest
+    absolute term: the scale of its rounding error."""
+    if output == "logit":
+        alphas, weights = reference_segments(stack, x, baseline)
+    else:
+        alphas, weights = midpoint_rule(steps)
+    h = baseline + alphas[:, None] * (x - baseline)
+    for layer in stack:
+        h = layer.forward(h)
+    if output == "logit":
+        g = np.zeros_like(h)
+        g[:, target] = 1.0
+    else:
+        probs = softmax(h)
+        g = -probs * probs[:, [target]]
+        g[:, target] += probs[:, target]
+    df_dy = np.ones_like(weights)
+    below = stack
+    if neuron is not None:
+        layer_index, unit = neuron
+        below = stack[: layer_index + 1]
+        for layer in reversed(stack[layer_index + 1 :]):
+            g, _, _ = layer.backward(g)
+        df_dy = g[:, unit]
+        g = np.zeros_like(g)
+        g[:, unit] = 1.0
+    for layer in reversed(below):
+        g, _, _ = layer.backward(g)
+    rows = np.abs((x - baseline) * df_dy[:, None] * g)
+    scale = np.maximum(weights @ rows, rows.max(axis=0))
+    return (x - baseline) * ((weights * df_dy) @ g), scale
+
+
+@st.composite
+def relu_stacks(draw):
+    """A random Glorot stack (relu or identity hidden layers, identity
+    output), a few samples with one shared baseline, a target per sample,
+    and a hidden cut layer with a unit per sample."""
+    dims = draw(st.lists(st.integers(1, 8), min_size=3, max_size=5))
+    hidden = draw(st.lists(st.sampled_from(["relu", "relu", "identity"]),
+                           min_size=len(dims) - 2, max_size=len(dims) - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    stack = [
+        DenseLayer(glorot_uniform(rng, fan_out, fan_in),
+                   rng.normal(size=fan_out) * scale, activation)
+        for fan_in, fan_out, activation in zip(dims, dims[1:], hidden + ["identity"])
+    ]
+    n = draw(st.integers(1, 2 * BLOCK + 1))
+    xs = rng.normal(size=(n, dims[0])) * scale
+    baseline = rng.normal(size=dims[0]) * scale
+    targets = rng.integers(0, dims[-1], size=n)
+    layer = draw(st.integers(0, len(stack) - 2))
+    units = rng.integers(0, dims[layer + 1], size=n)
+    return stack, xs, baseline, targets, layer, units
+
+
+@settings(max_examples=60, deadline=None)
+@given(relu_stacks(), st.sampled_from(OUTPUT_MODES))
+def test_batched_pass_matches_the_per_sample_reference(case, output):
+    stack, xs, baseline, targets, layer, units = case
+    for cut, cut_units in ((None, None), (layer, units)):
+        got = attribute_block(stack, xs, baseline, targets, output, 16, cut,
+                              cut_units)
+        assert got.shape == xs.shape
+        for i, x in enumerate(xs):
+            neuron = None if cut is None else (cut, cut_units[i])
+            want, scale = reference_attribution(stack, x, baseline, targets[i],
+                                                output, 16, neuron)
+            assert np.all(np.abs(got[i] - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relu_stacks())
+def test_batched_conductances_of_a_layer_sum_to_complete_ig(case):
+    stack, xs, baseline, targets, layer, _ = case
+    ig = attribute_block(stack, xs, baseline, targets)
+    for x, target, row in zip(xs, targets, ig):
+        assert_complete(stack, x, baseline, target, row)
+    per_unit = [
+        attribute_block(stack, xs, baseline, targets, layer=layer,
+                        units=np.full(len(xs), unit))
+        for unit in range(stack[layer].out_dim)
+    ]
+    scale = max(1.0, np.abs(ig).max(), max(np.abs(c).max() for c in per_unit))
+    assert np.max(np.abs(sum(per_unit) - ig)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3 * BLOCK),
+       st.sampled_from(OUTPUT_MODES))
+def test_per_symbol_report_matches_the_per_sample_reference(seed, n, output):
+    rng = np.random.default_rng(seed)
+    model = build_model(5, 3, vocab_size=6, hidden_dim=7, seed=seed % 1000)
+    for layer in model.layers():
+        layer.bias = rng.normal(size=layer.out_dim)
+    ds = Dataset(rng.normal(size=(n, 5)) * 2.0, np.zeros(n, dtype=int), ["a"])
+    report = per_symbol_report(model, ds, AttributionConfig(riemann_steps=16,
+                                                           output=output))
+    logits, symbols = model.forward(ds.features, mode="eval")
+    stack = attribution_stack(model)
+    sums, scales = {}, {}
+    for x, symbol, target in zip(ds.features, symbols, np.argmax(logits, axis=1)):
+        want, scale = reference_attribution(
+            stack, x, np.zeros(5), target, output, 16,
+            (len(model.sender) - 1, symbol),
+        )
+        sums[symbol] = sums.get(symbol, 0.0) + want
+        scales[symbol] = scales.get(symbol, 0.0) + scale
+    assert report.symbols == sorted(sums)
+    assert report.counts == [int(np.sum(symbols == s)) for s in report.symbols]
+    for row, symbol, count in zip(report.matrix, report.symbols, report.counts):
+        assert np.all(
+            np.abs(row - sums[symbol] / count) <= 1e-12 * scales[symbol] / count
+        )
+
+
+@pytest.mark.parametrize("attribute", ["neuron_conductance", "per_symbol_report"])
+def test_attribution_leaves_training_state_untouched(attribute):
+    # a train-mode forward, an attribution call, then the backward of that
+    # forward: the gradients are those of the forward alone
+    rng = np.random.default_rng(40)
+    model = build_model(6, 3, vocab_size=8, hidden_dim=8, seed=40)
+    xb = rng.normal(size=(32, 6))
+    noise = noise_from_uniform(rng.uniform(size=(32, 8)))
+    dlogits = rng.normal(size=(32, 3))
+    config = AttributionConfig(output="probability", riemann_steps=32)
+    calls = {
+        "neuron_conductance": lambda: neuron_conductance(
+            model, xb[0], replace(config, neuron=(len(model.sender) - 1, 0))
+        ),
+        "per_symbol_report": lambda: per_symbol_report(
+            model, Dataset(xb, np.zeros(32, dtype=int), ["a"]), config
+        ),
+    }
+
+    def gradients(between):
+        model.forward(xb, mode="train", noise=noise)
+        between()
+        g, layer_grads = model.backward(dlogits)
+        return [g] + [a for _, gw, gb in layer_grads for a in (gw, gb)]
+
+    expected = gradients(lambda: None)
+    for got, want in zip(gradients(calls[attribute]), expected):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_conductance_two_layer_linear_closed_form():

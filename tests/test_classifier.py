@@ -8,6 +8,7 @@ from emlang.classifier import (
     ModelGraph,
     TrainConfig,
     build_model,
+    checkpoint_names,
     checkpoint_standardization,
     confusion_matrix,
     evaluate,
@@ -417,6 +418,26 @@ def test_checkpoint_standardization_round_trip_and_errors():
         checkpoint_standardization(missing)
 
 
+def test_checkpoint_names_round_trip_and_errors():
+    model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=41)
+    assert checkpoint_names(save_checkpoint(model)) == (["f0", "f1", "f2"], None)
+    doc = json.loads(json.dumps(
+        save_checkpoint(model, None, ["b", "a", "c"], ["no", "yes"])
+    ))
+    assert checkpoint_names(doc) == (["b", "a", "c"], ["no", "yes"])
+    for key, bad in (
+        ("feature_names", ["a", "b"]),
+        ("feature_names", ["a", 1, "c"]),
+        ("feature_names", None),
+        ("class_names", ["only"]),
+        ("class_names", "no,yes"),
+    ):
+        with pytest.raises(FormatError):
+            checkpoint_names({**doc, key: bad})
+    with pytest.raises(FormatError):
+        checkpoint_names({k: v for k, v in doc.items() if k != "feature_names"})
+
+
 def test_checkpoint_version_and_corruption_errors():
     model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=38)
     doc = save_checkpoint(model)
@@ -424,6 +445,8 @@ def test_checkpoint_version_and_corruption_errors():
         load_checkpoint({**doc, "format_version": 99})
     with pytest.raises(FormatError):
         load_checkpoint({**doc, "format_version": 1})
+    with pytest.raises(FormatError):
+        load_checkpoint({**doc, "format_version": 2})
     with pytest.raises(FormatError):
         load_checkpoint({**doc, "kind": "mystery"})
     truncated = {**doc, "sender": doc["sender"][:1]}

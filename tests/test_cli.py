@@ -294,7 +294,7 @@ def test_attribute_applies_checkpoint_standardization(tmp_path):
     assert [s["symbol"] for s in summary] == read_json(out / "eval_report.json")["symbols"]
 
     # the report on the splits as training standardized them
-    model, stats = read_checkpoint(out / "checkpoint.json")
+    model, stats, _ = read_checkpoint(out / "checkpoint.json")
     train_set = load_csv(data / "train.csv", split="train")
     test_set = load_csv(data / "test.csv", split="test")
     train_stats = standardization(train_set)
@@ -342,6 +342,76 @@ def test_attribute_rejects_version_1_checkpoint(tmp_path, capsys):
     ]) == 2
     assert "version" in capsys.readouterr().err
     assert not (tmp_path / "attr").exists()
+
+
+def test_attribute_rejects_version_2_checkpoint(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    ckpt = out / "checkpoint.json"
+    doc = read_json(ckpt)
+    doc["format_version"] = 2
+    del doc["feature_names"], doc["class_names"]
+    ckpt.write_text(json.dumps(doc))
+    assert run([
+        "attribute", "--checkpoint", str(ckpt),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert "version" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
+def rename_columns(path, names):
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([",".join([*names, "label"]), *rows]) + "\n")
+
+
+def test_checkpoint_records_the_training_header_and_classes(tmp_path):
+    data = gen_small(tmp_path)
+    names = [f"marker{i}" for i in range(28)]
+    for tag in ("train", "val", "test"):
+        rename_columns(data / f"{tag}.csv", names)
+    out = train_small(tmp_path, data, "el")
+    doc = read_json(out / "checkpoint.json")
+    assert doc["format_version"] == 3
+    assert doc["feature_names"] == names
+    assert doc["class_names"] == ["class0", "class1", "class2", "class3"]
+    attr = tmp_path / "attr"
+    assert run([
+        "attribute", "--checkpoint", str(out / "checkpoint.json"),
+        "--test-csv", str(data / "test.csv"), "--out", str(attr),
+    ]) == 0
+    header = (attr / "conductance.csv").read_text().splitlines()[0]
+    assert header == ",".join(["symbol", "count", *names])
+
+
+def test_attribute_rejects_other_feature_columns(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    names = [f"f{i}" for i in range(28)]
+    swapped = [names[1], names[0], *names[2:]]
+    renamed = [*names[:5], "gene5", *names[6:]]
+    for case, columns in enumerate((swapped, renamed)):
+        test_csv = tmp_path / f"test{case}.csv"
+        test_csv.write_text((data / "test.csv").read_text())
+        rename_columns(test_csv, columns)
+        attr = tmp_path / f"attr{case}"
+        assert run([
+            "attribute", "--checkpoint", str(out / "checkpoint.json"),
+            "--test-csv", str(test_csv), "--out", str(attr),
+        ]) == 2
+        assert "feature column" in capsys.readouterr().err
+        assert not attr.exists()
+
+
+def test_train_rejects_splits_with_other_feature_columns(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    rename_columns(data / "val.csv", ["f1", "f0", *(f"f{i}" for i in range(2, 28))])
+    assert run([
+        "train", "--data", str(data), "--out", str(tmp_path / "out"),
+        "--model", "baseline", *SMALL_TRAIN,
+    ]) == 2
+    assert "val.csv: feature column 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_repro_small_end_to_end(tmp_path):

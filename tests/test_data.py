@@ -114,6 +114,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.features, train.features)
     np.testing.assert_array_equal(loaded.labels, train.labels)
     assert loaded.class_names == train.class_names
+    assert loaded.feature_names == train.feature_names
 
 
 def test_load_csv_basic(tmp_path):
@@ -121,8 +122,19 @@ def test_load_csv_basic(tmp_path):
     path.write_text("a,b,label\n1.5,2.0,yes\n3.0,4.5,no\n0.0,1.0,yes\n")
     ds = load_csv(path)
     assert ds.features.shape == (3, 2)
+    assert ds.feature_names == ["a", "b"]
     assert ds.class_names == ["no", "yes"]
     assert ds.labels.tolist() == [1, 0, 1]
+
+
+def test_load_csv_keeps_the_header_around_the_label_column(tmp_path):
+    path = tmp_path / "middle.csv"
+    path.write_text("b,label,a\n1.5,yes,2.0\n3.0,no,4.5\n")
+    ds = load_csv(path)
+    assert ds.feature_names == ["b", "a"]
+    np.testing.assert_array_equal(ds.features, [[1.5, 2.0], [3.0, 4.5]])
+    with pytest.raises(InputError):
+        Dataset(ds.features, ds.labels, ds.class_names, feature_names=["b"])
 
 
 def test_load_csv_missing_label_column(tmp_path):

@@ -266,6 +266,22 @@ def test_fused_adam_on_flat_vector_equals_per_tensor_steps(data):
     assert np.array_equal(state.second_moment, ref_v)
 
 
+def test_adam_step_allocates_no_parameter_sized_temporary():
+    import tracemalloc
+
+    params = np.zeros(19_240)  # the default study's parameter count
+    grads = np.random.default_rng(8).normal(size=params.size)
+    state = AdamState.for_param(params)
+    adam_step(state, params, grads)
+    tracemalloc.start()
+    try:
+        adam_step(state, params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.nbytes // 2
+
+
 def test_adam_default_learning_rate():
     state = AdamState.for_param(np.zeros(1))
     assert state.learning_rate == 1e-3
