@@ -25,8 +25,8 @@ of several samples: quadrature rows carry a sample id and stay sorted by
 arrays, one backward computes input gradients only, and `np.add.reduceat`
 sums each sample's rows. `per_symbol_report` feeds it BLOCK samples at a
 time; `integrated_gradients` and `neuron_conductance` are the one-sample
-case. No layer's forward cache is read or written, so attribution leaves a
-model's training state untouched.
+case. Nothing is stored on the model, so attribution leaves a model's
+training state untouched.
 
 For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
@@ -339,7 +339,8 @@ class ConductanceReport:
 
 def _decode(model, xs):
     """Each row's symbol and predicted class as the eval forward of
-    `ModelGraph.forward` gives them, without writing any layer's cache."""
+    `ModelGraph.forward` gives them; on blocks of a few samples this is
+    cheaper, since it skips that method's per-call checks."""
     _, logits = _forward(model.sender, xs)
     if not np.all(np.isfinite(logits)):
         raise InputError("logits contain non-finite values")

@@ -7,7 +7,9 @@ the channel removed: the sender output feeds the receiver directly.
 
 Training runs mini-batch Adam on cross-entropy through the soft relaxation,
 with every layer's weights and bias packed into one flat vector so each batch
-is one optimizer step; evaluation decodes hard, noise-free symbols. Early
+is one optimizer step: a train-mode forward returns an explicit `Tape`, and
+the backward writes every layer's gradients straight into its views of one
+flat gradient vector. Evaluation decodes hard, noise-free symbols. Early
 stopping restores the parameters of the best validation epoch.
 """
 
@@ -15,18 +17,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    FormatError,
-    InputError,
-    StateError,
-    TrainingDivergedError,
-)
+from .errors import DimensionError, FormatError, InputError, TrainingDivergedError
 from .gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
-from .nn import AdamState, DenseLayer, adam_step, as_f64, softmax_cross_entropy
+from .nn import (
+    AdamState,
+    DenseLayer,
+    adam_step,
+    as_f64,
+    cross_entropy,
+    softmax_cross_entropy,
+    stack_backward,
+    stack_forward,
+)
 
 CHECKPOINT_VERSION = 3
 
@@ -90,7 +96,6 @@ class ModelGraph:
         self.sender = sender
         self.receiver = receiver
         self.bottleneck = bottleneck
-        self._train_path = False
 
     @property
     def input_dim(self):
@@ -112,9 +117,9 @@ class ModelGraph:
         return self.sender + self.receiver
 
     def forward(self, x, mode="train", noise=None):
-        """Class logits for a batch, and the decoded symbol index per sample
-        as an int array (argmax of the soft relaxation in train mode, of the
-        hard one-hot in eval); symbols is None without a bottleneck."""
+        """train: (logits, tape) through the soft relaxation, with the given
+        noise or the sampler's. eval: (logits, symbols), symbols being the
+        int array of hard-decoded symbols, or None without a bottleneck."""
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = as_f64(x)
@@ -122,41 +127,41 @@ class ModelGraph:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with input_dim {self.input_dim}"
             )
-        h = x
-        for layer in self.sender:
-            h = layer.forward(h)
-        symbols = None
-        if self.bottleneck is not None:
-            if mode == "train":
-                h = self.bottleneck.forward(h, noise=noise, mode="soft")
-            else:
+        if mode == "eval":
+            h = stack_forward(self.sender, x)
+            symbols = None
+            if self.bottleneck is not None:
                 h = self.bottleneck.forward(h, mode="hard_eval")
-            symbols = hard_decode(h)
-        for layer in self.receiver:
-            h = layer.forward(h)
-        self._train_path = mode == "train"
-        return h, symbols
-
-    def backward(self, upstream_grad):
-        """Backpropagate a logit gradient through the cached train forward.
-
-        Returns (input_grad, grads) where grads lists one
-        (layer, weight_grad, bias_grad) per layer in forward order.
-        """
-        if not self._train_path:
-            raise StateError("backward requires a preceding train-mode forward")
-        g = as_f64(upstream_grad)
-        grads = []
-        for layer in reversed(self.receiver):
-            g, gw, gb = layer.backward(g)
-            grads.append((layer, gw, gb))
+                symbols = hard_decode(h)
+            return stack_forward(self.receiver, h), symbols
+        sender, receiver = [], []
+        h = stack_forward(self.sender, x, sender)
+        channel = None
         if self.bottleneck is not None:
-            g = self.bottleneck.backward(g)
-        for layer in reversed(self.sender):
-            g, gw, gb = layer.backward(g)
-            grads.append((layer, gw, gb))
-        grads.reverse()
-        return g, grads
+            channel = self.bottleneck.relax(h, noise)
+            h = channel[1]
+        logits = stack_forward(self.receiver, h, receiver)
+        return logits, Tape(sender, channel, receiver)
+
+    def backward(self, tape, dlogits, grads, input_grad=False):
+        """Backpropagate a logit gradient through a train-mode forward's tape,
+        writing each layer's gradients into its (weight, bias) pair in
+        `grads` (forward order). Returns the input gradient when
+        `input_grad` is true; training needs none, so it is skipped."""
+        split = len(self.sender)
+        g = stack_backward(self.receiver, tape.receiver, dlogits, grads[split:])
+        if self.bottleneck is not None:
+            g = self.bottleneck.relax_backward(tape.channel, g)
+        return stack_backward(self.sender, tape.sender, g, grads[:split], input_grad)
+
+
+class Tape(NamedTuple):
+    """What a train-mode forward keeps for its backward: each layer's
+    (input, pre-activation), and the channel's (probs, relaxed) or None."""
+
+    sender: list
+    channel: tuple | None
+    receiver: list
 
 
 def build_model(
@@ -259,23 +264,21 @@ def _batches(n, batch_size, order=None):
         yield idx[start : start + batch_size]
 
 
-def dataset_loss(model, dataset, batch_size, noise_rng=None):
+def dataset_loss(model, dataset, batch_size, noise=None):
     """Mean cross-entropy over a dataset, batched in input order.
 
-    With a bottleneck and a noise_rng, the soft relaxation is used with
-    noise drawn from that generator (the validation contract); otherwise the
-    forward pass is the deterministic eval path.
+    With a bottleneck and `noise` (one [num_samples, K] row of Gumbel noise
+    per sample), the soft relaxation is used with that noise (the
+    validation contract); otherwise the forward pass is the deterministic
+    eval path.
     """
     total = 0.0
     for idx in _batches(dataset.num_samples, batch_size):
         xb = dataset.features[idx]
-        if model.bottleneck is not None and noise_rng is not None:
-            noise = noise_from_uniform(
-                noise_rng.uniform(size=(len(idx), model.vocab_size))
-            )
-            logits, _ = model.forward(xb, mode="train", noise=noise)
+        if model.bottleneck is not None and noise is not None:
+            logits = model.forward(xb, mode="train", noise=noise[idx])[0]
         else:
-            logits, _ = model.forward(xb, mode="eval")
+            logits = model.forward(xb, mode="eval")[0]
         loss, _ = softmax_cross_entropy(logits, dataset.labels[idx])
         total += loss * len(idx)
     return total / dataset.num_samples
@@ -285,8 +288,9 @@ def train(model, train_set, val_set, config):
     """Mini-batch Adam with per-epoch validation and early stopping.
 
     Returns a TrainLog; the model is left holding the best-validation-epoch
-    parameters as views into one flat vector. Raises TrainingDivergedError
-    (with the epoch) on a non-finite loss.
+    parameters as views into one flat vector. Shapes, features and labels
+    are checked once, up front; raises TrainingDivergedError (with the
+    epoch) on a non-finite logit or loss.
     """
     config.validate()
     if train_set.num_samples == 0 or val_set.num_samples == 0:
@@ -299,13 +303,23 @@ def train(model, train_set, val_set, config):
             )
         if not np.all(np.isfinite(ds.features)):
             raise InputError(f"{ds.split or 'data'} features contain non-finite values")
-        if ds.labels.max() >= model.num_classes:
+        low, high = ds.labels.min(), ds.labels.max()
+        if low < 0 or high >= model.num_classes:
             raise InputError(
-                f"label {ds.labels.max()} out of range for {model.num_classes} classes"
+                f"{ds.split or 'data'} labels span [{low}, {high}], outside "
+                f"[0, {model.num_classes})"
             )
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
     params, grads, grad_views = _pack(model)
     state = AdamState.for_param(params, learning_rate=config.learning_rate)
+    # drawn once per call: every epoch's validation loss sees the same
+    # noise, so losses compare across epochs
+    val_noise = None
+    if model.bottleneck is not None:
+        val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
+        val_noise = noise_from_uniform(
+            val_rng.random(size=(val_set.num_samples, model.vocab_size))
+        )
 
     stopper = EarlyStopping(config.patience)
     log = TrainLog()
@@ -315,34 +329,28 @@ def train(model, train_set, val_set, config):
         running = 0.0
         for idx in _batches(train_set.num_samples, config.batch_size, order):
             try:
-                logits, _ = model.forward(train_set.features[idx], mode="train")
-                loss, dlogits = softmax_cross_entropy(logits, train_set.labels[idx])
+                logits, tape = model.forward(train_set.features[idx], mode="train")
             except InputError:
-                # inputs were validated up front, so a non-finite value here
+                # inputs were validated up front, so a non-finite logit here
                 # means the optimization blew up
                 raise TrainingDivergedError(epoch) from None
+            loss, dlogits = cross_entropy(logits, train_set.labels[idx])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             running += loss * len(idx)
-            _, layer_grads = model.backward(dlogits)
-            for (vw, vb), (_, gw, gb) in zip(grad_views, layer_grads):
-                vw[...] = gw
-                vb[...] = gb
+            model.backward(tape, dlogits, grad_views)
+            del tape  # so two batches' tapes are never alive at once
             adam_step(state, params, grads)
         train_loss = running / train_set.num_samples
-        # validation noise stream is rebuilt each epoch so losses are
-        # comparable across epochs
-        val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
         try:
-            val_loss = dataset_loss(model, val_set, config.batch_size,
-                                    noise_rng=val_rng)
+            val_loss = dataset_loss(model, val_set, config.batch_size, val_noise)
         except InputError:
             raise TrainingDivergedError(epoch) from None
         if not math.isfinite(val_loss):
             raise TrainingDivergedError(epoch)
         log.epochs.append(EpochStats(epoch, train_loss, val_loss))
         if stopper.update(epoch, val_loss):
-            best = params.copy()
+            best[...] = params
         if stopper.should_stop:
             log.stopped_early = True
             break

@@ -49,7 +49,6 @@ from .errors import (
     FormatError,
     InputError,
     NumericalError,
-    StateError,
     TrainingDivergedError,
     UnsupportedModelError,
 )
@@ -465,7 +464,6 @@ def main(argv=None):
         InputError,
         FormatError,
         DimensionError,
-        StateError,
         UnsupportedModelError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

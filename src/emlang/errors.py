@@ -9,10 +9,6 @@ class InputError(ValueError):
     """An argument violates a precondition (range, emptiness, unknown name)."""
 
 
-class StateError(RuntimeError):
-    """An operation was called out of order, e.g. backward without forward."""
-
-
 class FormatError(ValueError):
     """A serialized document (checkpoint, CSV) is malformed or incompatible."""
 

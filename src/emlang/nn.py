@@ -1,10 +1,11 @@
 """Dense float64 network primitives: layers, softmax cross-entropy, Adam.
 
-Everything runs on plain numpy arrays, batch-first and float64. Layers cache
-their last forward pass so ``backward`` can run without re-supplying inputs;
-a cache belongs to a single training context and is overwritten by the next
-forward call. ``adam_step`` updates parameters and moments in place, so one
-call steps every layer whose weights are views into a shared flat vector.
+Everything runs on plain numpy arrays, batch-first and float64, and nothing
+is cached between calls: ``stack_forward`` records what ``stack_backward``
+needs on a tape the caller passes, and the backward writes gradients into
+arrays the caller owns. ``adam_step`` updates parameters and moments in
+place, so one call steps every layer whose weights are views into a shared
+flat vector.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InputError, StateError
+from .errors import DimensionError, InputError
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -64,8 +65,6 @@ class DenseLayer:
         self.weights = weights
         self.bias = bias
         self.activation = activation
-        self._input = None
-        self._preact = None
 
     @classmethod
     def init(cls, rng, in_dim, out_dim, activation="relu"):
@@ -81,38 +80,53 @@ class DenseLayer:
         return self.weights.shape[0]
 
     def forward(self, x):
+        """act(x @ W.T + b) for a batch of rows; keeps nothing."""
         x = as_f64(x)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with weights {self.weights.shape}"
             )
-        z = x @ self.weights.T + self.bias
-        self._input = x
-        self._preact = z
-        if self.activation == "relu":
-            return np.maximum(z, 0.0)
-        return z
+        return stack_forward((self,), x)
 
-    def backward(self, upstream_grad):
-        """Chain-rule gradients for the cached forward pass.
 
-        Returns (input_grad, weight_grad, bias_grad). ReLU uses the
-        subgradient 0 at exactly zero pre-activation.
-        """
-        if self._input is None:
-            raise StateError("backward called before forward")
-        g = as_f64(upstream_grad)
-        if g.shape != self._preact.shape:
-            raise DimensionError(
-                f"upstream grad shape {g.shape} does not match cached output "
-                f"{self._preact.shape}"
-            )
-        if self.activation == "relu":
-            g = g * (self._preact > 0.0)
-        input_grad = g @ self.weights
-        weight_grad = g.T @ self._input
-        bias_grad = g.sum(axis=0)
-        return input_grad, weight_grad, bias_grad
+def stack_forward(layers, x, tape=None):
+    """Run the float64 rows x through `layers`, appending each layer's
+    (input, pre-activation) to `tape` if one is given. Shapes are the
+    caller's to check."""
+    h = x
+    for layer in layers:
+        z = h @ layer.weights.T
+        z += layer.bias
+        if tape is not None:
+            tape.append((h, z))
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return h
+
+
+def stack_backward(layers, tape, upstream, grads, input_grad=True):
+    """Chain rule from `upstream`, the float64 gradient at the output of a
+    `stack_forward` recorded on `tape`, writing layer i's weight and bias
+    gradients into the pair `grads[i]`. Returns the input gradient, or None
+    without computing it when `input_grad` is false. ReLU uses the
+    subgradient 0 at exactly zero pre-activation."""
+    g = upstream
+    if g.shape != tape[-1][1].shape:
+        raise DimensionError(
+            f"upstream grad shape {g.shape} does not match the stack's output "
+            f"{tape[-1][1].shape}"
+        )
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        x, z = tape[i]
+        weight_grad, bias_grad = grads[i]
+        if layer.activation == "relu":
+            g = g * (z > 0.0)
+        np.matmul(g.T, x, out=weight_grad)
+        np.add.reduce(g, axis=0, out=bias_grad)
+        if i == 0 and not input_grad:
+            return None
+        g = g @ layer.weights
+    return g
 
 
 def softmax_cross_entropy(logits, labels):
@@ -136,9 +150,16 @@ def softmax_cross_entropy(logits, labels):
             f"labels must lie in [0, {num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
+    return cross_entropy(logits, labels)
+
+
+def cross_entropy(logits, labels):
+    """`softmax_cross_entropy` without its checks, for callers that check
+    once for many batches: float64 [n, C] logits, n >= 1, labels in [0, C)."""
+    n = logits.shape[0]
     logp = log_softmax(logits)
     rows = np.arange(n)
-    loss = float(-logp[rows, labels].mean())
+    loss = -float(logp[rows, labels].sum()) / n
     grad = np.exp(logp)
     grad[rows, labels] -= 1.0
     grad /= n

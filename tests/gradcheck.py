@@ -74,3 +74,11 @@ def min_abs_preactivation(layers, x):
         else:
             h = z
     return smallest
+
+
+def grad_buffers(layers):
+    """One (weight, bias) gradient pair per layer, for the backward passes
+    that write each layer's gradients into arrays the caller owns. They
+    start as NaN, so a gradient the backward fails to write shows."""
+    return [(np.full_like(layer.weights, np.nan), np.full_like(layer.bias, np.nan))
+            for layer in layers]

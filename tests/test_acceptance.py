@@ -25,8 +25,15 @@ from emlang.classifier import TrainConfig, build_model, evaluate, train
 from emlang.cli import main as cli_main
 from emlang.data import SynthSpec, generate_synthetic
 from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
-from emlang.nn import DenseLayer, glorot_uniform, softmax, softmax_cross_entropy
-from gradcheck import central_diff, central_diff_inplace, max_rel_err
+from emlang.nn import (
+    DenseLayer,
+    glorot_uniform,
+    softmax,
+    softmax_cross_entropy,
+    stack_backward,
+    stack_forward,
+)
+from gradcheck import central_diff, central_diff_inplace, grad_buffers, max_rel_err
 
 
 def criterion(num, ok, detail):
@@ -50,8 +57,11 @@ def check_dense_instance(seed, activation):
             break
     probe = rng.normal(size=(batch, out_dim))
     layer = DenseLayer(w, b, activation=activation)
-    layer.forward(x)
-    gi, gw, gb = layer.backward(probe)
+    tape = []
+    stack_forward([layer], x, tape)
+    grads = grad_buffers([layer])
+    gi = stack_backward([layer], tape, probe, grads)
+    (gw, gb), = grads
 
     def loss_of(wv=None, bv=None, xv=None):
         fresh = DenseLayer(w if wv is None else wv, b if bv is None else bv,
@@ -85,8 +95,7 @@ def check_gumbel_instance(seed):
     noise = noise_from_uniform(rng.uniform(size=(1, k)))
     probe = rng.normal(size=(1, k))
     sampler = GumbelSoftmaxSampler(k, temperature=tau)
-    sampler.forward(logits, noise=noise)
-    analytic = sampler.backward(probe)
+    analytic = sampler.relax_backward(sampler.relax(logits, noise), probe)
 
     def loss(lv):
         fresh = GumbelSoftmaxSampler(k, temperature=tau)
@@ -103,24 +112,24 @@ def check_end_to_end_instance(seed):
         model = build_model(6, 3, vocab_size=5, hidden_dim=4,
                             seed=seed * 100 + attempt)
         x = rng.normal(size=(2, 6))
-        model.forward(x, mode="train", noise=noise)
+        logits, tape = model.forward(x, mode="train", noise=noise)
         margin = min(
-            float(np.min(np.abs(layer._preact)))
-            for layer in model.layers()
+            float(np.min(np.abs(z)))
+            for layer, (_, z) in zip(model.layers(), tape.sender + tape.receiver)
             if layer.activation == "relu"
         )
         if margin > 1e-3:
             break
-    logits, _ = model.forward(x, mode="train", noise=noise)
     _, dlogits = softmax_cross_entropy(logits, labels)
-    input_grad, grads = model.backward(dlogits)
+    grads = grad_buffers(model.layers())
+    input_grad = model.backward(tape, dlogits, grads, input_grad=True)
 
     def loss():
         out, _ = model.forward(x, mode="train", noise=noise)
         return softmax_cross_entropy(out, labels)[0]
 
     worst = max_rel_err(input_grad, central_diff_inplace(loss, x))
-    for layer, gw, gb in grads:
+    for layer, (gw, gb) in zip(model.layers(), grads):
         worst = max(worst, max_rel_err(gw, central_diff_inplace(loss, layer.weights)))
         worst = max(worst, max_rel_err(gb, central_diff_inplace(loss, layer.bias)))
     return worst

@@ -21,7 +21,8 @@ from emlang.classifier import TrainConfig, build_model, evaluate, train
 from emlang.data import Dataset, SynthSpec, generate_synthetic
 from emlang.errors import InputError, UnsupportedModelError
 from emlang.gumbel import noise_from_uniform
-from emlang.nn import DenseLayer, glorot_uniform, softmax
+from emlang.nn import DenseLayer, glorot_uniform, softmax, stack_backward, stack_forward
+from gradcheck import grad_buffers
 
 
 def linear_stack(w):
@@ -68,16 +69,19 @@ def test_ig_zero_path_is_zero():
     np.testing.assert_array_equal(attrib, np.zeros(6))
 
 
+def input_gradient(stack, tape, g):
+    """Gradient at the input of a `stack_forward` recorded on tape, for the
+    upstream gradient g at its output."""
+    return stack_backward(stack, tape, g, grad_buffers(stack))
+
+
 def logit_gradients(stack, points, target):
     """d(target logit)/dx at every row of points."""
-    h = points
-    for layer in stack:
-        h = layer.forward(h)
+    tape = []
+    h = stack_forward(stack, points, tape)
     g = np.zeros_like(h)
     g[:, target] = 1.0
-    for layer in reversed(stack):
-        g, _, _ = layer.backward(g)
-    return g
+    return input_gradient(stack, tape, g)
 
 
 def midpoint_ig(stack, x, baseline, m, target):
@@ -237,7 +241,7 @@ def reference_segments(stack, x, baseline):
 
 
 def reference_attribution(stack, x, baseline, target, output, steps, neuron=None):
-    """Per-sample reference: DenseLayer forward and backward at each
+    """Per-sample reference: a taped dense forward and backward at each
     quadrature point, with a one-hot gradient at the cut. Returns the
     attribution and, per feature, the larger of the summed and the largest
     absolute term: the scale of its rounding error."""
@@ -245,9 +249,8 @@ def reference_attribution(stack, x, baseline, target, output, steps, neuron=None
         alphas, weights = reference_segments(stack, x, baseline)
     else:
         alphas, weights = midpoint_rule(steps)
-    h = baseline + alphas[:, None] * (x - baseline)
-    for layer in stack:
-        h = layer.forward(h)
+    tape = []
+    h = stack_forward(stack, baseline + alphas[:, None] * (x - baseline), tape)
     if output == "logit":
         g = np.zeros_like(h)
         g[:, target] = 1.0
@@ -260,13 +263,13 @@ def reference_attribution(stack, x, baseline, target, output, steps, neuron=None
     if neuron is not None:
         layer_index, unit = neuron
         below = stack[: layer_index + 1]
-        for layer in reversed(stack[layer_index + 1 :]):
-            g, _, _ = layer.backward(g)
+        above = layer_index + 1
+        if above < len(stack):
+            g = input_gradient(stack[above:], tape[above:], g)
         df_dy = g[:, unit]
         g = np.zeros_like(g)
         g[:, unit] = 1.0
-    for layer in reversed(below):
-        g, _, _ = layer.backward(g)
+    g = input_gradient(below, tape[: len(below)], g)
     rows = np.abs((x - baseline) * df_dy[:, None] * g)
     scale = np.maximum(weights @ rows, rows.max(axis=0))
     return (x - baseline) * ((weights * df_dy) @ g), scale
@@ -376,10 +379,11 @@ def test_attribution_leaves_training_state_untouched(attribute):
     }
 
     def gradients(between):
-        model.forward(xb, mode="train", noise=noise)
+        _, tape = model.forward(xb, mode="train", noise=noise)
         between()
-        g, layer_grads = model.backward(dlogits)
-        return [g] + [a for _, gw, gb in layer_grads for a in (gw, gb)]
+        layer_grads = grad_buffers(model.layers())
+        g = model.backward(tape, dlogits, layer_grads, input_grad=True)
+        return [g] + [a for gw, gb in layer_grads for a in (gw, gb)]
 
     expected = gradients(lambda: None)
     for got, want in zip(gradients(calls[attribute]), expected):

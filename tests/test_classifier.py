@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emlang.classifier import (
     EarlyStopping,
     ModelGraph,
+    _pack,
     TrainConfig,
     build_model,
     checkpoint_names,
@@ -17,17 +20,21 @@ from emlang.classifier import (
     save_checkpoint,
     train,
 )
-from emlang.data import Dataset
+from emlang.data import Dataset, SynthSpec, generate_synthetic
 from emlang.errors import (
     DimensionError,
     FormatError,
     InputError,
-    StateError,
     TrainingDivergedError,
 )
-from emlang.gumbel import noise_from_uniform
-from emlang.nn import softmax, softmax_cross_entropy
-from gradcheck import central_diff_inplace, max_rel_err, min_abs_preactivation
+from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
+from emlang.nn import DenseLayer, log_softmax, softmax, softmax_cross_entropy
+from gradcheck import (
+    central_diff_inplace,
+    grad_buffers,
+    max_rel_err,
+    min_abs_preactivation,
+)
 
 
 def two_class_toy(n=20, seed=0):
@@ -44,7 +51,8 @@ def test_forward_shapes_and_records():
     x = rng.normal(size=(6, 5))
     el = build_model(5, 3, vocab_size=7, hidden_dim=4, seed=2)
     noise = noise_from_uniform(rng.uniform(size=(6, 7)))
-    logits, symbols = el.forward(x, mode="train", noise=noise)
+    logits, tape = el.forward(x, mode="train", noise=noise)
+    symbols = hard_decode(tape.channel[1])
     assert logits.shape == (6, 3)
     assert symbols.shape == (6,)
     assert np.issubdtype(symbols.dtype, np.integer)
@@ -59,9 +67,9 @@ def test_forward_shapes_and_records():
 
     baseline = build_model(5, 3, vocab_size=7, hidden_dim=4,
                            with_bottleneck=False, seed=2)
-    logits, symbols = baseline.forward(x, mode="train")
+    logits, tape = baseline.forward(x, mode="train")
     assert logits.shape == (6, 3)
-    assert symbols is None
+    assert tape.channel is None
 
 
 def test_eval_forward_emits_one_record_per_sample():
@@ -76,8 +84,6 @@ def test_eval_forward_emits_one_record_per_sample():
     for layer in model.sender:
         h = layer.forward(h)
     assert symbols[0] == np.argmax(h[0])
-    with pytest.raises(StateError):
-        model.backward(np.zeros((1, 3)))
 
 
 def test_eval_forward_is_deterministic():
@@ -119,15 +125,6 @@ def test_forward_dimension_check():
         model.forward(np.zeros((2, 5)))
 
 
-def test_backward_requires_train_forward():
-    model = build_model(4, 3, vocab_size=6, hidden_dim=4, seed=12)
-    with pytest.raises(StateError):
-        model.backward(np.ones((2, 3)))
-    model.forward(np.zeros((2, 4)), mode="eval")
-    with pytest.raises(StateError):
-        model.backward(np.ones((2, 3)))
-
-
 def test_graph_wiring_validation():
     el = build_model(4, 3, vocab_size=6, hidden_dim=4, seed=13)
     with pytest.raises(DimensionError):
@@ -149,19 +146,122 @@ def test_end_to_end_gradients_match_finite_differences():
     labels = np.array([0, 2, 1])
     noise = noise_from_uniform(np.random.default_rng(15).uniform(size=(3, 5)))
 
-    logits, _ = model.forward(x, mode="train", noise=noise)
+    logits, tape = model.forward(x, mode="train", noise=noise)
     _, dlogits = softmax_cross_entropy(logits, labels)
-    input_grad, grads = model.backward(dlogits)
+    grads = grad_buffers(model.layers())
+    input_grad = model.backward(tape, dlogits, grads, input_grad=True)
 
     def loss():
         out, _ = model.forward(x, mode="train", noise=noise)
         return softmax_cross_entropy(out, labels)[0]
 
-    for layer, gw, gb in grads:
+    for layer, (gw, gb) in zip(model.layers(), grads):
         assert max_rel_err(gw, central_diff_inplace(loss, layer.weights)) <= 1e-5
         assert max_rel_err(gb, central_diff_inplace(loss, layer.bias)) <= 1e-5
     fd_input = central_diff_inplace(loss, x)
     assert max_rel_err(input_grad, fd_input) <= 1e-5
+
+
+class CachedLayer:
+    """Reference: a dense layer that caches its last forward pass, with the
+    backward that reads the cache, as the layers did before the tape."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def forward(self, x):
+        self._input = x
+        self._preact = x @ self.layer.weights.T + self.layer.bias
+        if self.layer.activation == "relu":
+            return np.maximum(self._preact, 0.0)
+        return self._preact
+
+    def backward(self, g):
+        if self.layer.activation == "relu":
+            g = g * (self._preact > 0.0)
+        return g @ self.layer.weights, g.T @ self._input, g.sum(axis=0)
+
+
+def cached_reference(model, x, noise, dlogits):
+    """Logits, flat parameter gradient and input gradient of a train
+    forward and backward through per-layer caches."""
+    sender = [CachedLayer(layer) for layer in model.sender]
+    receiver = [CachedLayer(layer) for layer in model.receiver]
+    h = x
+    for layer in sender:
+        h = layer.forward(h)
+    if model.bottleneck is not None:
+        log_p = log_softmax(h)
+        relaxed = softmax((log_p + noise) / model.bottleneck.temperature)
+        probs = np.exp(log_p)
+        h = relaxed
+    for layer in receiver:
+        h = layer.forward(h)
+    logits = h
+    g = dlogits
+    grads = []
+    for layer in reversed(receiver):
+        g, gw, gb = layer.backward(g)
+        grads.append((gw, gb))
+    if model.bottleneck is not None:
+        dz = relaxed * (g - (g * relaxed).sum(axis=1, keepdims=True))
+        dlogp = dz / model.bottleneck.temperature
+        g = dlogp - probs * dlogp.sum(axis=1, keepdims=True)
+    for layer in reversed(sender):
+        g, gw, gb = layer.backward(g)
+        grads.append((gw, gb))
+    flat = np.concatenate([a.ravel() for pair in reversed(grads) for a in pair])
+    return logits, flat, g
+
+
+@st.composite
+def tape_cases(draw):
+    """A random graph (widths, relu or identity layers, with or without the
+    channel, temperature 1e-3..10), a batch of 1-40 rows, the channel noise
+    and an upstream logit gradient."""
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    activation = st.sampled_from(["relu", "identity"])
+
+    def stack(dims):
+        return [
+            DenseLayer(rng.normal(size=(out, inp)), rng.normal(size=out),
+                       draw(activation))
+            for inp, out in zip(dims, dims[1:])
+        ]
+
+    code = draw(st.integers(2, 8), label="code")
+    sender_dims = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    receiver_dims = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    bottleneck = None
+    if draw(st.booleans(), label="channel"):
+        temperature = 10.0 ** draw(st.floats(-3.0, 1.0), label="log10_tau")
+        bottleneck = GumbelSoftmaxSampler(code, temperature=temperature)
+    model = ModelGraph(stack(sender_dims + [code]), stack([code] + receiver_dims),
+                       bottleneck)
+    batch = draw(st.integers(1, 40), label="batch")
+    x = rng.normal(size=(batch, model.input_dim))
+    noise = noise_from_uniform(rng.uniform(size=(batch, code)))
+    dlogits = rng.normal(size=(batch, model.num_classes))
+    return model, x, noise, dlogits
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tape_cases())
+def test_tape_gradient_equals_cached_per_layer_backward_bit_for_bit(case):
+    model, x, noise, dlogits = case
+    want_logits, want_flat, want_input = cached_reference(model, x, noise, dlogits)
+
+    _, grads, grad_views = _pack(model)
+    grads[...] = np.nan  # every entry must be written
+    logits, tape = model.forward(x, mode="train", noise=noise)
+    assert model.backward(tape, dlogits, grad_views) is None
+    assert np.array_equal(logits, want_logits)
+    assert np.array_equal(grads, want_flat)
+
+    input_grad = model.backward(tape, dlogits, grad_views, input_grad=True)
+    assert np.array_equal(input_grad, want_input)
+    assert np.array_equal(grads, want_flat)
 
 
 def test_early_stopping_policy_trace():
@@ -193,7 +293,8 @@ def test_train_restores_best_epoch_parameters():
     from emlang.classifier import dataset_loss, _VAL_NOISE_STREAM
 
     val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
-    reproduced = dataset_loss(model, val, config.batch_size, noise_rng=val_rng)
+    noise = noise_from_uniform(val_rng.uniform(size=(val.num_samples, 4)))
+    reproduced = dataset_loss(model, val, config.batch_size, noise)
     assert reproduced == pytest.approx(log.best_val_loss, abs=1e-12)
 
 
@@ -281,6 +382,34 @@ def test_train_rejects_empty_datasets():
         train(model, empty, ds, TrainConfig(vocab_size=4))
     with pytest.raises(InputError):
         train(model, ds, empty, TrainConfig(vocab_size=4))
+
+
+def test_train_rejects_labels_outside_the_class_range():
+    model = build_model(2, 2, vocab_size=4, hidden_dim=4, seed=57)
+    config = TrainConfig(max_epochs=2, patience=2, vocab_size=4, seed=57)
+    for split, label in (("train", -1), ("val", -1), ("val", 2)):
+        sets = {"train": two_class_toy(n=12, seed=58),
+                "val": two_class_toy(n=8, seed=59)}
+        # set after construction, past the Dataset's own check
+        sets[split].labels[0] = label
+        with pytest.raises(InputError, match=r"labels span"):
+            train(model, sets["train"], sets["val"], config)
+
+
+def test_evaluate_peak_memory_at_the_attribute_shape():
+    import tracemalloc
+
+    # 2,000 test rows through the default 28-64-64-100 / 100-64-4 graph
+    _, _, test_set = generate_synthetic(SynthSpec(test_samples=2000, seed=0))
+    model = build_model(test_set.num_features, test_set.num_classes, seed=0)
+    evaluate(model, test_set)
+    tracemalloc.start()
+    try:
+        evaluate(model, test_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_train_divergence_reports_epoch():

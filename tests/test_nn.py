@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emlang.errors import DimensionError, InputError, StateError
+from emlang.errors import DimensionError, InputError
 from emlang.nn import (
     AdamState,
     DenseLayer,
@@ -13,8 +13,19 @@ from emlang.nn import (
     log_softmax,
     softmax,
     softmax_cross_entropy,
+    stack_backward,
+    stack_forward,
 )
-from gradcheck import central_diff, max_rel_err
+from gradcheck import central_diff, grad_buffers, max_rel_err
+
+
+def layer_backward(layer, x, upstream):
+    """(input_grad, weight_grad, bias_grad) of one layer through the tape."""
+    tape = []
+    stack_forward([layer], np.asarray(x, dtype=np.float64), tape)
+    grads = grad_buffers([layer])
+    input_grad = stack_backward([layer], tape, upstream, grads)
+    return input_grad, grads[0][0], grads[0][1]
 
 
 def test_dense_forward_identity_map():
@@ -55,32 +66,25 @@ def test_dense_backward_identity_adjoint():
     w = rng.normal(size=(3, 4))
     layer = DenseLayer(w, np.zeros(3), activation="identity")
     x = rng.normal(size=(5, 4))
-    layer.forward(x)
     g = rng.normal(size=(5, 3))
-    input_grad, _, _ = layer.backward(g)
+    input_grad, _, _ = layer_backward(layer, x, g)
     np.testing.assert_allclose(input_grad, g @ w, rtol=1e-12)
 
 
 def test_dense_backward_dead_relu_zero_grads():
     layer = DenseLayer(np.ones((2, 2)), np.array([-10.0, -10.0]), activation="relu")
-    layer.forward(np.array([[0.5, 0.5]]))
-    input_grad, weight_grad, bias_grad = layer.backward(np.ones((1, 2)))
+    input_grad, weight_grad, bias_grad = layer_backward(
+        layer, np.array([[0.5, 0.5]]), np.ones((1, 2))
+    )
     assert not input_grad.any()
     assert not weight_grad.any()
     assert not bias_grad.any()
 
 
-def test_dense_backward_before_forward_raises():
-    layer = DenseLayer(np.eye(2), np.zeros(2), activation="identity")
-    with pytest.raises(StateError):
-        layer.backward(np.ones((1, 2)))
-
-
 def test_dense_backward_upstream_shape_check():
     layer = DenseLayer(np.eye(2), np.zeros(2), activation="identity")
-    layer.forward(np.ones((3, 2)))
     with pytest.raises(DimensionError):
-        layer.backward(np.ones((2, 2)))
+        layer_backward(layer, np.ones((3, 2)), np.ones((2, 2)))
 
 
 def _layer_fd_check(seed, activation):
@@ -99,8 +103,7 @@ def _layer_fd_check(seed, activation):
             break
     probe = rng.normal(size=(batch, out_dim))
     layer = DenseLayer(w, b, activation=activation)
-    layer.forward(x)
-    input_grad, weight_grad, bias_grad = layer.backward(probe)
+    input_grad, weight_grad, bias_grad = layer_backward(layer, x, probe)
 
     def loss_wrt_input(xv):
         return float(np.sum(probe * DenseLayer(w, b, activation).forward(xv)))
