@@ -26,8 +26,8 @@ from .classifier import (
     save_checkpoint,
     train,
 )
-from .data import Dataset, SynthSpec, generate_synthetic, load_csv, save_csv, split
-from .gumbel import GumbelSoftmaxSampler, gumbel_noise, hard_decode
+from .data import Dataset, SynthSpec, generate_synthetic, load_csv, save_csv
+from .gumbel import GumbelSoftmaxSampler, hard_decode
 from .nn import AdamState, DenseLayer, adam_step, softmax, softmax_cross_entropy
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "checkpoint_standardization",
     "evaluate",
     "generate_synthetic",
-    "gumbel_noise",
     "hard_decode",
     "integrated_gradients",
     "load_checkpoint",
@@ -59,6 +58,5 @@ __all__ = [
     "save_csv",
     "softmax",
     "softmax_cross_entropy",
-    "split",
     "train",
 ]

@@ -31,27 +31,31 @@ training state untouched.
 For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
 by receiver layers) and y is the sender output logit feeding the decoded
-symbol's vocabulary slot. This keeps attribution deterministic and
-symbol-specific.
+symbol's vocabulary slot. `per_symbol_report` takes each sample's symbol,
+and its default target class, from the model's eval forward
+(`ModelGraph.forward(mode="eval")`), the same noise-free decode `evaluate`
+reports. This keeps attribution deterministic and symbol-specific.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import ModelGraph
-from .errors import InputError, NumericalError, UnsupportedModelError
-from .gumbel import one_hot
+from .data import csv_writer
+from .errors import InputError, NumericalError
 from .nn import as_f64, softmax
 
-OUTPUT_MODES = ("logit", "probability")
+OUTPUTS = ("logit", "probability")
 
 # Samples per batched pass of `per_symbol_report`. Larger blocks run faster
 # but hold more rows at once: on the benchmark's study workload, blocks of 16
-# raised peak memory by ~2 MiB (blocks of 8 by ~0.3 MiB).
+# raised peak memory by ~2 MiB (blocks of 8 by ~0.3 MiB). BLOCK is also part
+# of the output bytes, since BLAS picks its kernel by row count: on 2,000
+# synthetic rows, blocks of 8 and of 2 moved conductances by up to 1.8e-15,
+# so changing it changes every `repro` report.
 BLOCK = 4
 
 
@@ -66,8 +70,8 @@ class AttributionConfig:
     def validate(self):
         if self.riemann_steps < 1:
             raise InputError("riemann_steps must be >= 1")
-        if self.output not in OUTPUT_MODES:
-            raise InputError(f"output must be one of {OUTPUT_MODES}")
+        if self.output not in OUTPUTS:
+            raise InputError(f"output must be one of {OUTPUTS}")
 
 
 def attribution_stack(model):
@@ -238,7 +242,7 @@ def attribute_block(stack, xs, baseline, targets, output="logit",
     if not np.all(np.isfinite(out)):
         bad = int(np.argmin(np.isfinite(out).all(axis=1)))
         step = bad - int(starts[sample[bad]])
-        raise NumericalError(step, f"non-finite network output at path step {step}")
+        raise NumericalError(f"non-finite network output at path step {step}")
     g = _output_upstream(out, np.asarray(targets)[sample], output)
     if layer is None:
         g = _backward(stack, masks, g)
@@ -265,7 +269,7 @@ def _target_class(stack, x, config):
         return _check_target(stack, int(config.target_class))
     _, out = _forward(stack, x[None, :])
     if not np.all(np.isfinite(out)):
-        raise NumericalError(0, "non-finite network output at path step 0")
+        raise NumericalError("non-finite network output at path step 0")
     return _check_target(stack, int(np.argmax(out[0])))
 
 
@@ -313,7 +317,7 @@ class ConductanceReport:
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = csv_writer(fh, self.feature_labels)
             writer.writerow(["symbol", "count"] + list(self.feature_labels))
             for symbol, count, row in zip(self.symbols, self.counts, self.matrix):
                 writer.writerow([symbol, count] + [repr(float(v)) for v in row])
@@ -337,24 +341,12 @@ class ConductanceReport:
         return out
 
 
-def _decode(model, xs):
-    """Each row's symbol and predicted class as the eval forward of
-    `ModelGraph.forward` gives them; on blocks of a few samples this is
-    cheaper, since it skips that method's per-call checks."""
-    _, logits = _forward(model.sender, xs)
-    if not np.all(np.isfinite(logits)):
-        raise InputError("logits contain non-finite values")
-    symbols = np.argmax(logits, axis=1)
-    _, out = _forward(model.receiver, one_hot(symbols, model.vocab_size))
-    return symbols, np.argmax(out, axis=1)
-
-
 def per_symbol_report(model, dataset, config):
     """Decode each sample's symbol, attribute the matching sender logit back
     to the input features, and average the attributions per symbol."""
     config.validate()
     if not isinstance(model, ModelGraph) or model.bottleneck is None:
-        raise UnsupportedModelError(
+        raise InputError(
             "per-symbol attribution requires a model with a symbol bottleneck"
         )
     if dataset.num_samples == 0:
@@ -368,8 +360,10 @@ def per_symbol_report(model, dataset, config):
     counts = np.zeros(model.vocab_size, dtype=np.int64)
     for start in range(0, dataset.num_samples, BLOCK):
         xs = features[start : start + BLOCK]
-        symbols, targets = _decode(model, xs)
-        if config.target_class is not None:
+        logits, symbols = model.forward(xs, mode="eval")
+        if config.target_class is None:
+            targets = np.argmax(logits, axis=1)
+        else:
             targets = np.full(xs.shape[0], int(config.target_class))
         vecs = attribute_block(stack, xs, baseline, targets, config.output,
                                config.riemann_steps, symbol_layer, symbols)

@@ -9,8 +9,10 @@ Training runs mini-batch Adam on cross-entropy through the soft relaxation,
 with every layer's weights and bias packed into one flat vector so each batch
 is one optimizer step: a train-mode forward returns an explicit `Tape`, and
 the backward writes every layer's gradients straight into its views of one
-flat gradient vector. Evaluation decodes hard, noise-free symbols. Early
-stopping restores the parameters of the best validation epoch.
+flat gradient vector. Evaluation is the one noise-free decode of the
+package: each input's sender logits decode to their argmax symbol, and the
+receiver classifies from that symbol's one-hot alone. Early stopping
+restores the parameters of the best validation epoch.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, InputError, TrainingDivergedError
-from .gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
+from .errors import InputError, NumericalError
+from .gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform, one_hot
 from .nn import (
     AdamState,
     DenseLayer,
@@ -75,21 +77,21 @@ class ModelGraph:
             raise InputError("sender and receiver must each have at least one layer")
         for prev, nxt in zip(sender, sender[1:]):
             if prev.out_dim != nxt.in_dim:
-                raise DimensionError(
+                raise InputError(
                     f"sender layer chain mismatch: {prev.out_dim} -> {nxt.in_dim}"
                 )
         for prev, nxt in zip(receiver, receiver[1:]):
             if prev.out_dim != nxt.in_dim:
-                raise DimensionError(
+                raise InputError(
                     f"receiver layer chain mismatch: {prev.out_dim} -> {nxt.in_dim}"
                 )
         if bottleneck is not None and bottleneck.vocab_size != sender[-1].out_dim:
-            raise DimensionError(
+            raise InputError(
                 f"sender output dim {sender[-1].out_dim} does not match "
                 f"vocabulary size {bottleneck.vocab_size}"
             )
         if sender[-1].out_dim != receiver[0].in_dim:
-            raise DimensionError(
+            raise InputError(
                 f"receiver input dim {receiver[0].in_dim} does not match "
                 f"sender output dim {sender[-1].out_dim}"
             )
@@ -118,21 +120,23 @@ class ModelGraph:
 
     def forward(self, x, mode="train", noise=None):
         """train: (logits, tape) through the soft relaxation, with the given
-        noise or the sampler's. eval: (logits, symbols), symbols being the
-        int array of hard-decoded symbols, or None without a bottleneck."""
+        noise or the sampler's. eval: (logits, symbols), where the receiver
+        reads the one-hot of each row's argmax sender logit and symbols is
+        that int array, or None without a bottleneck; a non-finite sender
+        logit raises InputError."""
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = as_f64(x)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(
+            raise InputError(
                 f"input shape {x.shape} incompatible with input_dim {self.input_dim}"
             )
         if mode == "eval":
             h = stack_forward(self.sender, x)
             symbols = None
             if self.bottleneck is not None:
-                h = self.bottleneck.forward(h, mode="hard_eval")
                 symbols = hard_decode(h)
+                h = one_hot(symbols, self.vocab_size)
             return stack_forward(self.receiver, h), symbols
         sender, receiver = [], []
         h = stack_forward(self.sender, x, sender)
@@ -284,20 +288,24 @@ def dataset_loss(model, dataset, batch_size, noise=None):
     return total / dataset.num_samples
 
 
+def _diverged(epoch):
+    return NumericalError(f"non-finite loss at epoch {epoch}")
+
+
 def train(model, train_set, val_set, config):
     """Mini-batch Adam with per-epoch validation and early stopping.
 
     Returns a TrainLog; the model is left holding the best-validation-epoch
     parameters as views into one flat vector. Shapes, features and labels
-    are checked once, up front; raises TrainingDivergedError (with the
-    epoch) on a non-finite logit or loss.
+    are checked once, up front; raises NumericalError (naming the epoch) on
+    a non-finite logit or loss.
     """
     config.validate()
     if train_set.num_samples == 0 or val_set.num_samples == 0:
         raise InputError("train and validation sets must be non-empty")
     for ds in (train_set, val_set):
         if ds.num_features != model.input_dim:
-            raise DimensionError(
+            raise InputError(
                 f"dataset has {ds.num_features} features, model expects "
                 f"{model.input_dim}"
             )
@@ -333,10 +341,10 @@ def train(model, train_set, val_set, config):
             except InputError:
                 # inputs were validated up front, so a non-finite logit here
                 # means the optimization blew up
-                raise TrainingDivergedError(epoch) from None
+                raise _diverged(epoch) from None
             loss, dlogits = cross_entropy(logits, train_set.labels[idx])
             if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch)
+                raise _diverged(epoch)
             running += loss * len(idx)
             model.backward(tape, dlogits, grad_views)
             del tape  # so two batches' tapes are never alive at once
@@ -345,9 +353,9 @@ def train(model, train_set, val_set, config):
         try:
             val_loss = dataset_loss(model, val_set, config.batch_size, val_noise)
         except InputError:
-            raise TrainingDivergedError(epoch) from None
+            raise _diverged(epoch) from None
         if not math.isfinite(val_loss):
-            raise TrainingDivergedError(epoch)
+            raise _diverged(epoch)
         log.epochs.append(EpochStats(epoch, train_loss, val_loss))
         if stopper.update(epoch, val_loss):
             best[...] = params
@@ -454,15 +462,14 @@ def _layer_from_doc(doc):
         bias = np.array(doc["bias"], dtype=np.float64)
         activation = doc["activation"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed layer document: {exc}") from None
+        raise InputError(f"malformed layer document: {exc}") from None
     if weights.size != out_dim * in_dim or bias.size != out_dim:
-        raise FormatError(
+        raise InputError(
             f"layer data does not match declared shape [{out_dim}, {in_dim}]"
         )
-    try:
-        return DenseLayer(weights.reshape(out_dim, in_dim), bias, activation)
-    except (InputError, DimensionError) as exc:
-        raise FormatError(str(exc)) from None
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+        raise InputError("layer weights and bias must be finite")
+    return DenseLayer(weights.reshape(out_dim, in_dim), bias, activation)
 
 
 def save_checkpoint(model, standardization=None, feature_names=None,
@@ -501,21 +508,21 @@ def save_checkpoint(model, standardization=None, feature_names=None,
 
 def load_checkpoint(doc):
     if not isinstance(doc, dict):
-        raise FormatError("checkpoint document must be a mapping")
+        raise InputError("checkpoint document must be a mapping")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise FormatError(
+        raise InputError(
             f"unsupported checkpoint version {version!r}, expected "
             f"{CHECKPOINT_VERSION}"
         )
     kind = doc.get("kind")
     if kind not in ("el", "baseline"):
-        raise FormatError(f"unknown model kind {kind!r}")
+        raise InputError(f"unknown model kind {kind!r}")
     try:
         sender = [_layer_from_doc(d) for d in doc["sender"]]
         receiver = [_layer_from_doc(d) for d in doc["receiver"]]
     except KeyError as exc:
-        raise FormatError(f"checkpoint missing section {exc}") from None
+        raise InputError(f"checkpoint missing section {exc}") from None
     bottleneck = None
     if kind == "el":
         try:
@@ -525,15 +532,12 @@ def load_checkpoint(doc):
                 seed=doc.get("sampler_seed", 0),
             )
         except (KeyError, InputError) as exc:
-            raise FormatError(f"bad sampler metadata: {exc}") from None
-    try:
-        model = ModelGraph(sender, receiver, bottleneck)
-    except (DimensionError, InputError) as exc:
-        raise FormatError(str(exc)) from None
+            raise InputError(f"bad sampler metadata: {exc}") from None
+    model = ModelGraph(sender, receiver, bottleneck)
     if model.input_dim != doc.get("input_dim") or model.num_classes != doc.get(
         "num_classes"
     ):
-        raise FormatError("checkpoint metadata does not match layer shapes")
+        raise InputError("checkpoint metadata does not match layer shapes")
     return model
 
 
@@ -543,20 +547,20 @@ def checkpoint_standardization(doc):
     try:
         section = doc["standardization"]
     except (KeyError, TypeError):
-        raise FormatError("checkpoint missing section 'standardization'") from None
+        raise InputError("checkpoint missing section 'standardization'") from None
     if section is None:
         return None
     try:
         mean, std = (as_f64(section[key]) for key in ("mean", "std"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed standardization: {exc!r}") from None
+        raise InputError(f"malformed standardization: {exc!r}") from None
     for values in (mean, std):
         if values.shape != (doc.get("input_dim"),) or not np.all(np.isfinite(values)):
-            raise FormatError(
+            raise InputError(
                 "standardization must hold input_dim finite means and stds"
             )
     if not np.all(std > 0):
-        raise FormatError("standardization std must be positive")
+        raise InputError("standardization std must be positive")
     return mean, std
 
 
@@ -566,7 +570,7 @@ def checkpoint_names(doc):
     try:
         features, classes = doc["feature_names"], doc["class_names"]
     except (KeyError, TypeError) as exc:
-        raise FormatError(f"checkpoint missing section {exc}") from None
+        raise InputError(f"checkpoint missing section {exc}") from None
     for names, count, optional in (
         (features, doc.get("input_dim"), False),
         (classes, doc.get("num_classes"), True),
@@ -578,7 +582,7 @@ def checkpoint_names(doc):
             or len(names) != count
             or not all(isinstance(name, str) for name in names)
         ):
-            raise FormatError(
+            raise InputError(
                 "checkpoint names must be lists of input_dim feature and "
                 "num_classes class strings"
             )

@@ -44,14 +44,7 @@ from .data import (
     save_csv,
     standardization,
 )
-from .errors import (
-    DimensionError,
-    FormatError,
-    InputError,
-    NumericalError,
-    TrainingDivergedError,
-    UnsupportedModelError,
-)
+from .errors import InputError, NumericalError
 
 GEN_DEFAULTS = {
     "classes": 4,
@@ -109,7 +102,7 @@ def read_checkpoint(path):
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid checkpoint JSON: {exc}") from None
+            raise InputError(f"{path}: invalid checkpoint JSON: {exc}") from None
     model = load_checkpoint(doc)
     return model, checkpoint_standardization(doc), checkpoint_names(doc)[0]
 
@@ -123,9 +116,9 @@ def _resolve(defaults, args):
             try:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"{config_path}: invalid JSON: {exc}") from None
+                raise InputError(f"{config_path}: invalid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
-            raise FormatError(f"{config_path}: config must be a JSON object")
+            raise InputError(f"{config_path}: config must be a JSON object")
         unknown = sorted(set(file_cfg) - set(defaults))
         if unknown:
             raise InputError(f"unknown config keys: {', '.join(unknown)}")
@@ -302,11 +295,7 @@ def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
         output=opts["output_mode"],
     )
     config.validate()
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "config.json"), opts)
-
     report = per_symbol_report(model, test_set, config)
-    report.write_csv(os.path.join(out_dir, "conductance.csv"))
     summary = [
         {
             "symbol": symbol,
@@ -318,6 +307,11 @@ def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
             report.symbols, report.counts, report.dominant_blocks(opts["block_size"])
         )
     ]
+    # written only once the report exists, so a failed attribution leaves no
+    # partial output directory
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(os.path.join(out_dir, "config.json"), opts)
+    report.write_csv(os.path.join(out_dir, "conductance.csv"))
     _write_json(
         os.path.join(out_dir, "attribution_summary.json"), {"symbols": summary}
     )
@@ -460,18 +454,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (
-        InputError,
-        FormatError,
-        DimensionError,
-        UnsupportedModelError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TrainingDivergedError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -1,10 +1,13 @@
-"""Synthetic block-structured dataset generation, CSV I/O, and splitting.
+"""Datasets: synthetic block-structured generation, CSV I/O, and feature
+standardization.
 
 The synthetic task mimics a marker-panel layout: D = num_classes x block_size
 features, where a sample of class k draws its k-th feature block from
 N(mean_shift, sigma^2) and every other block from N(0, sigma^2). Each class
 is therefore informative in exactly one contiguous block, which is the
-property the attribution report is checked against.
+property the attribution report is checked against. It is generated as a
+train/val/test triple, and the CLI reads such a triple back from CSVs, so
+the package has no splitting of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import InputError
 from .nn import as_f64
 
 
@@ -120,12 +123,21 @@ def generate_synthetic(spec):
     return tuple(splits)
 
 
+def csv_writer(fh, text):
+    """A newline-terminated csv writer for rows whose text cells are among
+    `text`. Minimal quoting leaves a bare carriage return unquoted, which a
+    reader takes for a line end, so one in any cell quotes every field."""
+    quote_all = any("\r" in cell for cell in text)
+    return csv.writer(fh, lineterminator="\n",
+                      quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+
+
 def save_csv(dataset, path, label_column="label"):
     """Header row of the feature names plus the label column; floats as repr
     text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         header = list(dataset.feature_names) + [label_column]
+        writer = csv_writer(fh, header + list(dataset.class_names))
         writer.writerow(header)
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow(
@@ -142,15 +154,15 @@ def load_csv(path, label_column="label", split=""):
         try:
             header = next(reader)
         except StopIteration:
-            raise FormatError(f"{path}: empty file, header row required") from None
+            raise InputError(f"{path}: empty file, header row required") from None
         if label_column not in header:
-            raise FormatError(f"{path}: missing label column {label_column!r}")
+            raise InputError(f"{path}: missing label column {label_column!r}")
         label_pos = header.index(label_column)
         rows = []
         raw_labels = []
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise FormatError(
+                raise InputError(
                     f"{path}: row {row_num} has {len(row)} cells, expected "
                     f"{len(header)}"
                 )
@@ -162,67 +174,19 @@ def load_csv(path, label_column="label", split=""):
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise FormatError(
+                    raise InputError(
                         f"{path}: row {row_num}, column {header[i]!r}: "
                         f"cannot parse {cell!r} as a number"
                     ) from None
             rows.append(values)
     if not rows:
-        raise FormatError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     class_names = sorted(set(raw_labels))
     index = {name: i for i, name in enumerate(class_names)}
     labels = np.array([index[name] for name in raw_labels], dtype=np.int64)
     feature_names = header[:label_pos] + header[label_pos + 1 :]
     return Dataset(np.array(rows), labels, class_names, split=split,
                    feature_names=feature_names)
-
-
-def _allocate(count, fractions):
-    # largest-remainder allocation; sums to count exactly
-    raw = fractions * count
-    base = np.floor(raw).astype(np.int64)
-    order = np.argsort(-(raw - base), kind="stable")
-    base[order[: count - base.sum()]] += 1
-    return base
-
-
-def split(dataset, fractions, seed):
-    """Stratified, seeded 3-way split: per-class largest-remainder counts on
-    a global permutation; each split's class frequencies match the whole
-    within one sample per class."""
-    fractions = as_f64(fractions)
-    if fractions.shape != (3,):
-        raise InputError(f"expected 3 fractions, got {fractions.shape}")
-    if np.any(fractions <= 0):
-        raise InputError("fractions must be positive")
-    if abs(fractions.sum() - 1.0) > 1e-9:
-        raise InputError(f"fractions must sum to 1, got {fractions.sum()!r}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(dataset.num_samples)
-    parts = [[], [], []]
-    for k in range(dataset.num_classes):
-        class_indices = order[dataset.labels[order] == k]
-        counts = _allocate(len(class_indices), fractions)
-        start = 0
-        for part, c in zip(parts, counts):
-            part.extend(class_indices[start : start + c])
-            start += c
-    tags = ("train", "val", "test")
-    out = []
-    for tag, part in zip(tags, parts):
-        if not part:
-            raise InputError(f"{tag} split is empty")
-        idx = np.sort(np.array(part, dtype=np.int64))
-        out.append(
-            Dataset(
-                dataset.features[idx],
-                dataset.labels[idx],
-                list(dataset.class_names),
-                split=tag,
-                feature_names=list(dataset.feature_names),
-            )
-        )
-    return tuple(out)
 
 
 def standardization(train):

@@ -1,33 +1,10 @@
-"""Exception types shared across the package."""
-
-
-class DimensionError(ValueError):
-    """Shapes of two arrays are incompatible for the requested operation."""
+"""The package's two exception types, one per CLI exit code."""
 
 
 class InputError(ValueError):
-    """An argument violates a precondition (range, emptiness, unknown name)."""
-
-
-class FormatError(ValueError):
-    """A serialized document (checkpoint, CSV) is malformed or incompatible."""
-
-
-class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
-
-    def __init__(self, epoch, message=None):
-        self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+    """An argument, shape, file or checkpoint is invalid (CLI exit code 2)."""
 
 
 class NumericalError(RuntimeError):
-    """A numeric routine hit a non-finite intermediate value."""
-
-    def __init__(self, step, message=None):
-        self.step = step
-        super().__init__(message or f"non-finite value at step {step}")
-
-
-class UnsupportedModelError(ValueError):
-    """The model lacks a component the operation requires (e.g. no bottleneck)."""
+    """A computation hit a non-finite value, such as a diverged training loss
+    or an overflowing attribution path (CLI exit code 3)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import InputError
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -55,9 +55,9 @@ class DenseLayer:
         weights = as_f64(weights)
         bias = as_f64(bias)
         if weights.ndim != 2:
-            raise DimensionError(f"weights must be 2-d, got shape {weights.shape}")
+            raise InputError(f"weights must be 2-d, got shape {weights.shape}")
         if bias.shape != (weights.shape[0],):
-            raise DimensionError(
+            raise InputError(
                 f"bias shape {bias.shape} does not match weights {weights.shape}"
             )
         if activation not in ACTIVATIONS:
@@ -83,7 +83,7 @@ class DenseLayer:
         """act(x @ W.T + b) for a batch of rows; keeps nothing."""
         x = as_f64(x)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise DimensionError(
+            raise InputError(
                 f"input shape {x.shape} incompatible with weights {self.weights.shape}"
             )
         return stack_forward((self,), x)
@@ -111,7 +111,7 @@ def stack_backward(layers, tape, upstream, grads, input_grad=True):
     subgradient 0 at exactly zero pre-activation."""
     g = upstream
     if g.shape != tape[-1][1].shape:
-        raise DimensionError(
+        raise InputError(
             f"upstream grad shape {g.shape} does not match the stack's output "
             f"{tape[-1][1].shape}"
         )
@@ -137,10 +137,10 @@ def softmax_cross_entropy(logits, labels):
     logits = as_f64(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2:
-        raise DimensionError(f"logits must be 2-d, got shape {logits.shape}")
+        raise InputError(f"logits must be 2-d, got shape {logits.shape}")
     n, num_classes = logits.shape
     if labels.shape != (n,):
-        raise DimensionError(
+        raise InputError(
             f"labels shape {labels.shape} does not match batch of {n}"
         )
     if n == 0:
@@ -211,12 +211,12 @@ def adam_step(state, params, grads):
     params = as_f64(params)
     grads = as_f64(grads)
     if params.shape != state.first_moment.shape:
-        raise DimensionError(
+        raise InputError(
             f"params shape {params.shape} does not match state "
             f"{state.first_moment.shape}"
         )
     if grads.shape != params.shape:
-        raise DimensionError(
+        raise InputError(
             f"grads shape {grads.shape} does not match params {params.shape}"
         )
     state.step_count += 1

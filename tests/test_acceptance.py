@@ -99,7 +99,7 @@ def check_gumbel_instance(seed):
 
     def loss(lv):
         fresh = GumbelSoftmaxSampler(k, temperature=tau)
-        return float(np.sum(probe * fresh.forward(lv, noise=noise)))
+        return float(np.sum(probe * fresh.relax(lv, noise)[1]))
 
     return max_rel_err(analytic, central_diff(loss, logits))
 
@@ -175,7 +175,7 @@ def test_criterion_2_sampler_statistics():
         rng = np.random.default_rng(500 + k)
         logits = rng.normal(size=k)
         sampler = GumbelSoftmaxSampler(k, temperature=1.0, seed=600 + k)
-        relaxed = sampler.forward(np.tile(logits, (n, 1)))
+        relaxed = sampler.relax(np.tile(logits, (n, 1)))[1]
         worst_row_sum = max(
             worst_row_sum, float(np.max(np.abs(relaxed.sum(axis=1) - 1.0)))
         )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from emlang.attribution import (
     BLOCK,
-    OUTPUT_MODES,
+    OUTPUTS,
     AttributionConfig,
     attribute_block,
     attribution_stack,
@@ -19,7 +19,7 @@ from emlang.attribution import (
 )
 from emlang.classifier import TrainConfig, build_model, evaluate, train
 from emlang.data import Dataset, SynthSpec, generate_synthetic
-from emlang.errors import InputError, UnsupportedModelError
+from emlang.errors import InputError
 from emlang.gumbel import noise_from_uniform
 from emlang.nn import DenseLayer, glorot_uniform, softmax, stack_backward, stack_forward
 from gradcheck import grad_buffers
@@ -300,7 +300,7 @@ def relu_stacks(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(relu_stacks(), st.sampled_from(OUTPUT_MODES))
+@given(relu_stacks(), st.sampled_from(OUTPUTS))
 def test_batched_pass_matches_the_per_sample_reference(case, output):
     stack, xs, baseline, targets, layer, units = case
     for cut, cut_units in ((None, None), (layer, units)):
@@ -332,7 +332,7 @@ def test_batched_conductances_of_a_layer_sum_to_complete_ig(case):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3 * BLOCK),
-       st.sampled_from(OUTPUT_MODES))
+       st.sampled_from(OUTPUTS))
 def test_per_symbol_report_matches_the_per_sample_reference(seed, n, output):
     rng = np.random.default_rng(seed)
     model = build_model(5, 3, vocab_size=6, hidden_dim=7, seed=seed % 1000)
@@ -547,7 +547,7 @@ def test_per_symbol_report_rejects_baseline():
     baseline = build_model(4, 2, vocab_size=5, hidden_dim=4,
                            with_bottleneck=False, seed=21)
     ds = Dataset(np.zeros((2, 4)), [0, 1], ["a", "b"])
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(InputError):
         per_symbol_report(baseline, ds, AttributionConfig())
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emlang.classifier import (
     EarlyStopping,
@@ -21,12 +22,7 @@ from emlang.classifier import (
     train,
 )
 from emlang.data import Dataset, SynthSpec, generate_synthetic
-from emlang.errors import (
-    DimensionError,
-    FormatError,
-    InputError,
-    TrainingDivergedError,
-)
+from emlang.errors import InputError, NumericalError
 from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
 from emlang.nn import DenseLayer, log_softmax, softmax, softmax_cross_entropy
 from gradcheck import (
@@ -61,7 +57,7 @@ def test_forward_shapes_and_records():
     h = x
     for layer in el.sender:
         h = layer.forward(h)
-    relaxed = el.bottleneck.forward(h, noise=noise, mode="soft")
+    relaxed = el.bottleneck.relax(h, noise)[1]
     assert relaxed.shape == (6, 7)
     np.testing.assert_array_equal(symbols, np.argmax(relaxed, axis=1))
 
@@ -121,13 +117,13 @@ def test_zero_noise_unit_temperature_acts_as_softmax_bottleneck():
 
 def test_forward_dimension_check():
     model = build_model(4, 3, vocab_size=6, hidden_dim=4, seed=11)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         model.forward(np.zeros((2, 5)))
 
 
 def test_graph_wiring_validation():
     el = build_model(4, 3, vocab_size=6, hidden_dim=4, seed=13)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         ModelGraph(el.sender, el.sender, None)
 
 
@@ -418,9 +414,8 @@ def test_train_divergence_reports_epoch():
     config = TrainConfig(learning_rate=1e200, max_epochs=5, patience=5,
                          vocab_size=4, seed=26)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDivergedError) as excinfo:
+        with pytest.raises(NumericalError, match=r"^non-finite loss at epoch [1-5]$"):
             train(model, ds, ds, config)
-    assert excinfo.value.epoch >= 1
 
 
 def test_train_config_validation():
@@ -497,23 +492,74 @@ def test_evaluate_empty_test_set():
         evaluate(model, empty)
 
 
-def test_checkpoint_round_trip_bit_exact():
-    ds = two_class_toy(n=16, seed=35)
-    model = build_model(2, 2, vocab_size=5, hidden_dim=4, seed=36)
-    train(model, ds, ds, TrainConfig(max_epochs=5, patience=5, vocab_size=5,
-                                     seed=36))
-    doc = save_checkpoint(model)
+# weights: moderate values, so an eval forward stays finite, plus the edge
+# cases of their decimal text
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.0 / 3.0]),
+    st.floats(-1e3, 1e3),
+)
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """A model of either kind with drawn weights, and the optional
+    checkpoint sections: standardization, feature names, class names."""
+    input_dim, num_classes = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    model = build_model(
+        input_dim, num_classes, vocab_size=draw(st.integers(2, 5)),
+        hidden_dim=draw(st.integers(1, 4)),
+        temperature=draw(st.floats(1e-3, 10.0)),
+        with_bottleneck=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    for layer in model.layers():
+        layer.weights = draw(arrays(np.float64, layer.weights.shape, elements=WEIGHTS))
+        layer.bias = draw(arrays(np.float64, layer.bias.shape, elements=WEIGHTS))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    stats = draw(st.none() | st.tuples(arrays(np.float64, input_dim, elements=finite),
+                                       arrays(np.float64, input_dim, elements=positive)))
+    features = draw(st.none() | st.lists(NAMES, min_size=input_dim, max_size=input_dim))
+    classes = draw(st.none() | st.lists(NAMES, min_size=num_classes,
+                                        max_size=num_classes))
+    x = draw(arrays(np.float64, (3, input_dim), elements=st.floats(-10.0, 10.0)))
+    return model, stats, features, classes, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=checkpoint_cases())
+def test_checkpoint_round_trip_bit_exact(case):
+    model, stats, features, classes, x = case
+    doc = save_checkpoint(model, stats, features, classes)
+    assert doc["format_version"] == 3
     # through JSON text, as the on-disk format would do
-    restored = load_checkpoint(json.loads(json.dumps(doc)))
-    for la, lb in zip(model.layers(), restored.layers()):
-        np.testing.assert_array_equal(la.weights, lb.weights)
-        np.testing.assert_array_equal(la.bias, lb.bias)
+    doc = json.loads(json.dumps(doc))
+    restored = load_checkpoint(doc)
+    for la, lb in zip(model.layers(), restored.layers(), strict=True):
+        # bytes, so -0.0 must come back as -0.0
+        assert la.weights.tobytes() == lb.weights.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
         assert la.activation == lb.activation
-    before = evaluate(model, ds)
-    after = evaluate(restored, ds)
-    assert before.accuracy == after.accuracy
-    assert before.f1 == after.f1
-    assert before.symbols == after.symbols
+    if model.bottleneck is None:
+        assert restored.bottleneck is None
+    else:
+        for name in ("vocab_size", "temperature", "rng_seed"):
+            assert getattr(restored.bottleneck, name) == getattr(model.bottleneck, name)
+    got = checkpoint_standardization(doc)
+    if stats is None:
+        assert got is None
+    else:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in stats]
+    default = [f"f{i}" for i in range(model.input_dim)]
+    assert checkpoint_names(doc) == (features or default, classes)
+    logits_a, symbols_a = model.forward(x, mode="eval")
+    logits_b, symbols_b = restored.forward(x, mode="eval")
+    assert logits_a.tobytes() == logits_b.tobytes()
+    if model.bottleneck is None:
+        assert symbols_a is None and symbols_b is None
+    else:
+        assert np.array_equal(symbols_a, symbols_b)
 
 
 def test_checkpoint_baseline_round_trip_has_no_bottleneck():
@@ -540,10 +586,10 @@ def test_checkpoint_standardization_round_trip_and_errors():
         {"mean": [0.0, 0.0, 0.0]},
         "not a mapping",
     ):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError):
             checkpoint_standardization({**doc, "standardization": bad})
     missing = {k: v for k, v in doc.items() if k != "standardization"}
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         checkpoint_standardization(missing)
 
 
@@ -561,29 +607,35 @@ def test_checkpoint_names_round_trip_and_errors():
         ("class_names", ["only"]),
         ("class_names", "no,yes"),
     ):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError):
             checkpoint_names({**doc, key: bad})
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         checkpoint_names({k: v for k, v in doc.items() if k != "feature_names"})
 
 
 def test_checkpoint_version_and_corruption_errors():
     model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=38)
     doc = save_checkpoint(model)
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         load_checkpoint({**doc, "format_version": 99})
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         load_checkpoint({**doc, "format_version": 1})
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         load_checkpoint({**doc, "format_version": 2})
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         load_checkpoint({**doc, "kind": "mystery"})
     truncated = {**doc, "sender": doc["sender"][:1]}
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         load_checkpoint(truncated)
     bad_shape = json.loads(json.dumps(doc))
     bad_shape["receiver"][0]["weights"] = bad_shape["receiver"][0]["weights"][:-3]
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         load_checkpoint(bad_shape)
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         load_checkpoint("not a mapping")
+    # json reads NaN and Infinity, so they reach the loader as floats
+    for section, value in (("sender", float("nan")), ("receiver", float("-inf"))):
+        bad = json.loads(json.dumps(doc))
+        bad[section][-1]["bias"][0] = value
+        with pytest.raises(InputError, match="finite"):
+            load_checkpoint(bad)

@@ -262,6 +262,45 @@ def test_attribute_rejects_nonfinite_features_before_writing(tmp_path, capsys):
     assert not (tmp_path / "attr").exists()
 
 
+def test_attribute_rejects_nonfinite_checkpoint_layers(tmp_path, capsys):
+    # json reads NaN and Infinity, so the checkpoint loader must reject them
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    doc = read_json(out / "checkpoint.json")
+    for section, value in (("sender", float("nan")), ("receiver", float("inf"))):
+        bad = json.loads(json.dumps(doc))
+        bad[section][0]["weights"][0] = value
+        ckpt = tmp_path / f"{section}.json"
+        ckpt.write_text(json.dumps(bad))
+        assert run([
+            "attribute", "--checkpoint", str(ckpt),
+            "--test-csv", str(data / "test.csv"),
+            "--out", str(tmp_path / section),
+        ]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / section).exists()
+
+
+def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys):
+    import numpy as np
+
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    doc = read_json(out / "checkpoint.json")
+    layer = doc["receiver"][-1]
+    layer["weights"] = [1e308] * len(layer["weights"])
+    ckpt = tmp_path / "overflow.json"
+    ckpt.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run([
+            "attribute", "--checkpoint", str(ckpt),
+            "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+        ])
+    assert code == 3
+    assert "non-finite network output" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
 def scale_csvs(data, factor, offset):
     """Rewrite every feature column of the split CSVs as factor * x + offset."""
     for tag in ("train", "val", "test"):

@@ -1,5 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emlang.data import (
     Dataset,
@@ -8,10 +13,9 @@ from emlang.data import (
     load_csv,
     rescale,
     save_csv,
-    split,
     standardization,
 )
-from emlang.errors import FormatError, InputError
+from emlang.errors import InputError
 
 
 def least_squares_accuracy(train, test):
@@ -104,17 +108,46 @@ def test_spec_validation():
         generate_synthetic(SynthSpec(noise_sigma=-1.0))
 
 
-def test_csv_round_trip_is_bit_exact(tmp_path):
-    train, _, _ = generate_synthetic(
-        SynthSpec(train_samples=25, val_samples=5, test_samples=5, seed=7)
-    )
+# every finite float64, with the edge cases of its decimal text made likely
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.225073858507201e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# header and label cells: any text a UTF-8 file holds, "\r" and "\n" too;
+# NUL only from Python 3.11, whose csv reader accepts it
+CELLS = st.text(st.characters(
+    blacklist_categories=("Cs",),
+    blacklist_characters="" if sys.version_info >= (3, 11) else "\x00",
+), max_size=6)
+
+
+@st.composite
+def csv_datasets(draw):
+    """Datasets whose every class occurs, with class names in sorted order:
+    what `load_csv` rebuilds from a file."""
+    dim = draw(st.integers(1, 4))
+    names = draw(st.lists(CELLS.filter(lambda c: c != "label"),
+                          min_size=dim, max_size=dim))
+    classes = sorted(draw(st.sets(CELLS, min_size=1, max_size=4)))
+    extra = draw(st.lists(st.integers(0, len(classes) - 1), max_size=5))
+    labels = draw(st.permutations(list(range(len(classes))) + extra))
+    features = draw(arrays(np.float64, (len(labels), dim), elements=FLOATS))
+    return Dataset(features, labels, classes, feature_names=names)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ds=csv_datasets())
+def test_csv_round_trip_is_bit_exact(tmp_path, ds):
     path = tmp_path / "round.csv"
-    save_csv(train, path)
+    save_csv(ds, path)
     loaded = load_csv(path)
-    np.testing.assert_array_equal(loaded.features, train.features)
-    np.testing.assert_array_equal(loaded.labels, train.labels)
-    assert loaded.class_names == train.class_names
-    assert loaded.feature_names == train.feature_names
+    # bytes, so -0.0 must come back as -0.0
+    assert loaded.features.tobytes() == ds.features.tobytes()
+    np.testing.assert_array_equal(loaded.labels, ds.labels)
+    assert loaded.class_names == ds.class_names
+    assert loaded.feature_names == ds.feature_names
 
 
 def test_load_csv_basic(tmp_path):
@@ -140,76 +173,29 @@ def test_load_csv_keeps_the_header_around_the_label_column(tmp_path):
 def test_load_csv_missing_label_column(tmp_path):
     path = tmp_path / "nolabel.csv"
     path.write_text("a,b\n1,2\n")
-    with pytest.raises(FormatError, match="label"):
+    with pytest.raises(InputError, match="label"):
         load_csv(path)
 
 
 def test_load_csv_bad_cell_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,label\n1.0,2.0,x\n1.0,oops,y\n")
-    with pytest.raises(FormatError, match=r"row 3.*'b'"):
+    with pytest.raises(InputError, match=r"row 3.*'b'"):
         load_csv(path)
 
 
 def test_load_csv_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("a,b,label\n1.0,2.0,x\n1.0,x\n")
-    with pytest.raises(FormatError, match="row 3"):
+    with pytest.raises(InputError, match="row 3"):
         load_csv(path)
 
 
 def test_load_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         load_csv(path)
-
-
-def test_split_exact_sizes():
-    ds = Dataset(np.arange(20.0).reshape(10, 2), [0] * 10, ["only"])
-    train, val, test = split(ds, (0.6, 0.2, 0.2), seed=0)
-    assert (train.num_samples, val.num_samples, test.num_samples) == (6, 2, 2)
-
-
-def test_split_deterministic():
-    rng = np.random.default_rng(8)
-    ds = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40),
-                 ["a", "b"])
-    first = split(ds, (0.5, 0.25, 0.25), seed=9)
-    second = split(ds, (0.5, 0.25, 0.25), seed=9)
-    for x, y in zip(first, second):
-        np.testing.assert_array_equal(x.features, y.features)
-        np.testing.assert_array_equal(x.labels, y.labels)
-
-
-def test_split_is_stratified():
-    labels = np.array([0] * 50 + [1] * 50)
-    features = np.arange(100.0)[:, None]
-    ds = Dataset(features, labels, ["a", "b"])
-    train, val, test = split(ds, (0.8, 0.1, 0.1), seed=10)
-    for part, expected in ((train, 40), (val, 5), (test, 5)):
-        counts = np.bincount(part.labels, minlength=2)
-        assert counts.tolist() == [expected, expected]
-
-
-def test_split_partitions_all_samples():
-    rng = np.random.default_rng(11)
-    ds = Dataset(np.arange(30.0)[:, None], rng.integers(0, 3, size=30),
-                 ["a", "b", "c"])
-    parts = split(ds, (0.5, 0.3, 0.2), seed=12)
-    seen = np.concatenate([p.features[:, 0] for p in parts])
-    assert sorted(seen.tolist()) == np.arange(30.0).tolist()
-
-
-def test_split_validation():
-    ds = Dataset(np.arange(10.0)[:, None], [0] * 10, ["a"])
-    with pytest.raises(InputError):
-        split(ds, (0.5, 0.4, 0.2), seed=0)
-    with pytest.raises(InputError):
-        split(ds, (0.9, 0.05, -0.05), seed=0)
-    tiny = Dataset(np.arange(2.0)[:, None], [0, 0], ["a"])
-    with pytest.raises(InputError):
-        split(tiny, (0.98, 0.01, 0.01), seed=0)
 
 
 def test_standardize_uses_train_statistics():

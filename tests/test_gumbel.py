@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emlang.errors import DimensionError, InputError
-from emlang.gumbel import (
-    GumbelSoftmaxSampler,
-    gumbel_noise,
-    hard_decode,
-    noise_from_uniform,
-    one_hot,
-)
-from emlang.nn import softmax
+from emlang.classifier import ModelGraph
+from emlang.errors import InputError
+from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform, one_hot
+from emlang.nn import DenseLayer, softmax
 from gradcheck import central_diff, max_rel_err
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -28,14 +23,9 @@ def test_noise_extreme_uniforms_stay_finite():
     assert np.all(np.isfinite(g))
 
 
-def test_gumbel_noise_count_validation():
-    with pytest.raises(InputError):
-        gumbel_noise(0, np.random.default_rng(0))
-
-
 def test_gumbel_noise_empirical_mean_is_euler_mascheroni():
     rng = np.random.default_rng(12345)
-    draws = gumbel_noise(10**6, rng)
+    draws = noise_from_uniform(rng.random(size=10**6))
     assert abs(draws.mean() - EULER_MASCHERONI) < 0.01
 
 
@@ -43,21 +33,21 @@ def test_forward_zero_noise_unit_temperature_is_softmax():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(4, 6))
     sampler = GumbelSoftmaxSampler(6, temperature=1.0)
-    out = sampler.forward(logits, noise=np.zeros_like(logits))
+    out = sampler.relax(logits, np.zeros_like(logits))[1]
     np.testing.assert_allclose(out, softmax(logits), atol=1e-12)
 
 
 def test_forward_uniform_logits_any_temperature():
     for tau in (0.3, 1.0, 4.0):
         sampler = GumbelSoftmaxSampler(5, temperature=tau)
-        out = sampler.forward(np.zeros((2, 5)), noise=np.zeros((2, 5)))
+        out = sampler.relax(np.zeros((2, 5)), np.zeros((2, 5)))[1]
         np.testing.assert_allclose(out, np.full((2, 5), 0.2), atol=1e-12)
 
 
 def test_forward_log_probabilities_recovered():
     sampler = GumbelSoftmaxSampler(2, temperature=1.0)
     logits = np.log(np.array([[0.7, 0.3]]))
-    out = sampler.forward(logits, noise=np.zeros((1, 2)))
+    out = sampler.relax(logits, np.zeros((1, 2)))[1]
     np.testing.assert_allclose(out, [[0.7, 0.3]], atol=1e-12)
 
 
@@ -65,7 +55,7 @@ def test_forward_rows_on_open_simplex():
     sampler = GumbelSoftmaxSampler(10, temperature=1.0, seed=1)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        out = sampler.forward(rng.normal(scale=3.0, size=(8, 10)))
+        out = sampler.relax(rng.normal(scale=3.0, size=(8, 10)))[1]
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out > 0.0)
         assert np.all(out < 1.0)
@@ -75,13 +65,13 @@ def test_forward_rejects_nonfinite_logits():
     sampler = GumbelSoftmaxSampler(3)
     bad = np.array([[0.0, np.nan, 1.0]])
     with pytest.raises(InputError):
-        sampler.forward(bad)
+        sampler.relax(bad)
 
 
 def test_forward_noise_shape_check():
     sampler = GumbelSoftmaxSampler(3)
-    with pytest.raises(DimensionError):
-        sampler.forward(np.zeros((2, 3)), noise=np.zeros((2, 4)))
+    with pytest.raises(InputError):
+        sampler.relax(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.7])
@@ -96,7 +86,7 @@ def test_backward_matches_finite_differences(tau):
 
         def loss(lv):
             fresh = GumbelSoftmaxSampler(5, temperature=tau)
-            return float(np.sum(probe * fresh.forward(lv, noise=noise)))
+            return float(np.sum(probe * fresh.relax(lv, noise)[1]))
 
         assert max_rel_err(analytic, central_diff(loss, logits)) <= 1e-6
 
@@ -125,7 +115,7 @@ def test_relax_backward_matches_finite_differences_down_to_low_temperature(
     analytic = tau * sampler.relax_backward(sampler.relax(tau * unscaled, noise), probe)
 
     def loss(uv):
-        return float(np.sum(probe * sampler.forward(tau * uv, noise=noise)))
+        return float(np.sum(probe * sampler.relax(tau * uv, noise)[1]))
 
     assert max_rel_err(analytic, central_diff(loss, unscaled, step=4e-4)) <= 1e-6
 
@@ -159,17 +149,29 @@ def test_hard_decode_examples():
     assert hard_decode(np.array([[0.5, 0.5]])).tolist() == [0]
 
 
+def channel_graph(k, seed=0):
+    """Identity sender and receiver around a channel: the eval forward's
+    input is the sender logits and its output the one-hot the receiver
+    reads."""
+    eye = DenseLayer(np.eye(k), np.zeros(k), "identity")
+    return ModelGraph([eye], [eye], GumbelSoftmaxSampler(k, seed=seed))
+
+
 def test_hard_eval_mode_emits_exact_one_hot():
-    sampler = GumbelSoftmaxSampler(4, mode="hard_eval")
+    model = channel_graph(4)
     logits = np.array([[0.1, 2.0, -1.0, 0.5], [3.0, 0.0, 0.0, 0.0]])
-    out = sampler.forward(logits)
+    out, symbols = model.forward(logits, mode="eval")
     np.testing.assert_array_equal(out, one_hot(np.array([1, 0]), 4))
+    assert symbols.tolist() == [1, 0]
+    with pytest.raises(InputError, match="non-finite"):
+        model.forward(np.array([[0.0, np.nan, 1.0, 0.0]]), mode="eval")
 
 
 def test_hard_eval_is_deterministic():
-    sampler = GumbelSoftmaxSampler(4, mode="hard_eval", seed=0)
+    model = channel_graph(4, seed=0)
     logits = np.random.default_rng(7).normal(size=(5, 4))
-    np.testing.assert_array_equal(sampler.forward(logits), sampler.forward(logits))
+    np.testing.assert_array_equal(model.forward(logits, mode="eval")[0],
+                                  model.forward(logits, mode="eval")[0])
 
 
 def test_symbol_frequencies_match_softmax():
@@ -179,7 +181,7 @@ def test_symbol_frequencies_match_softmax():
         rng = np.random.default_rng(100 + k)
         logits = rng.normal(size=k)
         sampler = GumbelSoftmaxSampler(k, temperature=1.0, seed=200 + k)
-        relaxed = sampler.forward(np.tile(logits, (n, 1)))
+        relaxed = sampler.relax(np.tile(logits, (n, 1)))[1]
         counts = np.bincount(hard_decode(relaxed), minlength=k)
         expected = softmax(logits[None, :])[0] * n
         sigma = np.sqrt(expected * (1.0 - expected / n))
@@ -199,7 +201,7 @@ def test_temperature_limit_sharpens_toward_one_hot():
     prev = 0.0
     for tau in (1.0, 0.5, 0.1, 0.01):
         sampler = GumbelSoftmaxSampler(6, temperature=tau)
-        out = sampler.forward(logits, noise=noise)
+        out = sampler.relax(logits, noise)[1]
         peak = out.max()
         assert peak >= prev
         prev = peak
@@ -211,7 +213,7 @@ def test_same_seed_gives_identical_sample_stream():
     b = GumbelSoftmaxSampler(8, seed=42)
     logits = np.random.default_rng(9).normal(size=(20, 8))
     for _ in range(3):
-        np.testing.assert_array_equal(a.forward(logits), b.forward(logits))
+        np.testing.assert_array_equal(a.relax(logits)[1], b.relax(logits)[1])
 
 
 def test_sampler_constructor_validation():
@@ -220,6 +222,4 @@ def test_sampler_constructor_validation():
     with pytest.raises(InputError):
         GumbelSoftmaxSampler(5, temperature=0.0)
     with pytest.raises(InputError):
-        GumbelSoftmaxSampler(5, mode="annealed")
-    with pytest.raises(DimensionError):
-        GumbelSoftmaxSampler(5).forward(np.zeros((2, 4)))
+        GumbelSoftmaxSampler(5).relax(np.zeros((2, 4)))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emlang.errors import DimensionError, InputError
+from emlang.errors import InputError
 from emlang.nn import (
     AdamState,
     DenseLayer,
@@ -50,12 +50,12 @@ def test_dense_forward_zero_input_zero_bias_relu():
 
 def test_dense_forward_shape_mismatch_names_both_shapes():
     layer = DenseLayer(np.ones((2, 3)), np.zeros(2), activation="identity")
-    with pytest.raises(DimensionError, match=r"\(1, 4\).*\(2, 3\)"):
+    with pytest.raises(InputError, match=r"\(1, 4\).*\(2, 3\)"):
         layer.forward(np.ones((1, 4)))
 
 
 def test_dense_construction_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         DenseLayer(np.ones((2, 3)), np.zeros(3), activation="identity")
     with pytest.raises(InputError):
         DenseLayer(np.ones((2, 3)), np.zeros(2), activation="tanh")
@@ -83,7 +83,7 @@ def test_dense_backward_dead_relu_zero_grads():
 
 def test_dense_backward_upstream_shape_check():
     layer = DenseLayer(np.eye(2), np.zeros(2), activation="identity")
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         layer_backward(layer, np.ones((3, 2)), np.ones((2, 2)))
 
 
@@ -292,9 +292,9 @@ def test_adam_default_learning_rate():
 
 def test_adam_shape_mismatch():
     state = AdamState.for_param(np.zeros(3))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         adam_step(state, np.zeros(4), np.zeros(4))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         adam_step(state, np.zeros(3), np.zeros(4))
 
 
