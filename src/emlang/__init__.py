@@ -19,8 +19,6 @@ from .classifier import (
     TrainConfig,
     TrainLog,
     build_model,
-    checkpoint_names,
-    checkpoint_standardization,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -44,8 +42,6 @@ __all__ = [
     "TrainLog",
     "adam_step",
     "build_model",
-    "checkpoint_names",
-    "checkpoint_standardization",
     "evaluate",
     "generate_synthetic",
     "hard_decode",

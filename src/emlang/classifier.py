@@ -108,10 +108,6 @@ class ModelGraph:
         return self.receiver[-1].out_dim
 
     @property
-    def code_dim(self):
-        return self.sender[-1].out_dim
-
-    @property
     def vocab_size(self):
         return self.bottleneck.vocab_size if self.bottleneck is not None else None
 
@@ -198,33 +194,6 @@ def build_model(
     return ModelGraph(sender, receiver, bottleneck)
 
 
-class EarlyStopping:
-    """Stop after `patience` consecutive epochs without a strictly better
-    validation loss; remembers which epoch was best."""
-
-    def __init__(self, patience):
-        if patience < 1:
-            raise InputError("patience must be a positive integer")
-        self.patience = patience
-        self.best_loss = math.inf
-        self.best_epoch = 0
-        self.stale_epochs = 0
-
-    def update(self, epoch, val_loss):
-        """Record one epoch; returns True when it improved on the best."""
-        if val_loss < self.best_loss:
-            self.best_loss = val_loss
-            self.best_epoch = epoch
-            self.stale_epochs = 0
-            return True
-        self.stale_epochs += 1
-        return False
-
-    @property
-    def should_stop(self):
-        return self.stale_epochs >= self.patience
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -234,10 +203,12 @@ class EpochStats:
 
 @dataclass
 class TrainLog:
+    """Every epoch's losses, and the first epoch with the lowest validation
+    loss, whose parameters `train` restores."""
+
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_val_loss: float = math.inf
-    stopped_early: bool = False
 
 
 def _pack(model):
@@ -319,7 +290,7 @@ def train(model, train_set, val_set, config):
             )
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
     params, grads, grad_views = _pack(model)
-    state = AdamState.for_param(params, learning_rate=config.learning_rate)
+    state = AdamState(params, learning_rate=config.learning_rate)
     # drawn once per call: every epoch's validation loss sees the same
     # noise, so losses compare across epochs
     val_noise = None
@@ -329,9 +300,9 @@ def train(model, train_set, val_set, config):
             val_rng.random(size=(val_set.num_samples, model.vocab_size))
         )
 
-    stopper = EarlyStopping(config.patience)
     log = TrainLog()
     best = params.copy()
+    stale_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(train_set.num_samples)
         running = 0.0
@@ -357,14 +328,15 @@ def train(model, train_set, val_set, config):
         if not math.isfinite(val_loss):
             raise _diverged(epoch)
         log.epochs.append(EpochStats(epoch, train_loss, val_loss))
-        if stopper.update(epoch, val_loss):
+        if val_loss < log.best_val_loss:
+            log.best_epoch, log.best_val_loss = epoch, val_loss
             best[...] = params
-        if stopper.should_stop:
-            log.stopped_early = True
-            break
+            stale_epochs = 0
+        else:  # stop after `patience` epochs without a strictly lower loss
+            stale_epochs += 1
+            if stale_epochs == config.patience:
+                break
     params[...] = best
-    log.best_epoch = stopper.best_epoch
-    log.best_val_loss = stopper.best_loss
     return log
 
 
@@ -506,7 +478,21 @@ def save_checkpoint(model, standardization=None, feature_names=None,
     return doc
 
 
+class Checkpoint(NamedTuple):
+    """A loaded checkpoint: the model, the (mean, std) its inputs must be
+    scaled by or None for raw features, its input columns in order, and
+    the name of each class index or None."""
+
+    model: ModelGraph
+    standardization: tuple | None
+    feature_names: list
+    class_names: list | None
+
+
 def load_checkpoint(doc):
+    """The Checkpoint a `save_checkpoint` document describes. Every section
+    is checked before anything is returned; a missing or malformed one
+    raises InputError."""
     if not isinstance(doc, dict):
         raise InputError("checkpoint document must be a mapping")
     version = doc.get("format_version")
@@ -521,6 +507,8 @@ def load_checkpoint(doc):
     try:
         sender = [_layer_from_doc(d) for d in doc["sender"]]
         receiver = [_layer_from_doc(d) for d in doc["receiver"]]
+        stats = doc["standardization"]
+        names = doc["feature_names"], doc["class_names"]
     except KeyError as exc:
         raise InputError(f"checkpoint missing section {exc}") from None
     bottleneck = None
@@ -538,52 +526,31 @@ def load_checkpoint(doc):
         "num_classes"
     ):
         raise InputError("checkpoint metadata does not match layer shapes")
-    return model
-
-
-def checkpoint_standardization(doc):
-    """The (mean, std) a checkpoint's model expects its inputs scaled by, or
-    None when it was trained on raw features."""
-    try:
-        section = doc["standardization"]
-    except (KeyError, TypeError):
-        raise InputError("checkpoint missing section 'standardization'") from None
-    if section is None:
-        return None
-    try:
-        mean, std = (as_f64(section[key]) for key in ("mean", "std"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed standardization: {exc!r}") from None
-    for values in (mean, std):
-        if values.shape != (doc.get("input_dim"),) or not np.all(np.isfinite(values)):
-            raise InputError(
-                "standardization must hold input_dim finite means and stds"
-            )
-    if not np.all(std > 0):
-        raise InputError("standardization std must be positive")
-    return mean, std
-
-
-def checkpoint_names(doc):
-    """(feature_names, class_names) of a checkpoint's model: its input
-    columns in order, and the name of each class index or None."""
-    try:
-        features, classes = doc["feature_names"], doc["class_names"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"checkpoint missing section {exc}") from None
-    for names, count, optional in (
-        (features, doc.get("input_dim"), False),
-        (classes, doc.get("num_classes"), True),
+    if stats is not None:
+        try:
+            stats = tuple(as_f64(stats[key]) for key in ("mean", "std"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed standardization: {exc!r}") from None
+        for values in stats:
+            if values.shape != (model.input_dim,) or not np.all(np.isfinite(values)):
+                raise InputError(
+                    "standardization must hold input_dim finite means and stds"
+                )
+        if not np.all(stats[1] > 0):
+            raise InputError("standardization std must be positive")
+    for values, count, optional in (
+        (names[0], model.input_dim, False),
+        (names[1], model.num_classes, True),
     ):
-        if names is None and optional:
+        if values is None and optional:
             continue
         if (
-            not isinstance(names, list)
-            or len(names) != count
-            or not all(isinstance(name, str) for name in names)
+            not isinstance(values, list)
+            or len(values) != count
+            or not all(isinstance(name, str) for name in values)
         ):
             raise InputError(
                 "checkpoint names must be lists of input_dim feature and "
                 "num_classes class strings"
             )
-    return features, classes
+    return Checkpoint(model, stats, *names)

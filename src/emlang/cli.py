@@ -6,10 +6,13 @@ Commands
   attribute  per-symbol conductance report for a trained symbol model
   repro      gen -> train both models -> attribute, with a comparison table
 
-Every option can come from a JSON config file (--config) whose keys mirror
-the long flag names; explicit flags win over the file, the file wins over
-defaults. The effective options are echoed into the output directory, and
-all outputs are byte-deterministic given a seed.
+Each command's options live in one table, which gives every option its
+default, its type, its flag and its key in a JSON config file (--config):
+the keys mirror the long flag names. A file's values are checked against
+each option's type (an int also serves a float option; a bool never serves
+an int one) and choices before anything is written. Explicit flags win over
+the file, the file wins over defaults. The effective options are echoed into
+the output directory, and all outputs are byte-deterministic given a seed.
 
 Exit codes: 0 success, 2 usage/config/input error, 3 numerical failure.
 """
@@ -29,8 +32,6 @@ from .attribution import AttributionConfig, per_symbol_report
 from .classifier import (
     TrainConfig,
     build_model,
-    checkpoint_names,
-    checkpoint_standardization,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -46,38 +47,55 @@ from .data import (
 )
 from .errors import InputError, NumericalError
 
-GEN_DEFAULTS = {
-    "classes": 4,
-    "block_size": 7,
-    "train_samples": 534,
-    "val_samples": 133,
-    "test_samples": 171,
-    "mean_shift": 2.0,
-    "noise_sigma": 1.0,
-    "seed": 0,
+# Each command's options: name -> (default, argparse keyword arguments). The
+# name gives the flag (`--name` with dashes) and the --config key; the
+# default's type is the option's type, on the command line and in the file.
+GEN_OPTIONS = {
+    "classes": (4, {"help": "number of classes"}),
+    "block_size": (7, {"help": "features per class block"}),
+    "train_samples": (534, {}),
+    "val_samples": (133, {}),
+    "test_samples": (171, {}),
+    "mean_shift": (2.0, {"help": "informative-block mean"}),
+    "noise_sigma": (1.0, {"help": "feature noise std dev"}),
+    "seed": (0, {}),
 }
 
-TRAIN_DEFAULTS = {
-    "model": "el",
-    "vocab": 100,
-    "temperature": 1.0,
-    "lr": 1e-3,
-    "batch": 32,
-    "patience": 10,
-    "max_epochs": 200,
-    "hidden": 64,
-    "label_column": "label",
-    "standardize": False,
-    "seed": 0,
+TRAIN_OPTIONS = {
+    "model": ("el", {"choices": ("el", "baseline")}),
+    "vocab": (100, {"help": "vocabulary size K"}),
+    "temperature": (1.0, {"help": "relaxation temperature"}),
+    "lr": (1e-3, {"help": "Adam learning rate"}),
+    "batch": (32, {"help": "mini-batch size"}),
+    "patience": (10, {"help": "early-stopping patience, epochs"}),
+    "max_epochs": (200, {}),
+    "hidden": (64, {"help": "hidden layer width"}),
+    "label_column": ("label", {}),
+    "standardize": (False, {"help": "standardize features by train-split stats"}),
+    "seed": GEN_OPTIONS["seed"],
 }
 
-ATTRIBUTE_DEFAULTS = {
-    "riemann_steps": 300,
-    "baseline_vector": "zero",
-    "output_mode": "logit",
-    "block_size": 7,
-    "label_column": "label",
+ATTRIBUTE_OPTIONS = {
+    "riemann_steps": (300, {"help": "midpoint-rule steps for --output-mode "
+                            "probability; the logit output is integrated exactly"}),
+    "baseline_vector": ("zero", {"help": "'zero' or comma-separated floats, in "
+                                 "the model's input space (after any "
+                                 "checkpoint standardization)"}),
+    "output_mode": ("logit", {"choices": ("logit", "probability")}),
+    "block_size": GEN_OPTIONS["block_size"],
+    "label_column": TRAIN_OPTIONS["label_column"],
 }
+
+REPRO_OPTIONS = {**GEN_OPTIONS, **TRAIN_OPTIONS, **ATTRIBUTE_OPTIONS}
+del REPRO_OPTIONS["model"]
+
+
+def _read_json(path, what):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: invalid {what} JSON: {exc}") from None
 
 
 def _write_json(path, obj):
@@ -86,47 +104,40 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def write_checkpoint(model, path, train_set, stats=None):
-    """The checkpoint of a model trained on `train_set`, whose feature header
-    and class names it records."""
-    doc = save_checkpoint(model, stats, train_set.feature_names,
-                          train_set.class_names)
-    _write_json(path, doc)
+def _check_config_value(name, value, default, kwargs):
+    """InputError unless a --config value has its option's type (an int
+    does for a float option; a bool is never an int) and, if the option has
+    choices, is one of them."""
+    kind = type(default)
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise InputError(
+            f"config key {name!r} must be {kind.__name__}, got {value!r}"
+        )
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        raise InputError(
+            f"config key {name!r} must be one of {', '.join(choices)}, got {value!r}"
+        )
 
 
-def read_checkpoint(path):
-    """(model, standardization, feature_names) from a checkpoint file;
-    standardization is the inputs' (mean, std) or None, and feature_names
-    the input columns the model expects, in order."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid checkpoint JSON: {exc}") from None
-    model = load_checkpoint(doc)
-    return model, checkpoint_standardization(doc), checkpoint_names(doc)[0]
-
-
-def _resolve(defaults, args):
+def _resolve(options, args):
     """defaults < --config file < explicit flags."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{config_path}: invalid JSON: {exc}") from None
+    merged = {name: default for name, (default, _) in options.items()}
+    if args.config:
+        file_cfg = _read_json(args.config, "config")
         if not isinstance(file_cfg, dict):
-            raise InputError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
+            raise InputError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(file_cfg) - set(options))
         if unknown:
             raise InputError(f"unknown config keys: {', '.join(unknown)}")
+        for name, value in file_cfg.items():
+            _check_config_value(name, value, *options[name])
         merged.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for name in options:
+        value = getattr(args, name)
         if value is not None:
-            merged[key] = value
+            merged[name] = value
     return merged
 
 
@@ -153,8 +164,7 @@ def _generate_to(opts, out_dir):
 
 
 def cmd_gen(args):
-    opts = _resolve(GEN_DEFAULTS, args)
-    _generate_to(opts, args.out)
+    _generate_to(_resolve(GEN_OPTIONS, args), args.out)
 
 
 def _load_finite_csv(path, label_column, split):
@@ -206,8 +216,6 @@ def _write_training_log(path, log):
 
 
 def _train_to(opts, data_dir, out_dir):
-    if opts["model"] not in ("el", "baseline"):
-        raise InputError(f"model must be 'el' or 'baseline', got {opts['model']!r}")
     config = TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
@@ -226,9 +234,6 @@ def _train_to(opts, data_dir, out_dir):
         train_set, val_set, test_set = (
             rescale(ds, stats) for ds in (train_set, val_set, test_set)
         )
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "config.json"), opts)
-
     model = build_model(
         input_dim=train_set.num_features,
         num_classes=train_set.num_classes,
@@ -241,8 +246,15 @@ def _train_to(opts, data_dir, out_dir):
     log = train(model, train_set, val_set, config)
     report = evaluate(model, test_set)
 
-    write_checkpoint(model, os.path.join(out_dir, "checkpoint.json"), train_set,
-                     stats)
+    # written only once training and evaluation succeed, so a failed run
+    # leaves no partial output directory
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(os.path.join(out_dir, "config.json"), opts)
+    _write_json(
+        os.path.join(out_dir, "checkpoint.json"),
+        save_checkpoint(model, stats, train_set.feature_names,
+                        train_set.class_names),
+    )
     _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
     report_doc = {"model": opts["model"], **report.to_dict(),
                   "best_epoch": log.best_epoch,
@@ -252,8 +264,7 @@ def _train_to(opts, data_dir, out_dir):
 
 
 def cmd_train(args):
-    opts = _resolve(TRAIN_DEFAULTS, args)
-    _train_to(opts, args.data, args.out)
+    _train_to(_resolve(TRAIN_OPTIONS, args), args.data, args.out)
 
 
 def _parse_baseline_vector(text, dim):
@@ -273,7 +284,9 @@ def _parse_baseline_vector(text, dim):
 
 
 def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
-    model, stats, feature_names = read_checkpoint(checkpoint_path)
+    model, stats, feature_names, _ = load_checkpoint(
+        _read_json(checkpoint_path, "checkpoint")
+    )
     if model.bottleneck is None:
         raise InputError(
             "checkpoint holds a baseline model without a symbol bottleneck; "
@@ -319,14 +332,12 @@ def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
 
 
 def cmd_attribute(args):
-    opts = _resolve(ATTRIBUTE_DEFAULTS, args)
-    _attribute_to(opts, args.checkpoint, args.test_csv, args.out)
+    _attribute_to(_resolve(ATTRIBUTE_OPTIONS, args), args.checkpoint, args.test_csv,
+                  args.out)
 
 
 def cmd_repro(args):
-    defaults = {**GEN_DEFAULTS, **TRAIN_DEFAULTS, **ATTRIBUTE_DEFAULTS}
-    defaults.pop("model")
-    opts = _resolve(defaults, args)
+    opts = _resolve(REPRO_OPTIONS, args)
     out = args.out
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "config.json"), opts)
@@ -337,13 +348,13 @@ def cmd_repro(args):
     reports = {}
     for kind in ("baseline", "el"):
         reports[kind] = _train_to(
-            {**{k: opts[k] for k in TRAIN_DEFAULTS if k != "model"}, "model": kind},
+            {**{k: opts[k] for k in TRAIN_OPTIONS if k != "model"}, "model": kind},
             data_dir,
             os.path.join(out, kind),
         )
 
     _attribute_to(
-        {k: opts[k] for k in ATTRIBUTE_DEFAULTS},
+        {k: opts[k] for k in ATTRIBUTE_OPTIONS},
         os.path.join(out, "el", "checkpoint.json"),
         os.path.join(data_dir, "test.csv"),
         os.path.join(out, "attribution"),
@@ -363,45 +374,13 @@ def cmd_repro(args):
     _write_json(os.path.join(out, "comparison.json"), {"table": table})
 
 
-def _add_gen_options(p):
-    p.add_argument("--classes", type=int, help="number of classes")
-    p.add_argument("--block-size", type=int, dest="block_size",
-                   help="features per class block")
-    p.add_argument("--train-samples", type=int, dest="train_samples")
-    p.add_argument("--val-samples", type=int, dest="val_samples")
-    p.add_argument("--test-samples", type=int, dest="test_samples")
-    p.add_argument("--mean-shift", type=float, dest="mean_shift",
-                   help="informative-block mean")
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma",
-                   help="feature noise std dev")
-
-
-def _add_train_options(p, with_model=True):
-    if with_model:
-        p.add_argument("--model", choices=("el", "baseline"))
-    p.add_argument("--vocab", type=int, help="vocabulary size K")
-    p.add_argument("--temperature", type=float, help="relaxation temperature")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--batch", type=int, help="mini-batch size")
-    p.add_argument("--patience", type=int, help="early-stopping patience, epochs")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--hidden", type=int, help="hidden layer width")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--standardize", action="store_const", const=True,
-                   help="standardize features by train-split stats")
-
-
-def _add_attribute_options(p, with_block_size=True):
-    p.add_argument("--riemann-steps", type=int, dest="riemann_steps",
-                   help="midpoint-rule steps for --output-mode probability; "
-                   "the logit output is integrated exactly")
-    p.add_argument("--baseline-vector", dest="baseline_vector",
-                   help="'zero' or comma-separated floats, in the model's "
-                   "input space (after any checkpoint standardization)")
-    p.add_argument("--output-mode", dest="output_mode",
-                   choices=("logit", "probability"))
-    if with_block_size:
-        p.add_argument("--block-size", type=int, dest="block_size")
+def _add_options(parser, options):
+    for name, (default, kwargs) in options.items():
+        if isinstance(default, bool):
+            kwargs = {"action": "store_const", "const": True, **kwargs}
+        else:
+            kwargs = {"type": type(default), **kwargs}
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
 
 
 def build_parser():
@@ -411,42 +390,26 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate synthetic train/val/test CSVs")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    _add_gen_options(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("train", help="train a model and evaluate on the test split")
-    p.add_argument("--data", required=True, help="directory with train/val/test.csv")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    _add_train_options(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("attribute", help="per-symbol conductance report")
-    p.add_argument("--checkpoint", required=True, help="trained model checkpoint")
-    p.add_argument("--test-csv", required=True, dest="test_csv")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--label-column", dest="label_column")
-    _add_attribute_options(p)
-    p.set_defaults(func=cmd_attribute)
-
-    p = sub.add_parser(
-        "repro",
-        help="gen + train both models + attribute, with a comparison table",
-    )
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    _add_gen_options(p)
-    _add_train_options(p, with_model=False)
-    _add_attribute_options(p, with_block_size=False)
-    p.set_defaults(func=cmd_repro)
-
+    for name, func, options, help_text in (
+        ("gen", cmd_gen, GEN_OPTIONS, "generate synthetic train/val/test CSVs"),
+        ("train", cmd_train, TRAIN_OPTIONS,
+         "train a model and evaluate on the test split"),
+        ("attribute", cmd_attribute, ATTRIBUTE_OPTIONS,
+         "per-symbol conductance report"),
+        ("repro", cmd_repro, REPRO_OPTIONS,
+         "gen + train both models + attribute, with a comparison table"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--config", help="JSON config file")
+        _add_options(p, options)
+        p.set_defaults(func=func)
+    sub.choices["train"].add_argument("--data", required=True,
+                                      help="directory with train/val/test.csv")
+    sub.choices["attribute"].add_argument("--checkpoint", required=True,
+                                          help="trained model checkpoint")
+    sub.choices["attribute"].add_argument("--test-csv", required=True,
+                                          dest="test_csv")
     return parser
 
 

@@ -5,19 +5,24 @@ is cached between calls: ``stack_forward`` records what ``stack_backward``
 needs on a tape the caller passes, and the backward writes gradients into
 arrays the caller owns. ``adam_step`` updates parameters and moments in
 place, so one call steps every layer whose weights are views into a shared
-flat vector.
+flat vector. An ``AdamState`` holds the moments, the step count and the
+learning rate; the decay rates and epsilon, which no caller varies, are the
+module constants ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 
 ACTIVATIONS = ("relu", "identity")
+
+ADAM_B1 = 0.9
+ADAM_B2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def as_f64(values):
@@ -166,37 +171,17 @@ def cross_entropy(logits, labels):
     return loss, grad
 
 
-@dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one parameter tensor, with two
-    scratch tensors of the same shape that `adam_step` computes in."""
+    """Adam moments, step count and learning rate for one parameter tensor,
+    with two scratch tensors of the same shape that `adam_step` computes in."""
 
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = (
-            np.empty_like(self.first_moment),
-            np.empty_like(self.first_moment),
-        )
-
-    @classmethod
-    def for_param(cls, param, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, param, learning_rate=1e-3):
         param = as_f64(param)
-        return cls(
-            first_moment=np.zeros_like(param),
-            second_moment=np.zeros_like(param),
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+        self.first_moment = np.zeros_like(param)
+        self.second_moment = np.zeros_like(param)
+        self.scratch = (np.empty_like(param), np.empty_like(param))
+        self.step_count = 0
+        self.learning_rate = learning_rate
 
 
 def adam_step(state, params, grads):
@@ -227,18 +212,18 @@ def adam_step(state, params, grads):
     # result matches it bit for bit:
     #   m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
     #   params -= (lr (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
-    m *= state.beta1
-    np.multiply(grads, 1.0 - state.beta1, out=a)
+    m *= ADAM_B1
+    np.multiply(grads, 1.0 - ADAM_B1, out=a)
     m += a
-    v *= state.beta2
-    np.multiply(grads, 1.0 - state.beta2, out=a)
+    v *= ADAM_B2
+    np.multiply(grads, 1.0 - ADAM_B2, out=a)
     a *= grads
     v += a
-    np.divide(m, 1.0 - state.beta1 ** t, out=a)
+    np.divide(m, 1.0 - ADAM_B1 ** t, out=a)
     a *= state.learning_rate
-    np.divide(v, 1.0 - state.beta2 ** t, out=b)
+    np.divide(v, 1.0 - ADAM_B2 ** t, out=b)
     np.sqrt(b, out=b)
-    b += state.epsilon
+    b += ADAM_EPS
     a /= b
     params -= a
     return params

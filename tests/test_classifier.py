@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emlang.classifier import (
-    EarlyStopping,
     ModelGraph,
     _pack,
     TrainConfig,
     build_model,
-    checkpoint_names,
-    checkpoint_standardization,
     confusion_matrix,
     evaluate,
     load_checkpoint,
@@ -260,21 +257,30 @@ def test_tape_gradient_equals_cached_per_layer_backward_bit_for_bit(case):
     assert np.array_equal(grads, want_flat)
 
 
-def test_early_stopping_policy_trace():
-    stopper = EarlyStopping(patience=2)
-    improvements = [stopper.update(e, v)
-                    for e, v in enumerate([1.0, 0.9, 0.95, 0.97], start=1)]
-    assert improvements == [True, True, False, False]
-    assert stopper.should_stop
-    assert stopper.best_epoch == 2
-    assert stopper.best_loss == 0.9
-
-
-def test_early_stopping_not_triggered_while_improving():
-    stopper = EarlyStopping(patience=2)
-    for epoch, loss in enumerate([1.0, 0.9, 0.8, 0.7], start=1):
-        stopper.update(epoch, loss)
-        assert not stopper.should_stop
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    patience=st.integers(1, 6),
+    extra_epochs=st.integers(0, 12),
+    # 1e-30 moves no weight, so every epoch's validation loss ties
+    learning_rate=st.sampled_from([1e-30, 1e-3, 0.1]),
+    with_bottleneck=st.booleans(),
+)
+def test_train_stops_after_patience_epochs_without_a_lower_val_loss(
+    seed, patience, extra_epochs, learning_rate, with_bottleneck
+):
+    max_epochs = patience + extra_epochs
+    model = build_model(2, 2, vocab_size=4, hidden_dim=4,
+                        with_bottleneck=with_bottleneck, seed=seed)
+    config = TrainConfig(learning_rate=learning_rate, max_epochs=max_epochs,
+                         patience=patience, vocab_size=4, seed=seed)
+    log = train(model, two_class_toy(n=16, seed=seed),
+                two_class_toy(n=8, seed=seed + 1), config)
+    losses = [s.val_loss for s in log.epochs]
+    assert [s.epoch for s in log.epochs] == list(range(1, len(losses) + 1))
+    assert log.best_val_loss == min(losses)
+    assert log.best_epoch == losses.index(min(losses)) + 1
+    assert len(losses) == min(max_epochs, log.best_epoch + patience)
 
 
 def test_train_restores_best_epoch_parameters():
@@ -353,7 +359,7 @@ def test_trained_model_round_trips_through_checkpoint():
     assert len({id(a.base) for a in params}) == 1
     assert params[0].base.size == sum(a.size for a in params)
 
-    restored = load_checkpoint(json.loads(json.dumps(save_checkpoint(model))))
+    restored = load_checkpoint(json.loads(json.dumps(save_checkpoint(model)))).model
     for la, lb in zip(model.layers(), restored.layers()):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
@@ -535,7 +541,7 @@ def test_checkpoint_round_trip_bit_exact(case):
     assert doc["format_version"] == 3
     # through JSON text, as the on-disk format would do
     doc = json.loads(json.dumps(doc))
-    restored = load_checkpoint(doc)
+    restored, got, got_features, got_classes = load_checkpoint(doc)
     for la, lb in zip(model.layers(), restored.layers(), strict=True):
         # bytes, so -0.0 must come back as -0.0
         assert la.weights.tobytes() == lb.weights.tobytes()
@@ -546,13 +552,12 @@ def test_checkpoint_round_trip_bit_exact(case):
     else:
         for name in ("vocab_size", "temperature", "rng_seed"):
             assert getattr(restored.bottleneck, name) == getattr(model.bottleneck, name)
-    got = checkpoint_standardization(doc)
     if stats is None:
         assert got is None
     else:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in stats]
     default = [f"f{i}" for i in range(model.input_dim)]
-    assert checkpoint_names(doc) == (features or default, classes)
+    assert (got_features, got_classes) == (features or default, classes)
     logits_a, symbols_a = model.forward(x, mode="eval")
     logits_b, symbols_b = restored.forward(x, mode="eval")
     assert logits_a.tobytes() == logits_b.tobytes()
@@ -565,18 +570,18 @@ def test_checkpoint_round_trip_bit_exact(case):
 def test_checkpoint_baseline_round_trip_has_no_bottleneck():
     model = build_model(3, 2, vocab_size=5, hidden_dim=4,
                         with_bottleneck=False, seed=37)
-    restored = load_checkpoint(save_checkpoint(model))
+    restored = load_checkpoint(save_checkpoint(model)).model
     assert restored.bottleneck is None
     assert save_checkpoint(model)["kind"] == "baseline"
 
 
 def test_checkpoint_standardization_round_trip_and_errors():
     model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39)
-    assert checkpoint_standardization(save_checkpoint(model)) is None
+    assert load_checkpoint(save_checkpoint(model)).standardization is None
     mean = np.array([0.1, -2.5, 1e3])
     std = np.array([1.0 / 3.0, 2.0, 7.5])
     doc = json.loads(json.dumps(save_checkpoint(model, (mean, std))))
-    got_mean, got_std = checkpoint_standardization(doc)
+    got_mean, got_std = load_checkpoint(doc).standardization
     np.testing.assert_array_equal(got_mean, mean)
     np.testing.assert_array_equal(got_std, std)
     for bad in (
@@ -587,19 +592,19 @@ def test_checkpoint_standardization_round_trip_and_errors():
         "not a mapping",
     ):
         with pytest.raises(InputError):
-            checkpoint_standardization({**doc, "standardization": bad})
+            load_checkpoint({**doc, "standardization": bad})
     missing = {k: v for k, v in doc.items() if k != "standardization"}
     with pytest.raises(InputError):
-        checkpoint_standardization(missing)
+        load_checkpoint(missing)
 
 
 def test_checkpoint_names_round_trip_and_errors():
     model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=41)
-    assert checkpoint_names(save_checkpoint(model)) == (["f0", "f1", "f2"], None)
+    assert load_checkpoint(save_checkpoint(model))[2:] == (["f0", "f1", "f2"], None)
     doc = json.loads(json.dumps(
         save_checkpoint(model, None, ["b", "a", "c"], ["no", "yes"])
     ))
-    assert checkpoint_names(doc) == (["b", "a", "c"], ["no", "yes"])
+    assert load_checkpoint(doc)[2:] == (["b", "a", "c"], ["no", "yes"])
     for key, bad in (
         ("feature_names", ["a", "b"]),
         ("feature_names", ["a", 1, "c"]),
@@ -608,9 +613,9 @@ def test_checkpoint_names_round_trip_and_errors():
         ("class_names", "no,yes"),
     ):
         with pytest.raises(InputError):
-            checkpoint_names({**doc, key: bad})
+            load_checkpoint({**doc, key: bad})
     with pytest.raises(InputError):
-        checkpoint_names({k: v for k, v in doc.items() if k != "feature_names"})
+        load_checkpoint({k: v for k, v in doc.items() if k != "feature_names"})
 
 
 def test_checkpoint_version_and_corruption_errors():

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from emlang.cli import main
 
 SMALL_GEN = [
@@ -150,6 +152,63 @@ def test_config_file_merging_and_flag_priority(tmp_path):
     assert len(lines) == 61
 
 
+def test_config_keys_reach_each_command_and_flags_win(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"batch": 16, "seed": 3}))
+    out = tmp_path / "repro"
+    assert run(["repro", "--out", str(out), "--config", str(config), "--seed", "1",
+                *SMALL_GEN, *SMALL_TRAIN, "--max-epochs", "5", "--patience", "5"]) == 0
+    for echo in (read_json(out / "config.json"), read_json(out / "el" / "config.json")):
+        assert (echo["batch"], echo["seed"]) == (16, 1)
+    assert read_json(out / "data" / "spec.json")["seed"] == 1
+
+    config.write_text(json.dumps({"batch": 16, "patience": 3}))
+    assert run(["train", "--data", str(out / "data"), "--out", str(tmp_path / "el"),
+                "--config", str(config), *SMALL_TRAIN]) == 0
+    echo = read_json(tmp_path / "el" / "config.json")
+    assert (echo["batch"], echo["patience"]) == (16, 40)
+
+    config.write_text(json.dumps({"output_mode": "probability", "riemann_steps": 25}))
+    assert run(["attribute", "--checkpoint", str(out / "el" / "checkpoint.json"),
+                "--test-csv", str(out / "data" / "test.csv"),
+                "--out", str(tmp_path / "attr"), "--config", str(config),
+                "--riemann-steps", "20"]) == 0
+    echo = read_json(tmp_path / "attr" / "config.json")
+    assert (echo["output_mode"], echo["riemann_steps"]) == ("probability", 20)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("repro", "standardize", "no"),
+    ("repro", "batch", True),
+    ("repro", "classes", "4"),
+    ("repro", "seed", 1.5),
+    ("repro", "lr", "0.1"),
+    ("repro", "vocab", 6.0),
+    ("repro", "output_mode", "gradient"),
+    ("train", "model", "mystery"),
+])
+def test_config_value_of_the_wrong_type_or_choice_exits_2(tmp_path, capsys, command,
+                                                          key, value):
+    data = gen_small(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    inputs = ["--data", str(data)] if command == "train" else SMALL_GEN
+    assert run([command, "--out", str(out), "--config", str(config), *inputs,
+                *SMALL_TRAIN, "--max-epochs", "5", "--patience", "5"]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_takes_an_int_for_a_float_option(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mean_shift": 2, "noise_sigma": 1}))
+    data = tmp_path / "data"
+    assert run(["gen", "--out", str(data), "--config", str(config), *SMALL_GEN]) == 0
+    spec = read_json(data / "spec.json")
+    assert (spec["mean_shift"], spec["noise_sigma"]) == (2, 1)
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"bogus_option": 1}))
@@ -201,6 +260,20 @@ def test_attribute_rejects_corrupt_checkpoint(tmp_path):
     ]) == 2
 
 
+def test_json_inputs_that_are_not_utf8_exit_2(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    (out / "checkpoint.json").write_bytes(b"\xff\xfe{}")
+    assert run([
+        "attribute", "--checkpoint", str(out / "checkpoint.json"),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert "invalid checkpoint JSON" in capsys.readouterr().err
+    assert run(["gen", "--out", str(tmp_path / "d"),
+                "--config", str(out / "checkpoint.json")]) == 2
+    assert "invalid config JSON" in capsys.readouterr().err
+
+
 def test_attribute_baseline_vector_flag(tmp_path):
     data = gen_small(tmp_path)
     out = train_small(tmp_path, data, "el")
@@ -230,6 +303,7 @@ def test_train_divergence_exit_code_3(tmp_path):
             "--patience", "5",
         ])
     assert code == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_nonfinite_test_features(tmp_path, capsys):
@@ -318,7 +392,7 @@ def test_attribute_applies_checkpoint_standardization(tmp_path):
     import numpy as np
 
     from emlang.attribution import AttributionConfig, per_symbol_report
-    from emlang.cli import read_checkpoint
+    from emlang.classifier import load_checkpoint
     from emlang.data import load_csv, rescale, standardization
 
     data = gen_small(tmp_path)
@@ -333,7 +407,7 @@ def test_attribute_applies_checkpoint_standardization(tmp_path):
     assert [s["symbol"] for s in summary] == read_json(out / "eval_report.json")["symbols"]
 
     # the report on the splits as training standardized them
-    model, stats, _ = read_checkpoint(out / "checkpoint.json")
+    model, stats, _, _ = load_checkpoint(read_json(out / "checkpoint.json"))
     train_set = load_csv(data / "train.csv", split="train")
     test_set = load_csv(data / "test.csv", split="test")
     train_stats = standardization(train_set)

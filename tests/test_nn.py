@@ -191,7 +191,7 @@ def test_cross_entropy_empty_batch():
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = np.array([1.0, -2.0, 3.0])
-    state = AdamState.for_param(params)
+    state = AdamState(params)
     out = params
     for _ in range(5):
         out = adam_step(state, out, np.zeros(3))
@@ -202,7 +202,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
 
 def test_adam_moments_decay_toward_zero_without_signal():
     params = np.zeros(2)
-    state = AdamState.for_param(params)
+    state = AdamState(params)
     params = adam_step(state, params, np.array([1.0, -1.0]))
     m1 = np.abs(state.first_moment).copy()
     v1 = state.second_moment.copy()
@@ -216,7 +216,7 @@ def test_adam_first_step_is_signed_learning_rate():
     # at t=1 the bias-corrected update is -lr * g / (|g| + eps) ~ -lr * sign(g)
     params = np.zeros(3)
     grads = np.array([0.5, -2.0, 10.0])
-    state = AdamState.for_param(params, learning_rate=1e-3)
+    state = AdamState(params, learning_rate=1e-3)
     out = adam_step(state, params, grads)
     np.testing.assert_allclose(out, -1e-3 * np.sign(grads), atol=1e-9)
 
@@ -247,13 +247,13 @@ def test_fused_adam_on_flat_vector_equals_per_tensor_steps(data):
                            label="grads")
 
     flat = params.copy()
-    state = AdamState.for_param(flat, learning_rate=lr)
+    state = AdamState(flat, learning_rate=lr)
     for g in grad_steps:
         assert adam_step(state, flat, g) is flat  # updated in place
     assert state.step_count == steps
 
     pieces = [p.copy() for p in np.split(params, cuts)]
-    states = [AdamState.for_param(p, learning_rate=lr) for p in pieces]
+    states = [AdamState(p, learning_rate=lr) for p in pieces]
     for g in grad_steps:
         for piece, piece_state, piece_grad in zip(pieces, states, np.split(g, cuts)):
             adam_step(piece_state, piece, piece_grad)
@@ -274,7 +274,7 @@ def test_adam_step_allocates_no_parameter_sized_temporary():
 
     params = np.zeros(19_240)  # the default study's parameter count
     grads = np.random.default_rng(8).normal(size=params.size)
-    state = AdamState.for_param(params)
+    state = AdamState(params)
     adam_step(state, params, grads)
     tracemalloc.start()
     try:
@@ -286,12 +286,12 @@ def test_adam_step_allocates_no_parameter_sized_temporary():
 
 
 def test_adam_default_learning_rate():
-    state = AdamState.for_param(np.zeros(1))
+    state = AdamState(np.zeros(1))
     assert state.learning_rate == 1e-3
 
 
 def test_adam_shape_mismatch():
-    state = AdamState.for_param(np.zeros(3))
+    state = AdamState(np.zeros(3))
     with pytest.raises(InputError):
         adam_step(state, np.zeros(4), np.zeros(4))
     with pytest.raises(InputError):
