@@ -32,9 +32,9 @@ For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
 by receiver layers) and y is the sender output logit feeding the decoded
 symbol's vocabulary slot. `per_symbol_report` takes each sample's symbol,
-and its default target class, from the model's eval forward
-(`ModelGraph.forward(mode="eval")`), the same noise-free decode `evaluate`
-reports. This keeps attribution deterministic and symbol-specific.
+and its default target class, from `ModelGraph.decode`, the same
+noise-free decode `evaluate` reports. This keeps attribution deterministic
+and symbol-specific.
 """
 
 from __future__ import annotations
@@ -89,14 +89,14 @@ def _resolve_inputs(stack, x, config, ndim=1):
             f"input shape {x.shape} incompatible with stack input dim "
             f"{stack[0].in_dim}"
         )
-    if not np.all(np.isfinite(x)):
-        raise InputError("input contains non-finite values")
     dim = stack[0].in_dim
     baseline = np.zeros(dim) if config.baseline is None else as_f64(config.baseline)
     if baseline.shape != (dim,):
         raise InputError(
             f"baseline shape {baseline.shape} does not match input ({dim},)"
         )
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(baseline))):
+        raise InputError("input or baseline contains non-finite values")
     return x, baseline
 
 
@@ -360,7 +360,7 @@ def per_symbol_report(model, dataset, config):
     counts = np.zeros(model.vocab_size, dtype=np.int64)
     for start in range(0, dataset.num_samples, BLOCK):
         xs = features[start : start + BLOCK]
-        logits, symbols = model.forward(xs, mode="eval")
+        logits, symbols = model.decode(xs)
         if config.target_class is None:
             targets = np.argmax(logits, axis=1)
         else:

@@ -7,12 +7,13 @@ the channel removed: the sender output feeds the receiver directly.
 
 Training runs mini-batch Adam on cross-entropy through the soft relaxation,
 with every layer's weights and bias packed into one flat vector so each batch
-is one optimizer step: a train-mode forward returns an explicit `Tape`, and
+is one optimizer step: `ModelGraph.forward` takes each batch's Gumbel noise,
+which `train` draws from the sampler's seed, and returns an explicit `Tape`;
 the backward writes every layer's gradients straight into its views of one
-flat gradient vector. Evaluation is the one noise-free decode of the
-package: each input's sender logits decode to their argmax symbol, and the
-receiver classifies from that symbol's one-hot alone. Early stopping
-restores the parameters of the best validation epoch.
+flat gradient vector. `ModelGraph.decode` is the one noise-free evaluation
+of the package: each input's sender logits decode to their argmax symbol,
+and the receiver classifies from that symbol's one-hot alone. Early
+stopping restores the parameters of the best validation epoch.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ class TrainConfig:
                 raise InputError(f"{name} must be a positive integer")
         if not (self.temperature > 0):
             raise InputError("temperature must be positive")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.patience > self.max_epochs:
             raise InputError("patience must not exceed max_epochs")
 
@@ -75,25 +78,17 @@ class ModelGraph:
         receiver = list(receiver)
         if not sender or not receiver:
             raise InputError("sender and receiver must each have at least one layer")
-        for prev, nxt in zip(sender, sender[1:]):
+        # the channel keeps width K, so sender and receiver are one chain
+        layers = sender + receiver
+        for prev, nxt in zip(layers, layers[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise InputError(
-                    f"sender layer chain mismatch: {prev.out_dim} -> {nxt.in_dim}"
-                )
-        for prev, nxt in zip(receiver, receiver[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise InputError(
-                    f"receiver layer chain mismatch: {prev.out_dim} -> {nxt.in_dim}"
+                    f"layer chain mismatch: {prev.out_dim} -> {nxt.in_dim}"
                 )
         if bottleneck is not None and bottleneck.vocab_size != sender[-1].out_dim:
             raise InputError(
                 f"sender output dim {sender[-1].out_dim} does not match "
                 f"vocabulary size {bottleneck.vocab_size}"
-            )
-        if sender[-1].out_dim != receiver[0].in_dim:
-            raise InputError(
-                f"receiver input dim {receiver[0].in_dim} does not match "
-                f"sender output dim {sender[-1].out_dim}"
             )
         self.sender = sender
         self.receiver = receiver
@@ -114,28 +109,19 @@ class ModelGraph:
     def layers(self):
         return self.sender + self.receiver
 
-    def forward(self, x, mode="train", noise=None):
-        """train: (logits, tape) through the soft relaxation, with the given
-        noise or the sampler's. eval: (logits, symbols), where the receiver
-        reads the one-hot of each row's argmax sender logit and symbols is
-        that int array, or None without a bottleneck; a non-finite sender
-        logit raises InputError."""
-        if mode not in ("train", "eval"):
-            raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
+    def _rows(self, x):
         x = as_f64(x)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise InputError(
                 f"input shape {x.shape} incompatible with input_dim {self.input_dim}"
             )
-        if mode == "eval":
-            h = stack_forward(self.sender, x)
-            symbols = None
-            if self.bottleneck is not None:
-                symbols = hard_decode(h)
-                h = one_hot(symbols, self.vocab_size)
-            return stack_forward(self.receiver, h), symbols
+        return x
+
+    def forward(self, x, noise=None):
+        """(logits, tape) through the soft relaxation with the given
+        [batch, K] Gumbel noise (None without a bottleneck), for training."""
         sender, receiver = [], []
-        h = stack_forward(self.sender, x, sender)
+        h = stack_forward(self.sender, self._rows(x), sender)
         channel = None
         if self.bottleneck is not None:
             channel = self.bottleneck.relax(h, noise)
@@ -143,8 +129,20 @@ class ModelGraph:
         logits = stack_forward(self.receiver, h, receiver)
         return logits, Tape(sender, channel, receiver)
 
+    def decode(self, x):
+        """(logits, symbols) without noise: the receiver reads the one-hot of
+        each row's argmax sender logit, and symbols is that int array, or
+        None without a bottleneck. A non-finite sender logit raises
+        NumericalError."""
+        h = stack_forward(self.sender, self._rows(x))
+        symbols = None
+        if self.bottleneck is not None:
+            symbols = hard_decode(h)
+            h = one_hot(symbols, self.vocab_size)
+        return stack_forward(self.receiver, h), symbols
+
     def backward(self, tape, dlogits, grads, input_grad=False):
-        """Backpropagate a logit gradient through a train-mode forward's tape,
+        """Backpropagate a logit gradient through a `forward`'s tape,
         writing each layer's gradients into its (weight, bias) pair in
         `grads` (forward order). Returns the input gradient when
         `input_grad` is true; training needs none, so it is skipped."""
@@ -156,7 +154,7 @@ class ModelGraph:
 
 
 class Tape(NamedTuple):
-    """What a train-mode forward keeps for its backward: each layer's
+    """What `forward` keeps for its backward: each layer's
     (input, pre-activation), and the channel's (probs, relaxed) or None."""
 
     sender: list
@@ -244,16 +242,15 @@ def dataset_loss(model, dataset, batch_size, noise=None):
 
     With a bottleneck and `noise` (one [num_samples, K] row of Gumbel noise
     per sample), the soft relaxation is used with that noise (the
-    validation contract); otherwise the forward pass is the deterministic
-    eval path.
+    validation contract); otherwise it is the noise-free `decode`.
     """
     total = 0.0
     for idx in _batches(dataset.num_samples, batch_size):
         xb = dataset.features[idx]
         if model.bottleneck is not None and noise is not None:
-            logits = model.forward(xb, mode="train", noise=noise[idx])[0]
+            logits = model.forward(xb, noise[idx])[0]
         else:
-            logits = model.forward(xb, mode="eval")[0]
+            logits = model.decode(xb)[0]
         loss, _ = softmax_cross_entropy(logits, dataset.labels[idx])
         total += loss * len(idx)
     return total / dataset.num_samples
@@ -269,7 +266,8 @@ def train(model, train_set, val_set, config):
     Returns a TrainLog; the model is left holding the best-validation-epoch
     parameters as views into one flat vector. Shapes, features and labels
     are checked once, up front; raises NumericalError (naming the epoch) on
-    a non-finite logit or loss.
+    a non-finite logit or loss. Every random stream starts here, so equal
+    weights and config train to equal results.
     """
     config.validate()
     if train_set.num_samples == 0 or val_set.num_samples == 0:
@@ -291,10 +289,11 @@ def train(model, train_set, val_set, config):
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
     params, grads, grad_views = _pack(model)
     state = AdamState(params, learning_rate=config.learning_rate)
-    # drawn once per call: every epoch's validation loss sees the same
-    # noise, so losses compare across epochs
-    val_noise = None
+    # each batch's noise comes from the sampler's seed; the validation noise
+    # is drawn once per call, so losses compare across epochs
+    noise_rng = val_noise = None
     if model.bottleneck is not None:
+        noise_rng = np.random.default_rng(model.bottleneck.rng_seed)
         val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
         val_noise = noise_from_uniform(
             val_rng.random(size=(val_set.num_samples, model.vocab_size))
@@ -307,9 +306,13 @@ def train(model, train_set, val_set, config):
         order = shuffle_rng.permutation(train_set.num_samples)
         running = 0.0
         for idx in _batches(train_set.num_samples, config.batch_size, order):
+            noise = None
+            if noise_rng is not None:
+                u = noise_rng.random((len(idx), model.vocab_size))
+                noise = noise_from_uniform(u)
             try:
-                logits, tape = model.forward(train_set.features[idx], mode="train")
-            except InputError:
+                logits, tape = model.forward(train_set.features[idx], noise)
+            except NumericalError:
                 # inputs were validated up front, so a non-finite logit here
                 # means the optimization blew up
                 raise _diverged(epoch) from None
@@ -323,7 +326,7 @@ def train(model, train_set, val_set, config):
         train_loss = running / train_set.num_samples
         try:
             val_loss = dataset_loss(model, val_set, config.batch_size, val_noise)
-        except InputError:
+        except NumericalError:
             raise _diverged(epoch) from None
         if not math.isfinite(val_loss):
             raise _diverged(epoch)
@@ -402,7 +405,7 @@ def evaluate(model, test_set):
         raise InputError("test set must be non-empty")
     if not np.all(np.isfinite(test_set.features)):
         raise InputError("test features contain non-finite values")
-    logits, symbols = model.forward(test_set.features, mode="eval")
+    logits, symbols = model.decode(test_set.features)
     predictions = np.argmax(logits, axis=1)
     accuracy = float((predictions == test_set.labels).mean())
     f1 = macro_f1(test_set.labels, predictions, model.num_classes)
@@ -428,20 +431,16 @@ def _layer_doc(layer):
 
 
 def _layer_from_doc(doc):
-    try:
-        out_dim, in_dim = doc["shape"]
-        weights = np.array(doc["weights"], dtype=np.float64)
-        bias = np.array(doc["bias"], dtype=np.float64)
-        activation = doc["activation"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed layer document: {exc}") from None
+    out_dim, in_dim = doc["shape"]
+    weights = np.array(doc["weights"], dtype=np.float64)
+    bias = np.array(doc["bias"], dtype=np.float64)
     if weights.size != out_dim * in_dim or bias.size != out_dim:
         raise InputError(
             f"layer data does not match declared shape [{out_dim}, {in_dim}]"
         )
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
         raise InputError("layer weights and bias must be finite")
-    return DenseLayer(weights.reshape(out_dim, in_dim), bias, activation)
+    return DenseLayer(weights.reshape(out_dim, in_dim), bias, doc["activation"])
 
 
 def save_checkpoint(model, standardization=None, feature_names=None,
@@ -490,67 +489,63 @@ class Checkpoint(NamedTuple):
 
 
 def load_checkpoint(doc):
-    """The Checkpoint a `save_checkpoint` document describes. Every section
-    is checked before anything is returned; a missing or malformed one
-    raises InputError."""
-    if not isinstance(doc, dict):
-        raise InputError("checkpoint document must be a mapping")
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise InputError(
-            f"unsupported checkpoint version {version!r}, expected "
-            f"{CHECKPOINT_VERSION}"
-        )
-    kind = doc.get("kind")
-    if kind not in ("el", "baseline"):
-        raise InputError(f"unknown model kind {kind!r}")
+    """The Checkpoint a `save_checkpoint` document describes. The whole
+    document is checked in one pass before anything is returned; a missing
+    or malformed section raises InputError."""
     try:
+        if not isinstance(doc, dict):
+            raise InputError("checkpoint document must be a mapping")
+        version = doc.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise InputError(
+                f"unsupported checkpoint version {version!r}, expected "
+                f"{CHECKPOINT_VERSION}"
+            )
+        kind = doc.get("kind")
+        if kind not in ("el", "baseline"):
+            raise InputError(f"unknown model kind {kind!r}")
         sender = [_layer_from_doc(d) for d in doc["sender"]]
         receiver = [_layer_from_doc(d) for d in doc["receiver"]]
-        stats = doc["standardization"]
-        names = doc["feature_names"], doc["class_names"]
-    except KeyError as exc:
-        raise InputError(f"checkpoint missing section {exc}") from None
-    bottleneck = None
-    if kind == "el":
-        try:
+        bottleneck = None
+        if kind == "el":
             bottleneck = GumbelSoftmaxSampler(
                 doc["vocab_size"],
                 temperature=doc["temperature"],
                 seed=doc.get("sampler_seed", 0),
             )
-        except (KeyError, InputError) as exc:
-            raise InputError(f"bad sampler metadata: {exc}") from None
-    model = ModelGraph(sender, receiver, bottleneck)
-    if model.input_dim != doc.get("input_dim") or model.num_classes != doc.get(
-        "num_classes"
-    ):
-        raise InputError("checkpoint metadata does not match layer shapes")
-    if stats is not None:
-        try:
-            stats = tuple(as_f64(stats[key]) for key in ("mean", "std"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed standardization: {exc!r}") from None
-        for values in stats:
-            if values.shape != (model.input_dim,) or not np.all(np.isfinite(values)):
-                raise InputError(
-                    "standardization must hold input_dim finite means and stds"
-                )
-        if not np.all(stats[1] > 0):
-            raise InputError("standardization std must be positive")
-    for values, count, optional in (
-        (names[0], model.input_dim, False),
-        (names[1], model.num_classes, True),
-    ):
-        if values is None and optional:
-            continue
-        if (
-            not isinstance(values, list)
-            or len(values) != count
-            or not all(isinstance(name, str) for name in values)
+        model = ModelGraph(sender, receiver, bottleneck)
+        if model.input_dim != doc.get("input_dim") or model.num_classes != doc.get(
+            "num_classes"
         ):
-            raise InputError(
-                "checkpoint names must be lists of input_dim feature and "
-                "num_classes class strings"
-            )
-    return Checkpoint(model, stats, *names)
+            raise InputError("checkpoint metadata does not match layer shapes")
+        stats = doc["standardization"]
+        if stats is not None:
+            stats = tuple(as_f64(stats[key]) for key in ("mean", "std"))
+            for values in stats:
+                if values.shape != (model.input_dim,) or not np.all(np.isfinite(values)):
+                    raise InputError(
+                        "standardization must hold input_dim finite means and stds"
+                    )
+            if not np.all(stats[1] > 0):
+                raise InputError("standardization std must be positive")
+        names = doc["feature_names"], doc["class_names"]
+        for values, count, optional in (
+            (names[0], model.input_dim, False),
+            (names[1], model.num_classes, True),
+        ):
+            if values is None and optional:
+                continue
+            if (
+                not isinstance(values, list)
+                or len(values) != count
+                or not all(isinstance(name, str) for name in values)
+            ):
+                raise InputError(
+                    "checkpoint names must be lists of input_dim feature and "
+                    "num_classes class strings"
+                )
+        return Checkpoint(model, stats, *names)
+    except InputError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed checkpoint: {exc!r}") from None

@@ -339,11 +339,9 @@ def cmd_attribute(args):
 def cmd_repro(args):
     opts = _resolve(REPRO_OPTIONS, args)
     out = args.out
-    os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "config.json"), opts)
-
     data_dir = os.path.join(out, "data")
-    _generate_to(opts, data_dir)
+    _generate_to(opts, data_dir)  # checks the data options, then makes `out`
+    _write_json(os.path.join(out, "config.json"), opts)
 
     reports = {}
     for kind in ("baseline", "el"):

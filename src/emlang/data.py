@@ -91,6 +91,8 @@ class SynthSpec:
                 raise InputError(f"{name} must be positive")
         if self.noise_sigma < 0:
             raise InputError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
 
 def _balanced_labels(n, num_classes):

@@ -6,17 +6,17 @@ category probabilities makes the argmax an exact categorical draw; dividing
 by a temperature and renormalizing with a softmax keeps the draw
 differentiable, so gradients reach the sender.
 
-Training uses the sampler: `relax` returns the soft forward's tape and
-`relax_backward` takes it back; the sampler keeps nothing between calls but
-its noise stream. Evaluation is noise-free: `hard_decode` picks each row's
-argmax symbol and `one_hot` encodes it for the receiver.
+Training uses the sampler: `relax` returns the soft forward's tape for the
+noise it is given and `relax_backward` takes it back; the sampler keeps
+nothing between calls. Evaluation is noise-free: `hard_decode` picks each
+row's argmax symbol and `one_hot` encodes it for the receiver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .nn import as_f64, log_softmax, softmax
 
 # Uniform draws are clamped away from {0, 1} before the double log.
@@ -37,13 +37,14 @@ def one_hot(indices, depth):
 
 
 def _check_finite(logits):
+    # inputs and weights are checked finite at entry, so this is an overflow
     if not np.isfinite(logits).all():
-        raise InputError("logits contain non-finite values")
+        raise NumericalError("logits contain non-finite values")
 
 
 def hard_decode(logits):
     """Symbol index per row of [batch, K] logits (or relaxed rows): argmax,
-    ties broken by lowest index. A non-finite value raises InputError."""
+    ties broken by lowest index. A non-finite value raises NumericalError."""
     logits = as_f64(logits)
     if logits.ndim != 2:
         raise InputError(f"expected [batch, K] rows, got shape {logits.shape}")
@@ -55,13 +56,12 @@ class GumbelSoftmaxSampler:
     """Soft Gumbel-softmax relaxation over a vocabulary of K symbols, for
     training.
 
-    `relax` draws Gumbel noise g and returns
+    `relax` takes Gumbel noise g and returns
     softmax((log_softmax(logits) + g) / temperature) with its tape; rows lie
     strictly inside the simplex. `relax_backward` is the exact
     Jacobian-vector product w.r.t. the logits (noise treated as constant).
 
-    The sampler owns its RNG stream; callers may inject explicit noise
-    (e.g. to freeze it for finite-difference checks).
+    `rng_seed` seeds the noise that `train` draws; the sampler draws none.
     """
 
     def __init__(self, vocab_size, temperature=1.0, seed=0):
@@ -69,29 +69,27 @@ class GumbelSoftmaxSampler:
             raise InputError(f"vocab_size must be >= 2, got {vocab_size}")
         if not (temperature > 0):
             raise InputError(f"temperature must be positive, got {temperature}")
+        if seed < 0:
+            raise InputError(f"sampler seed must be >= 0, got {seed}")
         self.vocab_size = int(vocab_size)
         self.temperature = float(temperature)
         self.rng_seed = int(seed)
-        self.rng = np.random.default_rng(self.rng_seed)
 
-    def relax(self, logits, noise=None):
-        """Soft forward of float64 [batch, K] logits, with the given noise or
-        the sampler's; returns the tape (softmax(logits), relaxed output).
-        A non-finite logit raises InputError: a training blow-up shows here."""
+    def relax(self, logits, noise):
+        """Soft forward of float64 [batch, K] logits with [batch, K] noise;
+        returns the tape (softmax(logits), relaxed output). A non-finite
+        logit raises NumericalError: a training blow-up shows here."""
         if logits.ndim != 2 or logits.shape[1] != self.vocab_size:
             raise InputError(
                 f"logits shape {logits.shape} incompatible with vocabulary "
                 f"size {self.vocab_size}"
             )
         _check_finite(logits)
-        if noise is None:
-            noise = noise_from_uniform(self.rng.random(size=logits.shape))
-        else:
-            noise = as_f64(noise)
-            if noise.shape != logits.shape:
-                raise InputError(
-                    f"noise shape {noise.shape} does not match logits {logits.shape}"
-                )
+        noise = as_f64(noise)
+        if noise.shape != logits.shape:
+            raise InputError(
+                f"noise shape {noise.shape} does not match logits {logits.shape}"
+            )
         log_p = log_softmax(logits)
         relaxed = softmax((log_p + noise) / self.temperature)
         return np.exp(log_p), relaxed

@@ -112,7 +112,7 @@ def check_end_to_end_instance(seed):
         model = build_model(6, 3, vocab_size=5, hidden_dim=4,
                             seed=seed * 100 + attempt)
         x = rng.normal(size=(2, 6))
-        logits, tape = model.forward(x, mode="train", noise=noise)
+        logits, tape = model.forward(x, noise)
         margin = min(
             float(np.min(np.abs(z)))
             for layer, (_, z) in zip(model.layers(), tape.sender + tape.receiver)
@@ -125,7 +125,7 @@ def check_end_to_end_instance(seed):
     input_grad = model.backward(tape, dlogits, grads, input_grad=True)
 
     def loss():
-        out, _ = model.forward(x, mode="train", noise=noise)
+        out, _ = model.forward(x, noise)
         return softmax_cross_entropy(out, labels)[0]
 
     worst = max_rel_err(input_grad, central_diff_inplace(loss, x))
@@ -175,7 +175,9 @@ def test_criterion_2_sampler_statistics():
         rng = np.random.default_rng(500 + k)
         logits = rng.normal(size=k)
         sampler = GumbelSoftmaxSampler(k, temperature=1.0, seed=600 + k)
-        relaxed = sampler.relax(np.tile(logits, (n, 1)))[1]
+        noise_rng = np.random.default_rng(sampler.rng_seed)
+        noise = noise_from_uniform(noise_rng.random((n, k)))
+        relaxed = sampler.relax(np.tile(logits, (n, 1)), noise)[1]
         worst_row_sum = max(
             worst_row_sum, float(np.max(np.abs(relaxed.sum(axis=1) - 1.0)))
         )
@@ -333,7 +335,7 @@ def test_criterion_6_attribution_faithfulness():
     report = per_symbol_report(model, test_set, AttributionConfig())
     dominant = dict(zip(report.symbols, report.dominant_blocks(spec.block_size)))
 
-    _, sample_symbols = model.forward(test_set.features, mode="eval")
+    _, sample_symbols = model.decode(test_set.features)
     results = []
     for k in range(spec.num_classes):
         class_symbols = sample_symbols[test_set.labels == k]

@@ -341,7 +341,7 @@ def test_per_symbol_report_matches_the_per_sample_reference(seed, n, output):
     ds = Dataset(rng.normal(size=(n, 5)) * 2.0, np.zeros(n, dtype=int), ["a"])
     report = per_symbol_report(model, ds, AttributionConfig(riemann_steps=16,
                                                            output=output))
-    logits, symbols = model.forward(ds.features, mode="eval")
+    logits, symbols = model.decode(ds.features)
     stack = attribution_stack(model)
     sums, scales = {}, {}
     for x, symbol, target in zip(ds.features, symbols, np.argmax(logits, axis=1)):
@@ -379,7 +379,7 @@ def test_attribution_leaves_training_state_untouched(attribute):
     }
 
     def gradients(between):
-        _, tape = model.forward(xb, mode="train", noise=noise)
+        _, tape = model.forward(xb, noise)
         between()
         layer_grads = grad_buffers(model.layers())
         g = model.backward(tape, dlogits, layer_grads, input_grad=True)
@@ -465,6 +465,17 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_baseline_is_rejected(value):
+    stack = random_relu_net(13)
+    baseline = np.zeros(6)
+    baseline[2] = value
+    for target in (None, 0):
+        config = AttributionConfig(baseline=baseline, target_class=target)
+        with pytest.raises(InputError, match="non-finite"):
+            integrated_gradients(stack, np.ones(6), config)
+
+
 def test_probability_output_completeness():
     stack = random_relu_net(14)
     x = np.random.default_rng(15).normal(size=6)
@@ -507,7 +518,7 @@ def test_per_symbol_report_single_sample():
     report = per_symbol_report(model, one, config)
     assert report.counts == [1]
     assert report.matrix.shape == (1, spec.feature_dim)
-    _, symbols = model.forward(one.features, mode="eval")
+    _, symbols = model.decode(one.features)
     direct = neuron_conductance(
         model,
         one.features[0],
@@ -535,7 +546,7 @@ def test_per_symbol_report_finds_informative_blocks():
                                AttributionConfig(riemann_steps=100))
     blocks = report.dominant_blocks(spec.block_size)
     # majority class per symbol determines the expected block
-    _, symbols = model.forward(test_set.features, mode="eval")
+    _, symbols = model.decode(test_set.features)
     for (symbol, (block, share)) in zip(report.symbols, blocks):
         rows = [i for i, s in enumerate(symbols) if s == symbol]
         majority = np.bincount(test_set.labels[rows]).argmax()

@@ -44,7 +44,7 @@ def test_forward_shapes_and_records():
     x = rng.normal(size=(6, 5))
     el = build_model(5, 3, vocab_size=7, hidden_dim=4, seed=2)
     noise = noise_from_uniform(rng.uniform(size=(6, 7)))
-    logits, tape = el.forward(x, mode="train", noise=noise)
+    logits, tape = el.forward(x, noise)
     symbols = hard_decode(tape.channel[1])
     assert logits.shape == (6, 3)
     assert symbols.shape == (6,)
@@ -60,7 +60,7 @@ def test_forward_shapes_and_records():
 
     baseline = build_model(5, 3, vocab_size=7, hidden_dim=4,
                            with_bottleneck=False, seed=2)
-    logits, tape = baseline.forward(x, mode="train")
+    logits, tape = baseline.forward(x)
     assert logits.shape == (6, 3)
     assert tape.channel is None
 
@@ -68,7 +68,7 @@ def test_forward_shapes_and_records():
 def test_eval_forward_emits_one_record_per_sample():
     model = build_model(5, 3, vocab_size=9, hidden_dim=4, seed=3)
     x = np.random.default_rng(4).normal(size=(1, 5))
-    logits, symbols = model.forward(x, mode="eval")
+    logits, symbols = model.decode(x)
     assert logits.shape == (1, 3)
     assert symbols.shape == (1,)
     assert 0 <= symbols[0] < 9
@@ -82,8 +82,8 @@ def test_eval_forward_emits_one_record_per_sample():
 def test_eval_forward_is_deterministic():
     model = build_model(5, 3, vocab_size=9, hidden_dim=4, seed=5)
     x = np.random.default_rng(6).normal(size=(8, 5))
-    first, sym_a = model.forward(x, mode="eval")
-    second, sym_b = model.forward(x, mode="eval")
+    first, sym_a = model.decode(x)
+    second, sym_b = model.decode(x)
     np.testing.assert_array_equal(first, second)
     np.testing.assert_array_equal(sym_a, sym_b)
 
@@ -94,15 +94,15 @@ def test_bottleneck_bypass_reproduces_baseline_exactly():
                            with_bottleneck=False, seed=7)
     x = np.random.default_rng(8).normal(size=(5, 6))
     el.bottleneck = None
-    a, _ = el.forward(x, mode="eval")
-    b, _ = baseline.forward(x, mode="eval")
+    a, _ = el.decode(x)
+    b, _ = baseline.decode(x)
     np.testing.assert_array_equal(a, b)
 
 
 def test_zero_noise_unit_temperature_acts_as_softmax_bottleneck():
     model = build_model(4, 3, vocab_size=6, hidden_dim=4, temperature=1.0, seed=9)
     x = np.random.default_rng(10).normal(size=(3, 4))
-    logits, _ = model.forward(x, mode="train", noise=np.zeros((3, 6)))
+    logits, _ = model.forward(x, np.zeros((3, 6)))
     h = x
     for layer in model.sender:
         h = layer.forward(h)
@@ -139,13 +139,13 @@ def test_end_to_end_gradients_match_finite_differences():
     labels = np.array([0, 2, 1])
     noise = noise_from_uniform(np.random.default_rng(15).uniform(size=(3, 5)))
 
-    logits, tape = model.forward(x, mode="train", noise=noise)
+    logits, tape = model.forward(x, noise)
     _, dlogits = softmax_cross_entropy(logits, labels)
     grads = grad_buffers(model.layers())
     input_grad = model.backward(tape, dlogits, grads, input_grad=True)
 
     def loss():
-        out, _ = model.forward(x, mode="train", noise=noise)
+        out, _ = model.forward(x, noise)
         return softmax_cross_entropy(out, labels)[0]
 
     for layer, (gw, gb) in zip(model.layers(), grads):
@@ -247,7 +247,7 @@ def test_tape_gradient_equals_cached_per_layer_backward_bit_for_bit(case):
 
     _, grads, grad_views = _pack(model)
     grads[...] = np.nan  # every entry must be written
-    logits, tape = model.forward(x, mode="train", noise=noise)
+    logits, tape = model.forward(x, noise)
     assert model.backward(tape, dlogits, grad_views) is None
     assert np.array_equal(logits, want_logits)
     assert np.array_equal(grads, want_flat)
@@ -348,6 +348,30 @@ def test_train_twice_from_one_config_gives_equal_parameters(with_bottleneck):
         assert np.array_equal(a, b)
 
 
+def test_retraining_restored_initial_weights_repeats_the_run():
+    # the model holds only its weights: every noise stream starts in `train`,
+    # so one object trained twice from the same weights trains the same way
+    ds = two_class_toy(n=16, seed=53)
+    val = two_class_toy(n=8, seed=54)
+    config = TrainConfig(max_epochs=6, patience=6, vocab_size=4, seed=55)
+    model = build_model(2, 2, vocab_size=4, hidden_dim=4, seed=55)
+    initial = [(layer.weights.copy(), layer.bias.copy()) for layer in model.layers()]
+    runs = []
+    for _ in range(2):
+        for layer, (weights, bias) in zip(model.layers(), initial):
+            layer.weights[...] = weights
+            layer.bias[...] = bias
+        log = train(model, ds, val, config)
+        runs.append((
+            [(s.train_loss, s.val_loss) for s in log.epochs],
+            [a.copy() for layer in model.layers() for a in (layer.weights, layer.bias)],
+        ))
+    (losses_a, params_a), (losses_b, params_b) = runs
+    assert losses_a == losses_b
+    for a, b in zip(params_a, params_b):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_trained_model_round_trips_through_checkpoint():
     ds = two_class_toy(n=16, seed=53)
     val = two_class_toy(n=8, seed=54)
@@ -363,8 +387,8 @@ def test_trained_model_round_trips_through_checkpoint():
     for la, lb in zip(model.layers(), restored.layers()):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
-    logits_a, symbols_a = model.forward(ds.features, mode="eval")
-    logits_b, symbols_b = restored.forward(ds.features, mode="eval")
+    logits_a, symbols_a = model.decode(ds.features)
+    logits_b, symbols_b = restored.decode(ds.features)
     assert np.array_equal(logits_a, logits_b)
     assert np.array_equal(symbols_a, symbols_b)
 
@@ -433,6 +457,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0).validate()
     with pytest.raises(InputError):
         TrainConfig(temperature=-1.0).validate()
+    with pytest.raises(InputError, match="seed"):
+        TrainConfig(seed=-1).validate()
 
 
 def test_train_config_defaults():
@@ -558,8 +584,8 @@ def test_checkpoint_round_trip_bit_exact(case):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in stats]
     default = [f"f{i}" for i in range(model.input_dim)]
     assert (got_features, got_classes) == (features or default, classes)
-    logits_a, symbols_a = model.forward(x, mode="eval")
-    logits_b, symbols_b = restored.forward(x, mode="eval")
+    logits_a, symbols_a = model.decode(x)
+    logits_b, symbols_b = restored.decode(x)
     assert logits_a.tobytes() == logits_b.tobytes()
     if model.bottleneck is None:
         assert symbols_a is None and symbols_b is None
@@ -644,3 +670,19 @@ def test_checkpoint_version_and_corruption_errors():
         bad[section][-1]["bias"][0] = value
         with pytest.raises(InputError, match="finite"):
             load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sender", 5),
+    ("vocab_size", "x"),
+    ("temperature", "x"),
+    ("sampler_seed", "x"),
+    ("sampler_seed", -1),
+    ("standardization", 5),
+    ("standardization", {"mean": "x", "std": [1.0, 1.0, 1.0]}),
+])
+def test_malformed_checkpoint_sections_raise_input_error(key, value):
+    model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39)
+    doc = {**save_checkpoint(model), key: value}
+    with pytest.raises(InputError):
+        load_checkpoint(doc)

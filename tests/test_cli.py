@@ -355,13 +355,20 @@ def test_attribute_rejects_nonfinite_checkpoint_layers(tmp_path, capsys):
         assert not (tmp_path / section).exists()
 
 
-def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys):
+@pytest.mark.parametrize("section, message", [
+    ("sender", "logits contain non-finite values"),
+    ("receiver", "non-finite network output"),
+], ids=["sender", "receiver"])
+def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys, section,
+                                                    message):
+    # inputs and weights are finite, so a non-finite value on either side of
+    # the channel is an overflow: a numerical error, exit 3
     import numpy as np
 
     data = gen_small(tmp_path)
     out = train_small(tmp_path, data, "el")
     doc = read_json(out / "checkpoint.json")
-    layer = doc["receiver"][-1]
+    layer = doc[section][-1]
     layer["weights"] = [1e308] * len(layer["weights"])
     ckpt = tmp_path / "overflow.json"
     ckpt.write_text(json.dumps(doc))
@@ -371,8 +378,59 @@ def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys):
             "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
         ])
     assert code == 3
-    assert "non-finite network output" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "attr").exists()
+
+
+def untrained_checkpoint(tmp_path, **changes):
+    """An el checkpoint for gen_small's columns, with `changes` applied."""
+    from emlang.classifier import build_model, save_checkpoint
+
+    doc = save_checkpoint(build_model(28, 4, vocab_size=12, hidden_dim=12))
+    doc.update(changes)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_attribute_malformed_checkpoint_exits_2_without_writing(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    assert run([
+        "attribute", "--checkpoint", str(untrained_checkpoint(tmp_path, sender=5)),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert "malformed checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
+def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
+                                                                     capsys):
+    data = gen_small(tmp_path)
+    assert run([
+        "attribute", "--checkpoint", str(untrained_checkpoint(tmp_path)),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+        "--baseline-vector", ",".join(["nan"] + ["0"] * 27),
+    ]) == 2
+    assert "baseline contains non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gen", "train", "repro"])
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, via):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command == "train":
+        argv += ["--data", str(gen_small(tmp_path))]
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config)]
+    assert run(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def scale_csvs(data, factor, offset):

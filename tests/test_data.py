@@ -106,6 +106,8 @@ def test_spec_validation():
         generate_synthetic(SynthSpec(train_samples=0))
     with pytest.raises(InputError):
         generate_synthetic(SynthSpec(noise_sigma=-1.0))
+    with pytest.raises(InputError, match="seed"):
+        generate_synthetic(SynthSpec(seed=-1))
 
 
 # every finite float64, with the edge cases of its decimal text made likely
