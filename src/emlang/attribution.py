@@ -23,10 +23,19 @@ Every attribution is one batched pass of `attribute_block` over the paths
 of several samples: quadrature rows carry a sample id and stay sorted by
 (sample, a), one forward over all rows keeps its relu masks in local
 arrays, one backward computes input gradients only, and `np.add.reduceat`
-sums each sample's rows. `per_symbol_report` feeds it BLOCK samples at a
-time; `integrated_gradients` and `neuron_conductance` are the one-sample
-case. Nothing is stored on the model, so attribution leaves a model's
-training state untouched.
+sums each sample's rows. `integrated_gradients` and `neuron_conductance`
+are the one-sample case. Nothing is stored on the model, so attribution
+leaves a model's training state untouched.
+
+`per_symbol_report` feeds `attribute_block` BLOCK samples at a time. The
+blocks are independent, so it splits them into contiguous runs, one per
+usable CPU with at least MIN_RUN blocks each: this process attributes the
+first run and forked children the others, each child sending its run's
+symbols and vectors back through a pipe. OpenBLAS is pinned to one thread
+meanwhile and restored afterwards. Every run keeps the BLOCK boundaries
+and the merge adds the runs in sample order, so the report's bytes do not
+depend on how many processes ran; where BLAS cannot be pinned or `os.fork`
+is unavailable, one process runs every block.
 
 For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
@@ -39,6 +48,11 @@ and symbol-specific.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +71,13 @@ OUTPUTS = ("logit", "probability")
 # synthetic rows, blocks of 8 and of 2 moved conductances by up to 1.8e-15,
 # so changing it changes every `repro` report.
 BLOCK = 4
+
+# Fewest blocks a worker process is given. On a 2-vCPU VM a fork round trip
+# cost 2-3 ms at ~45 MiB resident (~1 ms more when the parent rewrites its
+# pages meanwhile) and a block 1.4-1.7 ms, so a run of 16 blocks spends about
+# a tenth of its time on the fork; `repro`'s 171 test rows (43 blocks) still
+# make two runs.
+MIN_RUN = 16
 
 
 @dataclass
@@ -356,20 +377,30 @@ def per_symbol_report(model, dataset, config):
     if config.target_class is not None:
         _check_target(stack, int(config.target_class))
     symbol_layer = len(model.sender) - 1
+
+    def blocks(first, last):
+        # (symbols, vectors) of blocks first..last-1, one block at a time
+        for start in range(first * BLOCK, min(last * BLOCK, dataset.num_samples),
+                           BLOCK):
+            xs = features[start : start + BLOCK]
+            logits, symbols = model.decode(xs)
+            if config.target_class is None:
+                targets = np.argmax(logits, axis=1)
+            else:
+                targets = np.full(xs.shape[0], int(config.target_class))
+            yield symbols, attribute_block(stack, xs, baseline, targets,
+                                           config.output, config.riemann_steps,
+                                           symbol_layer, symbols)
+
     sums = np.zeros((model.vocab_size, dataset.num_features))
     counts = np.zeros(model.vocab_size, dtype=np.int64)
-    for start in range(0, dataset.num_samples, BLOCK):
-        xs = features[start : start + BLOCK]
-        logits, symbols = model.decode(xs)
-        if config.target_class is None:
-            targets = np.argmax(logits, axis=1)
-        else:
-            targets = np.full(xs.shape[0], int(config.target_class))
-        vecs = attribute_block(stack, xs, baseline, targets, config.output,
-                               config.riemann_steps, symbol_layer, symbols)
+
+    def merge(symbols, vecs):
         # in sample order, so each symbol's sum adds up as one at a time
         np.add.at(sums, symbols, vecs)
         np.add.at(counts, symbols, 1)
+
+    _run_blocks(-(-dataset.num_samples // BLOCK), blocks, merge)
     symbols = np.flatnonzero(counts)
     return ConductanceReport(
         symbols=symbols.tolist(),
@@ -377,3 +408,114 @@ def per_symbol_report(model, dataset, config):
         matrix=sums[symbols] / counts[symbols, None],
         feature_labels=list(dataset.feature_names),
     )
+
+
+def _processes(num_blocks):
+    """How many processes attribute `num_blocks` blocks: one per usable CPU,
+    each with at least MIN_RUN blocks, and at least 1."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), num_blocks // MIN_RUN))
+
+
+def _blas_pin():
+    """(get, set) of the loaded OpenBLAS's thread count, or None when no
+    OpenBLAS that exports them is mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _run_blocks(num_blocks, blocks, merge):
+    """merge(symbols, vectors) for every block, in order, where
+    blocks(first, last) yields them for the blocks first..last-1.
+
+    The blocks are split into contiguous runs, one per process: this
+    process runs the first and forked children the rest, with OpenBLAS
+    pinned to one thread, since two processes with a BLAS pool each
+    oversubscribe the CPUs. The runs are merged in order, each as it
+    arrives, and a child's error is raised only if no earlier run failed,
+    so results and errors are those of one process running every block.
+    """
+    processes = _processes(num_blocks)
+    pin = None
+    # fork copies only the calling thread: never fork beside Python threads
+    if processes > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        pin = _blas_pin()
+    if pin is None:
+        for result in blocks(0, num_blocks):
+            merge(*result)
+        return
+    bounds = [num_blocks * i // processes for i in range(processes + 1)]
+    get_threads, set_threads = pin
+    threads = get_threads()
+    set_threads(1)
+    children = []  # (pid, read end of its pipe), in run order
+    try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_run(blocks, first, last))
+        for result in blocks(0, bounds[1]):
+            merge(*result)
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status != 0:
+                raise RuntimeError(
+                    f"attribution worker {pid} exited with status {status}"
+                )
+            result = pickle.loads(payload)  # written by our own child
+            if isinstance(result, BaseException):
+                raise result
+            merge(*result)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        set_threads(threads)
+
+
+def _fork_run(blocks, first, last):
+    """Fork a child that runs blocks first..last-1 and writes, pickled, its
+    run's (symbols, vectors) or the exception that stopped it to a pipe;
+    returns (child pid, read end as a binary file)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                symbols, vecs = zip(*blocks(first, last))
+                result = np.concatenate(symbols), np.concatenate(vecs)
+            except Exception as exc:
+                result = exc
+            view = memoryview(pickle.dumps(result))
+            while view:
+                view = view[os.write(write, view):]
+            status = 0
+        finally:
+            # no atexit handler, no stdio flush, no return into the parent's
+            # stack
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")

@@ -142,7 +142,7 @@ def _resolve(options, args):
 
 
 def _spec_from_options(opts):
-    return SynthSpec(
+    spec = SynthSpec(
         num_classes=opts["classes"],
         block_size=opts["block_size"],
         train_samples=opts["train_samples"],
@@ -152,11 +152,11 @@ def _spec_from_options(opts):
         noise_sigma=opts["noise_sigma"],
         seed=opts["seed"],
     )
-
-
-def _generate_to(opts, out_dir):
-    spec = _spec_from_options(opts)
     spec.validate()
+    return spec
+
+
+def _generate_to(spec, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "spec.json"), asdict(spec))
     for ds in generate_synthetic(spec):
@@ -164,7 +164,7 @@ def _generate_to(opts, out_dir):
 
 
 def cmd_gen(args):
-    _generate_to(_resolve(GEN_OPTIONS, args), args.out)
+    _generate_to(_spec_from_options(_resolve(GEN_OPTIONS, args)), args.out)
 
 
 def _load_finite_csv(path, label_column, split):
@@ -215,7 +215,8 @@ def _write_training_log(path, log):
             writer.writerow([stats.epoch, repr(stats.train_loss), repr(stats.val_loss)])
 
 
-def _train_to(opts, data_dir, out_dir):
+def _train_config(opts):
+    """The TrainConfig the options describe, checked along with --hidden."""
     config = TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
@@ -228,6 +229,11 @@ def _train_to(opts, data_dir, out_dir):
     config.validate()
     if opts["hidden"] < 1:
         raise InputError("hidden must be a positive integer")
+    return config
+
+
+def _train_to(opts, data_dir, out_dir):
+    config = _train_config(opts)
     train_set, val_set, test_set = _load_split_dir(data_dir, opts["label_column"])
     stats = standardization(train_set) if opts["standardize"] else None
     if stats is not None:
@@ -280,7 +286,21 @@ def _parse_baseline_vector(text, dim):
         raise InputError(
             f"baseline vector has {len(values)} entries, expected {dim}"
         )
+    if not np.all(np.isfinite(values)):
+        raise InputError("baseline contains non-finite values")
     return np.array(values)
+
+
+def _attribution_config(opts, dim):
+    """The AttributionConfig the options describe for `dim` features,
+    checked."""
+    config = AttributionConfig(
+        baseline=_parse_baseline_vector(opts["baseline_vector"], dim),
+        riemann_steps=opts["riemann_steps"],
+        output=opts["output_mode"],
+    )
+    config.validate()
+    return config
 
 
 def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
@@ -302,12 +322,7 @@ def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
             f"feature count {test_set.num_features} is not a multiple of "
             f"block size {opts['block_size']}; set --block-size"
         )
-    config = AttributionConfig(
-        baseline=_parse_baseline_vector(opts["baseline_vector"], test_set.num_features),
-        riemann_steps=opts["riemann_steps"],
-        output=opts["output_mode"],
-    )
-    config.validate()
+    config = _attribution_config(opts, test_set.num_features)
     report = per_symbol_report(model, test_set, config)
     summary = [
         {
@@ -340,7 +355,11 @@ def cmd_repro(args):
     opts = _resolve(REPRO_OPTIONS, args)
     out = args.out
     data_dir = os.path.join(out, "data")
-    _generate_to(opts, data_dir)  # checks the data options, then makes `out`
+    # every option is checked before anything is written
+    spec = _spec_from_options(opts)
+    _train_config(opts)
+    _attribution_config(opts, spec.feature_dim)
+    _generate_to(spec, data_dir)  # makes `out`
     _write_json(os.path.join(out, "config.json"), opts)
 
     reports = {}

@@ -14,6 +14,8 @@ row's argmax symbol and `one_hot` encodes it for the receiver.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import InputError, NumericalError
@@ -65,6 +67,14 @@ class GumbelSoftmaxSampler:
     """
 
     def __init__(self, vocab_size, temperature=1.0, seed=0):
+        # a bool or a fraction is rejected, never coerced into a count or seed
+        for name, value, kind, what in (
+            ("vocab_size", vocab_size, numbers.Integral, "an integer"),
+            ("temperature", temperature, numbers.Real, "a real number"),
+            ("sampler seed", seed, numbers.Integral, "an integer"),
+        ):
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InputError(f"{name} must be {what}, got {value!r}")
         if vocab_size < 2:
             raise InputError(f"vocab_size must be >= 2, got {vocab_size}")
         if not (temperature > 0):
@@ -85,6 +95,11 @@ class GumbelSoftmaxSampler:
                 f"size {self.vocab_size}"
             )
         _check_finite(logits)
+        if noise is None:
+            raise InputError(
+                f"the model's channel needs [batch, {self.vocab_size}] Gumbel "
+                "noise; ModelGraph.decode runs without it"
+            )
         noise = as_f64(noise)
         if noise.shape != logits.shape:
             raise InputError(

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emlang import attribution
 from emlang.attribution import (
     BLOCK,
+    MIN_RUN,
     OUTPUTS,
     AttributionConfig,
     attribute_block,
@@ -17,9 +20,16 @@ from emlang.attribution import (
     integrated_gradients,
     neuron_conductance,
 )
-from emlang.classifier import TrainConfig, build_model, evaluate, train
-from emlang.data import Dataset, SynthSpec, generate_synthetic
-from emlang.errors import InputError
+from emlang.classifier import (
+    TrainConfig,
+    build_model,
+    evaluate,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
+from emlang.data import Dataset, SynthSpec, generate_synthetic, rescale, standardization
+from emlang.errors import InputError, NumericalError
 from emlang.gumbel import noise_from_uniform
 from emlang.nn import DenseLayer, glorot_uniform, softmax, stack_backward, stack_forward
 from gradcheck import grad_buffers
@@ -579,3 +589,152 @@ def test_report_csv_format(tmp_path):
     np.testing.assert_allclose(
         [float(v) for v in first[2:]], report.matrix[0], atol=0.0
     )
+
+
+# Worker processes: 13 blocks (the last one partial) split unevenly over 2
+# and 3 processes. The count is forced through the helper that picks it.
+UNEVEN_ROWS = 12 * BLOCK + 2
+
+
+def force_processes(monkeypatch, count):
+    monkeypatch.setattr(attribution, "_processes", lambda num_blocks: count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def blas_threads():
+    pin = attribution._blas_pin()
+    return None if pin is None else pin[0]()
+
+
+def standardized_checkpoint_model():
+    """A symbol model reloaded from a checkpoint with standardization, and
+    UNEVEN_ROWS test rows scaled as `emlang attribute` scales them."""
+    spec = SynthSpec(num_classes=3, block_size=4, train_samples=120,
+                     val_samples=30, test_samples=UNEVEN_ROWS, noise_sigma=0.3,
+                     seed=23)
+    train_set, val_set, test_set = generate_synthetic(spec)
+    stats = standardization(train_set)
+    model = build_model(spec.feature_dim, 3, vocab_size=16, hidden_dim=16,
+                        seed=23)
+    train(model, rescale(train_set, stats), rescale(val_set, stats),
+          TrainConfig(max_epochs=40, patience=40, vocab_size=16, seed=23))
+    model, stats, _, _ = load_checkpoint(
+        save_checkpoint(model, stats, train_set.feature_names)
+    )
+    assert stats is not None
+    return model, rescale(test_set, stats)
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_report_bytes_do_not_depend_on_the_process_count(monkeypatch, output):
+    model, test_set = standardized_checkpoint_model()
+    config = AttributionConfig(riemann_steps=24, output=output)
+    threads = blas_threads()
+    reports = []
+    for count in (1, 2, 3):
+        force_processes(monkeypatch, count)
+        reports.append(per_symbol_report(model, test_set, config))
+        assert_no_child_left()
+        assert blas_threads() == threads
+    first = reports[0]
+    assert sum(first.counts) == UNEVEN_ROWS
+    for report in reports[1:]:
+        assert report.symbols == first.symbols
+        assert report.counts == first.counts
+        assert np.array_equal(report.matrix, first.matrix)
+
+
+def overflow_case(scales):
+    """A model and UNEVEN_ROWS rows, row i scaled by scales.get(i, 1). A
+    scale of 1e150 keeps the decode finite but overflows the receiver on the
+    last segment of the row's path, so the error names a path step that
+    depends on the row."""
+    rng = np.random.default_rng(24)
+    model = build_model(5, 3, vocab_size=6, hidden_dim=7, seed=24)
+    for layer in model.layers():
+        layer.bias = rng.normal(size=layer.out_dim)
+    model.receiver[-1].weights *= 1e160
+    xs = rng.normal(size=(UNEVEN_ROWS, 5))
+    for row, scale in scales.items():
+        xs[row] *= scale
+    return model, Dataset(xs, np.zeros(UNEVEN_ROWS, dtype=int), ["a"])
+
+
+def overflow_message(monkeypatch, count, model, ds):
+    force_processes(monkeypatch, count)
+    threads = blas_threads()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as info:
+            per_symbol_report(model, ds, AttributionConfig())
+    assert_no_child_left()
+    assert blas_threads() == threads
+    return str(info.value)
+
+
+def test_receiver_overflow_in_the_last_run_matches_one_process(monkeypatch):
+    # 3 processes run blocks [0, 4), [4, 8) and [8, 13): rows 40-49 are in
+    # the last run only
+    model, ds = overflow_case({row: 1e150 for row in range(41, 50)})
+    message = overflow_message(monkeypatch, 1, model, ds)
+    assert "non-finite network output at path step" in message
+    assert overflow_message(monkeypatch, 3, model, ds) == message
+
+
+@pytest.mark.parametrize("first, later", [(18, 32), (4, 30)],
+                         ids=["second-and-last-run", "parent-and-second-run"])
+def test_the_first_failing_block_in_sample_order_is_raised(monkeypatch, first,
+                                                           later):
+    # rows `first` and `later` fail in different runs of 3 processes, with
+    # different messages; one process meets `first` first
+    messages = [
+        overflow_message(monkeypatch, 1, *overflow_case({row: 1e150}))
+        for row in (first, later)
+    ]
+    assert messages[0] != messages[1]
+    model, ds = overflow_case({first: 1e150, later: 1e150})
+    assert overflow_message(monkeypatch, 1, model, ds) == messages[0]
+    assert overflow_message(monkeypatch, 3, model, ds) == messages[0]
+
+
+def test_child_input_error_is_raised_with_its_type_and_message(monkeypatch):
+    # an InputError raised in the second of two runs
+    model, ds = overflow_case({})
+    force_processes(monkeypatch, 2)
+    real = attribution.attribute_block
+
+    def failing_after(stack, xs, *args, **kwargs):
+        if np.any(np.all(xs == ds.features[40], axis=1)):
+            raise InputError("rejected row 40")
+        return real(stack, xs, *args, **kwargs)
+
+    monkeypatch.setattr(attribution, "attribute_block", failing_after)
+    with pytest.raises(InputError, match="^rejected row 40$"):
+        per_symbol_report(model, ds, AttributionConfig())
+    assert_no_child_left()
+
+
+def test_without_a_blas_pin_one_process_runs_every_block(monkeypatch):
+    model, ds = overflow_case({})
+    force_processes(monkeypatch, 3)
+    forked = per_symbol_report(model, ds, AttributionConfig())
+
+    def no_fork():
+        raise AssertionError("forked without a BLAS pin")
+
+    monkeypatch.setattr(attribution, "_blas_pin", lambda: None)
+    monkeypatch.setattr(os, "fork", no_fork)
+    alone = per_symbol_report(model, ds, AttributionConfig())
+    assert np.array_equal(alone.matrix, forked.matrix)
+    assert alone.counts == forked.counts
+
+
+def test_process_count_gives_each_run_min_run_blocks():
+    cpus = len(os.sched_getaffinity(0))
+    assert attribution._processes(0) == 1
+    assert attribution._processes(2 * MIN_RUN - 1) == 1
+    assert attribution._processes(2 * MIN_RUN) == min(cpus, 2)
+    assert attribution._processes(1000 * MIN_RUN) == cpus

@@ -673,6 +673,32 @@ def test_checkpoint_version_and_corruption_errors():
 
 
 @pytest.mark.parametrize("key, value", [
+    ("sampler_seed", 1.5),
+    ("sampler_seed", True),
+    ("temperature", True),
+    ("vocab_size", 5.0),
+    ("vocab_size", True),
+])
+def test_checkpoint_sampler_fields_are_not_coerced(key, value):
+    model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39)
+    with pytest.raises(InputError, match="must be an integer|must be a real"):
+        load_checkpoint({**save_checkpoint(model), key: value})
+
+
+def test_checkpoint_temperature_may_be_an_int():
+    model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39)
+    loaded = load_checkpoint({**save_checkpoint(model), "temperature": 2}).model
+    assert loaded.bottleneck.temperature == 2.0
+    assert type(loaded.bottleneck.temperature) is float
+
+
+def test_channel_forward_without_noise_names_the_noise_it_needs():
+    model = build_model(3, 2, vocab_size=5, hidden_dim=4)
+    with pytest.raises(InputError, match=r"channel needs \[batch, 5\] Gumbel noise"):
+        model.forward(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("key, value", [
     ("sender", 5),
     ("vocab_size", "x"),
     ("temperature", "x"),

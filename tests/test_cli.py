@@ -359,12 +359,16 @@ def test_attribute_rejects_nonfinite_checkpoint_layers(tmp_path, capsys):
     ("sender", "logits contain non-finite values"),
     ("receiver", "non-finite network output"),
 ], ids=["sender", "receiver"])
-def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys, section,
-                                                    message):
+def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys, monkeypatch,
+                                                    section, message):
     # inputs and weights are finite, so a non-finite value on either side of
-    # the channel is an overflow: a numerical error, exit 3
+    # the channel is an overflow: a numerical error, exit 3; attributed by
+    # two processes, so the error also crosses from the worker path
     import numpy as np
 
+    from emlang import attribution
+
+    monkeypatch.setattr(attribution, "_processes", lambda num_blocks: 2)
     data = gen_small(tmp_path)
     out = train_small(tmp_path, data, "el")
     doc = read_json(out / "checkpoint.json")
@@ -412,6 +416,32 @@ def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
         "--baseline-vector", ",".join(["nan"] + ["0"] * 27),
     ]) == 2
     assert "baseline contains non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "-1", "learning_rate must be positive"),
+    ("--hidden", "0", "hidden must be a positive integer"),
+    ("--riemann-steps", "0", "riemann_steps must be >= 1"),
+    ("--baseline-vector", "1,2", "baseline vector has 2 entries"),
+], ids=["lr", "hidden", "riemann-steps", "baseline-vector"])
+def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, value,
+                                                     message):
+    out = tmp_path / "out"
+    assert run(["repro", "--out", str(out), *SMALL_GEN, *SMALL_TRAIN,
+                flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_attribute_rejects_a_fractional_sampler_seed(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    assert run([
+        "attribute", "--checkpoint",
+        str(untrained_checkpoint(tmp_path, sampler_seed=1.5)),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert "sampler seed must be an integer, got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "attr").exists()
 
 
