@@ -27,23 +27,27 @@ sums each sample's rows. `integrated_gradients` and `neuron_conductance`
 are the one-sample case. Nothing is stored on the model, so attribution
 leaves a model's training state untouched.
 
-`per_symbol_report` feeds `attribute_block` BLOCK samples at a time. The
-blocks are independent, so it splits them into contiguous runs, one per
-usable CPU with at least MIN_RUN blocks each: this process attributes the
-first run and forked children the others, each child sending its run's
-symbols and vectors back through a pipe. OpenBLAS is pinned to one thread
-meanwhile and restored afterwards. Every run keeps the BLOCK boundaries
-and the merge adds the runs in sample order, so the report's bytes do not
-depend on how many processes ran; where BLAS cannot be pinned or `os.fork`
-is unavailable, one process runs every block.
+`per_symbol_report` decodes every sample once, with `ModelGraph.decode`
+over all rows, the same call `evaluate` makes, and then feeds
+`attribute_block` BLOCK samples at a time. The blocks are independent, so
+it splits them into contiguous runs, one per usable CPU with at least
+MIN_RUN blocks each, and hands the runs to `fork_map`: this process
+attributes the first run and forked children the others, each child
+sending back only its run's attribution vectors. Every run keeps the BLOCK
+boundaries, and the parent concatenates the vectors and merges them once,
+in sample order, so the report's bytes do not depend on how many processes
+ran. Since every symbol is decoded before any block is attributed, a sender
+overflow on any row is raised before a receiver overflow on an earlier one
+(both are NumericalError).
 
 For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
 by receiver layers) and y is the sender output logit feeding the decoded
-symbol's vocabulary slot. `per_symbol_report` takes each sample's symbol,
-and its default target class, from `ModelGraph.decode`, the same
-noise-free decode `evaluate` reports. This keeps attribution deterministic
-and symbol-specific.
+symbol's vocabulary slot. On a ModelGraph every entry point takes each
+sample's symbol, and its default target class, from `ModelGraph.decode`,
+the noise-free decode `evaluate` reports, not from the identity-channel
+stack, whose argmax can name another class. This keeps attribution
+deterministic and symbol-specific.
 """
 
 from __future__ import annotations
@@ -84,7 +88,9 @@ MIN_RUN = 16
 class AttributionConfig:
     baseline: np.ndarray | None = None  # None means the zero vector
     riemann_steps: int = 300
-    target_class: int | None = None  # None means the model's predicted class
+    # None means the class the model predicts: the one `decode` picks on a
+    # ModelGraph, the argmax of a bare layer list
+    target_class: int | None = None
     neuron: tuple[int, int] | None = None  # (layer_index, unit) in the stack
     output: str = "logit"
 
@@ -119,14 +125,6 @@ def _resolve_inputs(stack, x, config, ndim=1):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(baseline))):
         raise InputError("input or baseline contains non-finite values")
     return x, baseline
-
-
-def _check_target(stack, target):
-    if not (0 <= target < stack[-1].out_dim):
-        raise InputError(
-            f"target class {target} out of range [0, {stack[-1].out_dim})"
-        )
-    return target
 
 
 def midpoint_rule(m):
@@ -285,13 +283,27 @@ def attribute_block(stack, xs, baseline, targets, output="logit",
     return diff * np.add.reduceat(g, starts, axis=0)
 
 
-def _target_class(stack, x, config):
-    if config.target_class is not None:
-        return _check_target(stack, int(config.target_class))
-    _, out = _forward(stack, x[None, :])
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("non-finite network output at path step 0")
-    return _check_target(stack, int(np.argmax(out[0])))
+def _decode(model, stack, xs, config):
+    """(symbols, targets) of the rows xs. symbols are those `decode` picks,
+    or None for a bare layer list; each target is config.target_class, or by
+    default the class the model predicts: `decode`'s on a ModelGraph, the
+    noise-free pass `evaluate` reports, and the stack's argmax on a bare
+    layer list."""
+    target = config.target_class
+    if target is not None and not (0 <= int(target) < stack[-1].out_dim):
+        raise InputError(
+            f"target class {target} out of range [0, {stack[-1].out_dim})"
+        )
+    symbols = None
+    if isinstance(model, ModelGraph):
+        logits, symbols = model.decode(xs)
+    elif target is None:
+        _, logits = _forward(stack, xs)
+        if not np.all(np.isfinite(logits)):
+            raise NumericalError("non-finite network output at path step 0")
+    if target is None:
+        return symbols, np.argmax(logits, axis=1)
+    return symbols, np.full(xs.shape[0], int(target))
 
 
 def integrated_gradients(model, x, config):
@@ -299,8 +311,8 @@ def integrated_gradients(model, x, config):
     config.validate()
     stack = attribution_stack(model)
     x, baseline = _resolve_inputs(stack, x, config)
-    target = _target_class(stack, x, config)
-    return attribute_block(stack, x[None, :], baseline, [target], config.output,
+    _, targets = _decode(model, stack, x[None, :], config)
+    return attribute_block(stack, x[None, :], baseline, targets, config.output,
                            config.riemann_steps)[0]
 
 
@@ -322,8 +334,8 @@ def neuron_conductance(model, x, config):
             f"unit {unit} out of range [0, {stack[layer_index].out_dim})"
         )
     x, baseline = _resolve_inputs(stack, x, config)
-    target = _target_class(stack, x, config)
-    return attribute_block(stack, x[None, :], baseline, [target], config.output,
+    _, targets = _decode(model, stack, x[None, :], config)
+    return attribute_block(stack, x[None, :], baseline, targets, config.output,
                            config.riemann_steps, layer_index, [unit])[0]
 
 
@@ -374,38 +386,35 @@ def per_symbol_report(model, dataset, config):
         raise InputError("dataset must be non-empty")
     stack = attribution_stack(model)
     features, baseline = _resolve_inputs(stack, dataset.features, config, ndim=2)
-    if config.target_class is not None:
-        _check_target(stack, int(config.target_class))
+    symbols, targets = _decode(model, stack, features, config)
     symbol_layer = len(model.sender) - 1
 
-    def blocks(first, last):
-        # (symbols, vectors) of blocks first..last-1, one block at a time
-        for start in range(first * BLOCK, min(last * BLOCK, dataset.num_samples),
-                           BLOCK):
-            xs = features[start : start + BLOCK]
-            logits, symbols = model.decode(xs)
-            if config.target_class is None:
-                targets = np.argmax(logits, axis=1)
-            else:
-                targets = np.full(xs.shape[0], int(config.target_class))
-            yield symbols, attribute_block(stack, xs, baseline, targets,
-                                           config.output, config.riemann_steps,
-                                           symbol_layer, symbols)
+    def attribute(rows):
+        # the vectors of rows first..last-1, one BLOCK-aligned block a pass
+        return np.concatenate([
+            attribute_block(stack, features[i : i + BLOCK], baseline,
+                            targets[i : i + BLOCK], config.output,
+                            config.riemann_steps, symbol_layer,
+                            symbols[i : i + BLOCK])
+            for i in range(*rows, BLOCK)
+        ])
 
+    # contiguous runs of whole blocks, one per process
+    n = dataset.num_samples
+    num_blocks = -(-n // BLOCK)
+    processes = _processes(num_blocks)
+    bounds = [min(n, num_blocks * i // processes * BLOCK)
+              for i in range(processes + 1)]
+    vecs = np.concatenate(fork_map(attribute, list(zip(bounds, bounds[1:]))))
+    # in sample order, so each symbol's sum adds up one row at a time
     sums = np.zeros((model.vocab_size, dataset.num_features))
-    counts = np.zeros(model.vocab_size, dtype=np.int64)
-
-    def merge(symbols, vecs):
-        # in sample order, so each symbol's sum adds up as one at a time
-        np.add.at(sums, symbols, vecs)
-        np.add.at(counts, symbols, 1)
-
-    _run_blocks(-(-dataset.num_samples // BLOCK), blocks, merge)
-    symbols = np.flatnonzero(counts)
+    np.add.at(sums, symbols, vecs)
+    counts = np.bincount(symbols, minlength=model.vocab_size)
+    used = np.flatnonzero(counts)
     return ConductanceReport(
-        symbols=symbols.tolist(),
-        counts=counts[symbols].tolist(),
-        matrix=sums[symbols] / counts[symbols, None],
+        symbols=used.tolist(),
+        counts=counts[used].tolist(),
+        matrix=sums[used] / counts[used, None],
         feature_labels=list(dataset.feature_names),
     )
 
@@ -442,36 +451,49 @@ def _blas_pin():
     return None
 
 
-def _run_blocks(num_blocks, blocks, merge):
-    """merge(symbols, vectors) for every block, in order, where
-    blocks(first, last) yields them for the blocks first..last-1.
+def fork_map(fn, jobs):
+    """[fn(job) for job in jobs], with the first job run in this process and
+    each other one in a forked child that sends its result back, pickled,
+    through a pipe.
 
-    The blocks are split into contiguous runs, one per process: this
-    process runs the first and forked children the rest, with OpenBLAS
-    pinned to one thread, since two processes with a BLAS pool each
-    oversubscribe the CPUs. The runs are merged in order, each as it
-    arrives, and a child's error is raised only if no earlier run failed,
-    so results and errors are those of one process running every block.
+    OpenBLAS is pinned to one thread meanwhile, since two processes with a
+    BLAS pool each oversubscribe the CPUs, and restored afterwards. The
+    error raised is that of the first failing job in job order, as the list
+    comprehension would raise it, and every child is reaped. Without a BLAS
+    pin or `os.fork`, or beside other Python threads (fork copies only the
+    calling thread), this process runs every job.
     """
-    processes = _processes(num_blocks)
     pin = None
-    # fork copies only the calling thread: never fork beside Python threads
-    if processes > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+    if len(jobs) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         pin = _blas_pin()
     if pin is None:
-        for result in blocks(0, num_blocks):
-            merge(*result)
-        return
-    bounds = [num_blocks * i // processes for i in range(processes + 1)]
+        return [fn(job) for job in jobs]
     get_threads, set_threads = pin
     threads = get_threads()
     set_threads(1)
-    children = []  # (pid, read end of its pipe), in run order
+    children = []  # (pid, read end of its pipe), in job order
     try:
-        for first, last in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_run(blocks, first, last))
-        for result in blocks(0, bounds[1]):
-            merge(*result)
+        for job in jobs[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    try:
+                        result = True, fn(job)
+                    except Exception as exc:
+                        result = False, exc
+                    with os.fdopen(write, "wb") as fh:
+                        fh.write(pickle.dumps(result))
+                    status = 0
+                finally:
+                    # no atexit handler, no stdio flush, no return into the
+                    # parent's stack
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        results = [fn(jobs[0])]
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -479,43 +501,15 @@ def _run_blocks(num_blocks, blocks, merge):
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if status != 0:
-                raise RuntimeError(
-                    f"attribution worker {pid} exited with status {status}"
-                )
-            result = pickle.loads(payload)  # written by our own child
-            if isinstance(result, BaseException):
+                raise RuntimeError(f"worker {pid} exited with status {status}")
+            ok, result = pickle.loads(payload)  # written by our own child
+            if not ok:
                 raise result
-            merge(*result)
+            results.append(result)
+        return results
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         set_threads(threads)
-
-
-def _fork_run(blocks, first, last):
-    """Fork a child that runs blocks first..last-1 and writes, pickled, its
-    run's (symbols, vectors) or the exception that stopped it to a pipe;
-    returns (child pid, read end as a binary file)."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            try:
-                symbols, vecs = zip(*blocks(first, last))
-                result = np.concatenate(symbols), np.concatenate(vecs)
-            except Exception as exc:
-                result = exc
-            view = memoryview(pickle.dumps(result))
-            while view:
-                view = view[os.write(write, view):]
-            status = 0
-        finally:
-            # no atexit handler, no stdio flush, no return into the parent's
-            # stack
-            os._exit(status)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")

@@ -58,9 +58,11 @@ class TrainConfig:
     def validate(self):
         if not (self.learning_rate > 0):
             raise InputError("learning_rate must be positive")
-        for name in ("batch_size", "max_epochs", "patience", "vocab_size"):
+        for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be a positive integer")
+        if self.vocab_size < 2:
+            raise InputError("vocab_size must be >= 2")
         if not (self.temperature > 0):
             raise InputError("temperature must be positive")
         if self.seed < 0:

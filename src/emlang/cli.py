@@ -156,11 +156,14 @@ def _spec_from_options(opts):
     return spec
 
 
-def _generate_to(spec, out_dir):
+def _generate_to(spec, out_dir, label_column="label"):
+    splits = generate_synthetic(spec)
+    if label_column in splits[0].feature_names:
+        raise InputError(f"label column {label_column!r} names a feature")
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "spec.json"), asdict(spec))
-    for ds in generate_synthetic(spec):
-        save_csv(ds, os.path.join(out_dir, f"{ds.split}.csv"))
+    for ds in splits:
+        save_csv(ds, os.path.join(out_dir, f"{ds.split}.csv"), label_column)
 
 
 def cmd_gen(args):
@@ -359,7 +362,7 @@ def cmd_repro(args):
     spec = _spec_from_options(opts)
     _train_config(opts)
     _attribution_config(opts, spec.feature_dim)
-    _generate_to(spec, data_dir)  # makes `out`
+    _generate_to(spec, data_dir, opts["label_column"])  # makes `out`
     _write_json(os.path.join(out, "config.json"), opts)
 
     reports = {}

@@ -86,9 +86,10 @@ class SynthSpec:
             raise InputError("num_classes must be >= 2")
         if self.block_size < 1:
             raise InputError("block_size must be >= 1")
+        # fewer samples than classes would leave a class out of the split
         for name in ("train_samples", "val_samples", "test_samples"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be positive")
+            if getattr(self, name) < self.num_classes:
+                raise InputError(f"{name} must be >= num_classes")
         if self.noise_sigma < 0:
             raise InputError("noise_sigma must be >= 0")
         if self.seed < 0:

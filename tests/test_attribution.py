@@ -497,15 +497,34 @@ def test_probability_output_completeness():
     assert attrib.sum() == pytest.approx(p_x - p_base, abs=2e-3)
 
 
+def symbol_model_case():
+    """An untrained symbol model and a row on which the class `decode`
+    predicts differs from the argmax of the identity-channel stack (true of
+    more than half of random rows at this seed), with that class and the
+    row's sender-output unit."""
+    model = build_model(28, 4, seed=3)
+    xs = np.random.default_rng(3).normal(size=(20, 28))
+    logits, symbols = model.decode(xs)
+    decoded = np.argmax(logits, axis=1)
+    stacked = np.argmax(stack_forward(attribution_stack(model), xs), axis=1)
+    row = int(np.flatnonzero(decoded != stacked)[0])
+    neuron = (len(model.sender) - 1, int(symbols[row]))
+    return model, xs[row], int(decoded[row]), neuron
+
+
 def test_default_target_is_predicted_class():
     stack = random_relu_net(16)
     x = np.random.default_rng(17).normal(size=6)
-    predicted = int(np.argmax(stack_output(stack, x)))
-    auto = integrated_gradients(stack, x, AttributionConfig(riemann_steps=50))
-    explicit = integrated_gradients(
-        stack, x, AttributionConfig(riemann_steps=50, target_class=predicted)
-    )
-    np.testing.assert_array_equal(auto, explicit)
+    cases = [(stack, x, int(np.argmax(stack_output(stack, x))), (0, 1)),
+             symbol_model_case()]
+    for model, x, predicted, neuron in cases:
+        for attribute, config in [
+            (integrated_gradients, AttributionConfig()),
+            (neuron_conductance, AttributionConfig(neuron=neuron)),
+        ]:
+            auto = attribute(model, x, config)
+            explicit = attribute(model, x, replace(config, target_class=predicted))
+            np.testing.assert_array_equal(auto, explicit)
 
 
 def trained_symbol_model(seed=0):
@@ -738,3 +757,53 @@ def test_process_count_gives_each_run_min_run_blocks():
     assert attribution._processes(2 * MIN_RUN - 1) == 1
     assert attribution._processes(2 * MIN_RUN) == min(cpus, 2)
     assert attribution._processes(1000 * MIN_RUN) == cpus
+
+
+def fork_map_case(fn, jobs):
+    """fork_map(fn, jobs), checking afterwards that no child is left and
+    that the BLAS thread count is restored."""
+    threads = blas_threads()
+    try:
+        return attribution.fork_map(fn, jobs)
+    finally:
+        assert_no_child_left()
+        assert blas_threads() == threads
+
+
+@pytest.mark.parametrize("jobs", [[5], [5, -2], [5, -2, 7]],
+                         ids=["1-job", "2-jobs", "3-jobs"])
+def test_fork_map_returns_the_results_in_job_order(jobs):
+    def fn(job):
+        return {"job": job, "square": np.full(job % 3 + 1, job * job)}
+
+    results = fork_map_case(fn, jobs)
+    expected = [fn(job) for job in jobs]
+    assert [r["job"] for r in results] == [e["job"] for e in expected]
+    for result, want in zip(results, expected):
+        np.testing.assert_array_equal(result["square"], want["square"])
+
+
+@pytest.mark.parametrize("failing", [(1, 2), (0, 2)],
+                         ids=["two-children", "parent-and-child"])
+def test_fork_map_raises_the_earliest_failing_job(failing):
+    def fn(job):
+        if job in failing:
+            raise (KeyError if job == failing[0] else ValueError)(f"job {job}")
+        return job
+
+    with pytest.raises(KeyError, match=f"job {failing[0]}"):
+        fork_map_case(fn, [0, 1, 2])
+
+
+def test_fork_map_child_that_exits_without_reporting_raises():
+    if attribution._blas_pin() is None:
+        pytest.skip("fork_map forks only where OpenBLAS can be pinned")
+    parent = os.getpid()
+
+    def fn(job):
+        if os.getpid() != parent and job == 1:
+            os._exit(1)
+        return job
+
+    with pytest.raises(RuntimeError, match="exited with status 1"):
+        fork_map_case(fn, [0, 1, 2])

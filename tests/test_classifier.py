@@ -457,6 +457,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0).validate()
     with pytest.raises(InputError):
         TrainConfig(temperature=-1.0).validate()
+    with pytest.raises(InputError, match="vocab_size must be >= 2"):
+        TrainConfig(vocab_size=1).validate()
     with pytest.raises(InputError, match="seed"):
         TrainConfig(seed=-1).validate()
 

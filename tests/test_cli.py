@@ -424,7 +424,11 @@ def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
     ("--hidden", "0", "hidden must be a positive integer"),
     ("--riemann-steps", "0", "riemann_steps must be >= 1"),
     ("--baseline-vector", "1,2", "baseline vector has 2 entries"),
-], ids=["lr", "hidden", "riemann-steps", "baseline-vector"])
+    ("--vocab", "1", "vocab_size must be >= 2"),
+    ("--test-samples", "3", "test_samples must be >= num_classes"),
+    ("--label-column", "f0", "label column 'f0' names a feature"),
+], ids=["lr", "hidden", "riemann-steps", "baseline-vector", "vocab", "test-samples",
+        "label-column"])
 def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, value,
                                                      message):
     out = tmp_path / "out"
@@ -432,6 +436,16 @@ def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, val
                 flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_repro_writes_the_named_label_column(tmp_path):
+    out = tmp_path / "out"
+    assert run(["repro", "--out", str(out), *SMALL_GEN, *SMALL_TRAIN,
+                "--max-epochs", "2", "--patience", "2", "--label-column", "y"]) == 0
+    for tag in ("train", "val", "test"):
+        header = (out / "data" / f"{tag}.csv").read_text().splitlines()[0]
+        assert header.endswith(",y")
+    assert (out / "attribution" / "conductance.csv").exists()
 
 
 def test_attribute_rejects_a_fractional_sampler_seed(tmp_path, capsys):

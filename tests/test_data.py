@@ -104,6 +104,10 @@ def test_spec_validation():
         generate_synthetic(SynthSpec(num_classes=1))
     with pytest.raises(InputError):
         generate_synthetic(SynthSpec(train_samples=0))
+    # a split smaller than num_classes would miss a class
+    with pytest.raises(InputError, match="test_samples must be >= num_classes"):
+        generate_synthetic(SynthSpec(test_samples=3))
+    generate_synthetic(SynthSpec(test_samples=4))
     with pytest.raises(InputError):
         generate_synthetic(SynthSpec(noise_sigma=-1.0))
     with pytest.raises(InputError, match="seed"):
