@@ -27,9 +27,11 @@ sums each sample's rows. `integrated_gradients` and `neuron_conductance`
 are the one-sample case. Nothing is stored on the model, so attribution
 leaves a model's training state untouched.
 
-`per_symbol_report` decodes every sample once, with `ModelGraph.decode`
-over all rows, the same call `evaluate` makes, and then feeds
-`attribute_block` BLOCK samples at a time. The blocks are independent, so
+`per_symbol_report` first takes every sample's symbol and default target
+from `predict`, the call `evaluate` makes: `ModelGraph.decode` over
+DECODE_ROWS rows at a time, keeping only the argmaxes, so the decode's
+memory does not grow with the row count. It then feeds `attribute_block`
+BLOCK samples at a time. The blocks are independent, so
 it splits them into contiguous runs, one per usable CPU with at least
 MIN_RUN blocks each, and hands the runs to `fork_map`: this process
 attributes the first run and forked children the others, each child
@@ -44,8 +46,8 @@ For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
 by receiver layers) and y is the sender output logit feeding the decoded
 symbol's vocabulary slot. On a ModelGraph every entry point takes each
-sample's symbol, and its default target class, from `ModelGraph.decode`,
-the noise-free decode `evaluate` reports, not from the identity-channel
+sample's symbol, and its default target class, from `predict`, the
+noise-free decode `evaluate` reports, not from the identity-channel
 stack, whose argmax can name another class. This keeps attribution
 deterministic and symbol-specific.
 """
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ModelGraph
+from .classifier import ModelGraph, predict
 from .data import csv_writer
 from .errors import InputError, NumericalError
 from .nn import as_f64, softmax
@@ -284,10 +286,10 @@ def attribute_block(stack, xs, baseline, targets, output="logit",
 
 
 def _decode(model, stack, xs, config):
-    """(symbols, targets) of the rows xs. symbols are those `decode` picks,
+    """(symbols, targets) of the rows xs. symbols are those `predict` picks,
     or None for a bare layer list; each target is config.target_class, or by
-    default the class the model predicts: `decode`'s on a ModelGraph, the
-    noise-free pass `evaluate` reports, and the stack's argmax on a bare
+    default the class the model predicts: `predict`'s on a ModelGraph, the
+    noise-free decode `evaluate` reports, and the stack's argmax on a bare
     layer list."""
     target = config.target_class
     if target is not None and not (0 <= int(target) < stack[-1].out_dim):
@@ -296,13 +298,14 @@ def _decode(model, stack, xs, config):
         )
     symbols = None
     if isinstance(model, ModelGraph):
-        logits, symbols = model.decode(xs)
+        classes, symbols = predict(model, xs)
     elif target is None:
         _, logits = _forward(stack, xs)
         if not np.all(np.isfinite(logits)):
             raise NumericalError("non-finite network output at path step 0")
+        classes = np.argmax(logits, axis=1)
     if target is None:
-        return symbols, np.argmax(logits, axis=1)
+        return symbols, classes
     return symbols, np.full(xs.shape[0], int(target))
 
 
@@ -358,6 +361,8 @@ class ConductanceReport:
     def dominant_blocks(self, block_size):
         """Per symbol: (block index with the largest mean |attribution|,
         that block's share of the total across blocks)."""
+        if block_size < 1:
+            raise InputError("block_size must be >= 1")
         if self.matrix.shape[1] % block_size != 0:
             raise InputError(
                 f"feature count {self.matrix.shape[1]} is not a multiple of "

@@ -320,6 +320,8 @@ def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
                    "the checkpoint's model")
     if stats is not None:
         test_set = rescale(test_set, stats)
+    if opts["block_size"] < 1:
+        raise InputError("block_size must be >= 1")
     if test_set.num_features % opts["block_size"] != 0:
         raise InputError(
             f"feature count {test_set.num_features} is not a multiple of "

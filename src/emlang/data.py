@@ -13,6 +13,7 @@ the package has no splitting of its own.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,8 +91,10 @@ class SynthSpec:
         for name in ("train_samples", "val_samples", "test_samples"):
             if getattr(self, name) < self.num_classes:
                 raise InputError(f"{name} must be >= num_classes")
-        if self.noise_sigma < 0:
-            raise InputError("noise_sigma must be >= 0")
+        if not math.isfinite(self.mean_shift):
+            raise InputError("mean_shift must be finite")
+        if not (0 <= self.noise_sigma < math.inf):
+            raise InputError("noise_sigma must be finite and >= 0")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
 

@@ -14,6 +14,7 @@ row's argmax symbol and `one_hot` encodes it for the receiver.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -77,8 +78,10 @@ class GumbelSoftmaxSampler:
                 raise InputError(f"{name} must be {what}, got {value!r}")
         if vocab_size < 2:
             raise InputError(f"vocab_size must be >= 2, got {vocab_size}")
-        if not (temperature > 0):
-            raise InputError(f"temperature must be positive, got {temperature}")
+        if not (0 < temperature < math.inf):
+            raise InputError(
+                f"temperature must be positive and finite, got {temperature}"
+            )
         if seed < 0:
             raise InputError(f"sampler seed must be >= 0, got {seed}")
         self.vocab_size = int(vocab_size)

@@ -581,6 +581,9 @@ def test_per_symbol_report_finds_informative_blocks():
         majority = np.bincount(test_set.labels[rows]).argmax()
         assert block == majority
         assert share > 1.0 / spec.num_classes
+    for size in (0, -7):
+        with pytest.raises(InputError, match="block_size must be >= 1"):
+            report.dominant_blocks(size)
 
 
 def test_per_symbol_report_rejects_baseline():

@@ -363,23 +363,43 @@ def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys, monkeypatc
                                                     section, message):
     # inputs and weights are finite, so a non-finite value on either side of
     # the channel is an overflow: a numerical error, exit 3; attributed by
-    # two processes, so the error also crosses from the worker path
+    # two processes, so the error also crosses from the worker path. The test
+    # split spans three decode chunks, the last one partial, and the sender
+    # overflows on its last row only, so both `evaluate` and the attribution
+    # meet it in the last chunk.
     import numpy as np
 
     from emlang import attribution
+    from emlang.classifier import DECODE_ROWS, evaluate, load_checkpoint
+    from emlang.data import load_csv, save_csv
+    from emlang.errors import NumericalError
 
     monkeypatch.setattr(attribution, "_processes", lambda num_blocks: 2)
-    data = gen_small(tmp_path)
+    data = gen_small(tmp_path,
+                     extra=("--test-samples", str(2 * DECODE_ROWS + 5)))
     out = train_small(tmp_path, data, "el")
     doc = read_json(out / "checkpoint.json")
     layer = doc[section][-1]
-    layer["weights"] = [1e308] * len(layer["weights"])
+    test_csv = data / "test.csv"
+    if section == "sender":
+        layer["weights"] = [w * 1e10 for w in layer["weights"]]
+        model = load_checkpoint(doc).model
+        test_set = load_csv(test_csv, split="test")
+        evaluate(model, test_set)  # the rows as generated decode finitely
+        test_set.features[-1] *= 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                evaluate(model, test_set)
+        test_csv = tmp_path / "test.csv"
+        save_csv(test_set, test_csv)
+    else:
+        layer["weights"] = [1e308] * len(layer["weights"])
     ckpt = tmp_path / "overflow.json"
     ckpt.write_text(json.dumps(doc))
     with np.errstate(over="ignore", invalid="ignore"):
         code = run([
             "attribute", "--checkpoint", str(ckpt),
-            "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+            "--test-csv", str(test_csv), "--out", str(tmp_path / "attr"),
         ])
     assert code == 3
     assert message in capsys.readouterr().err
@@ -427,8 +447,10 @@ def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
     ("--vocab", "1", "vocab_size must be >= 2"),
     ("--test-samples", "3", "test_samples must be >= num_classes"),
     ("--label-column", "f0", "label column 'f0' names a feature"),
+    ("--mean-shift", "nan", "mean_shift must be finite"),
+    ("--temperature", "inf", "temperature must be positive and finite"),
 ], ids=["lr", "hidden", "riemann-steps", "baseline-vector", "vocab", "test-samples",
-        "label-column"])
+        "label-column", "mean-shift", "temperature"])
 def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, value,
                                                      message):
     out = tmp_path / "out"
@@ -436,6 +458,24 @@ def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, val
                 flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-7", "config"])
+def test_attribute_rejects_a_block_size_below_one(tmp_path, capsys, value):
+    data = gen_small(tmp_path)
+    if value == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"block_size": 0}))
+        flags = ["--config", str(config)]
+    else:
+        flags = ["--block-size", value]
+    assert run([
+        "attribute", "--checkpoint", str(untrained_checkpoint(tmp_path)),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+        *flags,
+    ]) == 2
+    assert "block_size must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
 
 
 def test_repro_writes_the_named_label_column(tmp_path):

@@ -110,6 +110,11 @@ def test_spec_validation():
     generate_synthetic(SynthSpec(test_samples=4))
     with pytest.raises(InputError):
         generate_synthetic(SynthSpec(noise_sigma=-1.0))
+    with pytest.raises(InputError, match="noise_sigma must be finite"):
+        generate_synthetic(SynthSpec(noise_sigma=np.inf))
+    for shift in (np.nan, -np.inf):
+        with pytest.raises(InputError, match="mean_shift must be finite"):
+            generate_synthetic(SynthSpec(mean_shift=shift))
     with pytest.raises(InputError, match="seed"):
         generate_synthetic(SynthSpec(seed=-1))
 
