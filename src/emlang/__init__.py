@@ -14,7 +14,6 @@ from .attribution import (
     per_symbol_report,
 )
 from .classifier import (
-    EvalReport,
     ModelGraph,
     TrainConfig,
     TrainLog,
@@ -34,7 +33,6 @@ __all__ = [
     "ConductanceReport",
     "Dataset",
     "DenseLayer",
-    "EvalReport",
     "GumbelSoftmaxSampler",
     "ModelGraph",
     "SynthSpec",

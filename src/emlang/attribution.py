@@ -28,25 +28,25 @@ are the one-sample case. Nothing is stored on the model, so attribution
 leaves a model's training state untouched.
 
 `per_symbol_report` first takes every sample's symbol and default target
-from `predict`, the call `evaluate` makes: `ModelGraph.decode` over
-DECODE_ROWS rows at a time, keeping only the argmaxes, so the decode's
-memory does not grow with the row count. It then feeds `attribute_block`
-BLOCK samples at a time. The blocks are independent, so
-it splits them into contiguous runs, one per usable CPU with at least
-MIN_RUN blocks each, and hands the runs to `fork_map`: this process
-attributes the first run and forked children the others, each child
-sending back only its run's attribution vectors. Every run keeps the BLOCK
-boundaries, and the parent concatenates the vectors and merges them once,
-in sample order, so the report's bytes do not depend on how many processes
-ran. Since every symbol is decoded before any block is attributed, a sender
-overflow on any row is raised before a receiver overflow on an earlier one
-(both are NumericalError).
+from `ModelGraph.decode`, the call `evaluate` makes, which runs DECODE_ROWS
+rows at a time, so its hidden activations do not grow with the row count.
+It then feeds `attribute_block` BLOCK samples at a time. The blocks are
+independent, so it splits them into contiguous runs, one per usable CPU
+with at least MIN_RUN blocks each, and hands the runs to `fork_map`: this
+process attributes the first run and forked children the others, each
+child sending back only its run's attribution vectors. Every run keeps the
+BLOCK boundaries, and the parent concatenates the vectors and merges them
+once, in sample order, so the report's bytes do not depend on how many
+processes ran. Every row is decoded before any block is attributed, so an
+overflow that `decode` meets on either side of the channel is raised before
+any path is walked, a sender overflow on any row before a receiver overflow
+on an earlier one (both are NumericalError).
 
 For symbol models the attribution view replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
 by receiver layers) and y is the sender output logit feeding the decoded
 symbol's vocabulary slot. On a ModelGraph every entry point takes each
-sample's symbol, and its default target class, from `predict`, the
+sample's symbol, and its default target class, from `decode`, the
 noise-free decode `evaluate` reports, not from the identity-channel
 stack, whose argmax can name another class. This keeps attribution
 deterministic and symbol-specific.
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ModelGraph, predict
+from .classifier import ModelGraph
 from .data import csv_writer
 from .errors import InputError, NumericalError
 from .nn import as_f64, softmax
@@ -286,11 +286,11 @@ def attribute_block(stack, xs, baseline, targets, output="logit",
 
 
 def _decode(model, stack, xs, config):
-    """(symbols, targets) of the rows xs. symbols are those `predict` picks,
+    """(symbols, targets) of the rows xs. symbols are those `decode` picks,
     or None for a bare layer list; each target is config.target_class, or by
-    default the class the model predicts: `predict`'s on a ModelGraph, the
-    noise-free decode `evaluate` reports, and the stack's argmax on a bare
-    layer list."""
+    default the class the model predicts: the argmax of `decode`'s logits on
+    a ModelGraph, the noise-free decode `evaluate` reports, and the stack's
+    argmax on a bare layer list."""
     target = config.target_class
     if target is not None and not (0 <= int(target) < stack[-1].out_dim):
         raise InputError(
@@ -298,14 +298,13 @@ def _decode(model, stack, xs, config):
         )
     symbols = None
     if isinstance(model, ModelGraph):
-        classes, symbols = predict(model, xs)
+        logits, symbols = model.decode(xs)
     elif target is None:
         _, logits = _forward(stack, xs)
         if not np.all(np.isfinite(logits)):
             raise NumericalError("non-finite network output at path step 0")
-        classes = np.argmax(logits, axis=1)
     if target is None:
-        return symbols, classes
+        return symbols, np.argmax(logits, axis=1)
     return symbols, np.full(xs.shape[0], int(target))
 
 

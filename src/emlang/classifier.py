@@ -10,18 +10,16 @@ with every layer's weights and bias packed into one flat vector so each batch
 is one optimizer step: `ModelGraph.forward` takes each batch's Gumbel noise,
 which `train` draws from the sampler's seed, and returns an explicit `Tape`;
 the backward writes every layer's gradients straight into its views of one
-flat gradient vector. `ModelGraph.decode` is the one noise-free evaluation
-of the package: each input's sender logits decode to their argmax symbol,
-and the receiver classifies from that symbol's one-hot alone. Early
-stopping restores the parameters of the best validation epoch.
+flat gradient vector. Validation losses come from the same `forward`, with
+noise drawn once per `train` call on a symbol model. Early stopping restores
+the parameters of the best validation epoch.
 
-`evaluate` and attribution need only argmaxes from the decode, each row's
-predicted class and symbol, so they take them from `predict`, which runs
-`decode` over DECODE_ROWS rows at a time and keeps only those int arrays:
-one decode holds every row's hidden activations, sender logits and one-hot
-at once, so over a whole test set it set the peak memory of both. `decode`
-itself stays one pass over its rows, since `dataset_loss` writes the
-baseline's validation loss from its logits.
+`ModelGraph.decode` is the one noise-free evaluation of the package, which
+`evaluate` and attribution share: each input's sender logits decode to their
+argmax symbol, and the receiver classifies from that symbol's one-hot alone.
+It runs DECODE_ROWS rows at a time, so its hidden activations never span a
+whole test set, and it raises NumericalError on a non-finite logit on either
+side of the channel, so an overflow is never reported as a prediction.
 """
 
 from __future__ import annotations
@@ -47,12 +45,13 @@ from .nn import (
 
 CHECKPOINT_VERSION = 3
 
-# Rows per `decode` call in `predict`; a decode holds ~1.8 KiB a row at the
-# default shape. Measured on `evaluate` of 20,000 rows of that shape (2-vCPU
-# VM, numpy 2.4.6): one decode over all rows peaked at 35.6 MiB under
-# tracemalloc and took 48-62 ms; chunks of 256 rows peaked at 1.1 MiB (the
-# same at 128; 1.2 MiB at 512, 2.2 MiB at 1,024) in 38-41 ms, while chunks
-# of 32 rows took 78 ms.
+# Rows per pass of `decode`; a pass holds ~1.8 KiB a row at the default
+# shape. Measured on `evaluate` of 20,000 rows of that shape (2-vCPU VM,
+# numpy 2.4.6), when only each row's argmaxes were kept: one pass over all
+# rows peaked at 35.6 MiB under tracemalloc and took 48-62 ms; passes of 256
+# rows peaked at 1.1 MiB (the same at 128; 1.2 MiB at 512, 2.2 MiB at 1,024)
+# in 38-41 ms, while passes of 32 rows took 78 ms. Keeping every row's class
+# logits as well adds 32 bytes a row at 4 classes.
 DECODE_ROWS = 256
 
 # Offsets deriving the independent RNG streams from one user seed.
@@ -67,8 +66,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 10
-    temperature: float = 1.0
-    vocab_size: int = 100
     seed: int = 0
 
     def validate(self):
@@ -77,10 +74,6 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be a positive integer")
-        if self.vocab_size < 2:
-            raise InputError("vocab_size must be >= 2")
-        if not (0 < self.temperature < math.inf):
-            raise InputError("temperature must be positive and finite")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
         if self.patience > self.max_epochs:
@@ -148,16 +141,24 @@ class ModelGraph:
         return logits, Tape(sender, channel, receiver)
 
     def decode(self, x):
-        """(logits, symbols) without noise: the receiver reads the one-hot of
-        each row's argmax sender logit, and symbols is that int array, or
-        None without a bottleneck. A non-finite sender logit raises
-        NumericalError."""
-        h = stack_forward(self.sender, self._rows(x))
-        symbols = None
-        if self.bottleneck is not None:
-            symbols = hard_decode(h)
-            h = one_hot(symbols, self.vocab_size)
-        return stack_forward(self.receiver, h), symbols
+        """(logits, symbols) without noise, DECODE_ROWS rows at a time: the
+        receiver reads the one-hot of each row's argmax sender logit, and
+        symbols is that int array, or None without a bottleneck. A
+        non-finite sender logit on any row raises NumericalError before a
+        non-finite class logit on any row does."""
+        x = self._rows(x)
+        logits = np.empty((x.shape[0], self.num_classes))
+        symbols = None if self.bottleneck is None else np.empty(x.shape[0], np.intp)
+        for start in range(0, x.shape[0], DECODE_ROWS):
+            rows = slice(start, start + DECODE_ROWS)
+            h = stack_forward(self.sender, x[rows])
+            if symbols is not None:
+                symbols[rows] = hard_decode(h)
+                h = one_hot(symbols[rows], self.vocab_size)
+            logits[rows] = stack_forward(self.receiver, h)
+        if not np.isfinite(logits).all():
+            raise NumericalError("non-finite network output at decode")
+        return logits, symbols
 
     def backward(self, tape, dlogits, grads, input_grad=False):
         """Backpropagate a logit gradient through a `forward`'s tape,
@@ -256,19 +257,15 @@ def _batches(n, batch_size, order=None):
 
 
 def dataset_loss(model, dataset, batch_size, noise=None):
-    """Mean cross-entropy over a dataset, batched in input order.
-
-    With a bottleneck and `noise` (one [num_samples, K] row of Gumbel noise
-    per sample), the soft relaxation is used with that noise (the
-    validation contract); otherwise it is the noise-free `decode`.
-    """
+    """Mean cross-entropy of `forward` over a dataset, batched in input
+    order. A model with a bottleneck needs `noise`, one [num_samples, K] row
+    of Gumbel noise per sample, and is scored through the soft relaxation
+    with it (the validation contract); a baseline takes None. There is no
+    noise-free loss of a symbol model."""
     total = 0.0
     for idx in _batches(dataset.num_samples, batch_size):
         xb = dataset.features[idx]
-        if model.bottleneck is not None and noise is not None:
-            logits = model.forward(xb, noise[idx])[0]
-        else:
-            logits = model.decode(xb)[0]
+        logits = model.forward(xb, None if noise is None else noise[idx])[0]
         loss, _ = softmax_cross_entropy(logits, dataset.labels[idx])
         total += loss * len(idx)
     return total / dataset.num_samples
@@ -278,32 +275,38 @@ def _diverged(epoch):
     return NumericalError(f"non-finite loss at epoch {epoch}")
 
 
+def _check_split(model, ds):
+    """InputError unless `ds` is non-empty, has the model's feature count
+    and finite features, and labels in [0, num_classes)."""
+    name = ds.split or "data"
+    if ds.num_samples == 0:
+        raise InputError(f"{name} set must be non-empty")
+    if ds.num_features != model.input_dim:
+        raise InputError(
+            f"{name} set has {ds.num_features} features, model expects "
+            f"{model.input_dim}"
+        )
+    if not np.all(np.isfinite(ds.features)):
+        raise InputError(f"{name} features contain non-finite values")
+    low, high = ds.labels.min(), ds.labels.max()
+    if low < 0 or high >= model.num_classes:
+        raise InputError(
+            f"{name} labels span [{low}, {high}], outside [0, {model.num_classes})"
+        )
+
+
 def train(model, train_set, val_set, config):
     """Mini-batch Adam with per-epoch validation and early stopping.
 
     Returns a TrainLog; the model is left holding the best-validation-epoch
-    parameters as views into one flat vector. Shapes, features and labels
-    are checked once, up front; raises NumericalError (naming the epoch) on
-    a non-finite logit or loss. Every random stream starts here, so equal
-    weights and config train to equal results.
+    parameters as views into one flat vector. Both splits are checked once,
+    up front; raises NumericalError (naming the epoch) on a non-finite logit
+    or loss. Every random stream starts here, so equal weights and config
+    train to equal results.
     """
     config.validate()
-    if train_set.num_samples == 0 or val_set.num_samples == 0:
-        raise InputError("train and validation sets must be non-empty")
-    for ds in (train_set, val_set):
-        if ds.num_features != model.input_dim:
-            raise InputError(
-                f"dataset has {ds.num_features} features, model expects "
-                f"{model.input_dim}"
-            )
-        if not np.all(np.isfinite(ds.features)):
-            raise InputError(f"{ds.split or 'data'} features contain non-finite values")
-        low, high = ds.labels.min(), ds.labels.max()
-        if low < 0 or high >= model.num_classes:
-            raise InputError(
-                f"{ds.split or 'data'} labels span [{low}, {high}], outside "
-                f"[0, {model.num_classes})"
-            )
+    _check_split(model, train_set)
+    _check_split(model, val_set)
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
     params, grads, grad_views = _pack(model)
     state = AdamState(params, learning_rate=config.learning_rate)
@@ -361,39 +364,6 @@ def train(model, train_set, val_set, config):
     return log
 
 
-@dataclass
-class SymbolStat:
-    symbol: int
-    count: int
-    predicted_class_counts: list[int]
-
-
-@dataclass
-class EvalReport:
-    accuracy: float
-    f1: float
-    symbol_inventory: list[SymbolStat] = field(default_factory=list)
-
-    @property
-    def symbols(self):
-        return [stat.symbol for stat in self.symbol_inventory]
-
-    def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "symbols": self.symbols if self.symbol_inventory else None,
-            "symbol_inventory": [
-                {
-                    "symbol": s.symbol,
-                    "count": s.count,
-                    "predicted_class_counts": s.predicted_class_counts,
-                }
-                for s in self.symbol_inventory
-            ],
-        }
-
-
 def confusion_matrix(labels, predictions, num_classes):
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(cm, (np.asarray(labels, dtype=np.int64),
@@ -415,44 +385,35 @@ def macro_f1(labels, predictions, num_classes):
     return float(np.mean(scores))
 
 
-def predict(model, x):
-    """(classes, symbols) of the rows x, as int arrays: the argmax of each
-    row's `decode` logits, and its symbol (None without a bottleneck),
-    decoded DECODE_ROWS rows at a time. A non-finite sender logit in any
-    chunk raises NumericalError."""
-    x = model._rows(x)
-    classes = np.empty(x.shape[0], dtype=np.intp)
-    symbols = None if model.bottleneck is None else np.empty_like(classes)
-    for start in range(0, x.shape[0], DECODE_ROWS):
-        rows = slice(start, start + DECODE_ROWS)
-        logits, chunk = model.decode(x[rows])
-        classes[rows] = np.argmax(logits, axis=1)
-        if symbols is not None:
-            symbols[rows] = chunk
-    return classes, symbols
-
-
 def evaluate(model, test_set):
-    """Deterministic test-set report: accuracy, macro-F1, and (for symbol
-    models) the sorted unique-symbol inventory with per-symbol counts and
-    predicted-class histograms."""
-    if test_set.num_samples == 0:
-        raise InputError("test set must be non-empty")
-    if not np.all(np.isfinite(test_set.features)):
-        raise InputError("test features contain non-finite values")
-    predictions, symbols = predict(model, test_set.features)
-    accuracy = float((predictions == test_set.labels).mean())
-    f1 = macro_f1(test_set.labels, predictions, model.num_classes)
-    inventory = []
+    """Deterministic test-set report, as the JSON-ready document a run
+    writes: accuracy, macro-F1, and for symbol models the sorted symbols
+    used and the symbol inventory, each symbol's count and predicted-class
+    histogram (None and [] for a baseline). The split is checked as
+    `train` checks its own."""
+    _check_split(model, test_set)
+    logits, symbols = model.decode(test_set.features)
+    predictions = np.argmax(logits, axis=1)
+    report = {
+        "accuracy": float((predictions == test_set.labels).mean()),
+        "f1": macro_f1(test_set.labels, predictions, model.num_classes),
+        "symbols": None,
+        "symbol_inventory": [],
+    }
     if symbols is not None:
         unique, rows = np.unique(symbols, return_inverse=True)
         hists = np.zeros((unique.size, model.num_classes), dtype=np.int64)
         np.add.at(hists, (rows, predictions), 1)
-        inventory = [
-            SymbolStat(int(symbol), int(hist.sum()), hist.tolist())
+        report["symbols"] = unique.tolist()
+        report["symbol_inventory"] = [
+            {
+                "symbol": int(symbol),
+                "count": int(hist.sum()),
+                "predicted_class_counts": hist.tolist(),
+            }
             for symbol, hist in zip(unique, hists)
         ]
-    return EvalReport(accuracy, f1, inventory)
+    return report
 
 
 def _layer_doc(layer):
@@ -545,7 +506,7 @@ def load_checkpoint(doc):
             bottleneck = GumbelSoftmaxSampler(
                 doc["vocab_size"],
                 temperature=doc["temperature"],
-                seed=doc.get("sampler_seed", 0),
+                seed=doc["sampler_seed"],
             )
         model = ModelGraph(sender, receiver, bottleneck)
         if model.input_dim != doc.get("input_dim") or model.num_classes != doc.get(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -219,17 +220,21 @@ def _write_training_log(path, log):
 
 
 def _train_config(opts):
-    """The TrainConfig the options describe, checked along with --hidden."""
+    """The TrainConfig the options describe, checked along with the model's
+    --vocab, --temperature and --hidden, so that `repro` checks them all
+    before it writes anything."""
     config = TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
         max_epochs=opts["max_epochs"],
         patience=opts["patience"],
-        temperature=opts["temperature"],
-        vocab_size=opts["vocab"],
         seed=opts["seed"],
     )
     config.validate()
+    if opts["vocab"] < 2:
+        raise InputError("vocab_size must be >= 2")
+    if not (0 < opts["temperature"] < math.inf):
+        raise InputError("temperature must be positive and finite")
     if opts["hidden"] < 1:
         raise InputError("hidden must be a positive integer")
     return config
@@ -246,9 +251,9 @@ def _train_to(opts, data_dir, out_dir):
     model = build_model(
         input_dim=train_set.num_features,
         num_classes=train_set.num_classes,
-        vocab_size=config.vocab_size,
+        vocab_size=opts["vocab"],
         hidden_dim=opts["hidden"],
-        temperature=config.temperature,
+        temperature=opts["temperature"],
         with_bottleneck=opts["model"] == "el",
         seed=config.seed,
     )
@@ -265,10 +270,11 @@ def _train_to(opts, data_dir, out_dir):
                         train_set.class_names),
     )
     _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
-    report_doc = {"model": opts["model"], **report.to_dict(),
-                  "best_epoch": log.best_epoch,
-                  "epochs_trained": len(log.epochs)}
-    _write_json(os.path.join(out_dir, "eval_report.json"), report_doc)
+    _write_json(
+        os.path.join(out_dir, "eval_report.json"),
+        {"model": opts["model"], **report, "best_epoch": log.best_epoch,
+         "epochs_trained": len(log.epochs)},
+    )
     return report
 
 
@@ -388,9 +394,9 @@ def cmd_repro(args):
         table.append(
             {
                 "experiment": kind,
-                "accuracy_percent": report.accuracy * 100.0,
-                "f1_score": report.f1,
-                "symbols": report.symbols if report.symbol_inventory else None,
+                "accuracy_percent": report["accuracy"] * 100.0,
+                "f1_score": report["f1"],
+                "symbols": report["symbols"],
             }
         )
     _write_json(os.path.join(out, "comparison.json"), {"table": table})

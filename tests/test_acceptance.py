@@ -290,7 +290,7 @@ def default_task_run():
             hidden_dim=64, temperature=1.0, with_bottleneck=kind == "el", seed=0,
         )
         config = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=200,
-                             patience=10, temperature=1.0, vocab_size=100, seed=0)
+                             patience=10, seed=0)
         train(model, train_set, val_set, config)
         models[kind] = model
         reports[kind] = evaluate(model, test_set)
@@ -301,21 +301,21 @@ def default_task_run():
 def test_criterion_4_synthetic_benchmark(default_task_run):
     _, reports, elapsed = default_task_run
     base, el = reports["baseline"], reports["el"]
-    gap = abs(el.accuracy - base.accuracy)
+    gap = abs(el["accuracy"] - base["accuracy"])
     criterion(
         4,
-        base.accuracy >= 0.95 and el.accuracy >= 0.95
-        and base.f1 >= 0.95 and el.f1 >= 0.95
+        base["accuracy"] >= 0.95 and el["accuracy"] >= 0.95
+        and base["f1"] >= 0.95 and el["f1"] >= 0.95
         and gap <= 0.03 and elapsed < 300.0,
-        f"baseline acc {base.accuracy:.4f} f1 {base.f1:.4f}, symbol model acc "
-        f"{el.accuracy:.4f} f1 {el.f1:.4f}, gap {gap * 100:.2f} points "
+        f"baseline acc {base['accuracy']:.4f} f1 {base['f1']:.4f}, symbol model acc "
+        f"{el['accuracy']:.4f} f1 {el['f1']:.4f}, gap {gap * 100:.2f} points "
         f"(<=3), {elapsed:.0f}s (<300s)",
     )
 
 
 def test_criterion_5_symbol_parsimony(default_task_run):
     _, reports, _ = default_task_run
-    symbols = reports["el"].symbols
+    symbols = reports["el"]["symbols"]
     criterion(
         5,
         0 < len(symbols) <= 12,

@@ -534,7 +534,7 @@ def trained_symbol_model(seed=0):
     train_set, val_set, test_set = generate_synthetic(spec)
     model = build_model(spec.feature_dim, 3, vocab_size=16, hidden_dim=16,
                         seed=seed)
-    config = TrainConfig(max_epochs=120, patience=20, vocab_size=16, seed=seed)
+    config = TrainConfig(max_epochs=120, patience=20, seed=seed)
     train(model, train_set, val_set, config)
     return spec, model, test_set
 
@@ -561,15 +561,15 @@ def test_per_symbol_report_matches_symbol_inventory():
     _, model, test_set = trained_symbol_model(19)
     report = per_symbol_report(model, test_set,
                                AttributionConfig(riemann_steps=40))
-    inventory = evaluate(model, test_set).symbol_inventory
-    assert report.symbols == [s.symbol for s in inventory]
-    assert report.counts == [s.count for s in inventory]
+    inventory = evaluate(model, test_set)["symbol_inventory"]
+    assert report.symbols == [s["symbol"] for s in inventory]
+    assert report.counts == [s["count"] for s in inventory]
     assert sum(report.counts) == test_set.num_samples
 
 
 def test_per_symbol_report_finds_informative_blocks():
     spec, model, test_set = trained_symbol_model(20)
-    accuracy = evaluate(model, test_set).accuracy
+    accuracy = evaluate(model, test_set)["accuracy"]
     assert accuracy >= 0.9, "fixture model must have learned the task"
     report = per_symbol_report(model, test_set,
                                AttributionConfig(riemann_steps=100))
@@ -643,7 +643,7 @@ def standardized_checkpoint_model():
     model = build_model(spec.feature_dim, 3, vocab_size=16, hidden_dim=16,
                         seed=23)
     train(model, rescale(train_set, stats), rescale(val_set, stats),
-          TrainConfig(max_epochs=40, patience=40, vocab_size=16, seed=23))
+          TrainConfig(max_epochs=40, patience=40, seed=23))
     model, stats, _, _ = load_checkpoint(
         save_checkpoint(model, stats, train_set.feature_names)
     )

@@ -366,7 +366,8 @@ def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys, monkeypatc
     # two processes, so the error also crosses from the worker path. The test
     # split spans three decode chunks, the last one partial, and the sender
     # overflows on its last row only, so both `evaluate` and the attribution
-    # meet it in the last chunk.
+    # meet it in the last chunk; the receiver overflows on every row, and
+    # `evaluate` raises on it too.
     import numpy as np
 
     from emlang import attribution
@@ -394,6 +395,9 @@ def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys, monkeypatc
         save_csv(test_set, test_csv)
     else:
         layer["weights"] = [1e308] * len(layer["weights"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                evaluate(load_checkpoint(doc).model, load_csv(test_csv, split="test"))
     ckpt = tmp_path / "overflow.json"
     ckpt.write_text(json.dumps(doc))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -456,6 +460,19 @@ def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, val
     out = tmp_path / "out"
     assert run(["repro", "--out", str(out), *SMALL_GEN, *SMALL_TRAIN,
                 flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--model", "baseline", "--vocab", "1"), "vocab_size must be >= 2"),
+    (("--temperature", "inf"), "temperature must be positive and finite"),
+], ids=["baseline-vocab", "temperature"])
+def test_train_checks_the_model_options_before_any_output(tmp_path, capsys, flags,
+                                                          message):
+    data = gen_small(tmp_path)
+    out = tmp_path / "out"
+    assert run(["train", "--data", str(data), "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
