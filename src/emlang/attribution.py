@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelGraph
-from .data import csv_writer
+from .data import write_csv
 from .errors import InputError, NumericalError
 from .nn import as_f64, softmax
 
@@ -351,11 +351,9 @@ class ConductanceReport:
     feature_labels: list[str]
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv_writer(fh, self.feature_labels)
-            writer.writerow(["symbol", "count"] + list(self.feature_labels))
-            for symbol, count, row in zip(self.symbols, self.counts, self.matrix):
-                writer.writerow([symbol, count] + [repr(float(v)) for v in row])
+        write_csv(path, ["symbol", "count", *self.feature_labels],
+                  ([symbol, count] + row.tolist()
+                   for symbol, count, row in zip(self.symbols, self.counts, self.matrix)))
 
     def dominant_blocks(self, block_size):
         """Per symbol: (block index with the largest mean |attribution|,

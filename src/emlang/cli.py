@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 usage/config/input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -45,6 +44,7 @@ from .data import (
     rescale,
     save_csv,
     standardization,
+    write_csv,
 )
 from .errors import InputError, NumericalError
 
@@ -171,14 +171,6 @@ def cmd_gen(args):
     _generate_to(_spec_from_options(_resolve(GEN_OPTIONS, args)), args.out)
 
 
-def _load_finite_csv(path, label_column, split):
-    """load_csv, rejecting non-finite features before any output is written."""
-    ds = load_csv(path, label_column=label_column, split=split)
-    if not np.all(np.isfinite(ds.features)):
-        raise InputError(f"{path}: features contain non-finite values")
-    return ds
-
-
 def _check_columns(path, names, expected, owner):
     """InputError unless the feature columns `names` read from `path` are
     `expected`, the columns `owner` expects, in the same order."""
@@ -198,7 +190,7 @@ def _load_split_dir(data_dir, label_column):
     sets = []
     for tag in ("train", "val", "test"):
         path = os.path.join(data_dir, f"{tag}.csv")
-        sets.append(_load_finite_csv(path, label_column, tag))
+        sets.append(load_csv(path, label_column, tag))
     train_set, val_set, test_set = sets
     for ds in (val_set, test_set):
         _check_columns(f"{ds.split}.csv", ds.feature_names,
@@ -209,14 +201,6 @@ def _load_split_dir(data_dir, label_column):
                 f"train.csv classes {train_set.class_names}"
             )
     return train_set, val_set, test_set
-
-
-def _write_training_log(path, log):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for stats in log.epochs:
-            writer.writerow([stats.epoch, repr(stats.train_loss), repr(stats.val_loss)])
 
 
 def _train_config(opts):
@@ -269,7 +253,9 @@ def _train_to(opts, data_dir, out_dir):
         save_checkpoint(model, stats, train_set.feature_names,
                         train_set.class_names),
     )
-    _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
+    write_csv(os.path.join(out_dir, "training_log.csv"),
+              ["epoch", "train_loss", "val_loss"],
+              ([s.epoch, s.train_loss, s.val_loss] for s in log.epochs))
     _write_json(
         os.path.join(out_dir, "eval_report.json"),
         {"model": opts["model"], **report, "best_epoch": log.best_epoch,
@@ -321,7 +307,7 @@ def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
             "checkpoint holds a baseline model without a symbol bottleneck; "
             "attribution needs a model trained with --model el"
         )
-    test_set = _load_finite_csv(test_csv, opts["label_column"], "test")
+    test_set = load_csv(test_csv, opts["label_column"], "test")
     _check_columns(test_csv, test_set.feature_names, feature_names,
                    "the checkpoint's model")
     if stats is not None:

@@ -8,12 +8,21 @@ is therefore informative in exactly one contiguous block, which is the
 property the attribution report is checked against. It is generated as a
 train/val/test triple, and the CLI reads such a triple back from CSVs, so
 the package has no splitting of its own.
+
+This module owns the CSV format. `write_csv` writes every CSV the package
+produces: the dataset splits (`save_csv`), `training_log.csv` and
+`conductance.csv`. `load_csv` reads a dataset into one float64 buffer and
+raises `InputError`, naming the file, for a file that is not UTF-8 or not
+valid CSV, a header without exactly one label column and at least one
+feature column, a ragged row, a cell that is not a number, or a non-finite
+feature.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,69 +138,89 @@ def generate_synthetic(spec):
     return tuple(splits)
 
 
-def csv_writer(fh, text):
-    """A newline-terminated csv writer for rows whose text cells are among
-    `text`. Minimal quoting leaves a bare carriage return unquoted, which a
-    reader takes for a line end, so one in any cell quotes every field."""
-    quote_all = any("\r" in cell for cell in text)
-    return csv.writer(fh, lineterminator="\n",
-                      quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+def write_csv(path, header, rows, text=()):
+    """Write `header`, then each of `rows`, to `path` as UTF-8 lines ending
+    in "\n". Cells are ints, strings and Python floats, which the csv module
+    writes as their repr, text that reads back bit-exact. `text` holds the
+    string cells of `rows`. Minimal quoting leaves a bare carriage return
+    unquoted, which a reader takes for a line end, so one in the header or in
+    `text` quotes every field."""
+    quote_all = any("\r" in cell for cell in (*header, *text))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n",
+                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_csv(dataset, path, label_column="label"):
-    """Header row of the feature names plus the label column; floats as repr
-    text."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        header = list(dataset.feature_names) + [label_column]
-        writer = csv_writer(fh, header + list(dataset.class_names))
-        writer.writerow(header)
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow(
-                [repr(float(v)) for v in row] + [dataset.class_names[label]]
-            )
+    """Header row of the feature names plus the label column, then one line
+    per sample."""
+    names = dataset.class_names
+    rows = zip(dataset.features, dataset.labels)
+    write_csv(path, [*dataset.feature_names, label_column],
+              (row.tolist() + [names[label]] for row, label in rows), text=names)
 
 
 def load_csv(path, label_column="label", split=""):
-    """Parse a headered CSV: non-label columns become features in header
-    order, named by their header cells, and label strings map to dense
-    indices in sorted order."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header row required") from None
-        if label_column not in header:
-            raise InputError(f"{path}: missing label column {label_column!r}")
-        label_pos = header.index(label_column)
-        rows = []
-        raw_labels = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+    """Parse a headered UTF-8 CSV: non-label columns become features in
+    header order, named by their header cells, and label strings map to dense
+    indices in sorted order. Every feature cell goes through `float` into one
+    float64 buffer; once the whole file parses, a non-finite feature is an
+    error that names its row and column."""
+    features = array("d")
+    raw_labels = []
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file, header row required")
+            named = header.count(label_column)
+            if named != 1:
                 raise InputError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected "
-                    f"{len(header)}"
+                    f"{path}: header names label column {label_column!r} "
+                    f"{named} times, expected once"
                 )
-            values = []
-            for i, cell in enumerate(row):
-                if i == label_pos:
-                    raw_labels.append(cell)
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
+            if len(header) == 1:
+                raise InputError(f"{path}: header has no feature column")
+            label_pos = header.index(label_column)
+            feature_names = header[:label_pos] + header[label_pos + 1 :]
+            for row_num, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise InputError(
-                        f"{path}: row {row_num}, column {header[i]!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-            rows.append(values)
-    if not rows:
+                        f"{path}: row {row_num} has {len(row)} cells, expected "
+                        f"{len(header)}"
+                    )
+                raw_labels.append(row.pop(label_pos))
+                for name, cell in zip(feature_names, row):
+                    try:
+                        features.append(float(cell))
+                    except ValueError:
+                        raise InputError(
+                            f"{path}: row {row_num}, column {name!r}: "
+                            f"cannot parse {cell!r} as a number"
+                        ) from None
+    except UnicodeDecodeError as exc:
+        # exc's position counts from the start of a decoded chunk, not of the file
+        undecoded = exc.object[exc.start : exc.end]
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} {undecoded!r}") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}: malformed CSV: {exc}") from None
+    if not raw_labels:
         raise InputError(f"{path}: no data rows")
+    matrix = np.frombuffer(features).reshape(len(raw_labels), len(feature_names))
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        row, column = bad[0]
+        raise InputError(
+            f"{path}: row {row + 2}, column {feature_names[column]!r}: "
+            f"non-finite value {matrix[row, column]}"
+        )
     class_names = sorted(set(raw_labels))
     index = {name: i for i, name in enumerate(class_names)}
     labels = np.array([index[name] for name in raw_labels], dtype=np.int64)
-    feature_names = header[:label_pos] + header[label_pos + 1 :]
-    return Dataset(np.array(rows), labels, class_names, split=split,
+    return Dataset(matrix, labels, class_names, split=split,
                    feature_names=feature_names)
 
 

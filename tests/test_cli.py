@@ -701,3 +701,46 @@ def test_repro_small_end_to_end(tmp_path):
         assert (out / sub).is_dir()
     assert (out / "el" / "checkpoint.json").exists()
     assert (out / "attribution" / "conductance.csv").exists()
+
+
+def _not_utf8(data):
+    lines = (data / "test.csv").read_bytes().split(b"\n")
+    lines[1] = lines[1].rsplit(b",", 1)[0] + b",caf\xe9"
+    (data / "test.csv").write_bytes(b"\n".join(lines))
+
+
+def _oversized_field(data):
+    lines = (data / "test.csv").read_text().split("\n")
+    lines[1] = lines[1].rsplit(",", 1)[0] + ',"' + "x" * 200_000 + '"'
+    (data / "test.csv").write_text("\n".join(lines))
+
+
+def _no_feature_column(data):
+    for tag in ("train", "val", "test"):
+        lines = (data / f"{tag}.csv").read_text().splitlines()
+        (data / f"{tag}.csv").write_text(
+            "".join(line.rsplit(",", 1)[1] + "\n" for line in lines))
+
+
+def _label_column_twice(data):
+    for tag in ("train", "val", "test"):
+        header, *rows = (data / f"{tag}.csv").read_text().splitlines()
+        (data / f"{tag}.csv").write_text(
+            "".join(line + "\n" for line in [header + ",label",
+                                              *(row + ",1.0" for row in rows)]))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_not_utf8, "test.csv: not UTF-8 text"),
+    (_oversized_field, "test.csv: malformed CSV: field larger than field limit"),
+    (_no_feature_column, "train.csv: header has no feature column"),
+    (_label_column_twice, "train.csv: header names label column 'label' 2 times"),
+], ids=["not-utf8", "oversized-field", "no-feature-column", "label-column-twice"])
+def test_train_rejects_a_malformed_csv_before_any_output(tmp_path, capsys, corrupt,
+                                                         message):
+    data = gen_small(tmp_path)
+    corrupt(data)
+    out = tmp_path / "out"
+    assert run(["train", "--data", str(data), "--out", str(out), *SMALL_TRAIN]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

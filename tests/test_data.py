@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,51 @@ def test_load_csv_bad_cell_names_row_and_column(tmp_path):
     path.write_text("a,b,label\n1.0,2.0,x\n1.0,oops,y\n")
     with pytest.raises(InputError, match=r"row 3.*'b'"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_a_nonfinite_cell(tmp_path, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"a,b,label\n1.0,2.0,x\n1.0,{value},y\n")
+    with pytest.raises(InputError, match=rf"row 3, column 'b': non-finite value {value}$"):
+        load_csv(path)
+
+
+def test_load_csv_reports_a_parse_error_before_an_earlier_nonfinite_cell(tmp_path):
+    path = tmp_path / "both.csv"
+    path.write_text("a,b,label\n1.0,nan,x\n1.0,oops,y\n")
+    with pytest.raises(InputError, match=r"row 3, column 'b': cannot parse 'oops'"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("label\nx\ny\n", "header has no feature column"),
+    ("a,label,label\n1.0,x,2.0\n", "header names label column 'label' 2 times"),
+], ids=["no-feature-column", "label-column-twice"])
+def test_load_csv_rejects_a_header_without_features_or_one_label(tmp_path, text,
+                                                                 message):
+    path = tmp_path / "header.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match=message):
+        load_csv(path)
+
+
+def test_load_csv_peak_memory_is_one_float64_buffer(tmp_path):
+    # 10,000 x 28 features are 2.1 MiB as float64; one Python list of floats
+    # per row held 12.6 MiB
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(10_000, 28)), rng.integers(0, 4, size=10_000),
+                 ["a", "b", "c", "d"])
+    path = tmp_path / "long.csv"
+    save_csv(ds, path)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.features.tobytes() == ds.features.tobytes()
+    assert peak < 8 * 2**20
 
 
 def test_load_csv_ragged_row(tmp_path):
