@@ -101,6 +101,8 @@ class AttributionConfig:
             raise InputError("riemann_steps must be >= 1")
         if self.output not in OUTPUTS:
             raise InputError(f"output must be one of {OUTPUTS}")
+        if self.baseline is not None and not np.all(np.isfinite(self.baseline)):
+            raise InputError("baseline contains non-finite values")
 
 
 def attribution_stack(model):
@@ -111,7 +113,8 @@ def attribution_stack(model):
 
 
 def _resolve_inputs(stack, x, config, ndim=1):
-    """x (one sample, or rows when ndim is 2) and the baseline, checked."""
+    """x (one sample, or rows when ndim is 2) and the baseline, checked for
+    shape, and x for finiteness: `config.validate` checks the baseline's."""
     x = as_f64(x)
     if x.ndim != ndim or x.shape[-1] != stack[0].in_dim:
         raise InputError(
@@ -124,8 +127,8 @@ def _resolve_inputs(stack, x, config, ndim=1):
         raise InputError(
             f"baseline shape {baseline.shape} does not match input ({dim},)"
         )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(baseline))):
-        raise InputError("input or baseline contains non-finite values")
+    if not np.all(np.isfinite(x)):
+        raise InputError("input contains non-finite values")
     return x, baseline
 
 
@@ -341,6 +344,19 @@ def neuron_conductance(model, x, config):
                            config.riemann_steps, layer_index, [unit])[0]
 
 
+def check_block_layout(num_features, block_size):
+    """The number of blocks of `block_size` features that `num_features`
+    features make; InputError unless block_size >= 1 divides num_features."""
+    if block_size < 1:
+        raise InputError("block_size must be >= 1")
+    if num_features % block_size != 0:
+        raise InputError(
+            f"feature count {num_features} is not a multiple of block size "
+            f"{block_size}"
+        )
+    return num_features // block_size
+
+
 @dataclass
 class ConductanceReport:
     """Per-symbol mean input attributions: one row per observed symbol."""
@@ -358,14 +374,7 @@ class ConductanceReport:
     def dominant_blocks(self, block_size):
         """Per symbol: (block index with the largest mean |attribution|,
         that block's share of the total across blocks)."""
-        if block_size < 1:
-            raise InputError("block_size must be >= 1")
-        if self.matrix.shape[1] % block_size != 0:
-            raise InputError(
-                f"feature count {self.matrix.shape[1]} is not a multiple of "
-                f"block size {block_size}"
-            )
-        num_blocks = self.matrix.shape[1] // block_size
+        num_blocks = check_block_layout(self.matrix.shape[1], block_size)
         out = []
         for row in np.abs(self.matrix):
             scores = row.reshape(num_blocks, block_size).mean(axis=1)
@@ -382,7 +391,8 @@ def per_symbol_report(model, dataset, config):
     config.validate()
     if not isinstance(model, ModelGraph) or model.bottleneck is None:
         raise InputError(
-            "per-symbol attribution requires a model with a symbol bottleneck"
+            "per-symbol attribution requires a model with a symbol bottleneck, "
+            "not a baseline model; train one with --model el"
         )
     if dataset.num_samples == 0:
         raise InputError("dataset must be non-empty")

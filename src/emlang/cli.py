@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .attribution import AttributionConfig, per_symbol_report
+from .attribution import AttributionConfig, check_block_layout, per_symbol_report
 from .classifier import (
     TrainConfig,
     build_model,
@@ -40,6 +39,7 @@ from .classifier import (
 from .data import (
     SynthSpec,
     generate_synthetic,
+    is_plain_number_text,
     load_csv,
     rescale,
     save_csv,
@@ -47,6 +47,7 @@ from .data import (
     write_csv,
 )
 from .errors import InputError, NumericalError
+from .gumbel import GumbelSoftmaxSampler
 
 # Each command's options: name -> (default, argparse keyword arguments). The
 # name gives the flag (`--name` with dashes) and the --config key; the
@@ -205,8 +206,9 @@ def _load_split_dir(data_dir, label_column):
 
 def _train_config(opts):
     """The TrainConfig the options describe, checked along with the model's
-    --vocab, --temperature and --hidden, so that `repro` checks them all
-    before it writes anything."""
+    --vocab and --temperature (by the channel they describe, for either model
+    kind) and --hidden, so that `repro` checks them all before it writes
+    anything."""
     config = TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
@@ -215,10 +217,7 @@ def _train_config(opts):
         seed=opts["seed"],
     )
     config.validate()
-    if opts["vocab"] < 2:
-        raise InputError("vocab_size must be >= 2")
-    if not (0 < opts["temperature"] < math.inf):
-        raise InputError("temperature must be positive and finite")
+    GumbelSoftmaxSampler(opts["vocab"], opts["temperature"])
     if opts["hidden"] < 1:
         raise InputError("hidden must be a positive integer")
     return config
@@ -272,6 +271,8 @@ def _parse_baseline_vector(text, dim):
     if text == "zero":
         return None
     try:
+        if not is_plain_number_text(text):
+            raise ValueError
         values = [float(v) for v in text.split(",")]
     except ValueError:
         raise InputError(
@@ -281,8 +282,6 @@ def _parse_baseline_vector(text, dim):
         raise InputError(
             f"baseline vector has {len(values)} entries, expected {dim}"
         )
-    if not np.all(np.isfinite(values)):
-        raise InputError("baseline contains non-finite values")
     return np.array(values)
 
 
@@ -302,23 +301,12 @@ def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
     model, stats, feature_names, _ = load_checkpoint(
         _read_json(checkpoint_path, "checkpoint")
     )
-    if model.bottleneck is None:
-        raise InputError(
-            "checkpoint holds a baseline model without a symbol bottleneck; "
-            "attribution needs a model trained with --model el"
-        )
     test_set = load_csv(test_csv, opts["label_column"], "test")
     _check_columns(test_csv, test_set.feature_names, feature_names,
                    "the checkpoint's model")
     if stats is not None:
         test_set = rescale(test_set, stats)
-    if opts["block_size"] < 1:
-        raise InputError("block_size must be >= 1")
-    if test_set.num_features % opts["block_size"] != 0:
-        raise InputError(
-            f"feature count {test_set.num_features} is not a multiple of "
-            f"block size {opts['block_size']}; set --block-size"
-        )
+    check_block_layout(test_set.num_features, opts["block_size"])
     config = _attribution_config(opts, test_set.num_features)
     report = per_symbol_report(model, test_set, config)
     summary = [

@@ -14,8 +14,8 @@ produces: the dataset splits (`save_csv`), `training_log.csv` and
 `conductance.csv`. `load_csv` reads a dataset into one float64 buffer and
 raises `InputError`, naming the file, for a file that is not UTF-8 or not
 valid CSV, a header without exactly one label column and at least one
-feature column, a ragged row, a cell that is not a number, or a non-finite
-feature.
+feature column, a ragged row, a feature cell that is not a plain ASCII
+number, or a non-finite feature.
 """
 
 from __future__ import annotations
@@ -116,9 +116,13 @@ def _balanced_labels(n, num_classes):
 
 
 def generate_synthetic(spec):
-    """Deterministic (train, val, test) datasets per the block-Gaussian spec."""
+    """Deterministic (train, val, test) datasets per the block-Gaussian spec.
+    Class names carry the index zero-padded to one width, so that their
+    sorted order, in which `load_csv` numbers them, is index order. A spec
+    whose features overflow to a non-finite value is an InputError."""
     spec.validate()
-    class_names = [f"class{c}" for c in range(spec.num_classes)]
+    width = len(str(spec.num_classes - 1))
+    class_names = [f"class{c:0{width}d}" for c in range(spec.num_classes)]
     splits = []
     sizes = [
         ("train", spec.train_samples),
@@ -134,6 +138,11 @@ def generate_synthetic(spec):
         for k in range(spec.num_classes):
             rows = labels == k
             features[np.ix_(rows, k * spec.block_size + cols)] += spec.mean_shift
+        if not np.all(np.isfinite(features)):
+            raise InputError(
+                f"{tag} features overflow: noise_sigma {spec.noise_sigma} and "
+                f"mean_shift {spec.mean_shift} give non-finite values"
+            )
         splits.append(Dataset(features, labels, list(class_names), split=tag))
     return tuple(splits)
 
@@ -162,14 +171,24 @@ def save_csv(dataset, path, label_column="label"):
               (row.tolist() + [names[label]] for row, label in rows), text=names)
 
 
+def is_plain_number_text(text):
+    """False for text that `float` reads as a number although a CSV number is
+    never written so: with a digit-group `_` (1_000) or a non-ASCII
+    character, such as an Arabic-Indic digit."""
+    return text.isascii() and "_" not in text
+
+
 def load_csv(path, label_column="label", split=""):
     """Parse a headered UTF-8 CSV: non-label columns become features in
     header order, named by their header cells, and label strings map to dense
-    indices in sorted order. Every feature cell goes through `float` into one
-    float64 buffer; once the whole file parses, a non-finite feature is an
-    error that names its row and column."""
+    indices in sorted order. Blank lines are skipped, and rows are numbered
+    as records of the file, blank ones included. Every feature cell goes
+    through `float` into one float64 buffer, and a cell that is not plain
+    number text does not parse; once the whole file parses, a non-finite
+    feature is an error that names its row and column."""
     features = array("d")
     raw_labels = []
+    blank_rows = []
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -187,14 +206,22 @@ def load_csv(path, label_column="label", split=""):
             label_pos = header.index(label_column)
             feature_names = header[:label_pos] + header[label_pos + 1 :]
             for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    blank_rows.append(row_num)
+                    continue
                 if len(row) != len(header):
                     raise InputError(
                         f"{path}: row {row_num} has {len(row)} cells, expected "
                         f"{len(header)}"
                     )
                 raw_labels.append(row.pop(label_pos))
+                # one check a row; only a row that fails it is checked a cell
+                # at a time, so the first bad cell in column order is named
+                strict = not is_plain_number_text("".join(row))
                 for name, cell in zip(feature_names, row):
                     try:
+                        if strict and not is_plain_number_text(cell):
+                            raise ValueError
                         features.append(float(cell))
                     except ValueError:
                         raise InputError(
@@ -213,8 +240,12 @@ def load_csv(path, label_column="label", split=""):
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         row, column = bad[0]
+        row_num = row + 2
+        for blank in blank_rows:
+            if blank <= row_num:
+                row_num += 1
         raise InputError(
-            f"{path}: row {row + 2}, column {feature_names[column]!r}: "
+            f"{path}: row {row_num}, column {feature_names[column]!r}: "
             f"non-finite value {matrix[row, column]}"
         )
     class_names = sorted(set(raw_labels))

@@ -246,6 +246,7 @@ def test_attribute_rejects_baseline_checkpoint(tmp_path, capsys):
     ])
     assert code == 2
     assert "baseline" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
 
 
 def test_attribute_rejects_corrupt_checkpoint(tmp_path):
@@ -453,8 +454,12 @@ def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
     ("--label-column", "f0", "label column 'f0' names a feature"),
     ("--mean-shift", "nan", "mean_shift must be finite"),
     ("--temperature", "inf", "temperature must be positive and finite"),
+    ("--noise-sigma", "1e308", "train features overflow"),
+    ("--baseline-vector", "1_000", "must be 'zero' or comma-separated numbers"),
+    ("--baseline-vector", "\u0661", "must be 'zero' or comma-separated numbers"),
 ], ids=["lr", "hidden", "riemann-steps", "baseline-vector", "vocab", "test-samples",
-        "label-column", "mean-shift", "temperature"])
+        "label-column", "mean-shift", "temperature", "noise-sigma",
+        "baseline-vector-underscore", "baseline-vector-non-ascii"])
 def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, value,
                                                      message):
     out = tmp_path / "out"
@@ -493,6 +498,32 @@ def test_attribute_rejects_a_block_size_below_one(tmp_path, capsys, value):
     ]) == 2
     assert "block_size must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "attr").exists()
+
+
+def test_attribute_rejects_a_block_size_that_does_not_divide_the_features(
+        tmp_path, capsys, monkeypatch):
+    import emlang.cli
+
+    def attribution_ran(*args):
+        raise AssertionError("per_symbol_report ran before the block layout check")
+
+    data = gen_small(tmp_path)
+    monkeypatch.setattr(emlang.cli, "per_symbol_report", attribution_ran)
+    assert run([
+        "attribute", "--checkpoint", str(untrained_checkpoint(tmp_path)),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+        "--block-size", "5",
+    ]) == 2
+    assert ("feature count 28 is not a multiple of block size 5"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "attr").exists()
+
+
+def test_gen_rejects_overflowing_features_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["gen", "--out", str(out), "--noise-sigma", "1e308"]) == 2
+    assert "train features overflow" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repro_writes_the_named_label_column(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -120,6 +121,29 @@ def test_spec_validation():
         generate_synthetic(SynthSpec(seed=-1))
 
 
+def test_generate_synthetic_rejects_overflowing_features():
+    with pytest.raises(InputError, match="train features overflow"):
+        generate_synthetic(SynthSpec(noise_sigma=1e308))
+    # large but finite features are generated
+    train, _, _ = generate_synthetic(SynthSpec(noise_sigma=0.0, mean_shift=1e308))
+    assert train.features.max() == 1e308
+
+
+def test_twelve_classes_keep_their_labels_and_names_through_csv(tmp_path):
+    # load_csv numbers classes by sorted name, so class10 must sort after
+    # class09, not before class2
+    spec = SynthSpec(num_classes=12, block_size=2, train_samples=24,
+                     val_samples=12, test_samples=12, seed=8)
+    splits = generate_synthetic(spec)
+    assert splits[0].class_names == [f"class{k:02d}" for k in range(12)]
+    for ds in splits:
+        path = tmp_path / f"{ds.split}.csv"
+        save_csv(ds, path)
+        loaded = load_csv(path)
+        assert loaded.class_names == ds.class_names
+        np.testing.assert_array_equal(loaded.labels, ds.labels)
+
+
 # every finite float64, with the edge cases of its decimal text made likely
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -239,6 +263,42 @@ def test_load_csv_peak_memory_is_one_float64_buffer(tmp_path):
         tracemalloc.stop()
     assert loaded.features.tobytes() == ds.features.tobytes()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("text", [
+    "a,label\n1.0,x\n2.0,y\n\n",
+    "a,label\n1.0,x\n\n2.0,y\n",
+], ids=["trailing", "between-rows"])
+def test_load_csv_skips_blank_lines(tmp_path, text):
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    ds = load_csv(path)
+    np.testing.assert_array_equal(ds.features, [[1.0], [2.0]])
+    assert ds.labels.tolist() == [0, 1]
+
+
+def test_load_csv_counts_blank_lines_in_row_numbers(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,label\n\n1.0,x\n\n\nnan,y\n\n")
+    with pytest.raises(InputError, match=r"row 6, column 'a': non-finite value nan$"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661", "\u00a01"])
+def test_load_csv_rejects_a_feature_cell_that_is_not_plain_ascii(tmp_path, cell):
+    # float() reads each of these as a number
+    path = tmp_path / "plain.csv"
+    path.write_text(f"a,b,label\n1.0,2.0,x\n3.0,{cell},y\n", encoding="utf-8")
+    message = f"row 3, column 'b': cannot parse {cell!r} as a number"
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_csv(path)
+
+
+def test_load_csv_names_the_first_bad_cell_of_a_row_that_is_not_plain(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("a,b,c,label\n1.0,oops,1_000,x\n")
+    with pytest.raises(InputError, match=r"row 2, column 'b': cannot parse 'oops'"):
+        load_csv(path)
 
 
 def test_load_csv_ragged_row(tmp_path):
