@@ -6,21 +6,26 @@ x' + a (x - x'), a in [0, 1], from a baseline x' to the input x:
   IG_i      = (x_i - x'_i) * integral dF/dx_i da
   Cond^y_i  = (x_i - x'_i) * integral dF/dy * dy/dx_i da
 
-F is the pre-softmax logit of a target class by default (a probability
-output is selectable); y is a post-activation hidden unit. Summing Cond^y
-over all units of one layer recovers IG componentwise.
+F is the pre-softmax logit of a target class by default, or its softmax
+probability; y is a post-activation hidden unit. Summing Cond^y over all
+units of one layer recovers IG componentwise.
 
-The stack holds only relu and identity layers, so for the logit output the
-integrand is piecewise constant along the path: it changes only where some
-relu pre-activation changes sign. `path_segments` finds those breakpoints
-exactly, and the integral is one gradient per segment, taken at its
-midpoint and weighted by its length; completeness then holds to rounding.
-The probability output is not piecewise constant and keeps the midpoint
-Riemann rule with `riemann_steps` points (the midpoint avoids evaluating
-exactly on relu kinks at the endpoints).
+Both outputs are integrated exactly, by one rule: the path's restriction
+to the relu segments, as in ExactLine (Sotoudeh & Thakur, "Computing Linear
+Restrictions of Neural Networks", arXiv 1908.06214). The stack holds only
+relu and identity layers, so the network is affine on each stretch of the
+path where no relu pre-activation changes sign. `path_segments` finds those
+breakpoints exactly, and each segment takes one backward at its midpoint,
+of the upstream gradient at the logits averaged over the segment, weighted
+by its length. For the logit output that average is the one-hot of the
+target. For the probability output the logits move along a line inside
+the segment, so the average of d p_t / d logits is a smooth integral in a,
+which `_probability_upstream` takes by Gauss-Legendre quadrature on pieces
+short enough for it to be exact to rounding. Completeness then holds to
+rounding for both outputs: each segment adds the change of F across it.
 
 Every attribution is one batched pass of `attribute_block` over the paths
-of several samples: quadrature rows carry a sample id and stay sorted by
+of several samples: segment rows carry a sample id and stay sorted by
 (sample, a), one forward over all rows keeps its relu masks in local
 arrays, one backward computes input gradients only, and `np.add.reduceat`
 sums each sample's rows. `integrated_gradients` and `neuron_conductance`
@@ -85,11 +90,35 @@ BLOCK = 4
 # make two runs.
 MIN_RUN = 16
 
+# The probability output's quadrature (2-vCPU VM, numpy 2.4.6). Relative
+# completeness errors are the worst over 300 blocks of 4 paths through
+# random relu nets of 2-8 units a layer with Glorot weights x10.
+# GAUSS_NODES Gauss-Legendre nodes on each piece: at PIECE_SPREAD 2, 8
+# nodes left 1.2e-12, 12 and 16 left 1.9e-13 (with up to 19,669 pieces a
+# segment). Each block computes the nodes again (about 0.25 ms), since
+# computing them with this module's import raised the peak RSS of a
+# logit-only `attribute` of 2,000 rows from 34.0 to 35.3 MiB.
+GAUSS_NODES = 16
+# Pieces are cut so that the difference of any two logits changes by at
+# most this over one. At 16 nodes, bounds of 1, 2, 4 and 8 left 1.9e-13,
+# 1.9e-13, 1.9e-13 and 2.6e-9 with 434, 217, 109 and 55 pieces a segment;
+# 2 stays a factor 4 below the first bound that lost accuracy. The seed-0
+# `repro` checkpoint needs 2.3 pieces a segment on 2,000 test rows.
+PIECE_SPREAD = 2.0
+# Pieces evaluated at once. One block of 4 steep paths (54,090 pieces, 8
+# classes) took 0.24, 0.18, 0.19 and 0.23 s in chunks of 256, 1,024, 4,096
+# and 16,384, with traced peaks of 1.4, 5.4, 21.4 and 85.5 MiB.
+CHUNK_PIECES = 1024
+# Most pieces one block may need, or NumericalError: at 2.3-3.3 us a piece
+# (8 classes) a block at the bound takes about a minute, and a non-finite
+# or absurd slope fails instead of hanging. The steepest block of the
+# hypothesis tests' x10 nets needed 135,159.
+MAX_PIECES = 2**24
+
 
 @dataclass
 class AttributionConfig:
     baseline: np.ndarray | None = None  # None means the zero vector
-    riemann_steps: int = 300
     # None means the class the model predicts: the one `decode` picks on a
     # ModelGraph, the argmax of a bare layer list
     target_class: int | None = None
@@ -97,8 +126,6 @@ class AttributionConfig:
     output: str = "logit"
 
     def validate(self):
-        if self.riemann_steps < 1:
-            raise InputError("riemann_steps must be >= 1")
         if self.output not in OUTPUTS:
             raise InputError(f"output must be one of {OUTPUTS}")
         if self.baseline is not None and not np.all(np.isfinite(self.baseline)):
@@ -130,11 +157,6 @@ def _resolve_inputs(stack, x, config, ndim=1):
     if not np.all(np.isfinite(x)):
         raise InputError("input contains non-finite values")
     return x, baseline
-
-
-def midpoint_rule(m):
-    """m equal segments of [0, 1]: (midpoints, weights 1/m)."""
-    return (np.arange(m) + 0.5) / m, np.full(m, 1.0 / m)
 
 
 def _affine(layer, h):
@@ -225,39 +247,57 @@ def path_segments(stack, xs, baseline):
     return sample[:-1][keep], mids[keep], lengths[keep]
 
 
-def _output_upstream(logits, targets, output):
-    # gradient of F w.r.t. the logits, per quadrature row
-    rows = np.arange(logits.shape[0])
-    if output == "logit":
-        up = np.zeros_like(logits)
-        up[rows, targets] = 1.0
-        return up
-    probs = softmax(logits)
-    p_target = probs[rows, targets]
-    up = -probs * p_target[:, None]
-    up[rows, targets] += p_target
-    return up
+def _probability_upstream(logits, rises, targets):
+    """Per segment, the mean over the segment of the gradient of the target
+    class's softmax probability with respect to the logits. The logits are
+    affine on a segment: `logits` at its midpoint, changing by `rises` over
+    its length.
+
+    Each segment is cut into the fewest equal pieces over which the
+    difference of any two logits changes by at most PIECE_SPREAD (softmax
+    ignores a change common to all), and each piece takes
+    Gauss-Legendre quadrature at GAUSS_NODES nodes, CHUNK_PIECES pieces at a
+    time. Raises NumericalError when the block's segments need more than
+    MAX_PIECES pieces.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)  # on [-1, 1]
+    pieces = np.maximum(np.ceil(np.ptp(rises, axis=1) / PIECE_SPREAD), 1.0)
+    ends = np.cumsum(pieces)
+    if not ends[-1] <= MAX_PIECES:
+        raise NumericalError(f"{ends[-1]:.3g} quadrature pieces exceed {MAX_PIECES}")
+    up = np.zeros_like(logits.T)  # class-major, as every array below
+    for first in range(0, int(ends[-1]), CHUNK_PIECES):
+        piece = np.arange(first, min(first + CHUNK_PIECES, ends[-1]))
+        seg = np.searchsorted(ends, piece, side="right")
+        # each node's offset from its segment's midpoint, in segment lengths
+        at = ((piece - ends[seg] + 0.5)[:, None] + nodes / 2) / pieces[seg, None] + 0.5
+        # class-major in memory too, so that the sums over classes run fast
+        probs = np.multiply(rises.T[:, seg, None], at, order="C")
+        probs = softmax(probs + logits.T[:, seg, None], axis=0)
+        grad = probs * -probs[targets[seg], np.arange(seg.size)]
+        grad[targets[seg], np.arange(seg.size)] = 0.0  # set below, from the rest
+        for row, mean in zip(up, grad @ weights / (2 * pieces[seg])):
+            row += np.bincount(seg, mean, minlength=up.shape[1])
+    # d p_t / d l_c = p_t (1[c = t] - p_c) sums to 0 over the classes c, so
+    # the target's entry is minus the others' sum, and no 1 - p_t cancels
+    up[targets, np.arange(len(targets))] = -up.sum(axis=0)
+    return up.T
 
 
-def attribute_block(stack, xs, baseline, targets, output="logit",
-                    riemann_steps=300, layer=None, units=None):
+def attribute_block(stack, xs, baseline, targets, output="logit", layer=None,
+                    units=None):
     """Path attributions for every row of xs in one batched pass.
 
     Row i gets the integrated gradients of output targets[i] when layer is
     None, and otherwise the conductance of unit units[i] of hidden layer
-    `layer`. The logit output is integrated exactly over the relu segments
-    of each path, the probability output by the midpoint rule at
-    `riemann_steps` points. Takes its arguments as checked: the public entry
-    points validate them. Raises NumericalError on a non-finite output.
+    `layer`. Both outputs are integrated exactly over the relu segments of
+    each path. Takes its arguments as checked: the public entry points
+    validate them. Raises NumericalError on a non-finite output, and when
+    the probability output would need more than MAX_PIECES pieces.
     """
     n = xs.shape[0]
     diff = xs - baseline
-    if output == "logit":
-        sample, alphas, weights = path_segments(stack, xs, baseline)
-    else:
-        alphas, weights = midpoint_rule(riemann_steps)
-        sample = np.repeat(np.arange(n), riemann_steps)
-        alphas, weights = np.tile(alphas, n), np.tile(weights, n)
+    sample, alphas, weights = path_segments(stack, xs, baseline)
     starts = np.searchsorted(sample, np.arange(n))
     points = diff[sample]
     points *= alphas[:, None]
@@ -267,7 +307,18 @@ def attribute_block(stack, xs, baseline, targets, output="logit",
         bad = int(np.argmin(np.isfinite(out).all(axis=1)))
         step = bad - int(starts[sample[bad]])
         raise NumericalError(f"non-finite network output at path step {step}")
-    g = _output_upstream(out, np.asarray(targets)[sample], output)
+    targets = np.asarray(targets)[sample]
+    g = np.zeros_like(out)  # the logit output's upstream gradient
+    g[np.arange(out.shape[0]), targets] = 1.0
+    if output == "probability":
+        # each logit's change over its segment: the path's step through the
+        # segment's weights and relu masks, without biases
+        rises = diff[sample] * weights[:, None]
+        for dense, mask in zip(stack, masks):
+            rises = rises @ dense.weights.T
+            if mask is not None:
+                rises *= mask
+        g = _probability_upstream(out, rises, targets)
     if layer is None:
         g = _backward(stack, masks, g)
     else:
@@ -317,8 +368,7 @@ def integrated_gradients(model, x, config):
     stack = attribution_stack(model)
     x, baseline = _resolve_inputs(stack, x, config)
     _, targets = _decode(model, stack, x[None, :], config)
-    return attribute_block(stack, x[None, :], baseline, targets, config.output,
-                           config.riemann_steps)[0]
+    return attribute_block(stack, x[None, :], baseline, targets, config.output)[0]
 
 
 def neuron_conductance(model, x, config):
@@ -341,7 +391,7 @@ def neuron_conductance(model, x, config):
     x, baseline = _resolve_inputs(stack, x, config)
     _, targets = _decode(model, stack, x[None, :], config)
     return attribute_block(stack, x[None, :], baseline, targets, config.output,
-                           config.riemann_steps, layer_index, [unit])[0]
+                           layer_index, [unit])[0]
 
 
 def check_block_layout(num_features, block_size):
@@ -406,8 +456,7 @@ def per_symbol_report(model, dataset, config):
         return np.concatenate([
             attribute_block(stack, features[i : i + BLOCK], baseline,
                             targets[i : i + BLOCK], config.output,
-                            config.riemann_steps, symbol_layer,
-                            symbols[i : i + BLOCK])
+                            symbol_layer, symbols[i : i + BLOCK])
             for i in range(*rows, BLOCK)
         ])
 

@@ -78,12 +78,12 @@ TRAIN_OPTIONS = {
 }
 
 ATTRIBUTE_OPTIONS = {
-    "riemann_steps": (300, {"help": "midpoint-rule steps for --output-mode "
-                            "probability; the logit output is integrated exactly"}),
     "baseline_vector": ("zero", {"help": "'zero' or comma-separated floats, in "
                                  "the model's input space (after any "
                                  "checkpoint standardization)"}),
-    "output_mode": ("logit", {"choices": ("logit", "probability")}),
+    "output_mode": ("logit", {"choices": ("logit", "probability"), "help": "the "
+                              "target class's logit or softmax probability, both "
+                              "integrated exactly over relu segments (ExactLine)"}),
     "block_size": GEN_OPTIONS["block_size"],
     "label_column": TRAIN_OPTIONS["label_column"],
 }
@@ -288,11 +288,8 @@ def _parse_baseline_vector(text, dim):
 def _attribution_config(opts, dim):
     """The AttributionConfig the options describe for `dim` features,
     checked."""
-    config = AttributionConfig(
-        baseline=_parse_baseline_vector(opts["baseline_vector"], dim),
-        riemann_steps=opts["riemann_steps"],
-        output=opts["output_mode"],
-    )
+    config = AttributionConfig(_parse_baseline_vector(opts["baseline_vector"], dim),
+                               output=opts["output_mode"])
     config.validate()
     return config
 

@@ -35,12 +35,13 @@ def glorot_uniform(rng, fan_out, fan_in):
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def softmax(logits):
-    """Row-wise softmax, stabilized by subtracting the row max."""
+def softmax(logits, axis=-1):
+    """Softmax along `axis` (by default row-wise), stabilized by subtracting
+    the max."""
     z = as_f64(logits)
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(logits):

@@ -221,12 +221,8 @@ def test_criterion_3_attribution_correctness():
     v = rng.normal(size=(1, 4))
     x = rng.normal(size=5)
     linear = [DenseLayer(w[:1], np.zeros(1), "identity")]
-    worst_exact = 0.0
-    for m in (1, 13, 300):
-        ig = integrated_gradients(
-            linear, x, AttributionConfig(riemann_steps=m, target_class=0)
-        )
-        worst_exact = max(worst_exact, float(np.max(np.abs(ig - w[0] * x))))
+    ig = integrated_gradients(linear, x, AttributionConfig(target_class=0))
+    worst_exact = float(np.max(np.abs(ig - w[0] * x)))
     two_layer = [
         DenseLayer(w, np.zeros(4), "identity"),
         DenseLayer(v, np.zeros(1), "identity"),
@@ -234,17 +230,17 @@ def test_criterion_3_attribution_correctness():
     for j in range(4):
         cond = neuron_conductance(
             two_layer, x,
-            AttributionConfig(riemann_steps=7, target_class=0, neuron=(0, j)),
+            AttributionConfig(target_class=0, neuron=(0, j)),
         )
         worst_exact = max(worst_exact, float(np.max(np.abs(cond - v[0, j] * w[j] * x))))
 
-    # (b) completeness on random relu nets at m=300
+    # (b) completeness on random relu nets
     worst_ig = 0.0
     worst_layer = 0.0
     for seed in range(20):
         stack = glorot_relu_net(seed)
         xr = np.random.default_rng(700 + seed).normal(size=6)
-        config = AttributionConfig(riemann_steps=300, target_class=1)
+        config = AttributionConfig(target_class=1)
         ig = integrated_gradients(stack, xr, config)
         gap = stack_value(stack, xr, 1) - stack_value(stack, np.zeros(6), 1)
         worst_ig = max(worst_ig, abs(ig.sum() - gap) / max(1.0, abs(gap)))
@@ -252,14 +248,13 @@ def test_criterion_3_attribution_correctness():
         stack = glorot_relu_net(seed)
         xr = np.random.default_rng(800 + seed).normal(size=6)
         ig = integrated_gradients(
-            stack, xr, AttributionConfig(riemann_steps=300, target_class=0)
+            stack, xr, AttributionConfig(target_class=0)
         )
         total = np.zeros(6)
         for unit in range(6):
             total += neuron_conductance(
                 stack, xr,
-                AttributionConfig(riemann_steps=300, target_class=0,
-                                  neuron=(0, unit)),
+                AttributionConfig(target_class=0, neuron=(0, unit)),
             )
         worst_layer = max(
             worst_layer,
@@ -360,7 +355,6 @@ REPRO_FLAGS = [
     "--seed", "11",
     "--train-samples", "120", "--val-samples", "40", "--test-samples", "40",
     "--vocab", "16", "--hidden", "12", "--max-epochs", "40", "--patience", "40",
-    "--riemann-steps", "50",
 ]
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,10 @@ from emlang.attribution import (
     BLOCK,
     MIN_RUN,
     OUTPUTS,
+    PIECE_SPREAD,
     AttributionConfig,
     attribute_block,
     attribution_stack,
-    midpoint_rule,
     path_segments,
     per_symbol_report,
     integrated_gradients,
@@ -65,16 +66,15 @@ def stack_output(stack, x):
 def test_ig_linear_model_is_exact_for_any_step_count():
     w = np.array([1.5, -2.0, 0.25, 3.0])
     x = np.array([2.0, 1.0, -4.0, 0.5])
-    for m in (1, 7, 300):
-        config = AttributionConfig(riemann_steps=m, target_class=0)
-        attrib = integrated_gradients(linear_stack(w), x, config)
-        np.testing.assert_allclose(attrib, w * x, atol=1e-12)
+    config = AttributionConfig(target_class=0)
+    attrib = integrated_gradients(linear_stack(w), x, config)
+    np.testing.assert_allclose(attrib, w * x, atol=1e-12)
 
 
 def test_ig_zero_path_is_zero():
     stack = random_relu_net(0)
     x = np.random.default_rng(1).normal(size=6)
-    config = AttributionConfig(baseline=x.copy(), riemann_steps=25, target_class=0)
+    config = AttributionConfig(baseline=x.copy(), target_class=0)
     attrib = integrated_gradients(stack, x, config)
     np.testing.assert_array_equal(attrib, np.zeros(6))
 
@@ -94,6 +94,11 @@ def logit_gradients(stack, points, target):
     return input_gradient(stack, tape, g)
 
 
+def midpoint_rule(m):
+    """Reference: m equal segments of [0, 1], as (midpoints, weights 1/m)."""
+    return (np.arange(m) + 0.5) / m, np.full(m, 1.0 / m)
+
+
 def midpoint_ig(stack, x, baseline, m, target):
     """Reference: integrated gradients of the target logit by the midpoint
     rule at m points."""
@@ -107,8 +112,8 @@ def gap_error(stack, x, attrib, target):
     return abs(attrib.sum() - gap) / max(1.0, abs(gap))
 
 
-def completeness_error(stack, x, m, target=1):
-    config = AttributionConfig(riemann_steps=m, target_class=target)
+def completeness_error(stack, x, target=1):
+    config = AttributionConfig(target_class=target)
     return gap_error(stack, x, integrated_gradients(stack, x, config), target)
 
 
@@ -116,7 +121,7 @@ def test_ig_completeness_on_random_relu_nets():
     for seed in range(20):
         stack = random_relu_net(seed)
         x = np.random.default_rng(100 + seed).normal(size=6)
-        assert completeness_error(stack, x, 300) <= 1e-3
+        assert completeness_error(stack, x) <= 1e-3
 
 
 def test_ig_completeness_error_tightens_with_steps():
@@ -137,9 +142,9 @@ def test_ig_completeness_error_tightens_with_steps():
 
 
 @st.composite
-def relu_paths(draw, zero_bias=False):
-    """A random Glorot relu net (identity output layer), an input, a baseline
-    (zero when zero_bias) and a target class."""
+def relu_paths(draw, zero_bias=False, gain=1.0):
+    """A random relu net (identity output layer) with Glorot weights times
+    gain, an input, a baseline (zero when zero_bias) and a target class."""
     dims = draw(st.lists(st.integers(1, 8), min_size=3, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
@@ -147,7 +152,7 @@ def relu_paths(draw, zero_bias=False):
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         bias = np.zeros(fan_out) if zero_bias else rng.normal(size=fan_out) * scale
         last = i == len(dims) - 2
-        stack.append(DenseLayer(glorot_uniform(rng, fan_out, fan_in), bias,
+        stack.append(DenseLayer(glorot_uniform(rng, fan_out, fan_in) * gain, bias,
                                 "identity" if last else "relu"))
     x = rng.normal(size=dims[0]) * scale
     baseline = np.zeros(dims[0]) if zero_bias else rng.normal(size=dims[0]) * scale
@@ -155,15 +160,20 @@ def relu_paths(draw, zero_bias=False):
     return stack, x, baseline, target
 
 
-def exact_ig(stack, x, baseline, target, riemann_steps=300):
+def exact_ig(stack, x, baseline, target, output="logit"):
     config = AttributionConfig(baseline=baseline, target_class=target,
-                               riemann_steps=riemann_steps)
+                               output=output)
     return integrated_gradients(stack, x, config)
 
 
-def assert_complete(stack, x, baseline, target, ig):
-    f_x = stack_output(stack, x)[target]
-    f_base = stack_output(stack, baseline)[target]
+def output_value(stack, x, target, output="logit"):
+    logits = stack_output(stack, x)
+    return logits[target] if output == "logit" else softmax(logits)[target]
+
+
+def assert_complete(stack, x, baseline, target, ig, output="logit"):
+    f_x = output_value(stack, x, target, output)
+    f_base = output_value(stack, baseline, target, output)
     scale = max(1.0, abs(f_x), abs(f_base), np.abs(ig).sum())
     assert abs(ig.sum() - (f_x - f_base)) <= 1e-12 * scale
 
@@ -174,8 +184,19 @@ def test_exact_ig_sums_to_the_logit_gap(path):
     stack, x, baseline, target = path
     ig = exact_ig(stack, x, baseline, target)
     assert_complete(stack, x, baseline, target, ig)
-    # the logit path is exact, so the Riemann step count plays no part
-    np.testing.assert_array_equal(ig, exact_ig(stack, x, baseline, target, 1))
+    # the public entry point is the one-sample batched pass, byte for byte
+    np.testing.assert_array_equal(
+        ig, attribute_block(stack, x[None, :], baseline, [target])[0]
+    )
+
+
+@pytest.mark.parametrize("gain", [1.0, 10.0], ids=["glorot", "steep"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_probability_ig_sums_to_the_probability_gap(gain, data):
+    stack, x, baseline, target = data.draw(relu_paths(gain=gain))
+    ig = exact_ig(stack, x, baseline, target, "probability")
+    assert_complete(stack, x, baseline, target, ig, "probability")
 
 
 @settings(max_examples=30, deadline=None)
@@ -250,24 +271,44 @@ def reference_segments(stack, x, baseline):
     return ((alphas[:-1] + alphas[1:]) / 2)[keep], lengths[keep]
 
 
-def reference_attribution(stack, x, baseline, target, output, steps, neuron=None):
-    """Per-sample reference: a taped dense forward and backward at each
-    quadrature point, with a one-hot gradient at the cut. Returns the
+def reference_probability_upstream(stack, x, baseline, alphas, lengths, target):
+    """Per segment, the mean over it of the gradient of the target's softmax
+    probability with respect to the logits. The logits are taken at the
+    segment's two ends, affine in between, and each segment gets twice the
+    pieces that `attribute_block` cuts it into, at 32 Gauss-Legendre nodes
+    each. The target's entry, p_t (1 - p_t), is minus the sum of the others,
+    which keeps 1 - p_t from cancelling."""
+    nodes, node_weights = np.polynomial.legendre.leggauss(32)
+    rows = []
+    for mid, length in zip(alphas, lengths):
+        start, end = (stack_output(stack, baseline + a * (x - baseline))
+                      for a in (mid - length / 2, mid + length / 2))
+        pieces = 2 * max(1, int(np.ceil(np.ptp(end - start) / PIECE_SPREAD)))
+        at = ((np.arange(pieces)[:, None] + (nodes + 1) / 2) / pieces).ravel()
+        probs = softmax(start + at[:, None] * (end - start))
+        g = -probs * probs[:, [target]]
+        g[:, target] = 0.0
+        row = np.tile(node_weights / 2, pieces) @ g / pieces
+        row[target] = -row.sum()
+        rows.append(row)
+    return np.array(rows)
+
+
+def reference_attribution(stack, x, baseline, target, output, neuron=None):
+    """Per-sample reference: both outputs over the segments of
+    `reference_segments`, with a taped dense forward and backward at each
+    segment's midpoint and a one-hot gradient at the cut. Returns the
     attribution and, per feature, the larger of the summed and the largest
     absolute term: the scale of its rounding error."""
-    if output == "logit":
-        alphas, weights = reference_segments(stack, x, baseline)
-    else:
-        alphas, weights = midpoint_rule(steps)
+    alphas, weights = reference_segments(stack, x, baseline)
     tape = []
     h = stack_forward(stack, baseline + alphas[:, None] * (x - baseline), tape)
     if output == "logit":
         g = np.zeros_like(h)
         g[:, target] = 1.0
     else:
-        probs = softmax(h)
-        g = -probs * probs[:, [target]]
-        g[:, target] += probs[:, target]
+        g = reference_probability_upstream(stack, x, baseline, alphas, weights,
+                                           target)
     df_dy = np.ones_like(weights)
     below = stack
     if neuron is not None:
@@ -286,17 +327,17 @@ def reference_attribution(stack, x, baseline, target, output, steps, neuron=None
 
 
 @st.composite
-def relu_stacks(draw):
-    """A random Glorot stack (relu or identity hidden layers, identity
-    output), a few samples with one shared baseline, a target per sample,
-    and a hidden cut layer with a unit per sample."""
+def relu_stacks(draw, gain=1.0):
+    """A random stack with Glorot weights times gain (relu or identity
+    hidden layers, identity output), a few samples with one shared baseline,
+    a target per sample, and a hidden cut layer with a unit per sample."""
     dims = draw(st.lists(st.integers(1, 8), min_size=3, max_size=5))
     hidden = draw(st.lists(st.sampled_from(["relu", "relu", "identity"]),
                            min_size=len(dims) - 2, max_size=len(dims) - 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
     stack = [
-        DenseLayer(glorot_uniform(rng, fan_out, fan_in),
+        DenseLayer(glorot_uniform(rng, fan_out, fan_in) * gain,
                    rng.normal(size=fan_out) * scale, activation)
         for fan_in, fan_out, activation in zip(dims, dims[1:], hidden + ["identity"])
     ]
@@ -314,13 +355,13 @@ def relu_stacks(draw):
 def test_batched_pass_matches_the_per_sample_reference(case, output):
     stack, xs, baseline, targets, layer, units = case
     for cut, cut_units in ((None, None), (layer, units)):
-        got = attribute_block(stack, xs, baseline, targets, output, 16, cut,
+        got = attribute_block(stack, xs, baseline, targets, output, cut,
                               cut_units)
         assert got.shape == xs.shape
         for i, x in enumerate(xs):
             neuron = None if cut is None else (cut, cut_units[i])
             want, scale = reference_attribution(stack, x, baseline, targets[i],
-                                                output, 16, neuron)
+                                                output, neuron)
             assert np.all(np.abs(got[i] - want) <= 1e-12 * scale)
 
 
@@ -340,6 +381,23 @@ def test_batched_conductances_of_a_layer_sum_to_complete_ig(case):
     assert np.max(np.abs(sum(per_unit) - ig)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("gain", [1.0, 10.0], ids=["glorot", "steep"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_probability_conductances_of_a_layer_sum_to_complete_ig(gain, data):
+    stack, xs, baseline, targets, layer, _ = data.draw(relu_stacks(gain))
+    ig = attribute_block(stack, xs, baseline, targets, "probability")
+    for x, target, row in zip(xs, targets, ig):
+        assert_complete(stack, x, baseline, target, row, "probability")
+    per_unit = [
+        attribute_block(stack, xs, baseline, targets, "probability", layer,
+                        np.full(len(xs), unit))
+        for unit in range(stack[layer].out_dim)
+    ]
+    scale = max(1.0, np.abs(ig).max(), max(np.abs(c).max() for c in per_unit))
+    assert np.max(np.abs(sum(per_unit) - ig)) <= 1e-12 * scale
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3 * BLOCK),
        st.sampled_from(OUTPUTS))
@@ -349,14 +407,13 @@ def test_per_symbol_report_matches_the_per_sample_reference(seed, n, output):
     for layer in model.layers():
         layer.bias = rng.normal(size=layer.out_dim)
     ds = Dataset(rng.normal(size=(n, 5)) * 2.0, np.zeros(n, dtype=int), ["a"])
-    report = per_symbol_report(model, ds, AttributionConfig(riemann_steps=16,
-                                                           output=output))
+    report = per_symbol_report(model, ds, AttributionConfig(output=output))
     logits, symbols = model.decode(ds.features)
     stack = attribution_stack(model)
     sums, scales = {}, {}
     for x, symbol, target in zip(ds.features, symbols, np.argmax(logits, axis=1)):
         want, scale = reference_attribution(
-            stack, x, np.zeros(5), target, output, 16,
+            stack, x, np.zeros(5), target, output,
             (len(model.sender) - 1, symbol),
         )
         sums[symbol] = sums.get(symbol, 0.0) + want
@@ -378,7 +435,7 @@ def test_attribution_leaves_training_state_untouched(attribute):
     xb = rng.normal(size=(32, 6))
     noise = noise_from_uniform(rng.uniform(size=(32, 8)))
     dlogits = rng.normal(size=(32, 3))
-    config = AttributionConfig(output="probability", riemann_steps=32)
+    config = AttributionConfig(output="probability")
     calls = {
         "neuron_conductance": lambda: neuron_conductance(
             model, xb[0], replace(config, neuron=(len(model.sender) - 1, 0))
@@ -411,7 +468,7 @@ def test_conductance_two_layer_linear_closed_form():
     ]
     x = rng.normal(size=5)
     for j in range(4):
-        config = AttributionConfig(riemann_steps=3, target_class=0, neuron=(0, j))
+        config = AttributionConfig(target_class=0, neuron=(0, j))
         attrib = neuron_conductance(stack, x, config)
         np.testing.assert_allclose(attrib, v[0, j] * w[j] * x, atol=1e-12)
 
@@ -419,8 +476,7 @@ def test_conductance_two_layer_linear_closed_form():
 def test_conductance_zero_path_is_zero():
     stack = random_relu_net(10)
     x = np.random.default_rng(11).normal(size=6)
-    config = AttributionConfig(baseline=x.copy(), riemann_steps=10,
-                               target_class=0, neuron=(0, 2))
+    config = AttributionConfig(baseline=x.copy(), target_class=0, neuron=(0, 2))
     np.testing.assert_array_equal(neuron_conductance(stack, x, config),
                                   np.zeros(6))
 
@@ -430,12 +486,11 @@ def test_conductance_sums_to_integrated_gradients_over_layer():
         stack = random_relu_net(seed, in_dim=5, hidden=6, out_dim=2)
         x = np.random.default_rng(200 + seed).normal(size=5)
         ig = integrated_gradients(
-            stack, x, AttributionConfig(riemann_steps=300, target_class=0)
+            stack, x, AttributionConfig(target_class=0)
         )
         total = np.zeros(5)
         for unit in range(6):
-            config = AttributionConfig(riemann_steps=300, target_class=0,
-                                       neuron=(0, unit))
+            config = AttributionConfig(target_class=0, neuron=(0, unit))
             total += neuron_conductance(stack, x, config)
         denom = np.maximum(np.abs(ig), 1.0)
         assert np.max(np.abs(total - ig) / denom) <= 1e-3
@@ -458,7 +513,7 @@ def test_invalid_neuron_selectors():
 
 def test_config_validation():
     with pytest.raises(InputError):
-        AttributionConfig(riemann_steps=0).validate()
+        AttributionConfig(baseline=np.array([0.0, np.nan])).validate()
     with pytest.raises(InputError):
         AttributionConfig(output="odds").validate()
     stack = random_relu_net(13)
@@ -489,12 +544,42 @@ def test_nonfinite_baseline_is_rejected(value):
 def test_probability_output_completeness():
     stack = random_relu_net(14)
     x = np.random.default_rng(15).normal(size=6)
-    config = AttributionConfig(riemann_steps=600, target_class=0,
-                               output="probability")
+    config = AttributionConfig(target_class=0, output="probability")
     attrib = integrated_gradients(stack, x, config)
     p_x = softmax(stack_output(stack, x)[None, :])[0, 0]
     p_base = softmax(stack_output(stack, np.zeros(6))[None, :])[0, 0]
-    assert attrib.sum() == pytest.approx(p_x - p_base, abs=2e-3)
+    scale = max(1.0, np.abs(attrib).sum())
+    assert abs(attrib.sum() - (p_x - p_base)) <= 1e-12 * scale
+
+
+def steep_line(gain):
+    """An identity stack whose two logits move apart by 2 * gain along the
+    path from 0 to x = 1, on one segment, and that x."""
+    return linear_stack([[gain], [-gain]]), np.ones(1)
+
+
+def test_probability_output_of_a_steep_segment_is_complete_in_bounded_memory():
+    # 100,000 pieces on one segment: unchunked, the nodes' probabilities
+    # alone would take 100,000 * 16 * 2 * 8 bytes = 24 MiB
+    stack, x = steep_line(PIECE_SPREAD * 50_000)
+    config = AttributionConfig(target_class=0, output="probability")
+    tracemalloc.start()
+    try:
+        attrib = integrated_gradients(stack, x, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert abs(attrib.sum() - (1.0 - 0.5)) <= 1e-12
+
+
+@pytest.mark.parametrize("gain", [1e12, 1e308], ids=["too-many-pieces", "inf"])
+def test_probability_output_too_steep_to_integrate_raises(gain):
+    stack, x = steep_line(gain)
+    config = AttributionConfig(target_class=0, output="probability")
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="quadrature pieces exceed"):
+        integrated_gradients(stack, x, config)
 
 
 def symbol_model_case():
@@ -543,7 +628,7 @@ def test_per_symbol_report_single_sample():
     spec, model, test_set = trained_symbol_model(18)
     one = Dataset(test_set.features[:1], test_set.labels[:1],
                   test_set.class_names)
-    config = AttributionConfig(riemann_steps=40)
+    config = AttributionConfig()
     report = per_symbol_report(model, one, config)
     assert report.counts == [1]
     assert report.matrix.shape == (1, spec.feature_dim)
@@ -551,16 +636,14 @@ def test_per_symbol_report_single_sample():
     direct = neuron_conductance(
         model,
         one.features[0],
-        AttributionConfig(riemann_steps=40,
-                          neuron=(len(model.sender) - 1, int(symbols[0]))),
+        AttributionConfig(neuron=(len(model.sender) - 1, int(symbols[0]))),
     )
     np.testing.assert_allclose(report.matrix[0], direct, atol=1e-12)
 
 
 def test_per_symbol_report_matches_symbol_inventory():
     _, model, test_set = trained_symbol_model(19)
-    report = per_symbol_report(model, test_set,
-                               AttributionConfig(riemann_steps=40))
+    report = per_symbol_report(model, test_set, AttributionConfig())
     inventory = evaluate(model, test_set)["symbol_inventory"]
     assert report.symbols == [s["symbol"] for s in inventory]
     assert report.counts == [s["count"] for s in inventory]
@@ -571,8 +654,7 @@ def test_per_symbol_report_finds_informative_blocks():
     spec, model, test_set = trained_symbol_model(20)
     accuracy = evaluate(model, test_set)["accuracy"]
     assert accuracy >= 0.9, "fixture model must have learned the task"
-    report = per_symbol_report(model, test_set,
-                               AttributionConfig(riemann_steps=100))
+    report = per_symbol_report(model, test_set, AttributionConfig())
     blocks = report.dominant_blocks(spec.block_size)
     # majority class per symbol determines the expected block
     _, symbols = model.decode(test_set.features)
@@ -596,8 +678,7 @@ def test_per_symbol_report_rejects_baseline():
 
 def test_report_csv_format(tmp_path):
     spec, model, test_set = trained_symbol_model(22)
-    report = per_symbol_report(model, test_set,
-                               AttributionConfig(riemann_steps=20))
+    report = per_symbol_report(model, test_set, AttributionConfig())
     path = tmp_path / "conductance.csv"
     report.write_csv(path)
     lines = path.read_text().splitlines()
@@ -654,7 +735,7 @@ def standardized_checkpoint_model():
 @pytest.mark.parametrize("output", OUTPUTS)
 def test_report_bytes_do_not_depend_on_the_process_count(monkeypatch, output):
     model, test_set = standardized_checkpoint_model()
-    config = AttributionConfig(riemann_steps=24, output=output)
+    config = AttributionConfig(output=output)
     threads = blas_threads()
     reports = []
     for count in (1, 2, 3):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from emlang.cli import main
+from emlang.cli import REPRO_OPTIONS, main
 
 SMALL_GEN = [
     "--train-samples", "90",
@@ -77,7 +77,7 @@ def test_commands_do_not_mutate_input_files(tmp_path):
     assert run([
         "attribute", "--checkpoint", str(out / "checkpoint.json"),
         "--test-csv", str(data / "test.csv"),
-        "--out", str(tmp_path / "attr"), "--riemann-steps", "20",
+        "--out", str(tmp_path / "attr"),
     ]) == 0
     for path, content in inputs.items():
         assert path.read_bytes() == content
@@ -168,13 +168,13 @@ def test_config_keys_reach_each_command_and_flags_win(tmp_path):
     echo = read_json(tmp_path / "el" / "config.json")
     assert (echo["batch"], echo["patience"]) == (16, 40)
 
-    config.write_text(json.dumps({"output_mode": "probability", "riemann_steps": 25}))
+    config.write_text(json.dumps({"output_mode": "probability", "block_size": 14}))
     assert run(["attribute", "--checkpoint", str(out / "el" / "checkpoint.json"),
                 "--test-csv", str(out / "data" / "test.csv"),
                 "--out", str(tmp_path / "attr"), "--config", str(config),
-                "--riemann-steps", "20"]) == 0
+                "--block-size", "7"]) == 0
     echo = read_json(tmp_path / "attr" / "config.json")
-    assert (echo["output_mode"], echo["riemann_steps"]) == ("probability", 20)
+    assert (echo["output_mode"], echo["block_size"]) == ("probability", 7)
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -216,6 +216,32 @@ def test_unknown_config_key_exits_2(tmp_path):
                 "--config", str(config)]) == 2
 
 
+# The config.json files that `attribute` and `repro` echoed while the
+# probability output took a midpoint-rule step count, at the defaults.
+OLD_ATTRIBUTE_ECHO = {"baseline_vector": "zero", "block_size": 7,
+                      "label_column": "label", "output_mode": "logit",
+                      "riemann_steps": 300}
+OLD_REPRO_ECHO = {**{name: default for name, (default, _) in REPRO_OPTIONS.items()},
+                  **OLD_ATTRIBUTE_ECHO}
+
+
+@pytest.mark.parametrize("command, echo", [("attribute", OLD_ATTRIBUTE_ECHO),
+                                           ("repro", OLD_REPRO_ECHO)],
+                         ids=["attribute", "repro"])
+def test_an_old_config_naming_riemann_steps_exits_2_before_any_output(
+        tmp_path, capsys, command, echo):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
+    inputs = []
+    if command == "attribute":
+        inputs = ["--checkpoint", str(untrained_checkpoint(tmp_path)),
+                  "--test-csv", str(gen_small(tmp_path) / "test.csv")]
+    out = tmp_path / "out"
+    assert run([command, "--out", str(out), "--config", str(config), *inputs]) == 2
+    assert "unknown config keys: riemann_steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_attribute_outputs(tmp_path):
     data = gen_small(tmp_path)
     out = train_small(tmp_path, data, "el")
@@ -223,7 +249,6 @@ def test_attribute_outputs(tmp_path):
     assert run([
         "attribute", "--checkpoint", str(out / "checkpoint.json"),
         "--test-csv", str(data / "test.csv"), "--out", str(attr),
-        "--riemann-steps", "40",
     ]) == 0
     lines = (attr / "conductance.csv").read_text().splitlines()
     assert lines[0] == "symbol,count," + ",".join(f"f{i}" for i in range(28))
@@ -283,7 +308,7 @@ def test_attribute_baseline_vector_flag(tmp_path):
         "attribute", "--checkpoint", str(out / "checkpoint.json"),
         "--test-csv", str(data / "test.csv"),
         "--out", str(tmp_path / "attr"),
-        "--riemann-steps", "20", "--baseline-vector", vec,
+        "--baseline-vector", vec,
     ]) == 0
     assert run([
         "attribute", "--checkpoint", str(out / "checkpoint.json"),
@@ -447,7 +472,6 @@ def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
 @pytest.mark.parametrize("flag, value, message", [
     ("--lr", "-1", "learning_rate must be positive"),
     ("--hidden", "0", "hidden must be a positive integer"),
-    ("--riemann-steps", "0", "riemann_steps must be >= 1"),
     ("--baseline-vector", "1,2", "baseline vector has 2 entries"),
     ("--vocab", "1", "vocab_size must be >= 2"),
     ("--test-samples", "3", "test_samples must be >= num_classes"),
@@ -457,7 +481,7 @@ def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
     ("--noise-sigma", "1e308", "train features overflow"),
     ("--baseline-vector", "1_000", "must be 'zero' or comma-separated numbers"),
     ("--baseline-vector", "\u0661", "must be 'zero' or comma-separated numbers"),
-], ids=["lr", "hidden", "riemann-steps", "baseline-vector", "vocab", "test-samples",
+], ids=["lr", "hidden", "baseline-vector", "vocab", "test-samples",
         "label-column", "mean-shift", "temperature", "noise-sigma",
         "baseline-vector-underscore", "baseline-vector-non-ascii"])
 def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, value,
@@ -721,7 +745,6 @@ def test_repro_small_end_to_end(tmp_path):
     out = tmp_path / "repro"
     assert run([
         "repro", "--out", str(out), "--seed", "1", *SMALL_GEN, *SMALL_TRAIN,
-        "--riemann-steps", "40",
     ]) == 0
     comparison = read_json(out / "comparison.json")
     rows = {row["experiment"]: row for row in comparison["table"]}

@@ -1,0 +1,63 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+
+
+@pytest.fixture
+def parity():
+    spec = importlib.util.spec_from_file_location("parity", PARITY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_tree(root, files):
+    for rel, data in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+
+def test_compare_trees_reports_every_changed_missing_and_extra_file(tmp_path,
+                                                                    parity):
+    write_tree(tmp_path / "base", {"a.csv": b"1,2\n", "run/b.json": b"{}\n",
+                                   "run/c.json": b"[0]\n", "z.txt": b"z"})
+    write_tree(tmp_path / "head", {"a.csv": b"1,3\n", "run/b.json": b"{}\n",
+                                   "run/d.json": b"[0]\n", "z.txt": b"y"})
+    assert parity.compare_trees(tmp_path / "base", tmp_path / "head") == [
+        ("a.csv", "differs"),
+        ("run/c.json", "only in base"),
+        ("run/d.json", "only in head"),
+        ("z.txt", "differs"),
+    ]
+    assert parity.compare_trees(tmp_path / "base", tmp_path / "base") == []
+
+
+def test_every_case_is_compared_after_the_first_difference(tmp_path, parity,
+                                                           monkeypatch, capsys):
+    outputs = {("one", "base"): b"0", ("one", "head"): b"1",
+               ("two", "base"): b"2", ("two", "head"): b"2",
+               ("three", "base"): b"3", ("three", "head"): b"4"}
+
+    def fake_run(name, argv, src, side, work):
+        write_tree(Path(work) / f"{name}-{side}", {"out.txt": outputs[name, side]})
+        return name != "two" or side == "base"
+
+    monkeypatch.setattr(parity, "CASES", {"one": [], "two": [], "three": []})
+    monkeypatch.setattr(parity, "CHECKS", [("one-base/out.txt", "two-base/out.txt"),
+                                           ("two-base/out.txt", "two-head/out.txt")])
+    monkeypatch.setattr(parity, "run_case", fake_run)
+    code = parity.main(["--base", "b", "--head", "h", "--work", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "one: DIFFERS",
+        "  one/out.txt: differs",
+        "two: FAILED",
+        "three: DIFFERS",
+        "  three/out.txt: differs",
+        "cmp one-base/out.txt two-base/out.txt: DIFFERS",
+        "cmp two-base/out.txt two-head/out.txt: identical",
+    ]

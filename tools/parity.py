@@ -1,0 +1,140 @@
+"""Run the same `emlang` commands from two source trees and compare outputs.
+
+    python tools/parity.py --base SRC --head SRC --work DIR
+
+SRC is a checkout's `src` directory (the one holding `emlang/`). Every case
+in CASES runs once with each tree on PYTHONPATH, writing under
+DIR/<case>-base and DIR/<case>-head, and every pair of output trees is then
+compared file by file. Cases that read another case's output read the
+base's, so that both sides get the same inputs. The two CHECKS show that
+`gen --seed 0 --test-samples 2000` draws the train and val splits of
+`repro --seed 0`, so that its test rows fit that checkpoint.
+
+One line is printed per case and per differing, missing or extra file. The
+exit status is 1 if any command failed or anything differed, but only after
+every case has run and every tree has been compared.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+# name -> argv after `python -m emlang.cli`, with {work} standing for DIR;
+# each case writes to --out {work}/<name>-<side>
+CASES = {
+    "repro": ["repro", "--seed", "0"],
+    # the only run whose checkpoint has a standardization section, which
+    # `attribute` reads and applies
+    "repro-std": ["repro", "--seed", "0", "--standardize"],
+    # all 200 epochs, another symbol set
+    "repro7": ["repro", "--seed", "7", "--patience", "200"],
+    # 6 symbols, two classes with two symbols each, so the per-symbol merge
+    # adds up the rows of symbols that share a class
+    "repro9": ["repro", "--seed", "9", "--mean-shift", "0.5"],
+    # the one output mode that `repro` does not run
+    "prob": ["attribute", "--checkpoint", "{work}/repro-base/el/checkpoint.json",
+             "--test-csv", "{work}/repro-base/data/test.csv",
+             "--output-mode", "probability"],
+    "gen2000": ["gen", "--seed", "0", "--test-samples", "2000"],
+    # 500 blocks of 4 samples, split over worker processes
+    "attr2000": ["attribute", "--checkpoint", "{work}/repro-base/el/checkpoint.json",
+                 "--test-csv", "{work}/gen2000-base/test.csv"],
+    # every other tree groups features in blocks of 7
+    "attr2000-b4": ["attribute", "--checkpoint",
+                    "{work}/repro-base/el/checkpoint.json",
+                    "--test-csv", "{work}/gen2000-base/test.csv",
+                    "--block-size", "4"],
+    # every `repro` tree has 171 test rows, one decode chunk; these evaluate
+    # 2,000 rows, 8 chunks of 256
+    "train2000-el": ["train", "--model", "el", "--data", "{work}/gen2000-base"],
+    "train2000-baseline": ["train", "--model", "baseline",
+                           "--data", "{work}/gen2000-base"],
+    # every other run validates in batches of 32; this one takes the
+    # baseline's validation loss over the whole 133-row split in one batch
+    "batch600": ["train", "--model", "baseline", "--batch", "600",
+                 "--max-epochs", "30", "--data", "{work}/gen2000-base"],
+    # the one tree whose CSVs quote every field: a bare "\r" in a header
+    # cell makes the writer quote all of them
+    "repro-cr": ["repro", "--seed", "0", "--label-column", "lab\rel",
+                 "--max-epochs", "30"],
+}
+
+# files that must be identical, as paths under DIR
+CHECKS = [
+    ("gen2000-base/train.csv", "repro-base/data/train.csv"),
+    ("gen2000-base/val.csv", "repro-base/data/val.csv"),
+]
+
+
+def compare_trees(base, head):
+    """(relative path, what) for every file that differs between the trees
+    base and head, or that only one of them holds, in path order."""
+    files = {}
+    for side, root in (("base", Path(base)), ("head", Path(head))):
+        for path in root.rglob("*"):
+            if path.is_file():
+                files.setdefault(path.relative_to(root).as_posix(), []).append(side)
+    problems = []
+    for rel in sorted(files):
+        sides = files[rel]
+        if sides == ["base"]:
+            problems.append((rel, "only in base"))
+        elif sides == ["head"]:
+            problems.append((rel, "only in head"))
+        elif (Path(base) / rel).read_bytes() != (Path(head) / rel).read_bytes():
+            problems.append((rel, "differs"))
+    return problems
+
+
+def run_case(name, argv, src, side, work):
+    """Run one case from the source tree src, into an emptied output
+    directory; True if it exited 0."""
+    out = Path(work) / f"{name}-{side}"
+    shutil.rmtree(out, ignore_errors=True)
+    args = [arg.replace("{work}", str(work)) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    result = subprocess.run(
+        [sys.executable, "-m", "emlang.cli", *args, "--out", str(out)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if result.returncode != 0:
+        print(f"{name}: {side} exited {result.returncode}: "
+              f"{result.stderr.strip()}")
+    return result.returncode == 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="base source tree")
+    parser.add_argument("--head", required=True, help="head source tree")
+    parser.add_argument("--work", required=True, help="directory for outputs")
+    args = parser.parse_args(argv)
+    work = Path(args.work).resolve()
+    work.mkdir(parents=True, exist_ok=True)
+    ok = True
+    for name, case in CASES.items():
+        # a list, not a generator: head runs even when base failed
+        ran = all([run_case(name, case, src, side, work)
+                   for side, src in (("base", args.base), ("head", args.head))])
+        problems = compare_trees(work / f"{name}-base", work / f"{name}-head")
+        ok &= ran and not problems
+        state = "FAILED" if not ran else "DIFFERS" if problems else "identical"
+        print(f"{name}: {state}")
+        for rel, what in problems:
+            print(f"  {name}/{rel}: {what}")
+    for first, second in CHECKS:
+        paths = [work / first, work / second]
+        same = (all(path.is_file() for path in paths)
+                and paths[0].read_bytes() == paths[1].read_bytes())
+        ok &= same
+        print(f"cmp {first} {second}: {'identical' if same else 'DIFFERS'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
