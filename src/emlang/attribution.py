@@ -60,6 +60,7 @@ deterministic and symbol-specific.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -69,7 +70,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelGraph
-from .data import write_csv
 from .errors import InputError, NumericalError
 from .nn import as_f64, softmax
 
@@ -95,9 +95,9 @@ MIN_RUN = 16
 # random relu nets of 2-8 units a layer with Glorot weights x10.
 # GAUSS_NODES Gauss-Legendre nodes on each piece: at PIECE_SPREAD 2, 8
 # nodes left 1.2e-12, 12 and 16 left 1.9e-13 (with up to 19,669 pieces a
-# segment). Each block computes the nodes again (about 0.25 ms), since
-# computing them with this module's import raised the peak RSS of a
-# logit-only `attribute` of 2,000 rows from 34.0 to 35.3 MiB.
+# segment). `_gauss_legendre` computes the nodes on first use (about
+# 0.25 ms) and keeps them, not at this module's import, which raised the
+# peak RSS of a logit-only `attribute` of 2,000 rows from 34.0 to 35.3 MiB.
 GAUSS_NODES = 16
 # Pieces are cut so that the difference of any two logits changes by at
 # most this over one. At 16 nodes, bounds of 1, 2, 4 and 8 left 1.9e-13,
@@ -247,6 +247,12 @@ def path_segments(stack, xs, baseline):
     return sample[:-1][keep], mids[keep], lengths[keep]
 
 
+@functools.cache
+def _gauss_legendre():
+    """(nodes, weights) of GAUSS_NODES-node Gauss-Legendre on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(GAUSS_NODES)
+
+
 def _probability_upstream(logits, rises, targets):
     """Per segment, the mean over the segment of the gradient of the target
     class's softmax probability with respect to the logits. The logits are
@@ -260,7 +266,7 @@ def _probability_upstream(logits, rises, targets):
     time. Raises NumericalError when the block's segments need more than
     MAX_PIECES pieces.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)  # on [-1, 1]
+    nodes, weights = _gauss_legendre()
     pieces = np.maximum(np.ceil(np.ptp(rises, axis=1) / PIECE_SPREAD), 1.0)
     ends = np.cumsum(pieces)
     if not ends[-1] <= MAX_PIECES:
@@ -415,11 +421,6 @@ class ConductanceReport:
     counts: list[int]
     matrix: np.ndarray  # [num_symbols, input_dim]
     feature_labels: list[str]
-
-    def write_csv(self, path):
-        write_csv(path, ["symbol", "count", *self.feature_labels],
-                  ([symbol, count] + row.tolist()
-                   for symbol, count, row in zip(self.symbols, self.counts, self.matrix)))
 
     def dominant_blocks(self, block_size):
         """Per symbol: (block index with the largest mean |attribution|,

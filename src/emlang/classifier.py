@@ -38,7 +38,6 @@ from .nn import (
     adam_step,
     as_f64,
     cross_entropy,
-    softmax_cross_entropy,
     stack_backward,
     stack_forward,
 )
@@ -261,12 +260,13 @@ def dataset_loss(model, dataset, batch_size, noise=None):
     order. A model with a bottleneck needs `noise`, one [num_samples, K] row
     of Gumbel noise per sample, and is scored through the soft relaxation
     with it (the validation contract); a baseline takes None. There is no
-    noise-free loss of a symbol model."""
+    noise-free loss of a symbol model. The caller checks the split once
+    (`train` does, with `_check_split`), so no batch is checked again."""
     total = 0.0
     for idx in _batches(dataset.num_samples, batch_size):
         xb = dataset.features[idx]
         logits = model.forward(xb, None if noise is None else noise[idx])[0]
-        loss, _ = softmax_cross_entropy(logits, dataset.labels[idx])
+        loss, _ = cross_entropy(logits, dataset.labels[idx])
         total += loss * len(idx)
     return total / dataset.num_samples
 

@@ -100,10 +100,24 @@ def _read_json(path, what):
             raise InputError(f"{path}: invalid {what} JSON: {exc}") from None
 
 
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_run(out_dir, files):
+    """Make the directory out_dir and write `files` into it: {name: content},
+    where a `.csv` name's content is `write_csv`'s (header, rows) and any
+    other name's is a JSON document.
+
+    This is the one place that writes a run's files, and it is called only
+    with a computed run: `_train_run` and `_attribute_run` write nothing. So
+    a command that fails leaves no partial output directory, and `repro`,
+    which writes each stage as it finishes, keeps the stages that did."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            write_csv(path, *content)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
 
 def _check_config_value(name, value, default, kwargs):
@@ -162,8 +176,7 @@ def _generate_to(spec, out_dir, label_column="label"):
     splits = generate_synthetic(spec)
     if label_column in splits[0].feature_names:
         raise InputError(f"label column {label_column!r} names a feature")
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "spec.json"), asdict(spec))
+    _write_run(out_dir, {"spec.json": asdict(spec)})
     for ds in splits:
         save_csv(ds, os.path.join(out_dir, f"{ds.split}.csv"), label_column)
 
@@ -223,7 +236,9 @@ def _train_config(opts):
     return config
 
 
-def _train_to(opts, data_dir, out_dir):
+def _train_run(opts, data_dir):
+    """Train and evaluate the model the options describe on the splits in
+    data_dir, and return the run's files for `_write_run`."""
     config = _train_config(opts)
     train_set, val_set, test_set = _load_split_dir(data_dir, opts["label_column"])
     stats = standardization(train_set) if opts["standardize"] else None
@@ -242,29 +257,21 @@ def _train_to(opts, data_dir, out_dir):
     )
     log = train(model, train_set, val_set, config)
     report = evaluate(model, test_set)
-
-    # written only once training and evaluation succeed, so a failed run
-    # leaves no partial output directory
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "config.json"), opts)
-    _write_json(
-        os.path.join(out_dir, "checkpoint.json"),
-        save_checkpoint(model, stats, train_set.feature_names,
-                        train_set.class_names),
-    )
-    write_csv(os.path.join(out_dir, "training_log.csv"),
-              ["epoch", "train_loss", "val_loss"],
-              ([s.epoch, s.train_loss, s.val_loss] for s in log.epochs))
-    _write_json(
-        os.path.join(out_dir, "eval_report.json"),
-        {"model": opts["model"], **report, "best_epoch": log.best_epoch,
-         "epochs_trained": len(log.epochs)},
-    )
-    return report
+    return {
+        "config.json": opts,
+        "checkpoint.json": save_checkpoint(model, stats, train_set.feature_names,
+                                           train_set.class_names),
+        "training_log.csv": (["epoch", "train_loss", "val_loss"],
+                             [[s.epoch, s.train_loss, s.val_loss]
+                              for s in log.epochs]),
+        "eval_report.json": {"model": opts["model"], **report,
+                             "best_epoch": log.best_epoch,
+                             "epochs_trained": len(log.epochs)},
+    }
 
 
 def cmd_train(args):
-    _train_to(_resolve(TRAIN_OPTIONS, args), args.data, args.out)
+    _write_run(args.out, _train_run(_resolve(TRAIN_OPTIONS, args), args.data))
 
 
 def _parse_baseline_vector(text, dim):
@@ -294,7 +301,9 @@ def _attribution_config(opts, dim):
     return config
 
 
-def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
+def _attribute_run(opts, checkpoint_path, test_csv):
+    """Attribute the rows of test_csv through the checkpoint's symbol model,
+    and return the run's files for `_write_run`."""
     model, stats, feature_names, _ = load_checkpoint(
         _read_json(checkpoint_path, "checkpoint")
     )
@@ -317,20 +326,18 @@ def _attribute_to(opts, checkpoint_path, test_csv, out_dir):
             report.symbols, report.counts, report.dominant_blocks(opts["block_size"])
         )
     ]
-    # written only once the report exists, so a failed attribution leaves no
-    # partial output directory
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "config.json"), opts)
-    report.write_csv(os.path.join(out_dir, "conductance.csv"))
-    _write_json(
-        os.path.join(out_dir, "attribution_summary.json"), {"symbols": summary}
-    )
-    return report
+    return {
+        "config.json": opts,
+        "conductance.csv": (["symbol", "count", *report.feature_labels],
+                            [[symbol, count, *means.tolist()] for symbol, count, means
+                             in zip(report.symbols, report.counts, report.matrix)]),
+        "attribution_summary.json": {"symbols": summary},
+    }
 
 
 def cmd_attribute(args):
-    _attribute_to(_resolve(ATTRIBUTE_OPTIONS, args), args.checkpoint, args.test_csv,
-                  args.out)
+    _write_run(args.out, _attribute_run(_resolve(ATTRIBUTE_OPTIONS, args),
+                                        args.checkpoint, args.test_csv))
 
 
 def cmd_repro(args):
@@ -341,27 +348,17 @@ def cmd_repro(args):
     spec = _spec_from_options(opts)
     _train_config(opts)
     _attribution_config(opts, spec.feature_dim)
-    _generate_to(spec, data_dir, opts["label_column"])  # makes `out`
-    _write_json(os.path.join(out, "config.json"), opts)
-
-    reports = {}
-    for kind in ("baseline", "el"):
-        reports[kind] = _train_to(
-            {**{k: opts[k] for k in TRAIN_OPTIONS if k != "model"}, "model": kind},
-            data_dir,
-            os.path.join(out, kind),
-        )
-
-    _attribute_to(
-        {k: opts[k] for k in ATTRIBUTE_OPTIONS},
-        os.path.join(out, "el", "checkpoint.json"),
-        os.path.join(data_dir, "test.csv"),
-        os.path.join(out, "attribution"),
-    )
+    _generate_to(spec, data_dir, opts["label_column"])
+    _write_run(out, {"config.json": opts})
 
     table = []
     for kind in ("baseline", "el"):
-        report = reports[kind]
+        files = _train_run(
+            {**{k: opts[k] for k in TRAIN_OPTIONS if k != "model"}, "model": kind},
+            data_dir,
+        )
+        _write_run(os.path.join(out, kind), files)
+        report = files["eval_report.json"]
         table.append(
             {
                 "experiment": kind,
@@ -370,7 +367,16 @@ def cmd_repro(args):
                 "symbols": report["symbols"],
             }
         )
-    _write_json(os.path.join(out, "comparison.json"), {"table": table})
+
+    _write_run(
+        os.path.join(out, "attribution"),
+        _attribute_run(
+            {k: opts[k] for k in ATTRIBUTE_OPTIONS},
+            os.path.join(out, "el", "checkpoint.json"),
+            os.path.join(data_dir, "test.csv"),
+        ),
+    )
+    _write_run(out, {"comparison.json": {"table": table}})
 
 
 def _add_options(parser, options):

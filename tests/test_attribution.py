@@ -1,3 +1,4 @@
+import json
 import os
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +30,15 @@ from emlang.classifier import (
     save_checkpoint,
     train,
 )
-from emlang.data import Dataset, SynthSpec, generate_synthetic, rescale, standardization
+from emlang.cli import main
+from emlang.data import (
+    Dataset,
+    SynthSpec,
+    generate_synthetic,
+    rescale,
+    save_csv,
+    standardization,
+)
 from emlang.errors import InputError, NumericalError
 from emlang.gumbel import noise_from_uniform
 from emlang.nn import DenseLayer, glorot_uniform, softmax, stack_backward, stack_forward
@@ -679,8 +688,16 @@ def test_per_symbol_report_rejects_baseline():
 def test_report_csv_format(tmp_path):
     spec, model, test_set = trained_symbol_model(22)
     report = per_symbol_report(model, test_set, AttributionConfig())
-    path = tmp_path / "conductance.csv"
-    report.write_csv(path)
+    # the file `emlang attribute` writes for this model and these rows
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(save_checkpoint(
+        model, None, test_set.feature_names, test_set.class_names)))
+    save_csv(test_set, tmp_path / "test.csv")
+    assert main(["attribute", "--checkpoint", str(checkpoint),
+                 "--test-csv", str(tmp_path / "test.csv"),
+                 "--block-size", str(spec.block_size),
+                 "--out", str(tmp_path / "attribution")]) == 0
+    path = tmp_path / "attribution" / "conductance.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "symbol,count," + ",".join(
         f"f{i}" for i in range(spec.feature_dim)

@@ -798,3 +798,67 @@ def test_train_rejects_a_malformed_csv_before_any_output(tmp_path, capsys, corru
     assert run(["train", "--data", str(data), "--out", str(out), *SMALL_TRAIN]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_repro_keeps_the_stages_that_finished_when_el_diverges(tmp_path, capsys):
+    # a temperature of 1e-310 overflows the channel on el's first epoch; the
+    # baseline has no channel and never reads it, so its stage finishes
+    import numpy as np
+
+    train_flags = ["--seed", "0", "--vocab", "12", "--hidden", "12",
+                   "--temperature", "1e-310", "--max-epochs", "3", "--patience", "3"]
+    out = tmp_path / "repro"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["repro", "--out", str(out), *SMALL_GEN, *train_flags])
+    assert code == 3
+    assert "non-finite loss at epoch 1" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["baseline", "config.json", "data"]
+    assert sorted(p.name for p in (out / "data").iterdir()) == [
+        "spec.json", "test.csv", "train.csv", "val.csv"]
+    names = ["checkpoint.json", "config.json", "eval_report.json", "training_log.csv"]
+    assert sorted(p.name for p in (out / "baseline").iterdir()) == names
+    # the kept stage is whole: the run `train` makes of the same data
+    alone = tmp_path / "alone"
+    assert run(["train", "--data", str(out / "data"), "--out", str(alone),
+                "--model", "baseline", *train_flags]) == 0
+    for name in names:
+        assert (out / "baseline" / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_train_and_attribute_runs_write_nothing(tmp_path, monkeypatch):
+    import pickle
+
+    from emlang.cli import (
+        ATTRIBUTE_OPTIONS,
+        TRAIN_OPTIONS,
+        _attribute_run,
+        _train_run,
+        _write_run,
+    )
+
+    def tree():
+        return sorted((p.relative_to(tmp_path), p.is_dir() or p.stat().st_mtime_ns)
+                      for p in tmp_path.rglob("*"))
+
+    def defaults(options):
+        return {name: default for name, (default, _) in options.items()}
+
+    data = gen_small(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = tree()
+    files = _train_run({**defaults(TRAIN_OPTIONS), "vocab": 12, "hidden": 12,
+                        "max_epochs": 5, "patience": 5}, str(data))
+    assert tree() == before
+    assert sorted(files) == ["checkpoint.json", "config.json", "eval_report.json",
+                             "training_log.csv"]
+    # a run's files cross a process boundary as they are
+    assert pickle.loads(pickle.dumps(files)) == files
+    _write_run(tmp_path / "el", files)
+    before = tree()
+    files = _attribute_run(defaults(ATTRIBUTE_OPTIONS),
+                           str(tmp_path / "el" / "checkpoint.json"),
+                           str(data / "test.csv"))
+    assert tree() == before
+    assert sorted(files) == ["attribution_summary.json", "conductance.csv",
+                             "config.json"]
+    assert pickle.loads(pickle.dumps(files)) == files

@@ -62,6 +62,11 @@ CASES = {
     # cell makes the writer quote all of them
     "repro-cr": ["repro", "--seed", "0", "--label-column", "lab\rel",
                  "--max-epochs", "30"],
+    "gen40": ["gen", "--seed", "0", "--test-samples", "40"],
+    # 10 blocks of 4 samples, fewer than two runs of MIN_RUN blocks: the one
+    # case attributed in one process, with BLAS unpinned
+    "attr40": ["attribute", "--checkpoint", "{work}/repro-base/el/checkpoint.json",
+               "--test-csv", "{work}/gen40-base/test.csv"],
 }
 
 # files that must be identical, as paths under DIR
