@@ -116,7 +116,7 @@ CHUNK_PIECES = 1024
 MAX_PIECES = 2**24
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttributionConfig:
     baseline: np.ndarray | None = None  # None means the zero vector
     # None means the class the model predicts: the one `decode` picks on a
@@ -125,7 +125,7 @@ class AttributionConfig:
     neuron: tuple[int, int] | None = None  # (layer_index, unit) in the stack
     output: str = "logit"
 
-    def validate(self):
+    def __post_init__(self):
         if self.output not in OUTPUTS:
             raise InputError(f"output must be one of {OUTPUTS}")
         if self.baseline is not None and not np.all(np.isfinite(self.baseline)):
@@ -141,7 +141,8 @@ def attribution_stack(model):
 
 def _resolve_inputs(stack, x, config, ndim=1):
     """x (one sample, or rows when ndim is 2) and the baseline, checked for
-    shape, and x for finiteness: `config.validate` checks the baseline's."""
+    shape, and x for finiteness: the config checked the baseline's when
+    it was made."""
     x = as_f64(x)
     if x.ndim != ndim or x.shape[-1] != stack[0].in_dim:
         raise InputError(
@@ -370,7 +371,6 @@ def _decode(model, stack, xs, config):
 
 def integrated_gradients(model, x, config):
     """Integrated gradients of the target output w.r.t. x."""
-    config.validate()
     stack = attribution_stack(model)
     x, baseline = _resolve_inputs(stack, x, config)
     _, targets = _decode(model, stack, x[None, :], config)
@@ -380,7 +380,6 @@ def integrated_gradients(model, x, config):
 def neuron_conductance(model, x, config):
     """Conductance of hidden unit y = config.neuron: the part of the
     integrated-gradient attribution that flows through y."""
-    config.validate()
     stack = attribution_stack(model)
     if config.neuron is None:
         raise InputError("config.neuron must identify (layer_index, unit)")
@@ -439,7 +438,6 @@ class ConductanceReport:
 def per_symbol_report(model, dataset, config):
     """Decode each sample's symbol, attribute the matching sender logit back
     to the input features, and average the attributions per symbol."""
-    config.validate()
     if not isinstance(model, ModelGraph) or model.bottleneck is None:
         raise InputError(
             "per-symbol attribution requires a model with a symbol bottleneck, "

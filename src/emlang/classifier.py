@@ -59,7 +59,7 @@ _SHUFFLE_STREAM = 2
 _VAL_NOISE_STREAM = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
@@ -67,7 +67,7 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not (0 < self.learning_rate < math.inf):
             raise InputError("learning_rate must be positive and finite")
         for name in ("batch_size", "max_epochs", "patience"):
@@ -271,10 +271,6 @@ def dataset_loss(model, dataset, batch_size, noise=None):
     return total / dataset.num_samples
 
 
-def _diverged(epoch):
-    return NumericalError(f"non-finite loss at epoch {epoch}")
-
-
 def _check_split(model, ds):
     """InputError unless `ds` is non-empty, has the model's feature count
     and finite features, and labels in [0, num_classes)."""
@@ -304,7 +300,6 @@ def train(model, train_set, val_set, config):
     or loss. Every random stream starts here, so equal weights and config
     train to equal results.
     """
-    config.validate()
     _check_split(model, train_set)
     _check_split(model, val_set)
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
@@ -326,31 +321,28 @@ def train(model, train_set, val_set, config):
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(train_set.num_samples)
         running = 0.0
-        for idx in _batches(train_set.num_samples, config.batch_size, order):
-            noise = None
-            if noise_rng is not None:
-                u = noise_rng.random((len(idx), model.vocab_size))
-                noise = noise_from_uniform(u)
-            try:
-                logits, tape = model.forward(train_set.features[idx], noise)
-            except NumericalError:
-                # inputs were validated up front, so a non-finite logit here
-                # means the optimization blew up
-                raise _diverged(epoch) from None
-            loss, dlogits = cross_entropy(logits, train_set.labels[idx])
-            if not math.isfinite(loss):
-                raise _diverged(epoch)
-            running += loss * len(idx)
-            model.backward(tape, dlogits, grad_views)
-            del tape  # so two batches' tapes are never alive at once
-            adam_step(state, params, grads)
-        train_loss = running / train_set.num_samples
+        # the splits were checked up front, so a non-finite logit or loss
+        # anywhere in the epoch means the optimization blew up
         try:
+            for idx in _batches(train_set.num_samples, config.batch_size, order):
+                noise = None
+                if noise_rng is not None:
+                    u = noise_rng.random((len(idx), model.vocab_size))
+                    noise = noise_from_uniform(u)
+                logits, tape = model.forward(train_set.features[idx], noise)
+                loss, dlogits = cross_entropy(logits, train_set.labels[idx])
+                if not math.isfinite(loss):
+                    raise NumericalError("non-finite training loss")
+                running += loss * len(idx)
+                model.backward(tape, dlogits, grad_views)
+                del tape  # so two batches' tapes are never alive at once
+                adam_step(state, params, grads)
             val_loss = dataset_loss(model, val_set, config.batch_size, val_noise)
+            if not math.isfinite(val_loss):
+                raise NumericalError("non-finite validation loss")
         except NumericalError:
-            raise _diverged(epoch) from None
-        if not math.isfinite(val_loss):
-            raise _diverged(epoch)
+            raise NumericalError(f"non-finite loss at epoch {epoch}") from None
+        train_loss = running / train_set.num_samples
         log.epochs.append(EpochStats(epoch, train_loss, val_loss))
         if val_loss < log.best_val_loss:
             log.best_epoch, log.best_val_loss = epoch, val_loss

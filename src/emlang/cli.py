@@ -27,7 +27,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .attribution import AttributionConfig, check_block_layout, per_symbol_report
+from .attribution import (
+    OUTPUTS,
+    AttributionConfig,
+    check_block_layout,
+    per_symbol_report,
+)
 from .classifier import (
     TrainConfig,
     build_model,
@@ -81,7 +86,7 @@ ATTRIBUTE_OPTIONS = {
     "baseline_vector": ("zero", {"help": "'zero' or comma-separated floats, in "
                                  "the model's input space (after any "
                                  "checkpoint standardization)"}),
-    "output_mode": ("logit", {"choices": ("logit", "probability"), "help": "the "
+    "output_mode": ("logit", {"choices": OUTPUTS, "help": "the "
                               "target class's logit or softmax probability, both "
                               "integrated exactly over relu segments (ExactLine)"}),
     "block_size": GEN_OPTIONS["block_size"],
@@ -158,18 +163,8 @@ def _resolve(options, args):
 
 
 def _spec_from_options(opts):
-    spec = SynthSpec(
-        num_classes=opts["classes"],
-        block_size=opts["block_size"],
-        train_samples=opts["train_samples"],
-        val_samples=opts["val_samples"],
-        test_samples=opts["test_samples"],
-        mean_shift=opts["mean_shift"],
-        noise_sigma=opts["noise_sigma"],
-        seed=opts["seed"],
-    )
-    spec.validate()
-    return spec
+    return SynthSpec(num_classes=opts["classes"],
+                     **{name: opts[name] for name in GEN_OPTIONS if name != "classes"})
 
 
 def _generate_to(spec, out_dir, label_column="label"):
@@ -229,7 +224,6 @@ def _train_config(opts):
         patience=opts["patience"],
         seed=opts["seed"],
     )
-    config.validate()
     GumbelSoftmaxSampler(opts["vocab"], opts["temperature"])
     if opts["hidden"] < 1:
         raise InputError("hidden must be a positive integer")
@@ -293,12 +287,9 @@ def _parse_baseline_vector(text, dim):
 
 
 def _attribution_config(opts, dim):
-    """The AttributionConfig the options describe for `dim` features,
-    checked."""
-    config = AttributionConfig(_parse_baseline_vector(opts["baseline_vector"], dim),
-                               output=opts["output_mode"])
-    config.validate()
-    return config
+    """The AttributionConfig the options describe for `dim` features."""
+    return AttributionConfig(_parse_baseline_vector(opts["baseline_vector"], dim),
+                             output=opts["output_mode"])
 
 
 def _attribute_run(opts, checkpoint_path, test_csv):

@@ -76,7 +76,7 @@ class Dataset:
         return len(self.class_names)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     num_classes: int = 4
     block_size: int = 7
@@ -91,7 +91,7 @@ class SynthSpec:
     def feature_dim(self):
         return self.num_classes * self.block_size
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_classes < 2:
             raise InputError("num_classes must be >= 2")
         if self.block_size < 1:
@@ -120,7 +120,6 @@ def generate_synthetic(spec):
     Class names carry the index zero-padded to one width, so that their
     sorted order, in which `load_csv` numbers them, is index order. A spec
     whose features overflow to a non-finite value is an InputError."""
-    spec.validate()
     width = len(str(spec.num_classes - 1))
     class_names = [f"class{c:0{width}d}" for c in range(spec.num_classes)]
     splits = []

@@ -1,7 +1,8 @@
 import json
 import os
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -522,9 +523,9 @@ def test_invalid_neuron_selectors():
 
 def test_config_validation():
     with pytest.raises(InputError):
-        AttributionConfig(baseline=np.array([0.0, np.nan])).validate()
+        AttributionConfig(baseline=np.array([0.0, np.nan]))
     with pytest.raises(InputError):
-        AttributionConfig(output="odds").validate()
+        AttributionConfig(output="odds")
     stack = random_relu_net(13)
     with pytest.raises(InputError):
         integrated_gradients(stack, np.zeros(3), AttributionConfig(target_class=0))
@@ -539,14 +540,38 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize("config, field, value, message", [
+    (SynthSpec(), "test_samples", 3, "test_samples must be >= num_classes"),
+    (SynthSpec(), "noise_sigma", np.nan, "noise_sigma must be finite and >= 0"),
+    (TrainConfig(), "patience", 201, "patience must not exceed max_epochs"),
+    (TrainConfig(), "learning_rate", np.inf,
+     "learning_rate must be positive and finite"),
+    (AttributionConfig(), "output", "odds",
+     "output must be one of ('logit', 'probability')"),
+    (AttributionConfig(), "baseline", np.array([0.0, np.nan]),
+     "baseline contains non-finite values"),
+], ids=["SynthSpec-samples", "SynthSpec-sigma", "TrainConfig-patience",
+        "TrainConfig-rate", "AttributionConfig-output",
+        "AttributionConfig-baseline"])
+def test_configs_check_themselves_when_made_and_are_frozen(config, field, value,
+                                                          message):
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(InputError, match=exact):
+        type(config)(**{field: value})
+    with pytest.raises(InputError, match=exact):
+        replace(config, **{field: value})
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, field, value)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_nonfinite_baseline_is_rejected(value):
     stack = random_relu_net(13)
     baseline = np.zeros(6)
     baseline[2] = value
     for target in (None, 0):
-        config = AttributionConfig(baseline=baseline, target_class=target)
         with pytest.raises(InputError, match="non-finite"):
+            config = AttributionConfig(baseline=baseline, target_class=target)
             integrated_gradients(stack, np.ones(6), config)
 
 

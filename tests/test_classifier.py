@@ -472,19 +472,36 @@ def test_train_divergence_reports_epoch():
             train(model, ds, ds, config)
 
 
+def test_train_divergence_in_validation_alone_reports_epoch():
+    # a baseline whose hidden units sum their inputs: the training rows stay
+    # far from overflow, while the validation rows are finite, so they pass
+    # the split check, but every hidden unit overflows on them and the logits
+    # are inf - inf
+    ds = two_class_toy(n=12, seed=27)
+    val = Dataset(np.full((4, 2), 1.5e308), [0, 1, 0, 1], ds.class_names, "val")
+    model = ModelGraph(
+        [DenseLayer(np.ones((3, 2)), np.zeros(3), "relu")],
+        [DenseLayer([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.5]], np.zeros(2), "identity")],
+    )
+    config = TrainConfig(max_epochs=5, patience=5, seed=27)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"^non-finite loss at epoch 1$"):
+            train(model, ds, val, config)
+
+
 def test_train_config_validation():
     with pytest.raises(InputError):
-        TrainConfig(patience=30, max_epochs=20).validate()
+        TrainConfig(patience=30, max_epochs=20)
     with pytest.raises(InputError):
-        TrainConfig(learning_rate=0.0).validate()
+        TrainConfig(learning_rate=0.0)
     # json reads 1e999 as inf
     for rate in (math.inf, math.nan):
         with pytest.raises(InputError, match="learning_rate must be positive and finite"):
-            TrainConfig(learning_rate=rate).validate()
+            TrainConfig(learning_rate=rate)
     with pytest.raises(InputError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(InputError, match="seed"):
-        TrainConfig(seed=-1).validate()
+        TrainConfig(seed=-1)
 
 
 def test_train_config_defaults():
