@@ -118,7 +118,10 @@ MAX_PIECES = 2**24
 
 @dataclass(frozen=True)
 class AttributionConfig:
-    baseline: np.ndarray | None = None  # None means the zero vector
+    # a vector of finite numbers, kept as a tuple of floats, so that equal
+    # configs compare and hash equal and no caller's array is shared; None
+    # means the zero vector
+    baseline: tuple[float, ...] | None = None
     # None means the class the model predicts: the one `decode` picks on a
     # ModelGraph, the argmax of a bare layer list
     target_class: int | None = None
@@ -128,8 +131,13 @@ class AttributionConfig:
     def __post_init__(self):
         if self.output not in OUTPUTS:
             raise InputError(f"output must be one of {OUTPUTS}")
-        if self.baseline is not None and not np.all(np.isfinite(self.baseline)):
-            raise InputError("baseline contains non-finite values")
+        if self.baseline is not None:
+            baseline = as_f64(self.baseline)
+            if not np.all(np.isfinite(baseline)):
+                raise InputError("baseline contains non-finite values")
+            if baseline.ndim != 1:
+                raise InputError(f"baseline must be 1-d, got shape {baseline.shape}")
+            object.__setattr__(self, "baseline", tuple(baseline.tolist()))
 
 
 def attribution_stack(model):
@@ -140,9 +148,9 @@ def attribution_stack(model):
 
 
 def _resolve_inputs(stack, x, config, ndim=1):
-    """x (one sample, or rows when ndim is 2) and the baseline, checked for
-    shape, and x for finiteness: the config checked the baseline's when
-    it was made."""
+    """x (one sample, or rows when ndim is 2) and the baseline as an array,
+    checked for shape, and x for finiteness: the config checked the
+    baseline's when it was made."""
     x = as_f64(x)
     if x.ndim != ndim or x.shape[-1] != stack[0].in_dim:
         raise InputError(
@@ -371,6 +379,8 @@ def _decode(model, stack, xs, config):
 
 def integrated_gradients(model, x, config):
     """Integrated gradients of the target output w.r.t. x."""
+    if config.neuron is not None:
+        raise InputError("integrated_gradients takes no config.neuron")
     stack = attribution_stack(model)
     x, baseline = _resolve_inputs(stack, x, config)
     _, targets = _decode(model, stack, x[None, :], config)
@@ -443,6 +453,8 @@ def per_symbol_report(model, dataset, config):
             "per-symbol attribution requires a model with a symbol bottleneck, "
             "not a baseline model; train one with --model el"
         )
+    if config.neuron is not None:
+        raise InputError("per_symbol_report takes no config.neuron")
     if dataset.num_samples == 0:
         raise InputError("dataset must be non-empty")
     stack = attribution_stack(model)
@@ -517,14 +529,15 @@ def fork_map(fn, jobs):
     through a pipe.
 
     OpenBLAS is pinned to one thread meanwhile, since two processes with a
-    BLAS pool each oversubscribe the CPUs, and restored afterwards. The
+    BLAS pool each oversubscribe the CPUs, and restored afterwards; one job
+    runs pinned too, so that every map computes on one BLAS thread. The
     error raised is that of the first failing job in job order, as the list
     comprehension would raise it, and every child is reaped. Without a BLAS
     pin or `os.fork`, or beside other Python threads (fork copies only the
     calling thread), this process runs every job.
     """
     pin = None
-    if len(jobs) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+    if jobs and hasattr(os, "fork") and threading.active_count() == 1:
         pin = _blas_pin()
     if pin is None:
         return [fn(job) for job in jobs]

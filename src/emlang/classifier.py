@@ -10,9 +10,10 @@ with every layer's weights and bias packed into one flat vector so each batch
 is one optimizer step: `ModelGraph.forward` takes each batch's Gumbel noise,
 which `train` draws from the sampler's seed, and returns an explicit `Tape`;
 the backward writes every layer's gradients straight into its views of one
-flat gradient vector. Validation losses come from the same `forward`, with
-noise drawn once per `train` call on a symbol model. Early stopping restores
-the parameters of the best validation epoch.
+flat gradient vector. Training and validation score their batches in one
+walk, `_batch_losses`, which runs `forward` and the loss on each batch; on a
+symbol model the validation noise is drawn once per `train` call. Early
+stopping restores the parameters of the best validation epoch.
 
 `ModelGraph.decode` is the one noise-free evaluation of the package, which
 `evaluate` and attribution share: each input's sender logits decode to their
@@ -249,10 +250,19 @@ def _pack(model):
     return params, grads, grad_views
 
 
-def _batches(n, batch_size, order=None):
-    idx = np.arange(n) if order is None else order
-    for start in range(0, n, batch_size):
-        yield idx[start : start + batch_size]
+def _batch_losses(model, dataset, batch_size, order, noise=None):
+    """Walk the rows `order` names, batch_size at a time, yielding each
+    batch's (rows, tape, loss, dlogits): its row count, its `forward` tape,
+    and its `cross_entropy` mean loss and logit gradient. `noise` maps the
+    batch's row indices to its [rows, K] Gumbel noise; None for a baseline.
+    The caller drops each tape before it asks for the next batch, so two
+    batches' tapes are never alive at once."""
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        batch_noise = None if noise is None else noise(idx)
+        logits, tape = model.forward(dataset.features[idx], batch_noise)
+        yield (len(idx), tape, *cross_entropy(logits, dataset.labels[idx]))
+        del logits, tape
 
 
 def dataset_loss(model, dataset, batch_size, noise=None):
@@ -262,13 +272,13 @@ def dataset_loss(model, dataset, batch_size, noise=None):
     with it (the validation contract); a baseline takes None. There is no
     noise-free loss of a symbol model. The caller checks the split once
     (`train` does, with `_check_split`), so no batch is checked again."""
+    n = dataset.num_samples
+    batches = _batch_losses(model, dataset, batch_size, np.arange(n),
+                            None if noise is None else noise.__getitem__)
     total = 0.0
-    for idx in _batches(dataset.num_samples, batch_size):
-        xb = dataset.features[idx]
-        logits = model.forward(xb, None if noise is None else noise[idx])[0]
-        loss, _ = cross_entropy(logits, dataset.labels[idx])
-        total += loss * len(idx)
-    return total / dataset.num_samples
+    for rows, _, loss, _ in batches:
+        total += loss * rows
+    return total / n
 
 
 def _check_split(model, ds):
@@ -307,13 +317,15 @@ def train(model, train_set, val_set, config):
     state = AdamState(params, learning_rate=config.learning_rate)
     # each batch's noise comes from the sampler's seed; the validation noise
     # is drawn once per call, so losses compare across epochs
-    noise_rng = val_noise = None
+    draw = val_noise = None
     if model.bottleneck is not None:
         noise_rng = np.random.default_rng(model.bottleneck.rng_seed)
         val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
-        val_noise = noise_from_uniform(
-            val_rng.random(size=(val_set.num_samples, model.vocab_size))
-        )
+
+        def draw(idx, rng=noise_rng):
+            return noise_from_uniform(rng.random((len(idx), model.vocab_size)))
+
+        val_noise = draw(range(val_set.num_samples), val_rng)
 
     log = TrainLog()
     best = params.copy()
@@ -324,18 +336,13 @@ def train(model, train_set, val_set, config):
         # the splits were checked up front, so a non-finite logit or loss
         # anywhere in the epoch means the optimization blew up
         try:
-            for idx in _batches(train_set.num_samples, config.batch_size, order):
-                noise = None
-                if noise_rng is not None:
-                    u = noise_rng.random((len(idx), model.vocab_size))
-                    noise = noise_from_uniform(u)
-                logits, tape = model.forward(train_set.features[idx], noise)
-                loss, dlogits = cross_entropy(logits, train_set.labels[idx])
+            batches = _batch_losses(model, train_set, config.batch_size, order, draw)
+            for rows, tape, loss, dlogits in batches:
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite training loss")
-                running += loss * len(idx)
+                running += loss * rows
                 model.backward(tape, dlogits, grad_views)
-                del tape  # so two batches' tapes are never alive at once
+                del tape  # before the next batch's forward
                 adam_step(state, params, grads)
             val_loss = dataset_loss(model, val_set, config.batch_size, val_noise)
             if not math.isfinite(val_loss):

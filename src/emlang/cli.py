@@ -25,8 +25,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .attribution import (
     OUTPUTS,
     AttributionConfig,
@@ -283,7 +281,7 @@ def _parse_baseline_vector(text, dim):
         raise InputError(
             f"baseline vector has {len(values)} entries, expected {dim}"
         )
-    return np.array(values)
+    return values
 
 
 def _attribution_config(opts, dim):

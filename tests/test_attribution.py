@@ -575,6 +575,17 @@ def test_nonfinite_baseline_is_rejected(value):
             integrated_gradients(stack, np.ones(6), config)
 
 
+def test_configs_with_equal_baselines_compare_and_hash_equal():
+    first = AttributionConfig(baseline=np.zeros(3), target_class=1)
+    second = AttributionConfig(baseline=[0.0, 0.0, 0.0], target_class=1)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first != replace(first, baseline=np.ones(3))
+    with pytest.raises(InputError,
+                       match=r"^baseline must be 1-d, got shape \(2, 2\)$"):
+        AttributionConfig(baseline=np.zeros((2, 2)))
+
+
 def test_probability_output_completeness():
     stack = random_relu_net(14)
     x = np.random.default_rng(15).normal(size=6)
@@ -644,6 +655,37 @@ def test_default_target_is_predicted_class():
             auto = attribute(model, x, config)
             explicit = attribute(model, x, replace(config, target_class=predicted))
             np.testing.assert_array_equal(auto, explicit)
+
+
+def untrained_symbol_case():
+    """An untrained 4-class symbol model and 20 rows of its 28 features."""
+    xs = np.random.default_rng(3).normal(size=(20, 28))
+    return build_model(28, 4, seed=3), Dataset(xs, np.zeros(20, dtype=int), ["a"])
+
+
+def test_changing_the_baseline_array_after_the_config_changes_no_report():
+    model, ds = untrained_symbol_case()
+    source = np.full(28, 0.1)
+    config = AttributionConfig(baseline=source)
+    before = per_symbol_report(model, ds, config)
+    source[0] = np.nan
+    after = per_symbol_report(model, ds, config)
+    assert after.counts == before.counts
+    assert np.array_equal(after.matrix, before.matrix)
+
+
+def test_integrated_gradients_rejects_a_neuron():
+    config = AttributionConfig(target_class=0, neuron=(0, 1))
+    with pytest.raises(InputError,
+                       match=r"^integrated_gradients takes no config\.neuron$"):
+        integrated_gradients(random_relu_net(13), np.ones(6), config)
+
+
+def test_per_symbol_report_rejects_a_neuron():
+    model, ds = untrained_symbol_case()
+    with pytest.raises(InputError,
+                       match=r"^per_symbol_report takes no config\.neuron$"):
+        per_symbol_report(model, ds, AttributionConfig(neuron=(0, 3)))
 
 
 def trained_symbol_model(seed=0):
@@ -907,6 +949,20 @@ def test_fork_map_returns_the_results_in_job_order(jobs):
     assert [r["job"] for r in results] == [e["job"] for e in expected]
     for result, want in zip(results, expected):
         np.testing.assert_array_equal(result["square"], want["square"])
+
+
+def test_a_one_job_map_runs_on_one_blas_thread():
+    pin = attribution._blas_pin()
+    if pin is None:
+        pytest.skip("no OpenBLAS thread count to pin")
+    get_threads, set_threads = pin
+    threads = get_threads()
+    set_threads(2)  # so that the pin shows wherever the tests run
+    try:
+        assert fork_map_case(lambda job: blas_threads(), [0]) == [1]
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
 
 
 @pytest.mark.parametrize("failing", [(1, 2), (0, 2)],

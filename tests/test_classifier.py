@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emlang.classifier import (
+    _SHUFFLE_STREAM,
+    _VAL_NOISE_STREAM,
     DECODE_ROWS,
     ModelGraph,
     _pack,
@@ -23,7 +26,15 @@ from emlang.classifier import (
 from emlang.data import Dataset, SynthSpec, generate_synthetic
 from emlang.errors import InputError, NumericalError
 from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
-from emlang.nn import DenseLayer, log_softmax, softmax, softmax_cross_entropy
+from emlang.nn import (
+    AdamState,
+    DenseLayer,
+    adam_step,
+    cross_entropy,
+    log_softmax,
+    softmax,
+    softmax_cross_entropy,
+)
 from gradcheck import (
     central_diff_inplace,
     grad_buffers,
@@ -349,6 +360,83 @@ def test_training_is_bit_deterministic():
     for la, lb in zip(model_a.layers(), model_b.layers()):
         np.testing.assert_array_equal(la.weights, lb.weights)
         np.testing.assert_array_equal(la.bias, lb.bias)
+
+
+def reference_losses(model, train_set, val_set, config):
+    """Each epoch's (train, validation) mean loss, from a per-batch loop
+    that draws the shuffle, the noise and Adam's state from `train`'s seeds
+    and streams, and runs every epoch of config.max_epochs."""
+    params, grads, grad_views = _pack(model)
+    state = AdamState(params, learning_rate=config.learning_rate)
+    shuffle = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
+    symbols = model.bottleneck is not None
+    if symbols:
+        draws = np.random.default_rng(model.bottleneck.rng_seed)
+        val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
+        val_noise = noise_from_uniform(
+            val_rng.random((val_set.num_samples, model.vocab_size)))
+    losses = []
+    for _ in range(config.max_epochs):
+        order = shuffle.permutation(train_set.num_samples)
+        total = 0.0
+        for start in range(0, train_set.num_samples, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            noise = None
+            if symbols:
+                noise = noise_from_uniform(
+                    draws.random((len(idx), model.vocab_size)))
+            logits, tape = model.forward(train_set.features[idx], noise)
+            loss, dlogits = cross_entropy(logits, train_set.labels[idx])
+            total += loss * len(idx)
+            model.backward(tape, dlogits, grad_views)
+            adam_step(state, params, grads)
+        val_total = 0.0
+        for start in range(0, val_set.num_samples, config.batch_size):
+            idx = np.arange(start, min(start + config.batch_size,
+                                       val_set.num_samples))
+            logits, _ = model.forward(val_set.features[idx],
+                                      val_noise[idx] if symbols else None)
+            val_total += cross_entropy(logits, val_set.labels[idx])[0] * len(idx)
+        losses.append((total / train_set.num_samples,
+                       val_total / val_set.num_samples))
+    return losses
+
+
+@pytest.mark.parametrize("with_bottleneck", [True, False], ids=["el", "baseline"])
+def test_train_losses_match_a_per_batch_reference(with_bottleneck):
+    # 21 and 11 rows in batches of 8: both splits end in a partial batch
+    ds, val = (Dataset(toy.features[:-1], toy.labels[:-1], toy.class_names)
+               for toy in (two_class_toy(n=22, seed=60),
+                           two_class_toy(n=12, seed=61)))
+    config = TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=4,
+                         patience=4, seed=62)
+
+    def fresh():
+        return build_model(2, 2, vocab_size=4, hidden_dim=4,
+                           with_bottleneck=with_bottleneck, seed=63)
+
+    log = train(fresh(), ds, val, config)
+    expected = reference_losses(fresh(), ds, val, config)
+    assert [(s.train_loss, s.val_loss) for s in log.epochs] == expected
+
+
+@pytest.mark.parametrize("with_bottleneck", [True, False], ids=["el", "baseline"])
+def test_two_batches_tapes_are_never_alive_at_once(with_bottleneck):
+    model = build_model(2, 2, vocab_size=4, hidden_dim=4,
+                        with_bottleneck=with_bottleneck, seed=64)
+    real = model.forward
+    inputs = []  # a weak reference to each batch's input, which its tape holds
+
+    def forward(x, noise=None):
+        assert all(ref() is None for ref in inputs)
+        logits, tape = real(x, noise)
+        inputs.append(weakref.ref(tape.sender[0][0]))
+        return logits, tape
+
+    model.forward = forward
+    train(model, two_class_toy(n=20, seed=65), two_class_toy(n=12, seed=66),
+          TrainConfig(batch_size=4, max_epochs=2, patience=2, seed=64))
+    assert len(inputs) == 2 * (5 + 3)
 
 
 @pytest.mark.parametrize("with_bottleneck", [True, False], ids=["el", "baseline"])

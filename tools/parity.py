@@ -64,7 +64,8 @@ CASES = {
                  "--max-epochs", "30"],
     "gen40": ["gen", "--seed", "0", "--test-samples", "40"],
     # 10 blocks of 4 samples, fewer than two runs of MIN_RUN blocks: the one
-    # case attributed in one process, with BLAS unpinned
+    # case attributed in one process, pinned to one BLAS thread as every
+    # run is
     "attr40": ["attribute", "--checkpoint", "{work}/repro-base/el/checkpoint.json",
                "--test-csv", "{work}/gen40-base/test.csv"],
 }
