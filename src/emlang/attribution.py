@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 import os
 import pickle
 import signal
@@ -125,12 +126,21 @@ class AttributionConfig:
     # None means the class the model predicts: the one `decode` picks on a
     # ModelGraph, the argmax of a bare layer list
     target_class: int | None = None
-    neuron: tuple[int, int] | None = None  # (layer_index, unit) in the stack
+    # (layer_index, unit) in the stack, kept as a tuple of two ints
+    neuron: tuple[int, int] | None = None
     output: str = "logit"
 
     def __post_init__(self):
         if self.output not in OUTPUTS:
             raise InputError(f"output must be one of {OUTPUTS}")
+        if self.neuron is not None:
+            try:
+                layer_index, unit = map(operator.index, self.neuron)
+            except (TypeError, ValueError):
+                raise InputError(
+                    f"neuron must be two ints (layer_index, unit), got {self.neuron!r}"
+                ) from None
+            object.__setattr__(self, "neuron", (layer_index, unit))
         if self.baseline is not None:
             baseline = as_f64(self.baseline)
             if not np.all(np.isfinite(baseline)):

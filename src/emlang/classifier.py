@@ -424,10 +424,21 @@ def _layer_doc(layer):
     }
 
 
+def _numbers(values, what):
+    """values, a list of JSON numbers, as a float64 array. Anything else is
+    an InputError, a bool or a string of a number included, so that
+    `save_checkpoint` writes back the values of every document that loads."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise InputError(f"checkpoint {what} must be a list of numbers")
+    return np.array(values, dtype=np.float64)
+
+
 def _layer_from_doc(doc):
     out_dim, in_dim = doc["shape"]
-    weights = np.array(doc["weights"], dtype=np.float64)
-    bias = np.array(doc["bias"], dtype=np.float64)
+    weights = _numbers(doc["weights"], "layer weights")
+    bias = _numbers(doc["bias"], "layer bias")
     if weights.size != out_dim * in_dim or bias.size != out_dim:
         raise InputError(
             f"layer data does not match declared shape [{out_dim}, {in_dim}]"
@@ -514,7 +525,8 @@ def load_checkpoint(doc):
             raise InputError("checkpoint metadata does not match layer shapes")
         stats = doc["standardization"]
         if stats is not None:
-            stats = tuple(as_f64(stats[key]) for key in ("mean", "std"))
+            stats = tuple(_numbers(stats[key], f"standardization {key}")
+                          for key in ("mean", "std"))
             for values in stats:
                 if values.shape != (model.input_dim,) or not np.all(np.isfinite(values)):
                     raise InputError(
@@ -541,5 +553,5 @@ def load_checkpoint(doc):
         return Checkpoint(model, stats, *names)
     except InputError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed checkpoint: {exc!r}") from None

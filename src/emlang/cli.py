@@ -41,11 +41,11 @@ from .classifier import (
 )
 from .data import (
     SynthSpec,
+    dataset_csv,
     generate_synthetic,
     is_plain_number_text,
     load_csv,
     rescale,
-    save_csv,
     standardization,
     write_csv,
 )
@@ -104,17 +104,20 @@ def _read_json(path, what):
 
 
 def _write_run(out_dir, files):
-    """Make the directory out_dir and write `files` into it: {name: content},
-    where a `.csv` name's content is `write_csv`'s (header, rows) and any
-    other name's is a JSON document.
+    """Write `files` under the directory out_dir: {path: content}, where a
+    path is relative to out_dir and may name a subdirectory ("el/x.json"),
+    each directory is made as needed, a `.csv` path's content is
+    `write_csv`'s (header, rows[, text]) and any other path's is a JSON
+    document.
 
-    This is the one place that writes a run's files, and it is called only
-    with a computed run: `_train_run` and `_attribute_run` write nothing. So
+    This is the one place that writes a run's files, and each command calls
+    it once, with its computed run: the `_*_run` functions write nothing. So
     a command that fails leaves no partial output directory, and `repro`,
-    which writes each stage as it finishes, keeps the stages that did."""
-    os.makedirs(out_dir, exist_ok=True)
+    whose run returns the stages that finished before a numerical failure,
+    keeps those."""
     for name, content in files.items():
         path = os.path.join(out_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         if name.endswith(".csv"):
             write_csv(path, *content)
         else:
@@ -165,17 +168,18 @@ def _spec_from_options(opts):
                      **{name: opts[name] for name in GEN_OPTIONS if name != "classes"})
 
 
-def _generate_to(spec, out_dir, label_column="label"):
-    splits = generate_synthetic(spec)
+def _gen_run(spec, splits, label_column="label"):
+    """The files of the data that spec describes, whose (train, val, test)
+    splits are `generate_synthetic(spec)`, for `_write_run`."""
     if label_column in splits[0].feature_names:
         raise InputError(f"label column {label_column!r} names a feature")
-    _write_run(out_dir, {"spec.json": asdict(spec)})
-    for ds in splits:
-        save_csv(ds, os.path.join(out_dir, f"{ds.split}.csv"), label_column)
+    return {"spec.json": asdict(spec),
+            **{f"{ds.split}.csv": dataset_csv(ds, label_column) for ds in splits}}
 
 
 def cmd_gen(args):
-    _generate_to(_spec_from_options(_resolve(GEN_OPTIONS, args)), args.out)
+    spec = _spec_from_options(_resolve(GEN_OPTIONS, args))
+    _write_run(args.out, _gen_run(spec, generate_synthetic(spec)))
 
 
 def _check_columns(path, names, expected, owner):
@@ -210,11 +214,11 @@ def _load_split_dir(data_dir, label_column):
     return train_set, val_set, test_set
 
 
-def _train_config(opts):
-    """The TrainConfig the options describe, checked along with the model's
-    --vocab and --temperature (by the channel they describe, for either model
-    kind) and --hidden, so that `repro` checks them all before it writes
-    anything."""
+def _train_run(opts, splits):
+    """Train and evaluate the model the options describe on the (train, val,
+    test) splits, and return the run's files for `_write_run`. Every option
+    is checked before training: the model's --vocab and --temperature by the
+    channel they describe, for either model kind, and --hidden."""
     config = TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
@@ -225,14 +229,7 @@ def _train_config(opts):
     GumbelSoftmaxSampler(opts["vocab"], opts["temperature"])
     if opts["hidden"] < 1:
         raise InputError("hidden must be a positive integer")
-    return config
-
-
-def _train_run(opts, data_dir):
-    """Train and evaluate the model the options describe on the splits in
-    data_dir, and return the run's files for `_write_run`."""
-    config = _train_config(opts)
-    train_set, val_set, test_set = _load_split_dir(data_dir, opts["label_column"])
+    train_set, val_set, test_set = splits
     stats = standardization(train_set) if opts["standardize"] else None
     if stats is not None:
         train_set, val_set, test_set = (
@@ -263,7 +260,9 @@ def _train_run(opts, data_dir):
 
 
 def cmd_train(args):
-    _write_run(args.out, _train_run(_resolve(TRAIN_OPTIONS, args), args.data))
+    opts = _resolve(TRAIN_OPTIONS, args)
+    splits = _load_split_dir(args.data, opts["label_column"])
+    _write_run(args.out, _train_run(opts, splits))
 
 
 def _parse_baseline_vector(text, dim):
@@ -290,13 +289,11 @@ def _attribution_config(opts, dim):
                              output=opts["output_mode"])
 
 
-def _attribute_run(opts, checkpoint_path, test_csv):
-    """Attribute the rows of test_csv through the checkpoint's symbol model,
-    and return the run's files for `_write_run`."""
-    model, stats, feature_names, _ = load_checkpoint(
-        _read_json(checkpoint_path, "checkpoint")
-    )
-    test_set = load_csv(test_csv, opts["label_column"], "test")
+def _attribute_run(opts, checkpoint, test_set, test_csv):
+    """Attribute the rows of test_set, read from the file test_csv, through
+    the loaded Checkpoint's symbol model, and return the run's files for
+    `_write_run`."""
+    model, stats, feature_names, _ = checkpoint
     _check_columns(test_csv, test_set.feature_names, feature_names,
                    "the checkpoint's model")
     if stats is not None:
@@ -325,29 +322,54 @@ def _attribute_run(opts, checkpoint_path, test_csv):
 
 
 def cmd_attribute(args):
-    _write_run(args.out, _attribute_run(_resolve(ATTRIBUTE_OPTIONS, args),
-                                        args.checkpoint, args.test_csv))
+    opts = _resolve(ATTRIBUTE_OPTIONS, args)
+    checkpoint = load_checkpoint(_read_json(args.checkpoint, "checkpoint"))
+    test_set = load_csv(args.test_csv, opts["label_column"], "test")
+    _write_run(args.out, _attribute_run(opts, checkpoint, test_set, args.test_csv))
 
 
-def cmd_repro(args):
-    opts = _resolve(REPRO_OPTIONS, args)
-    out = args.out
-    data_dir = os.path.join(out, "data")
-    # every option is checked before anything is written
+def _repro_stages(opts, spec, splits):
+    """(subdirectory, files) of each stage of `repro`, in order: `gen`'s
+    files under data/, `train`'s for each model kind under baseline/ and
+    el/, and `attribute`'s on el's checkpoint document and the test split
+    under attribution/."""
+    yield "data", _gen_run(spec, splits, opts["label_column"])
+    for kind in ("baseline", "el"):
+        run = _train_run(
+            {**{k: opts[k] for k in TRAIN_OPTIONS if k != "model"}, "model": kind},
+            splits,
+        )
+        yield kind, run
+    # run is el's, the last kind trained
+    yield "attribution", _attribute_run(
+        {k: opts[k] for k in ATTRIBUTE_OPTIONS},
+        load_checkpoint(run["checkpoint.json"]),
+        splits[2],
+        os.path.join("data", "test.csv"),
+    )
+
+
+def _repro_run(opts):
+    """Compute the whole tree that `repro` writes, and write nothing: the
+    options as config.json, the files of each of `_repro_stages` under its
+    subdirectory, and comparison.json.
+
+    Returns (files, error). A NumericalError in a stage ends the run: the
+    files of the stages before it come back with that error, and no
+    comparison.json. An InputError propagates. Every option is checked
+    before any training: the data and attribution options here, the
+    training options by the first `_train_run`."""
     spec = _spec_from_options(opts)
-    _train_config(opts)
     _attribution_config(opts, spec.feature_dim)
-    _generate_to(spec, data_dir, opts["label_column"])
-    _write_run(out, {"config.json": opts})
-
+    files = {"config.json": opts}
+    try:
+        for stage, run in _repro_stages(opts, spec, generate_synthetic(spec)):
+            files.update((f"{stage}/{name}", content) for name, content in run.items())
+    except NumericalError as exc:
+        return files, exc
     table = []
     for kind in ("baseline", "el"):
-        files = _train_run(
-            {**{k: opts[k] for k in TRAIN_OPTIONS if k != "model"}, "model": kind},
-            data_dir,
-        )
-        _write_run(os.path.join(out, kind), files)
-        report = files["eval_report.json"]
+        report = files[f"{kind}/eval_report.json"]
         table.append(
             {
                 "experiment": kind,
@@ -356,16 +378,15 @@ def cmd_repro(args):
                 "symbols": report["symbols"],
             }
         )
+    files["comparison.json"] = {"table": table}
+    return files, None
 
-    _write_run(
-        os.path.join(out, "attribution"),
-        _attribute_run(
-            {k: opts[k] for k in ATTRIBUTE_OPTIONS},
-            os.path.join(out, "el", "checkpoint.json"),
-            os.path.join(data_dir, "test.csv"),
-        ),
-    )
-    _write_run(out, {"comparison.json": {"table": table}})
+
+def cmd_repro(args):
+    files, error = _repro_run(_resolve(REPRO_OPTIONS, args))
+    _write_run(args.out, files)
+    if error is not None:
+        raise error
 
 
 def _add_options(parser, options):

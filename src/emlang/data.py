@@ -10,12 +10,12 @@ train/val/test triple, and the CLI reads such a triple back from CSVs, so
 the package has no splitting of its own.
 
 This module owns the CSV format. `write_csv` writes every CSV the package
-produces: the dataset splits (`save_csv`), `training_log.csv` and
-`conductance.csv`. `load_csv` reads a dataset into one float64 buffer and
-raises `InputError`, naming the file, for a file that is not UTF-8 or not
-valid CSV, a header without exactly one label column and at least one
-feature column, a ragged row, a feature cell that is not a plain ASCII
-number, or a non-finite feature.
+produces: the dataset splits (`dataset_csv` gives their rows),
+`training_log.csv` and `conductance.csv`. `load_csv` reads a dataset into
+one float64 buffer and raises `InputError`, naming the file, for a file
+that is not UTF-8 or not valid CSV, a header without exactly one label
+column and at least one feature column, a ragged row, a feature cell that
+is not a plain ASCII number, or a non-finite feature.
 """
 
 from __future__ import annotations
@@ -161,13 +161,19 @@ def write_csv(path, header, rows, text=()):
         writer.writerows(rows)
 
 
-def save_csv(dataset, path, label_column="label"):
-    """Header row of the feature names plus the label column, then one line
-    per sample."""
+def dataset_csv(dataset, label_column="label"):
+    """The dataset as `write_csv`'s (header, rows, text): a header row of the
+    feature names plus the label column, then one row per sample, made as
+    the writer reads it."""
     names = dataset.class_names
     rows = zip(dataset.features, dataset.labels)
-    write_csv(path, [*dataset.feature_names, label_column],
-              (row.tolist() + [names[label]] for row, label in rows), text=names)
+    return ([*dataset.feature_names, label_column],
+            (row.tolist() + [names[label]] for row, label in rows), names)
+
+
+def save_csv(dataset, path, label_column="label"):
+    """Write the dataset to path as `dataset_csv` lays it out."""
+    write_csv(path, *dataset_csv(dataset, label_column))
 
 
 def is_plain_number_text(text):

@@ -815,6 +815,28 @@ def test_checkpoint_sampler_fields_are_not_coerced(key, value):
         load_checkpoint({**save_checkpoint(model), key: value})
 
 
+def test_checkpoint_arrays_hold_only_numbers_and_a_loaded_checkpoint_round_trips():
+    model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=40)
+    doc = json.loads(json.dumps(save_checkpoint(
+        model, (np.zeros(3), np.ones(3)), ["b", "a", "c"], ["no", "yes"])))
+    assert save_checkpoint(*load_checkpoint(doc)) == doc
+    layers, stats = doc["sender"] + doc["receiver"], doc["standardization"]
+    arrays = [layers[0]["weights"], layers[-1]["bias"], stats["mean"], stats["std"]]
+    for array in arrays:
+        saved = array[0]
+        # json reads each of these from a checkpoint; none is a number
+        for value in (True, False, "1e3", None, [1.0]):
+            array[0] = value
+            with pytest.raises(InputError, match="must be a list of numbers"):
+                load_checkpoint(doc)
+        array[0] = 2  # an int is a JSON number
+        assert save_checkpoint(*load_checkpoint(doc)) == doc
+        array[0] = saved
+    stats["mean"] = "0,0,0"
+    with pytest.raises(InputError, match="standardization mean must be a list"):
+        load_checkpoint(doc)
+
+
 def test_checkpoint_temperature_may_be_an_int():
     model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39)
     loaded = load_checkpoint({**save_checkpoint(model), "temperature": 2}).model

@@ -457,6 +457,35 @@ def test_attribute_malformed_checkpoint_exits_2_without_writing(tmp_path, capsys
     assert not (tmp_path / "attr").exists()
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (("sender", 0, "weights", 0), True, "layer weights must be a list of numbers"),
+    (("receiver", -1, "bias", 0), "1e3", "layer bias must be a list of numbers"),
+    (("standardization", "mean", 0), "0.5",
+     "standardization mean must be a list of numbers"),
+    (("standardization", "std", 1), False,
+     "standardization std must be a list of numbers"),
+    (("sender", 0, "weights", 0), 10**400, "malformed checkpoint: OverflowError"),
+], ids=["bool-weight", "string-bias", "string-mean", "bool-std", "huge-int-weight"])
+def test_attribute_rejects_checkpoint_arrays_that_hold_other_than_numbers(
+        tmp_path, capsys, where, value, message):
+    data = gen_small(tmp_path)
+    path = untrained_checkpoint(tmp_path,
+                                standardization={"mean": [0.0] * 28, "std": [1.0] * 28})
+    doc = read_json(path)
+    *keys, last = where
+    array = doc
+    for key in keys:
+        array = array[key]
+    array[last] = value
+    path.write_text(json.dumps(doc))
+    assert run([
+        "attribute", "--checkpoint", str(path), "--test-csv", str(data / "test.csv"),
+        "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
 def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
                                                                      capsys):
     data = gen_small(tmp_path)
@@ -828,13 +857,19 @@ def test_repro_keeps_the_stages_that_finished_when_el_diverges(tmp_path, capsys)
 def test_train_and_attribute_runs_write_nothing(tmp_path, monkeypatch):
     import pickle
 
+    from emlang.classifier import load_checkpoint
     from emlang.cli import (
         ATTRIBUTE_OPTIONS,
+        REPRO_OPTIONS,
         TRAIN_OPTIONS,
         _attribute_run,
+        _gen_run,
+        _load_split_dir,
+        _repro_run,
         _train_run,
         _write_run,
     )
+    from emlang.data import SynthSpec, generate_synthetic
 
     def tree():
         return sorted((p.relative_to(tmp_path), p.is_dir() or p.stat().st_mtime_ns)
@@ -846,8 +881,13 @@ def test_train_and_attribute_runs_write_nothing(tmp_path, monkeypatch):
     data = gen_small(tmp_path)
     monkeypatch.chdir(tmp_path)
     before = tree()
+    spec = SynthSpec(train_samples=90, val_samples=30, test_samples=30)
+    files = _gen_run(spec, generate_synthetic(spec))
+    assert tree() == before
+    assert sorted(files) == ["spec.json", "test.csv", "train.csv", "val.csv"]
+    splits = _load_split_dir(str(data), "label")
     files = _train_run({**defaults(TRAIN_OPTIONS), "vocab": 12, "hidden": 12,
-                        "max_epochs": 5, "patience": 5}, str(data))
+                        "max_epochs": 5, "patience": 5}, splits)
     assert tree() == before
     assert sorted(files) == ["checkpoint.json", "config.json", "eval_report.json",
                              "training_log.csv"]
@@ -855,10 +895,63 @@ def test_train_and_attribute_runs_write_nothing(tmp_path, monkeypatch):
     assert pickle.loads(pickle.dumps(files)) == files
     _write_run(tmp_path / "el", files)
     before = tree()
-    files = _attribute_run(defaults(ATTRIBUTE_OPTIONS),
-                           str(tmp_path / "el" / "checkpoint.json"),
+    checkpoint = load_checkpoint(read_json(tmp_path / "el" / "checkpoint.json"))
+    files = _attribute_run(defaults(ATTRIBUTE_OPTIONS), checkpoint, splits[2],
                            str(data / "test.csv"))
     assert tree() == before
     assert sorted(files) == ["attribution_summary.json", "conductance.csv",
                              "config.json"]
     assert pickle.loads(pickle.dumps(files)) == files
+    files, error = _repro_run({**defaults(REPRO_OPTIONS), "train_samples": 90,
+                               "val_samples": 30, "test_samples": 30, "vocab": 12,
+                               "hidden": 12, "max_epochs": 5, "patience": 5})
+    assert error is None
+    assert tree() == before
+    assert sorted(files) == sorted([
+        "config.json", "comparison.json",
+        "data/spec.json", "data/test.csv", "data/train.csv", "data/val.csv",
+        *(f"{kind}/{name}" for kind in ("baseline", "el") for name in (
+            "checkpoint.json", "config.json", "eval_report.json", "training_log.csv")),
+        "attribution/attribution_summary.json", "attribution/conductance.csv",
+        "attribution/config.json",
+    ])
+
+
+def test_repro_writes_the_trees_of_its_stages(tmp_path):
+    repro = tmp_path / "repro"
+    flags = ["--seed", "3", *SMALL_GEN, *SMALL_TRAIN]
+    assert run(["repro", "--out", str(repro), *flags]) == 0
+    stages = tmp_path / "stages"
+    assert run(["gen", "--out", str(stages / "data"), "--seed", "3", *SMALL_GEN]) == 0
+    for kind in ("baseline", "el"):
+        assert run(["train", "--data", str(stages / "data"), "--out",
+                    str(stages / kind), "--model", kind, "--seed", "3",
+                    *SMALL_TRAIN]) == 0
+    assert run(["attribute", "--checkpoint", str(stages / "el" / "checkpoint.json"),
+                "--test-csv", str(stages / "data" / "test.csv"),
+                "--out", str(stages / "attribution")]) == 0
+    for stage in ("data", "baseline", "el", "attribution"):
+        names = sorted(p.name for p in (stages / stage).iterdir())
+        assert sorted(p.name for p in (repro / stage).iterdir()) == names
+        for name in names:
+            assert ((repro / stage / name).read_bytes()
+                    == (stages / stage / name).read_bytes()), f"{stage}/{name}"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "-1", "learning_rate must be positive"),
+    ("--baseline-vector", "1,2", "baseline vector has 2 entries"),
+], ids=["lr", "baseline-vector"])
+def test_repro_checks_the_options_before_training(tmp_path, capsys, monkeypatch,
+                                                  flag, value, message):
+    import emlang.cli
+
+    def training_ran(*args):
+        raise AssertionError("train ran before the options were checked")
+
+    monkeypatch.setattr(emlang.cli, "train", training_ran)
+    out = tmp_path / "out"
+    assert run(["repro", "--out", str(out), *SMALL_GEN, *SMALL_TRAIN,
+                flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -61,3 +61,22 @@ def test_every_case_is_compared_after_the_first_difference(tmp_path, parity,
         "cmp one-base/out.txt two-base/out.txt: DIFFERS",
         "cmp two-base/out.txt two-head/out.txt: identical",
     ]
+
+
+def test_a_check_of_two_trees_compares_them_whole(tmp_path, parity, monkeypatch,
+                                                  capsys):
+    write_tree(tmp_path / "a", {"x.json": b"{}\n", "sub/y.csv": b"1\n"})
+    write_tree(tmp_path / "b", {"x.json": b"{}\n", "sub/y.csv": b"1\n"})
+    write_tree(tmp_path / "c", {"x.json": b"[]\n", "z.csv": b"1\n"})
+    monkeypatch.setattr(parity, "CASES", {})
+    monkeypatch.setattr(parity, "CHECKS", [("a", "b"), ("a", "c"), ("a", "missing")])
+    code = parity.main(["--base", "b", "--head", "h", "--work", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cmp a b: identical",
+        "cmp a c: DIFFERS",
+        "  sub/y.csv: only in base",
+        "  x.json: differs",
+        "  z.csv: only in head",
+        "cmp a missing: DIFFERS",
+    ]

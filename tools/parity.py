@@ -6,9 +6,13 @@ SRC is a checkout's `src` directory (the one holding `emlang/`). Every case
 in CASES runs once with each tree on PYTHONPATH, writing under
 DIR/<case>-base and DIR/<case>-head, and every pair of output trees is then
 compared file by file. Cases that read another case's output read the
-base's, so that both sides get the same inputs. The two CHECKS show that
+base's, so that both sides get the same inputs. The CHECKS compare two
+paths under DIR, two files or two whole trees. The first two show that
 `gen --seed 0 --test-samples 2000` draws the train and val splits of
-`repro --seed 0`, so that its test rows fit that checkpoint.
+`repro --seed 0`, so that its test rows fit that checkpoint. The others
+show, on each side, that `repro --seed 0` writes under data/, baseline/,
+el/ and attribution/ the trees that `gen`, `train` and `attribute` write on
+their own from the same options and inputs.
 
 One line is printed per case and per differing, missing or extra file. The
 exit status is 1 if any command failed or anything differed, but only after
@@ -68,12 +72,24 @@ CASES = {
     # run is
     "attr40": ["attribute", "--checkpoint", "{work}/repro-base/el/checkpoint.json",
                "--test-csv", "{work}/gen40-base/test.csv"],
+    # `repro --seed 0`'s stages, one command each, on its data and checkpoint
+    "stage-gen": ["gen", "--seed", "0"],
+    "stage-baseline": ["train", "--model", "baseline",
+                       "--data", "{work}/repro-base/data"],
+    "stage-el": ["train", "--model", "el", "--data", "{work}/repro-base/data"],
+    "stage-attribute": ["attribute",
+                        "--checkpoint", "{work}/repro-base/el/checkpoint.json",
+                        "--test-csv", "{work}/repro-base/data/test.csv"],
 }
 
-# files that must be identical, as paths under DIR
+# files or trees that must be identical, as paths under DIR
 CHECKS = [
     ("gen2000-base/train.csv", "repro-base/data/train.csv"),
     ("gen2000-base/val.csv", "repro-base/data/val.csv"),
+    *((f"stage-{stage}-{side}", f"repro-{side}/{subtree}")
+      for stage, subtree in (("gen", "data"), ("baseline", "baseline"),
+                             ("el", "el"), ("attribute", "attribution"))
+      for side in ("base", "head")),
 ]
 
 
@@ -135,10 +151,17 @@ def main(argv=None):
             print(f"  {name}/{rel}: {what}")
     for first, second in CHECKS:
         paths = [work / first, work / second]
-        same = (all(path.is_file() for path in paths)
-                and paths[0].read_bytes() == paths[1].read_bytes())
+        problems = []
+        if all(path.is_dir() for path in paths):
+            problems = compare_trees(*paths)
+            same = not problems
+        else:
+            same = (all(path.is_file() for path in paths)
+                    and paths[0].read_bytes() == paths[1].read_bytes())
         ok &= same
         print(f"cmp {first} {second}: {'identical' if same else 'DIFFERS'}")
+        for rel, what in problems:
+            print(f"  {rel}: {what}")
     return 0 if ok else 1
 
 
