@@ -23,7 +23,7 @@ from .classifier import (
     save_checkpoint,
     train,
 )
-from .data import Dataset, SynthSpec, generate_synthetic, load_csv, save_csv
+from .data import Dataset, SynthSpec, generate_synthetic, load_csv
 from .gumbel import GumbelSoftmaxSampler, hard_decode
 from .nn import AdamState, DenseLayer, adam_step, softmax, softmax_cross_entropy
 
@@ -49,7 +49,6 @@ __all__ = [
     "neuron_conductance",
     "per_symbol_report",
     "save_checkpoint",
-    "save_csv",
     "softmax",
     "softmax_cross_entropy",
     "train",

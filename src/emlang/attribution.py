@@ -29,8 +29,12 @@ of several samples: segment rows carry a sample id and stay sorted by
 (sample, a), one forward over all rows keeps its relu masks in local
 arrays, one backward computes input gradients only, and `np.add.reduceat`
 sums each sample's rows. `integrated_gradients` and `neuron_conductance`
-are the one-sample case. Nothing is stored on the model, so attribution
-leaves a model's training state untouched.
+are the one-sample case. An `AttributionConfig` holds what every entry
+point reads, the baseline, the target class and the output, each checked
+when the config is made; `neuron_conductance` alone also takes a hidden
+unit, as its `neuron` argument, and checks it against the stack. Nothing
+is stored on the model, so attribution leaves a model's training state
+untouched.
 
 `per_symbol_report` first takes every sample's symbol and default target
 from `ModelGraph.decode`, the call `evaluate` makes, which runs DECODE_ROWS
@@ -61,7 +65,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import operator
 import os
 import pickle
 import signal
@@ -72,7 +75,7 @@ import numpy as np
 
 from .classifier import ModelGraph
 from .errors import InputError, NumericalError
-from .nn import as_f64, softmax
+from .nn import as_f64, is_int, softmax
 
 OUTPUTS = ("logit", "probability")
 
@@ -123,24 +126,20 @@ class AttributionConfig:
     # configs compare and hash equal and no caller's array is shared; None
     # means the zero vector
     baseline: tuple[float, ...] | None = None
-    # None means the class the model predicts: the one `decode` picks on a
-    # ModelGraph, the argmax of a bare layer list
+    # an int >= 0, kept as a Python int; None means the class the model
+    # predicts: the one `decode` picks on a ModelGraph, the argmax of a bare
+    # layer list
     target_class: int | None = None
-    # (layer_index, unit) in the stack, kept as a tuple of two ints
-    neuron: tuple[int, int] | None = None
     output: str = "logit"
 
     def __post_init__(self):
         if self.output not in OUTPUTS:
             raise InputError(f"output must be one of {OUTPUTS}")
-        if self.neuron is not None:
-            try:
-                layer_index, unit = map(operator.index, self.neuron)
-            except (TypeError, ValueError):
-                raise InputError(
-                    f"neuron must be two ints (layer_index, unit), got {self.neuron!r}"
-                ) from None
-            object.__setattr__(self, "neuron", (layer_index, unit))
+        target = self.target_class
+        if target is not None:
+            if not (is_int(target) and target >= 0):
+                raise InputError(f"target_class must be an int >= 0, got {target!r}")
+            object.__setattr__(self, "target_class", int(target))
         if self.baseline is not None:
             baseline = as_f64(self.baseline)
             if not np.all(np.isfinite(baseline)):
@@ -371,7 +370,7 @@ def _decode(model, stack, xs, config):
     a ModelGraph, the noise-free decode `evaluate` reports, and the stack's
     argmax on a bare layer list."""
     target = config.target_class
-    if target is not None and not (0 <= int(target) < stack[-1].out_dim):
+    if target is not None and target >= stack[-1].out_dim:
         raise InputError(
             f"target class {target} out of range [0, {stack[-1].out_dim})"
         )
@@ -384,26 +383,30 @@ def _decode(model, stack, xs, config):
             raise NumericalError("non-finite network output at path step 0")
     if target is None:
         return symbols, np.argmax(logits, axis=1)
-    return symbols, np.full(xs.shape[0], int(target))
+    return symbols, np.full(xs.shape[0], target)
 
 
 def integrated_gradients(model, x, config):
     """Integrated gradients of the target output w.r.t. x."""
-    if config.neuron is not None:
-        raise InputError("integrated_gradients takes no config.neuron")
     stack = attribution_stack(model)
     x, baseline = _resolve_inputs(stack, x, config)
     _, targets = _decode(model, stack, x[None, :], config)
     return attribute_block(stack, x[None, :], baseline, targets, config.output)[0]
 
 
-def neuron_conductance(model, x, config):
-    """Conductance of hidden unit y = config.neuron: the part of the
-    integrated-gradient attribution that flows through y."""
+def neuron_conductance(model, x, neuron, config):
+    """Conductance of hidden unit y = neuron, two ints (layer_index, unit)
+    in the stack: the part of the integrated-gradient attribution that
+    flows through y."""
     stack = attribution_stack(model)
-    if config.neuron is None:
-        raise InputError("config.neuron must identify (layer_index, unit)")
-    layer_index, unit = config.neuron
+    try:
+        layer_index, unit = neuron
+    except (TypeError, ValueError):
+        layer_index = unit = None
+    if not (is_int(layer_index) and is_int(unit)):
+        raise InputError(
+            f"neuron must be two ints (layer_index, unit), got {neuron!r}"
+        )
     if not (0 <= layer_index < len(stack) - 1):
         raise InputError(
             f"neuron layer index {layer_index} must identify a hidden layer "
@@ -463,8 +466,6 @@ def per_symbol_report(model, dataset, config):
             "per-symbol attribution requires a model with a symbol bottleneck, "
             "not a baseline model; train one with --model el"
         )
-    if config.neuron is not None:
-        raise InputError("per_symbol_report takes no config.neuron")
     if dataset.num_samples == 0:
         raise InputError("dataset must be non-empty")
     stack = attribution_stack(model)

@@ -39,6 +39,7 @@ from .nn import (
     adam_step,
     as_f64,
     cross_entropy,
+    is_int,
     stack_backward,
     stack_forward,
 )
@@ -192,7 +193,13 @@ def build_model(
 ):
     """Default architecture: sender input->hidden->hidden->K with relu hidden
     layers, receiver K->hidden->C. Identical seeds give identical weights
-    with and without the bottleneck."""
+    with and without the bottleneck. The arguments are checked for either
+    model kind: the channel is built from vocab_size, temperature and seed
+    in both, and attached only with the bottleneck; then hidden_dim."""
+    channel = GumbelSoftmaxSampler(vocab_size, temperature=temperature,
+                                   seed=seed + _SAMPLER_STREAM)
+    if not (is_int(hidden_dim) and hidden_dim >= 1):
+        raise InputError("hidden must be a positive integer")
     rng = np.random.default_rng(seed)
     sender = [
         DenseLayer.init(rng, input_dim, hidden_dim, "relu"),
@@ -203,12 +210,7 @@ def build_model(
         DenseLayer.init(rng, vocab_size, hidden_dim, "relu"),
         DenseLayer.init(rng, hidden_dim, num_classes, "identity"),
     ]
-    bottleneck = None
-    if with_bottleneck:
-        bottleneck = GumbelSoftmaxSampler(
-            vocab_size, temperature=temperature, seed=seed + _SAMPLER_STREAM
-        )
-    return ModelGraph(sender, receiver, bottleneck)
+    return ModelGraph(sender, receiver, channel if with_bottleneck else None)
 
 
 @dataclass
@@ -496,7 +498,9 @@ class Checkpoint(NamedTuple):
 def load_checkpoint(doc):
     """The Checkpoint a `save_checkpoint` document describes. The whole
     document is checked in one pass before anything is returned; a missing
-    or malformed section raises InputError."""
+    or malformed section raises InputError, and so does a key that
+    `save_checkpoint` does not write for the document's kind, so that every
+    document that loads is written back unchanged."""
     try:
         if not isinstance(doc, dict):
             raise InputError("checkpoint document must be a mapping")
@@ -550,7 +554,15 @@ def load_checkpoint(doc):
                     "checkpoint names must be lists of input_dim feature and "
                     "num_classes class strings"
                 )
-        return Checkpoint(model, stats, *names)
+        checkpoint = Checkpoint(model, stats, *names)
+        # each mapping may hold only the keys save_checkpoint writes there,
+        # or a key would be dropped on the way back
+        given, written = ([d, d["standardization"] or {}, *d["sender"], *d["receiver"]]
+                          for d in (doc, save_checkpoint(*checkpoint)))
+        if extra := set().union(*(g.keys() - w.keys() for g, w in zip(given, written))):
+            raise InputError(f"{kind} checkpoint has unknown keys: "
+                             f"{sorted(map(str, extra))}")
+        return checkpoint
     except InputError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:

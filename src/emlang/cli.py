@@ -50,7 +50,6 @@ from .data import (
     write_csv,
 )
 from .errors import InputError, NumericalError
-from .gumbel import GumbelSoftmaxSampler
 
 # Each command's options: name -> (default, argparse keyword arguments). The
 # name gives the flag (`--name` with dashes) and the --config key; the
@@ -217,8 +216,8 @@ def _load_split_dir(data_dir, label_column):
 def _train_run(opts, splits):
     """Train and evaluate the model the options describe on the (train, val,
     test) splits, and return the run's files for `_write_run`. Every option
-    is checked before training: the model's --vocab and --temperature by the
-    channel they describe, for either model kind, and --hidden."""
+    is checked before training: the model's --vocab, --temperature and
+    --hidden by `build_model`, for either model kind."""
     config = TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
@@ -226,15 +225,7 @@ def _train_run(opts, splits):
         patience=opts["patience"],
         seed=opts["seed"],
     )
-    GumbelSoftmaxSampler(opts["vocab"], opts["temperature"])
-    if opts["hidden"] < 1:
-        raise InputError("hidden must be a positive integer")
     train_set, val_set, test_set = splits
-    stats = standardization(train_set) if opts["standardize"] else None
-    if stats is not None:
-        train_set, val_set, test_set = (
-            rescale(ds, stats) for ds in (train_set, val_set, test_set)
-        )
     model = build_model(
         input_dim=train_set.num_features,
         num_classes=train_set.num_classes,
@@ -244,6 +235,11 @@ def _train_run(opts, splits):
         with_bottleneck=opts["model"] == "el",
         seed=config.seed,
     )
+    stats = standardization(train_set) if opts["standardize"] else None
+    if stats is not None:
+        train_set, val_set, test_set = (
+            rescale(ds, stats) for ds in (train_set, val_set, test_set)
+        )
     log = train(model, train_set, val_set, config)
     report = evaluate(model, test_set)
     return {

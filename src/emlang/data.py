@@ -171,11 +171,6 @@ def dataset_csv(dataset, label_column="label"):
             (row.tolist() + [names[label]] for row, label in rows), names)
 
 
-def save_csv(dataset, path, label_column="label"):
-    """Write the dataset to path as `dataset_csv` lays it out."""
-    write_csv(path, *dataset_csv(dataset, label_column))
-
-
 def is_plain_number_text(text):
     """False for text that `float` reads as a number although a CSV number is
     never written so: with a digit-group `_` (1_000) or a non-ASCII

@@ -13,6 +13,7 @@ module constants ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -27,6 +28,12 @@ ADAM_EPS = 1e-8
 
 def as_f64(values):
     return np.asarray(values, dtype=np.float64)
+
+
+def is_int(value):
+    """Whether value is an integer, numpy's included, and not a bool: a
+    count or an index is never read from a bool, a fraction or a string."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def glorot_uniform(rng, fan_out, fan_in):

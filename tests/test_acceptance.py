@@ -229,8 +229,7 @@ def test_criterion_3_attribution_correctness():
     ]
     for j in range(4):
         cond = neuron_conductance(
-            two_layer, x,
-            AttributionConfig(target_class=0, neuron=(0, j)),
+            two_layer, x, (0, j), AttributionConfig(target_class=0),
         )
         worst_exact = max(worst_exact, float(np.max(np.abs(cond - v[0, j] * w[j] * x))))
 
@@ -253,8 +252,7 @@ def test_criterion_3_attribution_correctness():
         total = np.zeros(6)
         for unit in range(6):
             total += neuron_conductance(
-                stack, xr,
-                AttributionConfig(target_class=0, neuron=(0, unit)),
+                stack, xr, (0, unit), AttributionConfig(target_class=0),
             )
         worst_layer = max(
             worst_layer,

@@ -35,10 +35,11 @@ from emlang.cli import main
 from emlang.data import (
     Dataset,
     SynthSpec,
+    dataset_csv,
     generate_synthetic,
     rescale,
-    save_csv,
     standardization,
+    write_csv,
 )
 from emlang.errors import InputError, NumericalError
 from emlang.gumbel import noise_from_uniform
@@ -362,9 +363,8 @@ def test_exact_conductance_of_a_layer_sums_to_exact_ig(path):
     for layer_index, layer in enumerate(stack[:-1]):
         total = sum(
             neuron_conductance(
-                stack, x,
-                AttributionConfig(baseline=baseline, target_class=target,
-                                  neuron=(layer_index, unit)),
+                stack, x, (layer_index, unit),
+                AttributionConfig(baseline=baseline, target_class=target),
             )
             for unit in range(layer.out_dim)
         )
@@ -592,7 +592,7 @@ def test_attribution_leaves_training_state_untouched(attribute):
     config = AttributionConfig(output="probability")
     calls = {
         "neuron_conductance": lambda: neuron_conductance(
-            model, xb[0], replace(config, neuron=(len(model.sender) - 1, 0))
+            model, xb[0], (len(model.sender) - 1, 0), config
         ),
         "per_symbol_report": lambda: per_symbol_report(
             model, Dataset(xb, np.zeros(32, dtype=int), ["a"]), config
@@ -622,16 +622,16 @@ def test_conductance_two_layer_linear_closed_form():
     ]
     x = rng.normal(size=5)
     for j in range(4):
-        config = AttributionConfig(target_class=0, neuron=(0, j))
-        attrib = neuron_conductance(stack, x, config)
+        config = AttributionConfig(target_class=0)
+        attrib = neuron_conductance(stack, x, (0, j), config)
         np.testing.assert_allclose(attrib, v[0, j] * w[j] * x, atol=1e-12)
 
 
 def test_conductance_zero_path_is_zero():
     stack = random_relu_net(10)
     x = np.random.default_rng(11).normal(size=6)
-    config = AttributionConfig(baseline=x.copy(), target_class=0, neuron=(0, 2))
-    np.testing.assert_array_equal(neuron_conductance(stack, x, config),
+    config = AttributionConfig(baseline=x.copy(), target_class=0)
+    np.testing.assert_array_equal(neuron_conductance(stack, x, (0, 2), config),
                                   np.zeros(6))
 
 
@@ -644,8 +644,8 @@ def test_conductance_sums_to_integrated_gradients_over_layer():
         )
         total = np.zeros(5)
         for unit in range(6):
-            config = AttributionConfig(target_class=0, neuron=(0, unit))
-            total += neuron_conductance(stack, x, config)
+            config = AttributionConfig(target_class=0)
+            total += neuron_conductance(stack, x, (0, unit), config)
         denom = np.maximum(np.abs(ig), 1.0)
         assert np.max(np.abs(total - ig) / denom) <= 1e-3
 
@@ -654,14 +654,14 @@ def test_invalid_neuron_selectors():
     stack = random_relu_net(12)
     x = np.zeros(6)
     with pytest.raises(InputError):
-        neuron_conductance(stack, x, AttributionConfig(target_class=0))
+        neuron_conductance(stack, x, None, AttributionConfig(target_class=0))
     with pytest.raises(InputError):
         neuron_conductance(
-            stack, x, AttributionConfig(target_class=0, neuron=(1, 0))
+            stack, x, (1, 0), AttributionConfig(target_class=0)
         )  # final layer is not a hidden layer
     with pytest.raises(InputError):
         neuron_conductance(
-            stack, x, AttributionConfig(target_class=0, neuron=(0, 99))
+            stack, x, (0, 99), AttributionConfig(target_class=0)
         )
 
 
@@ -694,9 +694,14 @@ def test_config_validation():
      "output must be one of ('logit', 'probability')"),
     (AttributionConfig(), "baseline", np.array([0.0, np.nan]),
      "baseline contains non-finite values"),
+    *((AttributionConfig(), "target_class", target,
+       f"target_class must be an int >= 0, got {target!r}")
+      for target in (1.5, True, "1", -1)),
 ], ids=["SynthSpec-samples", "SynthSpec-sigma", "TrainConfig-patience",
         "TrainConfig-rate", "AttributionConfig-output",
-        "AttributionConfig-baseline"])
+        "AttributionConfig-baseline", "AttributionConfig-target-fraction",
+        "AttributionConfig-target-bool", "AttributionConfig-target-string",
+        "AttributionConfig-target-negative"])
 def test_configs_check_themselves_when_made_and_are_frozen(config, field, value,
                                                           message):
     exact = f"^{re.escape(message)}$"
@@ -730,14 +735,24 @@ def test_configs_with_equal_baselines_compare_and_hash_equal():
         AttributionConfig(baseline=np.zeros((2, 2)))
 
 
-def test_configs_with_equal_neurons_compare_and_hash_equal():
-    first = AttributionConfig(neuron=[0, 1])
-    assert first.neuron == (0, 1) and all(type(v) is int for v in first.neuron)
-    assert first == AttributionConfig(neuron=(np.int64(0), 1))
-    assert hash(first) == hash(AttributionConfig(neuron=(0, 1)))
-    for neuron in ((0, 1.5), (0,), (0, 1, 2), 5):
+def test_neuron_conductance_takes_a_neuron_of_two_ints():
+    stack = random_relu_net(13)
+    x = np.random.default_rng(13).normal(size=6)
+    config = AttributionConfig(target_class=0)
+    expected = neuron_conductance(stack, x, (0, 1), config)
+    for neuron in ([0, 1], (np.int64(0), 1)):
+        np.testing.assert_array_equal(
+            neuron_conductance(stack, x, neuron, config), expected)
+    for neuron in ((0, 1.5), (0,), (0, 1, 2), 5, None, (True, 0), (0, False)):
         with pytest.raises(InputError, match=r"^neuron must be two ints"):
-            AttributionConfig(neuron=neuron)
+            neuron_conductance(stack, x, neuron, config)
+
+
+def test_target_class_is_stored_as_an_int():
+    config = AttributionConfig(target_class=np.int64(1))
+    assert type(config.target_class) is int and config.target_class == 1
+    assert config == AttributionConfig(target_class=1)
+    assert hash(config) == hash(AttributionConfig(target_class=1))
 
 
 def test_probability_output_completeness():
@@ -804,7 +819,8 @@ def test_default_target_is_predicted_class():
     for model, x, predicted, neuron in cases:
         for attribute, config in [
             (integrated_gradients, AttributionConfig()),
-            (neuron_conductance, AttributionConfig(neuron=neuron)),
+            (lambda model, x, config, neuron=neuron:
+             neuron_conductance(model, x, neuron, config), AttributionConfig()),
         ]:
             auto = attribute(model, x, config)
             explicit = attribute(model, x, replace(config, target_class=predicted))
@@ -826,20 +842,6 @@ def test_changing_the_baseline_array_after_the_config_changes_no_report():
     after = per_symbol_report(model, ds, config)
     assert after.counts == before.counts
     assert np.array_equal(after.matrix, before.matrix)
-
-
-def test_integrated_gradients_rejects_a_neuron():
-    config = AttributionConfig(target_class=0, neuron=(0, 1))
-    with pytest.raises(InputError,
-                       match=r"^integrated_gradients takes no config\.neuron$"):
-        integrated_gradients(random_relu_net(13), np.ones(6), config)
-
-
-def test_per_symbol_report_rejects_a_neuron():
-    model, ds = untrained_symbol_case()
-    with pytest.raises(InputError,
-                       match=r"^per_symbol_report takes no config\.neuron$"):
-        per_symbol_report(model, ds, AttributionConfig(neuron=(0, 3)))
 
 
 def trained_symbol_model(seed=0):
@@ -866,7 +868,8 @@ def test_per_symbol_report_single_sample():
     direct = neuron_conductance(
         model,
         one.features[0],
-        AttributionConfig(neuron=(len(model.sender) - 1, int(symbols[0]))),
+        (len(model.sender) - 1, int(symbols[0])),
+        AttributionConfig(),
     )
     np.testing.assert_allclose(report.matrix[0], direct, atol=1e-12)
 
@@ -913,7 +916,7 @@ def test_report_csv_format(tmp_path):
     checkpoint = tmp_path / "checkpoint.json"
     checkpoint.write_text(json.dumps(save_checkpoint(
         model, None, test_set.feature_names, test_set.class_names)))
-    save_csv(test_set, tmp_path / "test.csv")
+    write_csv(tmp_path / "test.csv", *dataset_csv(test_set))
     assert main(["attribute", "--checkpoint", str(checkpoint),
                  "--test-csv", str(tmp_path / "test.csv"),
                  "--block-size", str(spec.block_size),

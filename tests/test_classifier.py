@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -153,6 +155,20 @@ def test_graph_wiring_validation():
     el = build_model(4, 3, vocab_size=6, hidden_dim=4, seed=13)
     with pytest.raises(InputError):
         ModelGraph(el.sender, el.sender, None)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"hidden_dim": 0}, "hidden must be a positive integer"),
+    ({"hidden_dim": -1}, "hidden must be a positive integer"),
+    ({"with_bottleneck": False, "vocab_size": 1}, "vocab_size must be >= 2, got 1"),
+    ({"with_bottleneck": False, "temperature": -1.0},
+     "temperature must be positive and finite, got -1.0"),
+], ids=["hidden-0", "hidden-negative", "baseline-vocab", "baseline-temperature"])
+def test_build_model_checks_its_arguments(kwargs, message):
+    # the messages `emlang train` prints for --hidden, --vocab and
+    # --temperature, for either model kind
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build_model(28, 4, **kwargs)
 
 
 def test_end_to_end_gradients_match_finite_differences():
@@ -878,4 +894,72 @@ def test_checkpoint_without_a_section_raises_input_error(kind, key):
     doc = checkpoint_doc(kind)
     del doc[key]
     with pytest.raises(InputError):
+        load_checkpoint(doc)
+
+
+# Values that each field of a checkpoint takes in turn: JSON's scalars and
+# containers, numbers at and past float64's range, and the kind names.
+BOUNDARY_VALUES = [None, True, False, 0, 1, -1, 1.5, "x", "1", [], [1], {},
+                   math.nan, math.inf, -math.inf, 1e308, -1e308, 2**63, 2**1100,
+                   "el", "baseline"]
+
+
+def field_paths(node, path=()):
+    """The path of every key of every mapping under node, and of the first
+    and last element of every list, depth first."""
+    if isinstance(node, dict):
+        children = list(node)
+    elif isinstance(node, list):
+        children = sorted({0, len(node) - 1}) if node else []
+    else:
+        return
+    for child in children:
+        yield (*path, child)
+        yield from field_paths(node[child], (*path, child))
+
+
+def test_every_single_field_change_of_a_checkpoint_fails_or_round_trips():
+    model = build_model(6, 3, vocab_size=4, hidden_dim=5, seed=1)
+    stats = (np.linspace(-1.0, 1.0, 6), np.linspace(0.5, 2.0, 6))
+    doc = save_checkpoint(model, stats, [f"x{i}" for i in range(6)], ["a", "b", "c"])
+    outcomes = {"rejected": 0, "loaded": 0}
+    for path in field_paths(doc):
+        for value in BOUNDARY_VALUES:
+            changed = copy.deepcopy(doc)
+            *keys, last = path
+            node = changed
+            for key in keys:
+                node = node[key]
+            node[last] = value
+            try:
+                checkpoint = load_checkpoint(changed)
+            except InputError:
+                outcomes["rejected"] += 1
+                continue
+            # what loads is what save_checkpoint writes back: nothing was
+            # coerced or dropped
+            assert save_checkpoint(*checkpoint) == changed, (path, value)
+            outcomes["loaded"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
+
+
+@pytest.mark.parametrize("where, message", [
+    (("kind",), "baseline checkpoint has unknown keys: "
+     "['sampler_seed', 'temperature', 'vocab_size']"),
+    (("note",), "el checkpoint has unknown keys: ['note']"),
+    (("sender", 0, "note"), "el checkpoint has unknown keys: ['note']"),
+    (("receiver", 1, "note"), "el checkpoint has unknown keys: ['note']"),
+    (("standardization", "note"), "el checkpoint has unknown keys: ['note']"),
+], ids=["el-as-baseline", "top-level", "first-layer", "last-layer",
+        "standardization"])
+def test_a_checkpoint_holds_only_the_keys_its_kind_writes(where, message):
+    doc = save_checkpoint(build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39),
+                          (np.zeros(3), np.ones(3)))
+    *keys, last = where
+    node = doc
+    for key in keys:
+        node = node[key]
+    # an el checkpoint read as a baseline would drop the channel's fields
+    node[last] = "baseline" if last == "kind" else "x"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         load_checkpoint(doc)

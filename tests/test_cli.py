@@ -398,7 +398,7 @@ def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys, monkeypatc
 
     from emlang import attribution
     from emlang.classifier import DECODE_ROWS, evaluate, load_checkpoint
-    from emlang.data import load_csv, save_csv
+    from emlang.data import dataset_csv, load_csv, write_csv
     from emlang.errors import NumericalError
 
     monkeypatch.setattr(attribution, "_processes", lambda num_blocks: 2)
@@ -418,7 +418,7 @@ def test_attribute_overflow_exits_3_without_writing(tmp_path, capsys, monkeypatc
             with pytest.raises(NumericalError, match=message):
                 evaluate(model, test_set)
         test_csv = tmp_path / "test.csv"
-        save_csv(test_set, test_csv)
+        write_csv(test_csv, *dataset_csv(test_set))
     else:
         layer["weights"] = [1e308] * len(layer["weights"])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -454,6 +454,17 @@ def test_attribute_malformed_checkpoint_exits_2_without_writing(tmp_path, capsys
         "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
     ]) == 2
     assert "malformed checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
+def test_attribute_rejects_a_checkpoint_key_that_its_kind_does_not_write(
+        tmp_path, capsys):
+    data = gen_small(tmp_path)
+    assert run([
+        "attribute", "--checkpoint", str(untrained_checkpoint(tmp_path, note="x")),
+        "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert "el checkpoint has unknown keys: ['note']" in capsys.readouterr().err
     assert not (tmp_path / "attr").exists()
 
 

@@ -11,11 +11,12 @@ from hypothesis.extra.numpy import arrays
 from emlang.data import (
     Dataset,
     SynthSpec,
+    dataset_csv,
     generate_synthetic,
     load_csv,
     rescale,
-    save_csv,
     standardization,
+    write_csv,
 )
 from emlang.errors import InputError
 
@@ -138,7 +139,7 @@ def test_twelve_classes_keep_their_labels_and_names_through_csv(tmp_path):
     assert splits[0].class_names == [f"class{k:02d}" for k in range(12)]
     for ds in splits:
         path = tmp_path / f"{ds.split}.csv"
-        save_csv(ds, path)
+        write_csv(path, *dataset_csv(ds))
         loaded = load_csv(path)
         assert loaded.class_names == ds.class_names
         np.testing.assert_array_equal(loaded.labels, ds.labels)
@@ -177,7 +178,7 @@ def csv_datasets(draw):
 @given(ds=csv_datasets())
 def test_csv_round_trip_is_bit_exact(tmp_path, ds):
     path = tmp_path / "round.csv"
-    save_csv(ds, path)
+    write_csv(path, *dataset_csv(ds))
     loaded = load_csv(path)
     # bytes, so -0.0 must come back as -0.0
     assert loaded.features.tobytes() == ds.features.tobytes()
@@ -254,7 +255,7 @@ def test_load_csv_peak_memory_is_one_float64_buffer(tmp_path):
     ds = Dataset(rng.normal(size=(10_000, 28)), rng.integers(0, 4, size=10_000),
                  ["a", "b", "c", "d"])
     path = tmp_path / "long.csv"
-    save_csv(ds, path)
+    write_csv(path, *dataset_csv(ds))
     tracemalloc.start()
     try:
         loaded = load_csv(path)
