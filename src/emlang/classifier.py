@@ -194,8 +194,13 @@ def build_model(
     """Default architecture: sender input->hidden->hidden->K with relu hidden
     layers, receiver K->hidden->C. Identical seeds give identical weights
     with and without the bottleneck. The arguments are checked for either
-    model kind: the channel is built from vocab_size, temperature and seed
-    in both, and attached only with the bottleneck; then hidden_dim."""
+    model kind: input_dim and num_classes must be ints >= 1 and seed an int
+    >= 0; the channel is built from vocab_size, temperature and seed in
+    both, and attached only with the bottleneck; then hidden_dim."""
+    for name, value, least in (("input_dim", input_dim, 1),
+                               ("num_classes", num_classes, 1), ("seed", seed, 0)):
+        if not (is_int(value) and value >= least):
+            raise InputError(f"{name} must be an int >= {least}, got {value!r}")
     channel = GumbelSoftmaxSampler(vocab_size, temperature=temperature,
                                    seed=seed + _SAMPLER_STREAM)
     if not (is_int(hidden_dim) and hidden_dim >= 1):
@@ -418,6 +423,8 @@ def evaluate(model, test_set):
 
 
 def _layer_doc(layer):
+    if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
+        raise InputError("layer weights and bias must be finite")
     return {
         "activation": layer.activation,
         "shape": [layer.out_dim, layer.in_dim],
@@ -445,8 +452,6 @@ def _layer_from_doc(doc):
         raise InputError(
             f"layer data does not match declared shape [{out_dim}, {in_dim}]"
         )
-    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-        raise InputError("layer weights and bias must be finite")
     return DenseLayer(weights.reshape(out_dim, in_dim), bias, doc["activation"])
 
 
@@ -454,12 +459,22 @@ def save_checkpoint(model, standardization=None, feature_names=None,
                     class_names=None):
     """Self-describing document; round-trips weights bit-exactly via decimal
     text (JSON float rendering is shortest-round-trip). `standardization` is
-    the (mean, std) the model's inputs were scaled by, or None for raw
-    features. `feature_names` are the input columns in order (default
-    f0..f{D-1}, the names a Dataset gives unnamed columns); `class_names`
-    name each class index, or are None when unknown."""
+    the (mean, std) the model's inputs were scaled by, each of input_dim
+    finite values with every std > 0, or None for raw features.
+    `feature_names` are the input columns in order (default f0..f{D-1}, the
+    names a Dataset gives unnamed columns); `class_names` name each class
+    index, or are None when unknown. Names are lists or tuples of strings.
+    Anything else, or a non-finite weight, raises InputError, so every
+    document written here loads."""
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(model.input_dim)]
+    for names, count in ((feature_names, model.input_dim),
+                         (class_names, model.num_classes)):
+        if names is not None and not (
+                isinstance(names, (list, tuple)) and len(names) == count
+                and all(isinstance(name, str) for name in names)):
+            raise InputError("checkpoint names must be lists of input_dim feature and "
+                             "num_classes class strings")
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "el" if model.bottleneck is not None else "baseline",
@@ -472,11 +487,15 @@ def save_checkpoint(model, standardization=None, feature_names=None,
         "class_names": None if class_names is None else list(class_names),
     }
     if standardization is not None:
-        mean, std = standardization
-        doc["standardization"] = {
-            "mean": as_f64(mean).tolist(),
-            "std": as_f64(std).tolist(),
-        }
+        mean, std = map(as_f64, standardization)
+        for values in (mean, std):
+            if values.shape != (model.input_dim,) or not np.all(np.isfinite(values)):
+                raise InputError(
+                    "standardization must hold input_dim finite means and stds"
+                )
+        if not np.all(std > 0):
+            raise InputError("standardization std must be positive")
+        doc["standardization"] = {"mean": mean.tolist(), "std": std.tolist()}
     if model.bottleneck is not None:
         doc["vocab_size"] = model.bottleneck.vocab_size
         doc["temperature"] = model.bottleneck.temperature
@@ -496,11 +515,14 @@ class Checkpoint(NamedTuple):
 
 
 def load_checkpoint(doc):
-    """The Checkpoint a `save_checkpoint` document describes. The whole
-    document is checked in one pass before anything is returned; a missing
-    or malformed section raises InputError, and so does a key that
-    `save_checkpoint` does not write for the document's kind, so that every
-    document that loads is written back unchanged."""
+    """The Checkpoint a `save_checkpoint` document describes. Only what the
+    writer cannot take as objects is parsed here: the mapping, the version,
+    the kind, each layer's numbers and shape, the channel's fields and the
+    standardization's numbers. The document then loads exactly when
+    `save_checkpoint` writes the Checkpoint back equal to it, so a missing
+    or malformed section, a value the writer rejects or writes otherwise,
+    and a key it does not write for the document's kind all raise
+    InputError."""
     try:
         if not isinstance(doc, dict):
             raise InputError("checkpoint document must be a mapping")
@@ -523,45 +545,25 @@ def load_checkpoint(doc):
                 seed=doc["sampler_seed"],
             )
         model = ModelGraph(sender, receiver, bottleneck)
-        if model.input_dim != doc.get("input_dim") or model.num_classes != doc.get(
-            "num_classes"
-        ):
-            raise InputError("checkpoint metadata does not match layer shapes")
         stats = doc["standardization"]
         if stats is not None:
             stats = tuple(_numbers(stats[key], f"standardization {key}")
                           for key in ("mean", "std"))
-            for values in stats:
-                if values.shape != (model.input_dim,) or not np.all(np.isfinite(values)):
-                    raise InputError(
-                        "standardization must hold input_dim finite means and stds"
-                    )
-            if not np.all(stats[1] > 0):
-                raise InputError("standardization std must be positive")
-        names = doc["feature_names"], doc["class_names"]
-        for values, count, optional in (
-            (names[0], model.input_dim, False),
-            (names[1], model.num_classes, True),
-        ):
-            if values is None and optional:
-                continue
-            if (
-                not isinstance(values, list)
-                or len(values) != count
-                or not all(isinstance(name, str) for name in values)
-            ):
-                raise InputError(
-                    "checkpoint names must be lists of input_dim feature and "
-                    "num_classes class strings"
-                )
-        checkpoint = Checkpoint(model, stats, *names)
+        checkpoint = Checkpoint(model, stats, doc["feature_names"], doc["class_names"])
+        written = save_checkpoint(*checkpoint)
         # each mapping may hold only the keys save_checkpoint writes there,
         # or a key would be dropped on the way back
-        given, written = ([d, d["standardization"] or {}, *d["sender"], *d["receiver"]]
-                          for d in (doc, save_checkpoint(*checkpoint)))
-        if extra := set().union(*(g.keys() - w.keys() for g, w in zip(given, written))):
+        given, back = ([d, d["standardization"] or {}, *d["sender"], *d["receiver"]]
+                       for d in (doc, written))
+        if extra := set().union(*(g.keys() - b.keys() for g, b in zip(given, back))):
             raise InputError(f"{kind} checkpoint has unknown keys: "
                              f"{sorted(map(str, extra))}")
+        # and each value must be the one written back, or it was coerced or
+        # disagrees with the layers (input_dim, num_classes)
+        for key, value in written.items():
+            if doc.get(key) != value:
+                raise InputError(
+                    f"checkpoint {key} differs from what save_checkpoint writes back")
         return checkpoint
     except InputError:
         raise

@@ -163,12 +163,21 @@ def test_graph_wiring_validation():
     ({"with_bottleneck": False, "vocab_size": 1}, "vocab_size must be >= 2, got 1"),
     ({"with_bottleneck": False, "temperature": -1.0},
      "temperature must be positive and finite, got -1.0"),
-], ids=["hidden-0", "hidden-negative", "baseline-vocab", "baseline-temperature"])
+    ({"seed": -1}, "seed must be an int >= 0, got -1"),
+    ({"seed": -2}, "seed must be an int >= 0, got -2"),
+    ({"seed": 1.0}, "seed must be an int >= 0, got 1.0"),
+    ({"input_dim": 0}, "input_dim must be an int >= 1, got 0"),
+    ({"num_classes": 0}, "num_classes must be an int >= 1, got 0"),
+    ({"num_classes": 2.0}, "num_classes must be an int >= 1, got 2.0"),
+], ids=["hidden-0", "hidden-negative", "baseline-vocab", "baseline-temperature",
+        "seed-negative", "seed-below-the-channel's", "seed-float", "no-inputs",
+        "no-classes", "float-classes"])
 def test_build_model_checks_its_arguments(kwargs, message):
     # the messages `emlang train` prints for --hidden, --vocab and
-    # --temperature, for either model kind
+    # --temperature, for either model kind; the seed is checked before the
+    # channel's seed + 1, and a model has at least one input and one class
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        build_model(28, 4, **kwargs)
+        build_model(**{"input_dim": 28, "num_classes": 4, **kwargs})
 
 
 def test_end_to_end_gradients_match_finite_differences():
@@ -961,5 +970,92 @@ def test_a_checkpoint_holds_only_the_keys_its_kind_writes(where, message):
         node = node[key]
     # an el checkpoint read as a baseline would drop the channel's fields
     node[last] = "baseline" if last == "kind" else "x"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(doc)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"feature_names": ["a", "b"]}, "checkpoint names must be lists"),
+    ({"feature_names": ["a", 1, "c"]}, "checkpoint names must be lists"),
+    ({"feature_names": "abc"}, "checkpoint names must be lists"),
+    ({"class_names": ["only"]}, "checkpoint names must be lists"),
+    ({"class_names": "no"}, "checkpoint names must be lists"),
+    ({"class_names": [b"no", b"yes"]}, "checkpoint names must be lists"),
+    ({"standardization": (np.zeros(2), np.ones(2))},
+     "standardization must hold input_dim finite means and stds"),
+    ({"standardization": (np.zeros((1, 3)), np.ones((1, 3)))},
+     "standardization must hold input_dim finite means and stds"),
+    ({"standardization": ([0.0, math.nan, 0.0], np.ones(3))},
+     "standardization must hold input_dim finite means and stds"),
+    ({"standardization": (np.zeros(3), [1.0, math.inf, 1.0])},
+     "standardization must hold input_dim finite means and stds"),
+    ({"standardization": (np.zeros(3), [1.0, 0.0, 1.0])},
+     "standardization std must be positive"),
+    ({"standardization": (np.zeros(3), [1.0, -1.0, 1.0])},
+     "standardization std must be positive"),
+    ({"nan": ("sender", 0, "weights")}, "layer weights and bias must be finite"),
+    ({"nan": ("receiver", -1, "bias")}, "layer weights and bias must be finite"),
+], ids=["short-features", "int-feature", "string-features", "short-classes",
+        "string-classes", "bytes-classes", "short-standardization",
+        "2d-standardization", "nan-mean", "inf-std", "zero-std", "negative-std",
+        "nan-weight", "nan-bias"])
+def test_save_checkpoint_rejects_what_it_could_not_load(change, message):
+    # each of these used to be written, and load_checkpoint then rejected
+    # the document, or ("abc") read it back as three one-letter names
+    model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=42)
+    if "nan" in change:
+        section, index, name = change.pop("nan")
+        getattr(getattr(model, section)[index], name).flat[0] = math.nan
+    with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+        save_checkpoint(model, **change)
+
+
+@st.composite
+def checkpoint_arguments(draw):
+    """A small model, maybe with one non-finite weight or bias, and a drawn
+    standardization and names, each either valid for the model or anything
+    of the same kind: of any size, not finite, or not strings."""
+    input_dim, num_classes = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    model = build_model(input_dim, num_classes, vocab_size=3, hidden_dim=2,
+                        with_bottleneck=draw(st.booleans()), seed=43)
+    if draw(st.integers(0, 3)) == 0:
+        layer = draw(st.sampled_from(model.layers()))
+        values = getattr(layer, draw(st.sampled_from(["weights", "bias"])))
+        values.flat[0] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    means = arrays(np.float64, input_dim, elements=st.floats(-1e300, 1e300))
+    stds = arrays(np.float64, input_dim, elements=st.floats(5e-324, 1e300))
+    anything = st.integers(0, 4).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats() | st.just(0.0)))
+    stats = draw(st.none() | st.tuples(means, stds) | st.tuples(anything, anything))
+
+    def names(count):
+        valid = st.lists(NAMES, min_size=count, max_size=count)
+        return draw(st.none() | valid | valid.map(tuple) | NAMES
+                    | st.lists(NAMES | st.integers() | st.none(), max_size=4))
+
+    return model, stats, names(input_dim), names(num_classes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arguments=checkpoint_arguments())
+def test_what_save_checkpoint_writes_loads_and_is_written_back_equal(arguments):
+    try:
+        doc = save_checkpoint(*arguments)
+    except InputError:
+        return
+    doc = json.loads(json.dumps(doc, allow_nan=False))
+    assert save_checkpoint(*load_checkpoint(doc)) == doc
+
+
+@pytest.mark.parametrize("key, value", [
+    ("input_dim", 4), ("num_classes", 3), ("input_dim", "missing"),
+    ("feature_names", None),
+])
+def test_a_checkpoint_value_save_checkpoint_writes_otherwise_is_named(key, value):
+    doc = save_checkpoint(build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39))
+    doc[key] = value
+    if value == "missing":
+        del doc[key]
+    message = f"checkpoint {key} differs from what save_checkpoint writes back"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         load_checkpoint(doc)

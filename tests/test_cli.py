@@ -824,18 +824,40 @@ def _label_column_twice(data):
                                               *(row + ",1.0" for row in rows)]))
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (_not_utf8, "test.csv: not UTF-8 text"),
-    (_oversized_field, "test.csv: malformed CSV: field larger than field limit"),
-    (_no_feature_column, "train.csv: header has no feature column"),
-    (_label_column_twice, "train.csv: header names label column 'label' 2 times"),
-], ids=["not-utf8", "oversized-field", "no-feature-column", "label-column-twice"])
+def _val_without_a_class(data):
+    header, *rows = (data / "val.csv").read_text().splitlines()
+    rows = [row for row in rows if not row.endswith(",class0")]
+    (data / "val.csv").write_text("\n".join([header, *rows]) + "\n")
+
+
+def _val_overflowing_after_scaling(data):
+    # train's first column is 0 and 2e-150 in turn, so its standardized
+    # scale is 1e-150, and 1e200 in val becomes 1e350, past float64's range
+    for tag, cells in (("train", ("0", "2e-150")), ("val", ("1e200",))):
+        header, *rows = (data / f"{tag}.csv").read_text().splitlines()
+        rows = [cells[i % len(cells)] + "," + row.split(",", 1)[1]
+                for i, row in enumerate(rows)]
+        (data / f"{tag}.csv").write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("corrupt, flags, message", [
+    (_not_utf8, (), "test.csv: not UTF-8 text"),
+    (_oversized_field, (), "test.csv: malformed CSV: field larger than field limit"),
+    (_no_feature_column, (), "train.csv: header has no feature column"),
+    (_label_column_twice, (), "train.csv: header names label column 'label' 2 times"),
+    (_val_without_a_class, (), "val.csv classes ['class1', 'class2', 'class3'] do "
+     "not match train.csv classes ['class0', 'class1', 'class2', 'class3']"),
+    (_val_overflowing_after_scaling, ("--standardize",),
+     "val features contain non-finite values"),
+], ids=["not-utf8", "oversized-field", "no-feature-column", "label-column-twice",
+        "val-lacks-a-class", "val-overflows-after-scaling"])
 def test_train_rejects_a_malformed_csv_before_any_output(tmp_path, capsys, corrupt,
-                                                         message):
+                                                         flags, message):
     data = gen_small(tmp_path)
     corrupt(data)
     out = tmp_path / "out"
-    assert run(["train", "--data", str(data), "--out", str(out), *SMALL_TRAIN]) == 2
+    assert run(["train", "--data", str(data), "--out", str(out), *SMALL_TRAIN,
+                *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -964,5 +986,33 @@ def test_repro_checks_the_options_before_training(tmp_path, capsys, monkeypatch,
     out = tmp_path / "out"
     assert run(["repro", "--out", str(out), *SMALL_GEN, *SMALL_TRAIN,
                 flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_attribute_rejects_a_test_csv_without_rows(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    test_csv = data / "test.csv"
+    test_csv.write_text(test_csv.read_text().splitlines()[0] + "\n")
+    assert run([
+        "attribute", "--checkpoint", str(untrained_checkpoint(tmp_path)),
+        "--test-csv", str(test_csv), "--out", str(tmp_path / "attr"),
+    ]) == 2
+    assert f"{test_csv}: no data rows" in capsys.readouterr().err
+    assert not (tmp_path / "attr").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--config", "[]"), "config must be a JSON object"),
+    (("--block-size", "0"), "block_size must be >= 1"),
+], ids=["config-list", "block-size-0"])
+def test_gen_rejects_a_bad_option_before_any_output(tmp_path, capsys, flags, message):
+    flag, value = flags
+    if flag == "--config":
+        config = tmp_path / "config.json"
+        config.write_text(value)
+        value = str(config)
+    out = tmp_path / "out"
+    assert run(["gen", "--out", str(out), flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
