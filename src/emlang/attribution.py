@@ -75,7 +75,7 @@ import numpy as np
 
 from .classifier import ModelGraph
 from .errors import InputError, NumericalError
-from .nn import as_f64, is_int, softmax
+from .nn import as_f64, check_int, is_int, softmax
 
 OUTPUTS = ("logit", "probability")
 
@@ -137,8 +137,7 @@ class AttributionConfig:
             raise InputError(f"output must be one of {OUTPUTS}")
         target = self.target_class
         if target is not None:
-            if not (is_int(target) and target >= 0):
-                raise InputError(f"target_class must be an int >= 0, got {target!r}")
+            check_int("target_class", target, 0)
             object.__setattr__(self, "target_class", int(target))
         if self.baseline is not None:
             baseline = as_f64(self.baseline)
@@ -424,9 +423,9 @@ def neuron_conductance(model, x, neuron, config):
 
 def check_block_layout(num_features, block_size):
     """The number of blocks of `block_size` features that `num_features`
-    features make; InputError unless block_size >= 1 divides num_features."""
-    if block_size < 1:
-        raise InputError("block_size must be >= 1")
+    features make; InputError unless block_size is an int >= 1 that divides
+    num_features."""
+    check_int("block_size", block_size, 1)
     if num_features % block_size != 0:
         raise InputError(
             f"feature count {num_features} is not a multiple of block size "

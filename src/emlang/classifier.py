@@ -38,8 +38,8 @@ from .nn import (
     DenseLayer,
     adam_step,
     as_f64,
+    check_int,
     cross_entropy,
-    is_int,
     stack_backward,
     stack_forward,
 )
@@ -73,10 +73,8 @@ class TrainConfig:
         if not (0 < self.learning_rate < math.inf):
             raise InputError("learning_rate must be positive and finite")
         for name in ("batch_size", "max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be a positive integer")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
         if self.patience > self.max_epochs:
             raise InputError("patience must not exceed max_epochs")
 
@@ -197,14 +195,12 @@ def build_model(
     model kind: input_dim and num_classes must be ints >= 1 and seed an int
     >= 0; the channel is built from vocab_size, temperature and seed in
     both, and attached only with the bottleneck; then hidden_dim."""
-    for name, value, least in (("input_dim", input_dim, 1),
-                               ("num_classes", num_classes, 1), ("seed", seed, 0)):
-        if not (is_int(value) and value >= least):
-            raise InputError(f"{name} must be an int >= {least}, got {value!r}")
+    check_int("input_dim", input_dim, 1)
+    check_int("num_classes", num_classes, 1)
+    check_int("seed", seed, 0)
     channel = GumbelSoftmaxSampler(vocab_size, temperature=temperature,
                                    seed=seed + _SAMPLER_STREAM)
-    if not (is_int(hidden_dim) and hidden_dim >= 1):
-        raise InputError("hidden must be a positive integer")
+    check_int("hidden", hidden_dim, 1)
     rng = np.random.default_rng(seed)
     sender = [
         DenseLayer.init(rng, input_dim, hidden_dim, "relu"),
@@ -289,16 +285,17 @@ def dataset_loss(model, dataset, batch_size, noise=None):
 
 
 def _check_split(model, ds):
-    """InputError unless `ds` is non-empty, has the model's feature count
-    and finite features, and labels in [0, num_classes)."""
+    """InputError unless `ds` is non-empty, has the model's feature and
+    class counts and finite features, and labels in [0, num_classes). A
+    split of another class count numbers its labels among its own classes,
+    so they would be scored against the wrong ones."""
     name = ds.split or "data"
     if ds.num_samples == 0:
         raise InputError(f"{name} set must be non-empty")
-    if ds.num_features != model.input_dim:
-        raise InputError(
-            f"{name} set has {ds.num_features} features, model expects "
-            f"{model.input_dim}"
-        )
+    for what, got, want in (("features", ds.num_features, model.input_dim),
+                            ("classes", ds.num_classes, model.num_classes)):
+        if got != want:
+            raise InputError(f"{name} set has {got} {what}, model expects {want}")
     if not np.all(np.isfinite(ds.features)):
         raise InputError(f"{name} features contain non-finite values")
     low, high = ds.labels.min(), ds.labels.max()

@@ -217,7 +217,8 @@ def _train_run(opts, splits):
     """Train and evaluate the model the options describe on the (train, val,
     test) splits, and return the run's files for `_write_run`. Every option
     is checked before training: the model's --vocab, --temperature and
-    --hidden by `build_model`, for either model kind."""
+    --hidden by `build_model`, for either model kind, and the --standardize
+    statistics by `save_checkpoint` on the untrained model."""
     config = TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
@@ -236,6 +237,8 @@ def _train_run(opts, splits):
         seed=config.seed,
     )
     stats = standardization(train_set) if opts["standardize"] else None
+    # the checkpoint's writer checks the statistics, before any training
+    save_checkpoint(model, stats, train_set.feature_names, train_set.class_names)
     if stats is not None:
         train_set, val_set, test_set = (
             rescale(ds, stats) for ds in (train_set, val_set, test_set)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .nn import as_f64
+from .nn import as_f64, check_int
 
 
 @dataclass
@@ -92,20 +92,16 @@ class SynthSpec:
         return self.num_classes * self.block_size
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise InputError("num_classes must be >= 2")
-        if self.block_size < 1:
-            raise InputError("block_size must be >= 1")
+        check_int("num_classes", self.num_classes, 2)
+        check_int("block_size", self.block_size, 1)
         # fewer samples than classes would leave a class out of the split
         for name in ("train_samples", "val_samples", "test_samples"):
-            if getattr(self, name) < self.num_classes:
-                raise InputError(f"{name} must be >= num_classes")
+            check_int(name, getattr(self, name), self.num_classes)
         if not math.isfinite(self.mean_shift):
             raise InputError("mean_shift must be finite")
         if not (0 <= self.noise_sigma < math.inf):
             raise InputError("noise_sigma must be finite and >= 0")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
+        check_int("seed", self.seed, 0)
 
 
 def _balanced_labels(n, num_classes):
@@ -256,13 +252,19 @@ def load_csv(path, label_column="label", split=""):
 
 
 def standardization(train):
-    """The train split's feature mean and std, a zero std replaced by 1."""
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+    """The train split's feature mean and std, a zero std replaced by 1. A
+    sum that overflows gives a non-finite value, without a numpy warning:
+    the caller checks the pair (`save_checkpoint` does)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)
     return mean, np.where(std == 0.0, 1.0, std)
 
 
 def rescale(ds, stats):
-    """ds with its features centered and scaled by stats = (mean, std)."""
+    """ds with its features centered and scaled by stats = (mean, std). A
+    feature that overflows becomes infinite, without a numpy warning: the
+    caller checks the features (`train` and `evaluate` do)."""
     mean, std = stats
-    return replace(ds, features=(ds.features - mean) / std)
+    with np.errstate(over="ignore"):
+        return replace(ds, features=(ds.features - mean) / std)

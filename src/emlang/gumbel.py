@@ -20,7 +20,7 @@ import numbers
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .nn import as_f64, log_softmax, softmax
+from .nn import as_f64, check_int, log_softmax, softmax
 
 # Uniform draws are clamped away from {0, 1} before the double log.
 UNIFORM_EPS = 1e-12
@@ -68,22 +68,13 @@ class GumbelSoftmaxSampler:
     """
 
     def __init__(self, vocab_size, temperature=1.0, seed=0):
-        # a bool or a fraction is rejected, never coerced into a count or seed
-        for name, value, kind, what in (
-            ("vocab_size", vocab_size, numbers.Integral, "an integer"),
-            ("temperature", temperature, numbers.Real, "a real number"),
-            ("sampler seed", seed, numbers.Integral, "an integer"),
-        ):
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise InputError(f"{name} must be {what}, got {value!r}")
-        if vocab_size < 2:
-            raise InputError(f"vocab_size must be >= 2, got {vocab_size}")
-        if not (0 < temperature < math.inf):
+        check_int("vocab_size", vocab_size, 2)
+        if isinstance(temperature, bool) or not (
+                isinstance(temperature, numbers.Real) and 0 < temperature < math.inf):
             raise InputError(
-                f"temperature must be positive and finite, got {temperature}"
+                f"temperature must be positive and finite, got {temperature!r}"
             )
-        if seed < 0:
-            raise InputError(f"sampler seed must be >= 0, got {seed}")
+        check_int("sampler seed", seed, 0)
         self.vocab_size = int(vocab_size)
         self.temperature = float(temperature)
         self.rng_seed = int(seed)

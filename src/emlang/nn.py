@@ -36,6 +36,13 @@ def is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_int(name, value, least):
+    """InputError unless value `is_int` and is at least `least`: the one
+    rule, and the one message, for every count, seed and index."""
+    if not (is_int(value) and value >= least):
+        raise InputError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def glorot_uniform(rng, fan_out, fan_in):
     """Seeded uniform init in +/- sqrt(6 / (fan_in + fan_out))."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))

@@ -693,7 +693,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("config, field, value, message", [
-    (SynthSpec(), "test_samples", 3, "test_samples must be >= num_classes"),
+    (SynthSpec(), "test_samples", 3, "test_samples must be an int >= 4, got 3"),
     (SynthSpec(), "noise_sigma", np.nan, "noise_sigma must be finite and >= 0"),
     (TrainConfig(), "patience", 201, "patience must not exceed max_epochs"),
     (TrainConfig(), "learning_rate", np.inf,
@@ -905,7 +905,8 @@ def test_per_symbol_report_finds_informative_blocks():
         assert block == majority
         assert share > 1.0 / spec.num_classes
     for size in (0, -7):
-        with pytest.raises(InputError, match="block_size must be >= 1"):
+        with pytest.raises(InputError,
+                           match=f"^block_size must be an int >= 1, got {size}$"):
             report.dominant_blocks(size)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from emlang.classifier import (
     save_checkpoint,
     train,
 )
-from emlang.data import Dataset, SynthSpec, generate_synthetic
+from emlang.data import (
+    Dataset,
+    SynthSpec,
+    dataset_csv,
+    generate_synthetic,
+    load_csv,
+    write_csv,
+)
 from emlang.errors import InputError, NumericalError
 from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform
 from emlang.nn import (
@@ -158,9 +166,9 @@ def test_graph_wiring_validation():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"hidden_dim": 0}, "hidden must be a positive integer"),
-    ({"hidden_dim": -1}, "hidden must be a positive integer"),
-    ({"with_bottleneck": False, "vocab_size": 1}, "vocab_size must be >= 2, got 1"),
+    ({"hidden_dim": 0}, "hidden must be an int >= 1, got 0"),
+    ({"hidden_dim": -1}, "hidden must be an int >= 1, got -1"),
+    ({"with_bottleneck": False, "vocab_size": 1}, "vocab_size must be an int >= 2, got 1"),
     ({"with_bottleneck": False, "temperature": -1.0},
      "temperature must be positive and finite, got -1.0"),
     ({"seed": -1}, "seed must be an int >= 0, got -1"),
@@ -555,6 +563,29 @@ def test_train_rejects_labels_outside_the_class_range():
             evaluate(model, sets["test"])
 
 
+def test_a_split_must_have_the_models_class_count(tmp_path):
+    # the test CSV without its class1 rows reads back as three classes,
+    # numbered 0-2 among themselves, so class2's rows would be scored as
+    # class1's: a split of fewer classes than the model's is rejected
+    train_set, val_set, test_set = generate_synthetic(
+        SynthSpec(train_samples=24, val_samples=8, test_samples=40, seed=0))
+    keep = test_set.labels != 1
+    path = tmp_path / "test.csv"
+    write_csv(path, *dataset_csv(Dataset(test_set.features[keep],
+                                         test_set.labels[keep],
+                                         test_set.class_names)))
+    three = load_csv(path, split="test")
+    assert three.class_names == ["class0", "class2", "class3"]
+    model = build_model(28, 4, vocab_size=6, hidden_dim=4, seed=0)
+    with pytest.raises(InputError, match="^test set has 3 classes, model expects 4$"):
+        evaluate(model, three)
+    config = TrainConfig(max_epochs=1, patience=1)
+    with pytest.raises(InputError, match="^train set has 3 classes, model expects 4$"):
+        train(model, replace(three, split="train"), val_set, config)
+    with pytest.raises(InputError, match="^val set has 3 classes, model expects 4$"):
+        train(model, train_set, replace(three, split="val"), config)
+
+
 def test_evaluate_peak_memory_at_the_attribute_shape():
     import tracemalloc
 
@@ -825,18 +856,19 @@ def test_checkpoint_version_and_corruption_errors():
             load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("key, value", [
-    ("sampler_seed", 1.5),
-    ("sampler_seed", True),
-    ("temperature", True),
-    ("vocab_size", 5.0),
-    ("vocab_size", True),
-    ("temperature", math.inf),  # json reads Infinity as a float
-])
-def test_checkpoint_sampler_fields_are_not_coerced(key, value):
+@pytest.mark.parametrize("key, value, message", [
+    ("sampler_seed", 1.5, "sampler seed must be an int >= 0, got 1.5"),
+    ("sampler_seed", True, "sampler seed must be an int >= 0, got True"),
+    ("temperature", True, "temperature must be positive and finite, got True"),
+    ("vocab_size", 5.0, "vocab_size must be an int >= 2, got 5.0"),
+    ("vocab_size", True, "vocab_size must be an int >= 2, got True"),
+    # json reads Infinity as a float
+    ("temperature", math.inf, "temperature must be positive and finite, got inf"),
+], ids=["sampler_seed-1.5", "sampler_seed-True", "temperature-True", "vocab_size-5.0",
+        "vocab_size-True", "temperature-inf"])
+def test_checkpoint_sampler_fields_are_not_coerced(key, value, message):
     model = build_model(3, 2, vocab_size=5, hidden_dim=4, seed=39)
-    with pytest.raises(InputError,
-                       match="must be an integer|must be a real|must be positive and finite"):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         load_checkpoint({**save_checkpoint(model), key: value})
 
 

@@ -1,9 +1,19 @@
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from emlang.cli import REPRO_OPTIONS, main
+from emlang.cli import (
+    ATTRIBUTE_OPTIONS,
+    GEN_OPTIONS,
+    REPRO_OPTIONS,
+    TRAIN_OPTIONS,
+    main,
+)
 
 SMALL_GEN = [
     "--train-samples", "90",
@@ -511,10 +521,10 @@ def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--lr", "-1", "learning_rate must be positive"),
-    ("--hidden", "0", "hidden must be a positive integer"),
+    ("--hidden", "0", "hidden must be an int >= 1, got 0"),
     ("--baseline-vector", "1,2", "baseline vector has 2 entries"),
-    ("--vocab", "1", "vocab_size must be >= 2"),
-    ("--test-samples", "3", "test_samples must be >= num_classes"),
+    ("--vocab", "1", "vocab_size must be an int >= 2, got 1"),
+    ("--test-samples", "3", "test_samples must be an int >= 4, got 3"),
     ("--label-column", "f0", "label column 'f0' names a feature"),
     ("--mean-shift", "nan", "mean_shift must be finite"),
     ("--temperature", "inf", "temperature must be positive and finite"),
@@ -534,7 +544,7 @@ def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, val
 
 
 @pytest.mark.parametrize("flags, message", [
-    (("--model", "baseline", "--vocab", "1"), "vocab_size must be >= 2"),
+    (("--model", "baseline", "--vocab", "1"), "vocab_size must be an int >= 2, got 1"),
     (("--temperature", "inf"), "temperature must be positive and finite"),
 ], ids=["baseline-vocab", "temperature"])
 def test_train_checks_the_model_options_before_any_output(tmp_path, capsys, flags,
@@ -548,6 +558,7 @@ def test_train_checks_the_model_options_before_any_output(tmp_path, capsys, flag
 
 @pytest.mark.parametrize("value", ["0", "-7", "config"])
 def test_attribute_rejects_a_block_size_below_one(tmp_path, capsys, value):
+    got = "0" if value == "config" else value
     data = gen_small(tmp_path)
     if value == "config":
         config = tmp_path / "config.json"
@@ -560,7 +571,8 @@ def test_attribute_rejects_a_block_size_below_one(tmp_path, capsys, value):
         "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
         *flags,
     ]) == 2
-    assert "block_size must be >= 1" in capsys.readouterr().err
+    assert (f"block_size must be an int >= 1, got {got}\n"
+            in capsys.readouterr().err)
     assert not (tmp_path / "attr").exists()
 
 
@@ -607,7 +619,7 @@ def test_attribute_rejects_a_fractional_sampler_seed(tmp_path, capsys):
         str(untrained_checkpoint(tmp_path, sampler_seed=1.5)),
         "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
     ]) == 2
-    assert "sampler seed must be an integer, got 1.5" in capsys.readouterr().err
+    assert "sampler seed must be an int >= 0, got 1.5\n" in capsys.readouterr().err
     assert not (tmp_path / "attr").exists()
 
 
@@ -625,7 +637,7 @@ def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, via)
         config.write_text(json.dumps({"seed": -1}))
         argv += ["--config", str(config)]
     assert run(argv) == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
+    assert "error: seed must be an int >= 0, got -1\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -830,14 +842,25 @@ def _val_without_a_class(data):
     (data / "val.csv").write_text("\n".join([header, *rows]) + "\n")
 
 
+def _set_first_column(data, tag, cells):
+    """Rewrite the first feature column of tag's CSV as cells, in turn."""
+    header, *rows = (data / f"{tag}.csv").read_text().splitlines()
+    rows = [cells[i % len(cells)] + "," + row.split(",", 1)[1]
+            for i, row in enumerate(rows)]
+    (data / f"{tag}.csv").write_text("\n".join([header, *rows]) + "\n")
+
+
 def _val_overflowing_after_scaling(data):
     # train's first column is 0 and 2e-150 in turn, so its standardized
     # scale is 1e-150, and 1e200 in val becomes 1e350, past float64's range
-    for tag, cells in (("train", ("0", "2e-150")), ("val", ("1e200",))):
-        header, *rows = (data / f"{tag}.csv").read_text().splitlines()
-        rows = [cells[i % len(cells)] + "," + row.split(",", 1)[1]
-                for i, row in enumerate(rows)]
-        (data / f"{tag}.csv").write_text("\n".join([header, *rows]) + "\n")
+    _set_first_column(data, "train", ("0", "2e-150"))
+    _set_first_column(data, "val", ("1e200",))
+
+
+def _train_variance_overflowing(data):
+    # train's first column is 1e200 and -1e200 in turn: its mean is 0, and
+    # its variance overflows to an infinite std
+    _set_first_column(data, "train", ("1e200", "-1e200"))
 
 
 @pytest.mark.parametrize("corrupt, flags, message", [
@@ -859,6 +882,36 @@ def test_train_rejects_a_malformed_csv_before_any_output(tmp_path, capsys, corru
     assert run(["train", "--data", str(data), "--out", str(out), *SMALL_TRAIN,
                 *flags]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt, message, trains", [
+    (_train_variance_overflowing,
+     "standardization must hold input_dim finite means and stds", False),
+    (_val_overflowing_after_scaling, "val features contain non-finite values", True),
+], ids=["train-variance-overflows", "val-overflows-after-scaling"])
+def test_train_standardize_rejects_an_overflow_with_its_own_error_alone(
+        tmp_path, capsys, monkeypatch, corrupt, message, trains):
+    # the statistics are checked before any training, and numpy warns of
+    # neither overflow: the run's one line of output is its error
+    import warnings
+
+    import emlang.cli
+
+    def training_ran(*args):
+        raise AssertionError("train ran before the standardization was checked")
+
+    data = gen_small(tmp_path)
+    corrupt(data)
+    if not trains:
+        monkeypatch.setattr(emlang.cli, "train", training_ran)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["train", "--data", str(data), "--out", str(out), *SMALL_TRAIN,
+                    "--standardize"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -1004,7 +1057,7 @@ def test_attribute_rejects_a_test_csv_without_rows(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (("--config", "[]"), "config must be a JSON object"),
-    (("--block-size", "0"), "block_size must be >= 1"),
+    (("--block-size", "0"), "block_size must be an int >= 1, got 0"),
 ], ids=["config-list", "block-size-0"])
 def test_gen_rejects_a_bad_option_before_any_output(tmp_path, capsys, flags, message):
     flag, value = flags
@@ -1016,3 +1069,66 @@ def test_gen_rejects_a_bad_option_before_any_output(tmp_path, capsys, flags, mes
     assert run(["gen", "--out", str(out), flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# The int options' values a fuzzed run draws, as flag text and as --config
+# values. None is large: a --hidden or --vocab of thousands passes every
+# check and then asks numpy for gigabytes.
+FLAG_TEXT = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["1.5", "1e3", "x"]))
+CONFIG_VALUE = st.one_of(st.integers(-3, 40),
+                         st.sampled_from([True, 1.5, "3", None, []]))
+
+# command: (its options, the --config every fuzzed run starts from, which
+# keeps the data and the training small)
+FUZZED = {
+    "gen": (GEN_OPTIONS, {"train_samples": 24, "val_samples": 8, "test_samples": 8}),
+    "train": (TRAIN_OPTIONS, {"vocab": 6, "hidden": 6, "max_epochs": 1, "patience": 1}),
+    "attribute": (ATTRIBUTE_OPTIONS, {}),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory for the fuzzed runs, and each command's input flags: a
+    24/8/8-row data triple and an untrained checkpoint of its columns."""
+    base = tmp_path_factory.mktemp("fuzz")
+    data = base / "data"
+    assert run(["gen", "--out", str(data), "--train-samples", "24",
+                "--val-samples", "8", "--test-samples", "8"]) == 0
+    return base, {
+        "gen": [],
+        "train": ["--data", str(data)],
+        "attribute": ["--checkpoint", str(untrained_checkpoint(base)),
+                      "--test-csv", str(data / "test.csv")],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_int_option_value_exits_0_2_or_3_and_a_failure_writes_nothing(
+        fuzz_inputs, command, data):
+    base, inputs = fuzz_inputs
+    options, config = FUZZED[command]
+    names = st.sampled_from(sorted(name for name, (default, _) in options.items()
+                                   if type(default) is int))
+    flags = data.draw(st.dictionaries(names, FLAG_TEXT, max_size=2), label="flags")
+    in_file = data.draw(st.dictionaries(names, CONFIG_VALUE, max_size=2),
+                        label="config")
+    run_dir = Path(tempfile.mkdtemp(dir=base))
+    try:
+        (run_dir / "config.json").write_text(json.dumps({**config, **in_file}))
+        out = run_dir / "out"
+        argv = [command, "--out", str(out), "--config", str(run_dir / "config.json"),
+                *inputs[command]]
+        for name, text in flags.items():
+            argv += ["--" + name.replace("_", "-"), text]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects flag text that is no int
+            code = exc.code
+        event(f"exit {code}")
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)
+    finally:
+        shutil.rmtree(run_dir)

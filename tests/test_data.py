@@ -108,7 +108,7 @@ def test_spec_validation():
     with pytest.raises(InputError):
         generate_synthetic(SynthSpec(train_samples=0))
     # a split smaller than num_classes would miss a class
-    with pytest.raises(InputError, match="test_samples must be >= num_classes"):
+    with pytest.raises(InputError, match=r"^test_samples must be an int >= 4, got 3$"):
         generate_synthetic(SynthSpec(test_samples=3))
     generate_synthetic(SynthSpec(test_samples=4))
     with pytest.raises(InputError):
@@ -328,6 +328,22 @@ def test_standardize_uses_train_statistics():
     np.testing.assert_allclose(s_train.features.std(axis=0), 1.0, atol=1e-12)
     expected = (test.features - train.features.mean(axis=0)) / train.features.std(axis=0)
     np.testing.assert_allclose(s_test.features, expected, atol=1e-12)
+
+
+def test_standardization_and_rescale_overflow_without_a_warning():
+    import warnings
+
+    # the first column's variance overflows; the second's sum meets +inf and
+    # -inf in numpy's pairwise summation, which gives NaN
+    cancelling = np.zeros(16)
+    cancelling[[0, 8]], cancelling[[1, 9]] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = [standardization(Dataset(column[:, None], np.zeros(16, int), ["a"]))
+                 for column in (np.tile([1e200, -1e200], 8), cancelling)]
+        scaled = rescale(Dataset([[1e200]], [0], ["a"]), ([0.0], [1e-150]))
+    assert np.isinf(stats[0][1]).all() and np.isnan(stats[1][0]).all()
+    assert np.isinf(scaled.features).all()
 
 
 def test_dataset_validation():

@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from emlang.attribution import AttributionConfig, check_block_layout
+from emlang.classifier import TrainConfig, build_model
+from emlang.data import SynthSpec
 from emlang.errors import InputError
+from emlang.gumbel import GumbelSoftmaxSampler
 from emlang.nn import (
     AdamState,
     DenseLayer,
@@ -329,3 +335,47 @@ def test_outputs_finite_on_finite_inputs():
     loss, grad = softmax_cross_entropy(out, rng.integers(0, 5, size=6))
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad))
+
+
+# (what checks it, the name in its message, the least value, a call that
+# passes it the value)
+INT_FIELDS = [
+    ("SynthSpec", "num_classes", 2, lambda v: SynthSpec(num_classes=v)),
+    ("SynthSpec", "block_size", 1, lambda v: SynthSpec(block_size=v)),
+    ("SynthSpec", "train_samples", 4, lambda v: SynthSpec(train_samples=v)),
+    ("SynthSpec", "val_samples", 4, lambda v: SynthSpec(val_samples=v)),
+    ("SynthSpec", "test_samples", 4, lambda v: SynthSpec(test_samples=v)),
+    ("SynthSpec", "seed", 0, lambda v: SynthSpec(seed=v)),
+    ("TrainConfig", "batch_size", 1, lambda v: TrainConfig(batch_size=v)),
+    ("TrainConfig", "max_epochs", 1, lambda v: TrainConfig(max_epochs=v, patience=1)),
+    ("TrainConfig", "patience", 1, lambda v: TrainConfig(patience=v)),
+    ("TrainConfig", "seed", 0, lambda v: TrainConfig(seed=v)),
+    ("build_model", "input_dim", 1, lambda v: build_model(v, 4, 5, 3)),
+    ("build_model", "num_classes", 1, lambda v: build_model(28, v, 5, 3)),
+    ("build_model", "seed", 0, lambda v: build_model(28, 4, 5, 3, seed=v)),
+    ("build_model", "hidden", 1, lambda v: build_model(28, 4, 5, hidden_dim=v)),
+    ("GumbelSoftmaxSampler", "vocab_size", 2, lambda v: GumbelSoftmaxSampler(v)),
+    ("GumbelSoftmaxSampler", "sampler seed", 0,
+     lambda v: GumbelSoftmaxSampler(5, seed=v)),
+    ("check_block_layout", "block_size", 1, lambda v: check_block_layout(28, v)),
+    ("AttributionConfig", "target_class", 0,
+     lambda v: AttributionConfig(target_class=v)),
+]
+
+
+@pytest.mark.parametrize("owner, name, least, call", INT_FIELDS,
+                         ids=[f"{owner}-{name.replace(' ', '_')}"
+                              for owner, name, *_ in INT_FIELDS])
+def test_every_count_seed_and_index_is_an_int_with_one_message(owner, name, least,
+                                                               call):
+    # a bool, a fraction, an integral float, a string or None is never read
+    # as a count, a seed or an index, and nothing below the least value is;
+    # a target_class of None means the predicted class
+    for value in (True, 2.5, 2.0, "3", None, least - 1):
+        if value is None and name == "target_class":
+            continue
+        message = f"{name} must be an int >= {least}, got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call(value)
+    # numpy's ints are ints
+    call(np.int64(4))
