@@ -75,7 +75,7 @@ import numpy as np
 
 from .classifier import ModelGraph
 from .errors import InputError, NumericalError
-from .nn import as_f64, check_int, is_int, softmax
+from .nn import as_f64, check_int, check_real, is_int, softmax
 
 OUTPUTS = ("logit", "probability")
 
@@ -122,9 +122,10 @@ MAX_PIECES = 2**24
 
 @dataclass(frozen=True)
 class AttributionConfig:
-    # a vector of finite numbers, kept as a tuple of floats, so that equal
-    # configs compare and hash equal and no caller's array is shared; None
-    # means the zero vector
+    # a 1-d sequence of finite numbers, each checked by `check_real` before
+    # any conversion, kept as a tuple of floats, so that equal configs
+    # compare and hash equal and no caller's array is shared; None means the
+    # zero vector
     baseline: tuple[float, ...] | None = None
     # an int >= 0, kept as a Python int; None means the class the model
     # predicts: the one `decode` picks on a ModelGraph, the argmax of a bare
@@ -140,12 +141,11 @@ class AttributionConfig:
             check_int("target_class", target, 0)
             object.__setattr__(self, "target_class", int(target))
         if self.baseline is not None:
-            baseline = as_f64(self.baseline)
-            if not np.all(np.isfinite(baseline)):
-                raise InputError("baseline contains non-finite values")
-            if baseline.ndim != 1:
-                raise InputError(f"baseline must be 1-d, got shape {baseline.shape}")
-            object.__setattr__(self, "baseline", tuple(baseline.tolist()))
+            if len(shape := np.shape(self.baseline)) != 1:
+                raise InputError(f"baseline must be 1-d, got shape {shape}")
+            for i, value in enumerate(self.baseline):
+                check_real(f"baseline[{i}]", value)
+            object.__setattr__(self, "baseline", tuple(as_f64(self.baseline).tolist()))
 
 
 def attribution_stack(model):

@@ -39,7 +39,9 @@ from .nn import (
     adam_step,
     as_f64,
     check_int,
+    check_real,
     cross_entropy,
+    is_real,
     stack_backward,
     stack_forward,
 )
@@ -70,8 +72,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.learning_rate < math.inf):
-            raise InputError("learning_rate must be positive and finite")
+        check_real("learning_rate", self.learning_rate, 0, strict=True)
         for name in ("batch_size", "max_epochs", "patience"):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)
@@ -434,9 +435,7 @@ def _numbers(values, what):
     """values, a list of JSON numbers, as a float64 array. Anything else is
     an InputError, a bool or a string of a number included, so that
     `save_checkpoint` writes back the values of every document that loads."""
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
+    if not isinstance(values, list) or not all(map(is_real, values)):
         raise InputError(f"checkpoint {what} must be a list of numbers")
     return np.array(values, dtype=np.float64)
 

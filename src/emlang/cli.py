@@ -9,10 +9,11 @@ Commands
 Each command's options live in one table, which gives every option its
 default, its type, its flag and its key in a JSON config file (--config):
 the keys mirror the long flag names. A file's values are checked against
-each option's type (an int also serves a float option; a bool never serves
-an int one) and choices before anything is written. Explicit flags win over
-the file, the file wins over defaults. The effective options are echoed into
-the output directory, and all outputs are byte-deterministic given a seed.
+each option's type (an int also serves a float option; a bool or a string
+serves neither) and choices before anything is written, and each value's
+range by what it configures. Explicit flags win over the file, the file wins
+over defaults. The effective options are echoed into the output directory,
+and all outputs are byte-deterministic given a seed.
 
 Exit codes: 0 success, 2 usage/config/input error, 3 numerical failure.
 """
@@ -50,6 +51,7 @@ from .data import (
     write_csv,
 )
 from .errors import InputError, NumericalError
+from .nn import is_int, is_real
 
 # Each command's options: name -> (default, argparse keyword arguments). The
 # name gives the flag (`--name` with dashes) and the --config key; the
@@ -95,10 +97,13 @@ del REPRO_OPTIONS["model"]
 
 
 def _read_json(path, what):
+    """The JSON document in the file path. A file that is not UTF-8, not
+    JSON, or holds an int of more digits than Python reads (4,300) raises a
+    ValueError, which becomes an InputError naming `what` the file holds."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
             raise InputError(f"{path}: invalid {what} JSON: {exc}") from None
 
 
@@ -126,12 +131,13 @@ def _write_run(out_dir, files):
 
 
 def _check_config_value(name, value, default, kwargs):
-    """InputError unless a --config value has its option's type (an int
-    does for a float option; a bool is never an int) and, if the option has
-    choices, is one of them."""
+    """InputError unless a --config value has its option's type (`nn.is_int`
+    for an int option and `nn.is_real` for a float one, so an int does for a
+    float option and a bool for neither; a str or bool option takes exactly
+    that type) and, if the option has choices, is one of them. The range is
+    checked by what the option configures."""
     kind = type(default)
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+    if not {int: is_int, float: is_real}.get(kind, lambda v: type(v) is kind)(value):
         raise InputError(
             f"config key {name!r} must be {kind.__name__}, got {value!r}"
         )

@@ -21,14 +21,13 @@ is not a plain ASCII number, or a non-finite feature.
 from __future__ import annotations
 
 import csv
-import math
 from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError
-from .nn import as_f64, check_int
+from .nn import as_f64, check_int, check_real
 
 
 @dataclass
@@ -97,10 +96,8 @@ class SynthSpec:
         # fewer samples than classes would leave a class out of the split
         for name in ("train_samples", "val_samples", "test_samples"):
             check_int(name, getattr(self, name), self.num_classes)
-        if not math.isfinite(self.mean_shift):
-            raise InputError("mean_shift must be finite")
-        if not (0 <= self.noise_sigma < math.inf):
-            raise InputError("noise_sigma must be finite and >= 0")
+        check_real("mean_shift", self.mean_shift)
+        check_real("noise_sigma", self.noise_sigma, 0)
         check_int("seed", self.seed, 0)
 
 

@@ -14,13 +14,10 @@ row's argmax symbol and `one_hot` encodes it for the receiver.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .nn import as_f64, check_int, log_softmax, softmax
+from .nn import as_f64, check_int, check_real, log_softmax, softmax
 
 # Uniform draws are clamped away from {0, 1} before the double log.
 UNIFORM_EPS = 1e-12
@@ -69,11 +66,7 @@ class GumbelSoftmaxSampler:
 
     def __init__(self, vocab_size, temperature=1.0, seed=0):
         check_int("vocab_size", vocab_size, 2)
-        if isinstance(temperature, bool) or not (
-                isinstance(temperature, numbers.Real) and 0 < temperature < math.inf):
-            raise InputError(
-                f"temperature must be positive and finite, got {temperature!r}"
-            )
+        check_real("temperature", temperature, 0, strict=True)
         check_int("sampler seed", seed, 0)
         self.vocab_size = int(vocab_size)
         self.temperature = float(temperature)

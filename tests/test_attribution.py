@@ -694,14 +694,15 @@ def test_config_validation():
 
 @pytest.mark.parametrize("config, field, value, message", [
     (SynthSpec(), "test_samples", 3, "test_samples must be an int >= 4, got 3"),
-    (SynthSpec(), "noise_sigma", np.nan, "noise_sigma must be finite and >= 0"),
+    (SynthSpec(), "noise_sigma", np.nan,
+     "noise_sigma must be a finite number >= 0, got nan"),
     (TrainConfig(), "patience", 201, "patience must not exceed max_epochs"),
     (TrainConfig(), "learning_rate", np.inf,
-     "learning_rate must be positive and finite"),
+     "learning_rate must be a finite number > 0, got inf"),
     (AttributionConfig(), "output", "odds",
      "output must be one of ('logit', 'probability')"),
     (AttributionConfig(), "baseline", np.array([0.0, np.nan]),
-     "baseline contains non-finite values"),
+     f"baseline[1] must be a finite number, got {np.float64(np.nan)!r}"),
     *((AttributionConfig(), "target_class", target,
        f"target_class must be an int >= 0, got {target!r}")
       for target in (1.5, True, "1", -1)),
@@ -726,8 +727,9 @@ def test_nonfinite_baseline_is_rejected(value):
     stack = random_relu_net(13)
     baseline = np.zeros(6)
     baseline[2] = value
+    message = f"baseline[2] must be a finite number, got {np.float64(value)!r}"
     for target in (None, 0):
-        with pytest.raises(InputError, match="non-finite"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             config = AttributionConfig(baseline=baseline, target_class=target)
             integrated_gradients(stack, np.ones(6), config)
 

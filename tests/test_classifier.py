@@ -170,7 +170,7 @@ def test_graph_wiring_validation():
     ({"hidden_dim": -1}, "hidden must be an int >= 1, got -1"),
     ({"with_bottleneck": False, "vocab_size": 1}, "vocab_size must be an int >= 2, got 1"),
     ({"with_bottleneck": False, "temperature": -1.0},
-     "temperature must be positive and finite, got -1.0"),
+     "temperature must be a finite number > 0, got -1.0"),
     ({"seed": -1}, "seed must be an int >= 0, got -1"),
     ({"seed": -2}, "seed must be an int >= 0, got -2"),
     ({"seed": 1.0}, "seed must be an int >= 0, got 1.0"),
@@ -640,7 +640,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     # json reads 1e999 as inf
     for rate in (math.inf, math.nan):
-        with pytest.raises(InputError, match="learning_rate must be positive and finite"):
+        with pytest.raises(InputError, match=f"^learning_rate must be a finite number "
+                                             f"> 0, got {rate!r}$"):
             TrainConfig(learning_rate=rate)
     with pytest.raises(InputError):
         TrainConfig(batch_size=0)
@@ -859,11 +860,11 @@ def test_checkpoint_version_and_corruption_errors():
 @pytest.mark.parametrize("key, value, message", [
     ("sampler_seed", 1.5, "sampler seed must be an int >= 0, got 1.5"),
     ("sampler_seed", True, "sampler seed must be an int >= 0, got True"),
-    ("temperature", True, "temperature must be positive and finite, got True"),
+    ("temperature", True, "temperature must be a finite number > 0, got True"),
     ("vocab_size", 5.0, "vocab_size must be an int >= 2, got 5.0"),
     ("vocab_size", True, "vocab_size must be an int >= 2, got True"),
     # json reads Infinity as a float
-    ("temperature", math.inf, "temperature must be positive and finite, got inf"),
+    ("temperature", math.inf, "temperature must be a finite number > 0, got inf"),
 ], ids=["sampler_seed-1.5", "sampler_seed-True", "temperature-True", "vocab_size-5.0",
         "vocab_size-True", "temperature-inf"])
 def test_checkpoint_sampler_fields_are_not_coerced(key, value, message):

@@ -219,6 +219,24 @@ def test_config_takes_an_int_for_a_float_option(tmp_path):
     assert (spec["mean_shift"], spec["noise_sigma"]) == (2, 1)
 
 
+@pytest.mark.parametrize("key, message", [
+    ("lr", "learning_rate must be a finite number > 0"),
+    ("temperature", "temperature must be a finite number > 0"),
+    ("mean_shift", "mean_shift must be a finite number"),
+    ("noise_sigma", "noise_sigma must be a finite number >= 0"),
+], ids=["lr", "temperature", "mean_shift", "noise_sigma"])
+def test_a_config_number_too_large_for_a_float_exits_2_before_any_output(
+        tmp_path, capsys, key, message):
+    # json reads an int of any size; 10**400 has no float64
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 10**400}))
+    out = tmp_path / "out"
+    assert run(["repro", "--out", str(out), "--config", str(config), *SMALL_GEN,
+                *SMALL_TRAIN]) == 2
+    assert capsys.readouterr().err == f"error: {message}, got {10**400}\n"
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"bogus_option": 1}))
@@ -308,6 +326,30 @@ def test_json_inputs_that_are_not_utf8_exit_2(tmp_path, capsys):
     assert run(["gen", "--out", str(tmp_path / "d"),
                 "--config", str(out / "checkpoint.json")]) == 2
     assert "invalid config JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "attribute"])
+def test_json_holding_an_int_too_long_to_read_exits_2_without_writing(tmp_path, capsys,
+                                                                    command):
+    # Python reads an int of at most get_int_max_str_digits() digits from text
+    import sys
+
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    if command == "gen":
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"seed": {digits}}}')
+        argv, what = ["gen", "--config", str(path)], "config"
+    else:
+        path = untrained_checkpoint(tmp_path, sampler_seed="DIGITS")
+        path.write_text(path.read_text().replace('"DIGITS"', digits))
+        argv = ["attribute", "--checkpoint", str(path),
+                "--test-csv", str(gen_small(tmp_path) / "test.csv")]
+        what = "checkpoint"
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert (f"error: {path}: invalid {what} JSON: Exceeds the limit"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_attribute_baseline_vector_flag(tmp_path):
@@ -515,19 +557,20 @@ def test_attribute_nonfinite_baseline_vector_exits_2_without_writing(tmp_path,
         "--test-csv", str(data / "test.csv"), "--out", str(tmp_path / "attr"),
         "--baseline-vector", ",".join(["nan"] + ["0"] * 27),
     ]) == 2
-    assert "baseline contains non-finite" in capsys.readouterr().err
+    assert (capsys.readouterr().err
+            == "error: baseline[0] must be a finite number, got nan\n")
     assert not (tmp_path / "attr").exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--lr", "-1", "learning_rate must be positive"),
+    ("--lr", "-1", "learning_rate must be a finite number > 0, got -1.0"),
     ("--hidden", "0", "hidden must be an int >= 1, got 0"),
     ("--baseline-vector", "1,2", "baseline vector has 2 entries"),
     ("--vocab", "1", "vocab_size must be an int >= 2, got 1"),
     ("--test-samples", "3", "test_samples must be an int >= 4, got 3"),
     ("--label-column", "f0", "label column 'f0' names a feature"),
-    ("--mean-shift", "nan", "mean_shift must be finite"),
-    ("--temperature", "inf", "temperature must be positive and finite"),
+    ("--mean-shift", "nan", "mean_shift must be a finite number, got nan"),
+    ("--temperature", "inf", "temperature must be a finite number > 0, got inf"),
     ("--noise-sigma", "1e308", "train features overflow"),
     ("--baseline-vector", "1_000", "must be 'zero' or comma-separated numbers"),
     ("--baseline-vector", "\u0661", "must be 'zero' or comma-separated numbers"),
@@ -545,7 +588,7 @@ def test_repro_checks_every_option_before_any_output(tmp_path, capsys, flag, val
 
 @pytest.mark.parametrize("flags, message", [
     (("--model", "baseline", "--vocab", "1"), "vocab_size must be an int >= 2, got 1"),
-    (("--temperature", "inf"), "temperature must be positive and finite"),
+    (("--temperature", "inf"), "temperature must be a finite number > 0, got inf"),
 ], ids=["baseline-vocab", "temperature"])
 def test_train_checks_the_model_options_before_any_output(tmp_path, capsys, flags,
                                                           message):
@@ -1025,7 +1068,7 @@ def test_repro_writes_the_trees_of_its_stages(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--lr", "-1", "learning_rate must be positive"),
+    ("--lr", "-1", "learning_rate must be a finite number > 0, got -1.0"),
     ("--baseline-vector", "1,2", "baseline vector has 2 entries"),
 ], ids=["lr", "baseline-vector"])
 def test_repro_checks_the_options_before_training(tmp_path, capsys, monkeypatch,
@@ -1103,32 +1146,121 @@ def fuzz_inputs(tmp_path_factory):
     }
 
 
+def run_fuzzed(argv, out):
+    """Run the command line argv with --out out: the exit is 0, 2 or 3, and
+    a failed run leaves no out."""
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects flag text of the wrong type
+        code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert out.exists() == (code == 0)
+
+
+def fuzz_options(fuzz_inputs, command, kind, flag_text, config_value, data):
+    """`run_fuzzed` on `command` with up to two of its options of type kind
+    drawn as flag text and up to two as --config values, over the command's
+    base config. A flag is passed as --name=text, so that text such as
+    -inf reaches the option and is not read as a flag."""
+    base, inputs = fuzz_inputs
+    options, config = FUZZED[command]
+    names = st.sampled_from(sorted(name for name, (default, _) in options.items()
+                                   if type(default) is kind))
+    flags = data.draw(st.dictionaries(names, flag_text, max_size=2), label="flags")
+    in_file = data.draw(st.dictionaries(names, config_value, max_size=2),
+                        label="config")
+    run_dir = Path(tempfile.mkdtemp(dir=base))
+    try:
+        (run_dir / "config.json").write_text(json.dumps({**config, **in_file}))
+        run_fuzzed([command, "--config", str(run_dir / "config.json"),
+                    *inputs[command],
+                    *(f"--{name.replace('_', '-')}={text}"
+                      for name, text in flags.items())],
+                   run_dir / "out")
+    finally:
+        shutil.rmtree(run_dir)
+
+
 @pytest.mark.parametrize("command", sorted(FUZZED))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_any_int_option_value_exits_0_2_or_3_and_a_failure_writes_nothing(
         fuzz_inputs, command, data):
+    fuzz_options(fuzz_inputs, command, int, FLAG_TEXT, CONFIG_VALUE, data)
+
+
+# The float options' values a fuzzed run draws: any float, NaN and the
+# infinities included, and text that is no number; in a --config file also
+# ints, an int too large for a float, and values of other types.
+FLOAT_FLAG_TEXT = st.one_of(st.floats().map(repr), st.sampled_from(["x", "nan"]))
+FLOAT_CONFIG_VALUE = st.one_of(st.floats(), st.integers(), st.just(10**400),
+                               st.sampled_from([True, "1", None, []]))
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_float_option_value_exits_0_2_or_3_and_a_failure_writes_nothing(
+        fuzz_inputs, command, data):
+    import numpy as np
+
+    # a huge learning rate or a tiny temperature diverges, and numpy warns
+    # of the overflow before the run exits 3
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fuzz_options(fuzz_inputs, command, float, FLOAT_FLAG_TEXT,
+                     FLOAT_CONFIG_VALUE, data)
+
+
+# What a fuzzed edit of a CSV inserts or writes over: the CSV syntax, a NUL,
+# a byte that is no UTF-8, and text that reads as no finite number or turns
+# a number into another.
+CSV_BYTES = st.sampled_from([b",", b"\n", b"\r", b'"', b"\x00", b"\xff", b"nan",
+                             b"inf", b"-", b"e", b".", b"9"])
+
+
+def edit_bytes(data, content):
+    """content after one to three edits drawn from data, each inserting,
+    writing over or deleting bytes at a drawn position."""
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        at = data.draw(st.integers(0, len(content)), label="at")
+        kind = data.draw(st.sampled_from(["insert", "replace", "delete"]), label="kind")
+        if kind == "delete":
+            piece, cut = b"", data.draw(st.integers(1, 8), label="deleted")
+        else:
+            piece = data.draw(CSV_BYTES, label="bytes")
+            cut = len(piece) if kind == "replace" else 0
+        content = content[:at] + piece + content[at + cut:]
+    return content
+
+
+@pytest.mark.parametrize("command", ["attribute", "train"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_byte_edit_of_a_csv_exits_0_2_or_3_and_a_failure_writes_nothing(
+        fuzz_inputs, command, data):
+    import numpy as np
+
     base, inputs = fuzz_inputs
-    options, config = FUZZED[command]
-    names = st.sampled_from(sorted(name for name, (default, _) in options.items()
-                                   if type(default) is int))
-    flags = data.draw(st.dictionaries(names, FLAG_TEXT, max_size=2), label="flags")
-    in_file = data.draw(st.dictionaries(names, CONFIG_VALUE, max_size=2),
-                        label="config")
+    source = Path(inputs["train"][1])
+    split = "test" if command == "attribute" else data.draw(
+        st.sampled_from(["train", "val", "test"]), label="split")
     run_dir = Path(tempfile.mkdtemp(dir=base))
     try:
-        (run_dir / "config.json").write_text(json.dumps({**config, **in_file}))
-        out = run_dir / "out"
-        argv = [command, "--out", str(out), "--config", str(run_dir / "config.json"),
-                *inputs[command]]
-        for name, text in flags.items():
-            argv += ["--" + name.replace("_", "-"), text]
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects flag text that is no int
-            code = exc.code
-        event(f"exit {code}")
-        assert code in (0, 2, 3)
-        assert out.exists() == (code == 0)
+        shutil.copytree(source, run_dir / "data")
+        edited = run_dir / "data" / f"{split}.csv"
+        edited.write_bytes(edit_bytes(data, edited.read_bytes()))
+        config = run_dir / "config.json"
+        config.write_text(json.dumps(FUZZED[command][1]))
+        argv = [command, "--config", str(config)]
+        if command == "train":
+            argv += ["--data", str(run_dir / "data")]
+        else:
+            argv += [inputs["attribute"][0], inputs["attribute"][1],
+                     "--test-csv", str(edited)]
+        # an edit can make a feature huge but finite, and training on it
+        # diverges, as a huge learning rate does
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            run_fuzzed(argv, run_dir / "out")
     finally:
         shutil.rmtree(run_dir)

@@ -113,10 +113,12 @@ def test_spec_validation():
     generate_synthetic(SynthSpec(test_samples=4))
     with pytest.raises(InputError):
         generate_synthetic(SynthSpec(noise_sigma=-1.0))
-    with pytest.raises(InputError, match="noise_sigma must be finite"):
+    with pytest.raises(InputError,
+                       match=r"^noise_sigma must be a finite number >= 0, got inf$"):
         generate_synthetic(SynthSpec(noise_sigma=np.inf))
     for shift in (np.nan, -np.inf):
-        with pytest.raises(InputError, match="mean_shift must be finite"):
+        with pytest.raises(InputError,
+                           match=f"^mean_shift must be a finite number, got {shift!r}$"):
             generate_synthetic(SynthSpec(mean_shift=shift))
     with pytest.raises(InputError, match="seed"):
         generate_synthetic(SynthSpec(seed=-1))

@@ -1,0 +1,40 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# a package's __init__ imports names to re-export them
+MODULES = sorted(path for directory in ("src/emlang", "tools")
+                 for path in (ROOT / directory).glob("*.py")
+                 if path.name != "__init__.py")
+
+
+def unused_imports(source):
+    """The names that the module source imports and never reads, with the
+    line of each import. `import a.b` binds a; `from __future__` binds
+    nothing."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_finds_each_name_never_read():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport os.path\nimport numpy as np\n"
+              "from .nn import check_int, is_int as whole\n"
+              "def f(x: np.ndarray):\n    return os.path.join(x, whole(x))\n")
+    assert unused_imports(source) == [(2, "math"), (5, "check_int")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []

@@ -379,3 +379,61 @@ def test_every_count_seed_and_index_is_an_int_with_one_message(owner, name, leas
             call(value)
     # numpy's ints are ints
     call(np.int64(4))
+
+
+# The smallest int that does not fit in a finite float64: it and every int
+# above it round to 2**1024.
+FLOAT64_OVERFLOW = 2**1024 - 2**970
+
+# (what checks it, the name in its message, the range in its message, the
+# nearest value outside the range, the least value inside it, a call that
+# passes it the value)
+REAL_FIELDS = [
+    ("TrainConfig", "learning_rate", " > 0", 0.0, 5e-324,
+     lambda v: TrainConfig(learning_rate=v)),
+    ("SynthSpec", "mean_shift", "", -FLOAT64_OVERFLOW, -FLOAT64_OVERFLOW + 1,
+     lambda v: SynthSpec(mean_shift=v)),
+    ("SynthSpec", "noise_sigma", " >= 0", -5e-324, 0,
+     lambda v: SynthSpec(noise_sigma=v)),
+    ("GumbelSoftmaxSampler", "temperature", " > 0", 0.0, 5e-324,
+     lambda v: GumbelSoftmaxSampler(5, temperature=v)),
+    ("build_model", "temperature", " > 0", 0, 5e-324,
+     lambda v: build_model(28, 4, 5, 3, temperature=v)),
+    ("AttributionConfig", "baseline[1]", "", FLOAT64_OVERFLOW, FLOAT64_OVERFLOW - 1,
+     lambda v: AttributionConfig(baseline=[0.0, v])),
+]
+
+
+@pytest.mark.parametrize("owner, name, bound, outside, least, call", REAL_FIELDS,
+                         ids=[f"{owner}-{name}" for owner, name, *_ in REAL_FIELDS])
+def test_every_real_number_is_a_finite_number_with_one_message(owner, name, bound,
+                                                               outside, least, call):
+    # a bool, a string or None is never read as a number, nor is anything
+    # that is not a finite float64 (10**400 among them) or lies outside
+    # the field's range
+    for value in (True, "1", None, np.nan, np.inf, -np.inf, 10**400, outside):
+        message = f"{name} must be a finite number{bound}, got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call(value)
+    # numpy's floats, plain ints and the range's edge are numbers
+    for value in (np.float32(0.5), 3, least):
+        call(value)
+
+
+def test_a_real_setting_keeps_the_value_it_was_given():
+    assert type(SynthSpec(mean_shift=2).mean_shift) is int
+    assert type(SynthSpec(noise_sigma=np.float32(0.5)).noise_sigma) is np.float32
+    assert type(TrainConfig(learning_rate=1).learning_rate) is int
+
+
+def test_a_baseline_holds_numbers_only():
+    # each entry is checked before any conversion, which would read "1" as
+    # 1.0 and True as 1.0
+    for baseline, got in ((["1", "2"], "'1'"), ((True, False), "True"),
+                          (np.array([True, False]), repr(np.True_))):
+        message = f"baseline[0] must be a finite number, got {got}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            AttributionConfig(baseline=baseline)
+    config = AttributionConfig(baseline=[1, np.float32(0.5), np.int64(-2)])
+    assert config.baseline == (1.0, 0.5, -2.0)
+    assert all(type(value) is float for value in config.baseline)
