@@ -307,6 +307,7 @@ def _probability_upstream(logits, rises, targets):
     return up.T
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def attribute_block(stack, xs, baseline, targets, output="logit", layer=None,
                     units=None):
     """Path attributions for every row of xs in one batched pass.
@@ -315,8 +316,9 @@ def attribute_block(stack, xs, baseline, targets, output="logit", layer=None,
     None, and otherwise the conductance of unit units[i] of hidden layer
     `layer`. Both outputs are integrated exactly over the relu segments of
     each path. Takes its arguments as checked: the public entry points
-    validate them. Raises NumericalError on a non-finite output, and when
-    the probability output would need more than MAX_PIECES pieces.
+    validate them. Raises NumericalError, with no numpy warning, on a
+    non-finite output, and when the probability output would need more than
+    MAX_PIECES pieces.
     """
     n = xs.shape[0]
     diff = xs - baseline

@@ -10,7 +10,8 @@ with every layer's weights and bias packed into one flat vector so each batch
 is one optimizer step: `ModelGraph.forward` takes each batch's Gumbel noise,
 which `train` draws from the sampler's seed, and returns an explicit `Tape`;
 the backward writes every layer's gradients straight into its views of one
-flat gradient vector. Training and validation score their batches in one
+flat gradient vector, which one `AdamState` binds with the parameter vector
+for the whole call. Training and validation score their batches in one
 walk, `_batch_losses`, which runs `forward` and the loss on each batch; on a
 symbol model the validation noise is drawn once per `train` call. Early
 stopping restores the parameters of the best validation epoch.
@@ -140,12 +141,13 @@ class ModelGraph:
         logits = stack_forward(self.receiver, h, receiver)
         return logits, Tape(sender, channel, receiver)
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def decode(self, x):
         """(logits, symbols) without noise, DECODE_ROWS rows at a time: the
         receiver reads the one-hot of each row's argmax sender logit, and
         symbols is that int array, or None without a bottleneck. A
         non-finite sender logit on any row raises NumericalError before a
-        non-finite class logit on any row does."""
+        non-finite class logit on any row does, with no numpy warning."""
         x = self._rows(x)
         logits = np.empty((x.shape[0], self.num_classes))
         symbols = None if self.bottleneck is None else np.empty(x.shape[0], np.intp)
@@ -306,20 +308,21 @@ def _check_split(model, ds):
         )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(model, train_set, val_set, config):
     """Mini-batch Adam with per-epoch validation and early stopping.
 
     Returns a TrainLog; the model is left holding the best-validation-epoch
     parameters as views into one flat vector. Both splits are checked once,
     up front; raises NumericalError (naming the epoch) on a non-finite logit
-    or loss. Every random stream starts here, so equal weights and config
-    train to equal results.
+    or loss, with no numpy warning ahead of it. Every random stream starts
+    here, so equal weights and config train to equal results.
     """
     _check_split(model, train_set)
     _check_split(model, val_set)
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
     params, grads, grad_views = _pack(model)
-    state = AdamState(params, learning_rate=config.learning_rate)
+    state = AdamState(params, grads, learning_rate=config.learning_rate)
     # each batch's noise comes from the sampler's seed; the validation noise
     # is drawn once per call, so losses compare across epochs
     draw = val_noise = None
@@ -348,7 +351,7 @@ def train(model, train_set, val_set, config):
                 running += loss * rows
                 model.backward(tape, dlogits, grad_views)
                 del tape  # before the next batch's forward
-                adam_step(state, params, grads)
+                adam_step(state)
             val_loss = dataset_loss(model, val_set, config.batch_size, val_noise)
             if not math.isfinite(val_loss):
                 raise NumericalError("non-finite validation loss")

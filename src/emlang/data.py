@@ -108,11 +108,13 @@ def _balanced_labels(n, num_classes):
     return np.repeat(np.arange(num_classes), counts)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def generate_synthetic(spec):
     """Deterministic (train, val, test) datasets per the block-Gaussian spec.
     Class names carry the index zero-padded to one width, so that their
     sorted order, in which `load_csv` numbers them, is index order. A spec
-    whose features overflow to a non-finite value is an InputError."""
+    whose features overflow to a non-finite value is an InputError, with no
+    numpy warning."""
     width = len(str(spec.num_classes - 1))
     class_names = [f"class{c:0{width}d}" for c in range(spec.num_classes)]
     splits = []
@@ -125,11 +127,10 @@ def generate_synthetic(spec):
         rng = np.random.default_rng([spec.seed, split_index])
         labels = _balanced_labels(n, spec.num_classes)
         rng.shuffle(labels)
-        features = rng.normal(0.0, spec.noise_sigma, size=(n, spec.feature_dim))
-        cols = np.arange(spec.block_size)
-        for k in range(spec.num_classes):
-            rows = labels == k
-            features[np.ix_(rows, k * spec.block_size + cols)] += spec.mean_shift
+        # numpy rejects a scale of -0.0, which the spec's noise_sigma >= 0 allows
+        features = rng.normal(0.0, abs(spec.noise_sigma), size=(n, spec.feature_dim))
+        blocks = features.reshape(n, spec.num_classes, spec.block_size)
+        blocks[np.arange(n), labels] += spec.mean_shift
         if not np.all(np.isfinite(features)):
             raise InputError(
                 f"{tag} features overflow: noise_sigma {spec.noise_sigma} and "

@@ -3,17 +3,20 @@
 Everything runs on plain numpy arrays, batch-first and float64, and nothing
 is cached between calls: ``stack_forward`` records what ``stack_backward``
 needs on a tape the caller passes, and the backward writes gradients into
-arrays the caller owns. ``adam_step`` updates parameters and moments in
-place, so one call steps every layer whose weights are views into a shared
-flat vector. An ``AdamState`` holds the moments, the step count and the
-learning rate; the decay rates and epsilon, which no caller varies, are the
+arrays the caller owns. An ``AdamState`` binds a flat float64 parameter
+vector and its gradient vector, checked once when it is made, with the
+moments, the step count and the learning rate; ``adam_step(state)`` then
+updates the parameters and moments in place, converting and checking
+nothing, so one call steps every layer whose weights are views into the
+bound vector. The decay rates and epsilon, which no caller varies, are the
 module constants ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
 
 The module also holds the package's one number rule: ``check_int`` checks
 every count, seed and index and ``check_real`` every real-valued setting,
-each with one message. ``is_int`` and ``is_real`` are their type tests, and
-neither ever reads a bool or a string as a number. The checks test values;
-they convert nothing, so a config keeps the value it was given.
+each with one message, which shows the value's ``repr``, or only the size
+of an int too long for one. ``is_int`` and ``is_real`` are their type tests,
+and neither ever reads a bool or a string as a number. The checks test
+values; they convert nothing, so a config keeps the value it was given.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ def as_f64(values):
     return np.asarray(values, dtype=np.float64)
 
 
+def _shown(value):
+    """repr(value) for a message, or the size of an int too long for repr:
+    by default Python prints no int of more than 4,300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def is_int(value):
     """Whether value is an int, numpy's included, and not a bool: a count or
     an index is never read from a bool, a fraction or a string."""
@@ -50,7 +62,7 @@ def check_int(name, value, least):
     """InputError unless value `is_int` and is at least `least`: the one
     rule, and the one message, for every count, seed and index."""
     if not (is_int(value) and value >= least):
-        raise InputError(f"{name} must be an int >= {least}, got {value!r}")
+        raise InputError(f"{name} must be an int >= {least}, got {_shown(value)}")
 
 
 def is_real(value):
@@ -68,7 +80,7 @@ def check_real(name, value, least=-math.inf, strict=False):
         fits = False
     if not (fits and (value > least if strict else value >= least)):
         bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least}"
-        raise InputError(f"{name} must be a finite number{bound}, got {value!r}")
+        raise InputError(f"{name} must be a finite number{bound}, got {_shown(value)}")
 
 
 def glorot_uniform(rng, fan_out, fan_in):
@@ -215,40 +227,35 @@ def cross_entropy(logits, labels):
 
 
 class AdamState:
-    """Adam moments, step count and learning rate for one parameter tensor,
-    with two scratch tensors of the same shape that `adam_step` computes in."""
+    """Adam's update of one float64 parameter vector from its gradient
+    vector: binds both, checked once, with the moments, the step count, the
+    learning rate and two scratch arrays of their shape that `adam_step`
+    computes in. The caller writes each step's gradient into the bound
+    `grads` before it calls `adam_step`."""
 
-    def __init__(self, param, learning_rate=1e-3):
-        param = as_f64(param)
-        self.first_moment = np.zeros_like(param)
-        self.second_moment = np.zeros_like(param)
-        self.scratch = (np.empty_like(param), np.empty_like(param))
+    def __init__(self, params, grads, learning_rate=1e-3):
+        if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                    for a in (params, grads)) and params.shape == grads.shape):
+            raise InputError("params and grads must be float64 arrays of one shape")
+        self.params, self.grads = params, grads
+        self.first_moment = np.zeros_like(params)
+        self.second_moment = np.zeros_like(params)
+        self.scratch = (np.empty_like(params), np.empty_like(params))
         self.step_count = 0
         self.learning_rate = learning_rate
 
 
-def adam_step(state, params, grads):
-    """One bias-corrected Adam update, in place.
+def adam_step(state):
+    """One bias-corrected Adam update of the state's parameters from its
+    gradients, in place; the state's own checks are all it needs.
 
-    Overwrites `params` (when it is already a float64 array) and the moments
-    in `state`, and returns `params`. Elementwise, so one call on a flat
-    vector equals separate calls on any split of it, bit for bit. Every
-    intermediate goes to the state's scratch tensors, so a step allocates no
-    array of the parameters' size.
+    Elementwise, so one call on a flat vector equals separate calls on any
+    split of it, bit for bit. Every intermediate goes to the state's scratch
+    arrays, so a step allocates no array of the parameters' size.
     """
-    params = as_f64(params)
-    grads = as_f64(grads)
-    if params.shape != state.first_moment.shape:
-        raise InputError(
-            f"params shape {params.shape} does not match state "
-            f"{state.first_moment.shape}"
-        )
-    if grads.shape != params.shape:
-        raise InputError(
-            f"grads shape {grads.shape} does not match params {params.shape}"
-        )
     state.step_count += 1
     t = state.step_count
+    params, grads = state.params, state.grads
     m, v = state.first_moment, state.second_moment
     a, b = state.scratch
     # in place, in the elementwise order of the textbook update, so the
@@ -269,4 +276,3 @@ def adam_step(state, params, grads):
     b += ADAM_EPS
     a /= b
     params -= a
-    return params

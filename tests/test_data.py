@@ -127,9 +127,22 @@ def test_spec_validation():
 def test_generate_synthetic_rejects_overflowing_features():
     with pytest.raises(InputError, match="train features overflow"):
         generate_synthetic(SynthSpec(noise_sigma=1e308))
+    # and without a numpy RuntimeWarning, which the suite makes an error,
+    # when the mean shift overflows finite noise
+    with pytest.raises(InputError, match="train features overflow"):
+        generate_synthetic(SynthSpec(noise_sigma=1e307, mean_shift=1.7e308))
     # large but finite features are generated
     train, _, _ = generate_synthetic(SynthSpec(noise_sigma=0.0, mean_shift=1e308))
     assert train.features.max() == 1e308
+
+
+def test_a_noise_sigma_of_negative_zero_is_no_noise():
+    # -0.0 >= 0 passes the spec's check, so it must not reach numpy's
+    # normal, which rejects a scale whose sign bit is set
+    for signed, unsigned in zip(generate_synthetic(SynthSpec(noise_sigma=-0.0)),
+                                generate_synthetic(SynthSpec(noise_sigma=0.0))):
+        assert signed.features.tobytes() == unsigned.features.tobytes()
+        np.testing.assert_array_equal(signed.labels, unsigned.labels)
 
 
 def test_twelve_classes_keep_their_labels_and_names_through_csv(tmp_path):

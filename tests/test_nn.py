@@ -197,22 +197,23 @@ def test_cross_entropy_empty_batch():
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = np.array([1.0, -2.0, 3.0])
-    state = AdamState(params)
-    out = params
+    start = params.copy()
+    state = AdamState(params, np.zeros(3))
     for _ in range(5):
-        out = adam_step(state, out, np.zeros(3))
-    np.testing.assert_array_equal(out, params)
+        adam_step(state)
+    np.testing.assert_array_equal(params, start)
     np.testing.assert_array_equal(state.first_moment, np.zeros(3))
     np.testing.assert_array_equal(state.second_moment, np.zeros(3))
 
 
 def test_adam_moments_decay_toward_zero_without_signal():
-    params = np.zeros(2)
-    state = AdamState(params)
-    params = adam_step(state, params, np.array([1.0, -1.0]))
+    grads = np.array([1.0, -1.0])
+    state = AdamState(np.zeros(2), grads)
+    adam_step(state)
     m1 = np.abs(state.first_moment).copy()
     v1 = state.second_moment.copy()
-    adam_step(state, params, np.zeros(2))
+    grads[...] = 0.0
+    adam_step(state)
     assert np.all(np.abs(state.first_moment) < m1)
     assert np.all(state.second_moment < v1)
     assert np.all(state.second_moment >= 0.0)
@@ -222,9 +223,9 @@ def test_adam_first_step_is_signed_learning_rate():
     # at t=1 the bias-corrected update is -lr * g / (|g| + eps) ~ -lr * sign(g)
     params = np.zeros(3)
     grads = np.array([0.5, -2.0, 10.0])
-    state = AdamState(params, learning_rate=1e-3)
-    out = adam_step(state, params, grads)
-    np.testing.assert_allclose(out, -1e-3 * np.sign(grads), atol=1e-9)
+    state = AdamState(params, grads, learning_rate=1e-3)
+    adam_step(state)
+    np.testing.assert_allclose(params, -1e-3 * np.sign(grads), atol=1e-9)
 
 
 def _out_of_place_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -252,18 +253,24 @@ def test_fused_adam_on_flat_vector_equals_per_tensor_steps(data):
     grad_steps = data.draw(arrays(np.float64, (steps, size), elements=finite),
                            label="grads")
 
-    flat = params.copy()
-    state = AdamState(flat, learning_rate=lr)
+    # as `train` steps: each step's gradient is written into the bound vector
+    flat, flat_grads = params.copy(), np.empty(size)
+    state = AdamState(flat, flat_grads, learning_rate=lr)
     for g in grad_steps:
-        assert adam_step(state, flat, g) is flat  # updated in place
+        flat_grads[...] = g
+        assert adam_step(state) is None  # updated in place
+    assert state.params is flat
     assert state.step_count == steps
 
-    pieces = [p.copy() for p in np.split(params, cuts)]
-    states = [AdamState(p, learning_rate=lr) for p in pieces]
+    # one state per piece, each bound to views of one pair of vectors
+    split, split_grads = params.copy(), np.empty(size)
+    states = [AdamState(piece, piece_grads, learning_rate=lr) for piece, piece_grads
+              in zip(np.split(split, cuts), np.split(split_grads, cuts))]
     for g in grad_steps:
-        for piece, piece_state, piece_grad in zip(pieces, states, np.split(g, cuts)):
-            adam_step(piece_state, piece, piece_grad)
-    assert np.array_equal(flat, np.concatenate(pieces))
+        split_grads[...] = g
+        for piece_state in states:
+            adam_step(piece_state)
+    assert np.array_equal(flat, split)
     assert np.array_equal(state.first_moment,
                           np.concatenate([s.first_moment for s in states]))
     assert np.array_equal(state.second_moment,
@@ -280,11 +287,11 @@ def test_adam_step_allocates_no_parameter_sized_temporary():
 
     params = np.zeros(19_240)  # the default study's parameter count
     grads = np.random.default_rng(8).normal(size=params.size)
-    state = AdamState(params)
-    adam_step(state, params, grads)
+    state = AdamState(params, grads)
+    adam_step(state)
     tracemalloc.start()
     try:
-        adam_step(state, params, grads)
+        adam_step(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -292,16 +299,27 @@ def test_adam_step_allocates_no_parameter_sized_temporary():
 
 
 def test_adam_default_learning_rate():
-    state = AdamState(np.zeros(1))
+    state = AdamState(np.zeros(1), np.zeros(1))
     assert state.learning_rate == 1e-3
 
 
-def test_adam_shape_mismatch():
-    state = AdamState(np.zeros(3))
-    with pytest.raises(InputError):
-        adam_step(state, np.zeros(4), np.zeros(4))
-    with pytest.raises(InputError):
-        adam_step(state, np.zeros(3), np.zeros(4))
+@pytest.mark.parametrize("params, grads", [
+    ([0.0, 0.0, 0.0], np.zeros(3)),
+    (np.zeros(3), [0.0, 0.0, 0.0]),
+    (np.zeros(3, dtype=np.float32), np.zeros(3)),
+    (np.zeros(3), np.zeros(3, dtype=np.float32)),
+    (np.float64(0.0), np.float64(0.0)),
+    (np.zeros(4), np.zeros(4)[None, :]),
+    (np.zeros(3), np.zeros(4)),
+], ids=["list-params", "list-grads", "float32-params", "float32-grads",
+        "scalars", "2d-grads", "shape-mismatch"])
+def test_adam_state_binds_only_float64_arrays_of_one_shape(params, grads):
+    # adam_step updates the bound arrays in place and checks nothing, so a
+    # list or a float32 array, which it would step a converted copy of, and
+    # a gradient of another shape are rejected once, here
+    message = "params and grads must be float64 arrays of one shape"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        AdamState(params, grads)
 
 
 def test_operations_deterministic():
@@ -377,6 +395,10 @@ def test_every_count_seed_and_index_is_an_int_with_one_message(owner, name, leas
         message = f"{name} must be an int >= {least}, got {value!r}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             call(value)
+    # an int too long for repr is shown by its size
+    message = f"{name} must be an int >= {least}, got an int of 16610 bits"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(-10**5000)
     # numpy's ints are ints
     call(np.int64(4))
 
@@ -415,6 +437,10 @@ def test_every_real_number_is_a_finite_number_with_one_message(owner, name, boun
         message = f"{name} must be a finite number{bound}, got {value!r}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             call(value)
+    # an int too long for repr is shown by its size
+    message = f"{name} must be a finite number{bound}, got an int of 16610 bits"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(10**5000)
     # numpy's floats, plain ints and the range's edge are numbers
     for value in (np.float32(0.5), 3, least):
         call(value)
