@@ -364,12 +364,14 @@ def attribute_block(stack, xs, baseline, targets, output="logit", layer=None,
     return diff * np.add.reduceat(g, starts, axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _decode(model, stack, xs, config):
     """(symbols, targets) of the rows xs. symbols are those `decode` picks,
     or None for a bare layer list; each target is config.target_class, or by
     default the class the model predicts: the argmax of `decode`'s logits on
     a ModelGraph, the noise-free decode `evaluate` reports, and the stack's
-    argmax on a bare layer list."""
+    argmax on a bare layer list, whose non-finite output raises
+    NumericalError with no numpy warning."""
     target = config.target_class
     if target is not None and target >= stack[-1].out_dim:
         raise InputError(
@@ -442,21 +444,18 @@ class ConductanceReport:
 
     symbols: list[int]
     counts: list[int]
-    matrix: np.ndarray  # [num_symbols, input_dim]
-    feature_labels: list[str]
+    matrix: np.ndarray  # [num_symbols, input_dim], columns in the dataset's order
 
     def dominant_blocks(self, block_size):
-        """Per symbol: (block index with the largest mean |attribution|,
-        that block's share of the total across blocks)."""
+        """Per symbol: (block index with the largest mean |attribution|, the
+        lowest on a tie, and that block's share of the total across blocks,
+        0.0 where the total is 0)."""
         num_blocks = check_block_layout(self.matrix.shape[1], block_size)
-        out = []
-        for row in np.abs(self.matrix):
-            scores = row.reshape(num_blocks, block_size).mean(axis=1)
-            total = scores.sum()
-            best = int(np.argmax(scores))
-            share = float(scores[best] / total) if total > 0 else 0.0
-            out.append((best, share))
-        return out
+        scores = np.abs(self.matrix).reshape(-1, num_blocks, block_size).mean(axis=2)
+        totals = scores.sum(axis=1)
+        shares = np.divide(scores.max(axis=1), totals, out=np.zeros_like(totals),
+                           where=totals > 0)
+        return list(zip(np.argmax(scores, axis=1).tolist(), shares.tolist()))
 
 
 def per_symbol_report(model, dataset, config):
@@ -499,7 +498,6 @@ def per_symbol_report(model, dataset, config):
         symbols=used.tolist(),
         counts=counts[used].tolist(),
         matrix=sums[used] / counts[used, None],
-        feature_labels=list(dataset.feature_names),
     )
 
 

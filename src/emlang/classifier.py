@@ -205,15 +205,24 @@ def build_model(
                                    seed=seed + _SAMPLER_STREAM)
     check_int("hidden", hidden_dim, 1)
     rng = np.random.default_rng(seed)
-    sender = [
-        DenseLayer.init(rng, input_dim, hidden_dim, "relu"),
-        DenseLayer.init(rng, hidden_dim, hidden_dim, "relu"),
-        DenseLayer.init(rng, hidden_dim, vocab_size, "identity"),
-    ]
-    receiver = [
-        DenseLayer.init(rng, vocab_size, hidden_dim, "relu"),
-        DenseLayer.init(rng, hidden_dim, num_classes, "identity"),
-    ]
+    try:
+        sender = [
+            DenseLayer.init(rng, input_dim, hidden_dim, "relu"),
+            DenseLayer.init(rng, hidden_dim, hidden_dim, "relu"),
+            DenseLayer.init(rng, hidden_dim, vocab_size, "identity"),
+        ]
+        receiver = [
+            DenseLayer.init(rng, vocab_size, hidden_dim, "relu"),
+            DenseLayer.init(rng, hidden_dim, num_classes, "identity"),
+        ]
+    except InputError:
+        raise
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # no upper bound is set on either count: numpy's (or the float
+        # conversion's) refusal is the only one
+        raise InputError(
+            f"hidden and vocab_size make a layer too large to allocate: {exc}"
+        ) from None
     return ModelGraph(sender, receiver, channel if with_bottleneck else None)
 
 
@@ -382,14 +391,10 @@ def macro_f1(labels, predictions, num_classes):
     """Unweighted mean of per-class F1; a class absent from both truth and
     prediction contributes 0."""
     cm = confusion_matrix(labels, predictions, num_classes)
-    scores = []
-    for c in range(num_classes):
-        tp = cm[c, c]
-        fp = cm[:, c].sum() - tp
-        fn = cm[c, :].sum() - tp
-        denom = 2 * tp + fp + fn
-        scores.append(2.0 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(scores))
+    # 2 tp + fp + fn is a class's column sum plus its row sum; where that is
+    # 0, tp is 0 too and the class scores 0.0
+    denom = cm.sum(axis=0) + cm.sum(axis=1)
+    return float(np.mean(2.0 * np.diag(cm) / np.maximum(denom, 1)))
 
 
 def evaluate(model, test_set):

@@ -319,7 +319,7 @@ def _attribute_run(opts, checkpoint, test_set, test_csv):
     ]
     return {
         "config.json": opts,
-        "conductance.csv": (["symbol", "count", *report.feature_labels],
+        "conductance.csv": (["symbol", "count", *test_set.feature_names],
                             [[symbol, count, *means.tolist()] for symbol, count, means
                              in zip(report.symbols, report.counts, report.matrix)]),
         "attribution_summary.json": {"symbols": summary},

@@ -16,6 +16,7 @@ from emlang.attribution import (
     OUTPUTS,
     PIECE_SPREAD,
     AttributionConfig,
+    ConductanceReport,
     attribute_block,
     attribution_stack,
     path_segments,
@@ -797,6 +798,22 @@ def test_probability_output_of_a_steep_segment_is_complete_in_bounded_memory():
     assert abs(attrib.sum() - (1.0 - 0.5)) <= 1e-12
 
 
+def test_a_bare_stack_that_overflows_raises_its_own_error_alone():
+    # the default target is the argmax of the stack's own forward, which
+    # overflows on this input before any path is walked
+    import warnings
+
+    stack = [DenseLayer(np.full((3, 2), 1e308), np.zeros(3), "relu"),
+             DenseLayer(np.ones((2, 3)), np.zeros(2), "identity")]
+    x = np.array([10.0, 10.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^non-finite network output"):
+            integrated_gradients(stack, x, AttributionConfig())
+        with pytest.raises(NumericalError, match="^non-finite network output"):
+            neuron_conductance(stack, x, (0, 1), AttributionConfig())
+
+
 @pytest.mark.parametrize("gain", [1e12, 1e308], ids=["too-many-pieces", "inf"])
 def test_probability_output_too_steep_to_integrate_raises(gain):
     stack, x = steep_line(gain)
@@ -909,6 +926,50 @@ def test_per_symbol_report_finds_informative_blocks():
         with pytest.raises(InputError,
                            match=f"^block_size must be an int >= 1, got {size}$"):
             report.dominant_blocks(size)
+
+
+def loop_dominant_blocks(matrix, block_size):
+    """The per-row loop that `ConductanceReport.dominant_blocks` computes with
+    array reductions, kept as its reference."""
+    num_blocks = matrix.shape[1] // block_size
+    out = []
+    for row in np.abs(matrix):
+        scores = row.reshape(num_blocks, block_size).mean(axis=1)
+        total = scores.sum()
+        best = int(np.argmax(scores))
+        out.append((best, float(scores[best] / total) if total > 0 else 0.0))
+    return out
+
+
+def _tied_rows():
+    rows = np.zeros((3, 12))
+    rows[0, [0, 6]] = 0.3  # blocks 0 and 2 of size 3 tie
+    rows[1, [4, 10, 11]] = [-0.25, 0.125, 0.125]  # blocks 1 and 3 tie
+    rows[2] = 1e-300  # every block ties
+    return rows
+
+
+def _scaled_rows():
+    rows = np.random.default_rng(5).normal(size=(40, 28))
+    return rows * 10.0 ** np.arange(-20, 20)[:, None]
+
+
+@pytest.mark.parametrize("matrix, block_size, expected", [
+    (np.vstack([np.zeros(8), np.arange(8.0)]), 2, [(0, 0.0), (3, 13 / 28)]),
+    (_tied_rows(), 3, [(0, 0.5), (1, 0.5), (0, 0.25)]),
+    # 28 blocks: numpy sums more than 8 values pairwise, in 8 partial sums
+    (_scaled_rows(), 1, None),
+], ids=["all-zero-row", "tied-blocks", "block-size-1"])
+def test_dominant_blocks_equal_the_per_row_loop_bit_for_bit(matrix, block_size,
+                                                            expected):
+    report = ConductanceReport(list(range(len(matrix))), [1] * len(matrix), matrix)
+    got = report.dominant_blocks(block_size)
+    want = loop_dominant_blocks(matrix, block_size)
+    assert [(block, share.hex()) for block, share in got] == [
+        (block, share.hex()) for block, share in want]
+    assert all(type(block) is int and type(share) is float for block, share in got)
+    if expected is not None:
+        assert got == expected
 
 
 def test_per_symbol_report_rejects_baseline():

@@ -188,6 +188,35 @@ def test_build_model_checks_its_arguments(kwargs, message):
         build_model(**{"input_dim": 28, "num_classes": 4, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs, refusal", [
+    ({"hidden_dim": 10**30}, "Maximum allowed dimension exceeded"),
+    ({"hidden_dim": 2**62}, "array is too big"),
+    ({"vocab_size": 10**30}, "Maximum allowed dimension exceeded"),
+    ({"vocab_size": 2**62}, "array is too big"),
+    # no float64 holds it, so the layer's Glorot limit fails first
+    ({"hidden_dim": 10**400}, "int too large to convert to float"),
+], ids=["hidden-1e30", "hidden-2**62", "vocab-1e30", "vocab-2**62", "hidden-1e400"])
+def test_build_model_turns_a_layer_numpy_cannot_allocate_into_an_input_error(
+        kwargs, refusal):
+    # numpy rejects each size before it allocates anything; no count has an
+    # upper bound of its own
+    message = f"hidden and vocab_size make a layer too large to allocate: {refusal}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+        build_model(28, 4, **kwargs)
+
+
+def test_build_model_passes_an_input_error_from_a_layer_through(monkeypatch):
+    # InputError is a ValueError, and must not be reworded as a refusal
+    import emlang.nn
+
+    def rejected(rng, fan_out, fan_in):
+        raise InputError("rejected layer")
+
+    monkeypatch.setattr(emlang.nn, "glorot_uniform", rejected)
+    with pytest.raises(InputError, match="^rejected layer$"):
+        build_model(28, 4)
+
+
 def test_end_to_end_gradients_match_finite_differences():
     # input 6 -> K=5 -> C=3, frozen noise, every parameter of every layer
     rng = np.random.default_rng(14)
@@ -667,6 +696,44 @@ def test_macro_f1_perfect_and_absent_classes():
     assert macro_f1([0, 1, 2], [0, 1, 2], 3) == 1.0
     # class 2 absent from both truth and prediction contributes zero
     assert macro_f1([0, 1], [0, 1], 3) == pytest.approx(2.0 / 3.0)
+
+
+def loop_macro_f1(labels, predictions, num_classes):
+    """The per-class loop that `macro_f1` computes with array reductions,
+    kept as its reference."""
+    cm = confusion_matrix(labels, predictions, num_classes)
+    scores = []
+    for c in range(num_classes):
+        tp = cm[c, c]
+        fp = cm[:, c].sum() - tp
+        fn = cm[c, :].sum() - tp
+        denom = 2 * tp + fp + fn
+        scores.append(2.0 * tp / denom if denom > 0 else 0.0)
+    return float(np.mean(scores))
+
+
+@pytest.mark.parametrize("labels, predictions, num_classes", [
+    ([0, 1], [0, 1], 3),
+    ([4, 4, 0], [4, 0, 0], 7),
+    ([0, 1, 2, 3, 1, 2], [2, 2, 2, 2, 2, 2], 4),
+    ([0, 1, 1, 3], [2, 2, 2, 2], 5),
+], ids=["one-absent-class", "four-absent-classes", "one-predicted-class",
+        "one-predicted-class-absent-from-truth"])
+def test_macro_f1_equals_the_per_class_loop_bit_for_bit(labels, predictions,
+                                                         num_classes):
+    got = macro_f1(labels, predictions, num_classes)
+    assert got.hex() == loop_macro_f1(labels, predictions, num_classes).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(1, 12).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                         min_size=1, max_size=80))))
+def test_macro_f1_equals_the_per_class_loop_on_drawn_pairs(case):
+    num_classes, pairs = case
+    labels, predictions = zip(*pairs)
+    got = macro_f1(labels, predictions, num_classes)
+    assert got.hex() == loop_macro_f1(labels, predictions, num_classes).hex()
 
 
 def test_evaluate_perfect_classifier_metrics():

@@ -609,6 +609,26 @@ def test_train_checks_the_model_options_before_any_output(tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, refusal", [
+    ("hidden", 10**30, "Maximum allowed dimension exceeded"),
+    ("hidden", 2**62, "array is too big"),
+    ("vocab", 10**30, "Maximum allowed dimension exceeded"),
+    ("vocab", 2**62, "array is too big"),
+], ids=["hidden-1e30", "hidden-2**62", "vocab-1e30", "vocab-2**62"])
+def test_train_rejects_a_layer_numpy_cannot_allocate_before_any_output(
+        tmp_path, capsys, key, value, refusal):
+    # numpy refuses each size before it allocates anything
+    data = gen_small(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert run(["train", "--data", str(data), "--out", str(out),
+                "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: hidden and vocab_size make a layer too large to allocate: {refusal}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-7", "config"])
 def test_attribute_rejects_a_block_size_below_one(tmp_path, capsys, value):
     got = "0" if value == "config" else value

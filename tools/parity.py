@@ -53,6 +53,13 @@ CASES = {
                     "{work}/repro-base/el/checkpoint.json",
                     "--test-csv", "{work}/gen2000-base/test.csv",
                     "--block-size", "4"],
+    # one feature a block: `attribution_summary.json` sums 28 block means
+    # a row, where numpy adds more than 8 values pairwise; the other trees
+    # sum 4 or 7
+    "attr2000-b1": ["attribute", "--checkpoint",
+                    "{work}/repro-base/el/checkpoint.json",
+                    "--test-csv", "{work}/gen2000-base/test.csv",
+                    "--block-size", "1"],
     # every `repro` tree has 171 test rows, one decode chunk; these evaluate
     # 2,000 rows, 8 chunks of 256
     "train2000-el": ["train", "--model", "el", "--data", "{work}/gen2000-base"],
