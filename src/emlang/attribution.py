@@ -75,7 +75,7 @@ import numpy as np
 
 from .classifier import ModelGraph
 from .errors import InputError, NumericalError
-from .nn import as_f64, check_int, check_real, is_int, softmax
+from .nn import as_f64, check_int, check_real, check_shape, is_int, softmax
 
 OUTPUTS = ("logit", "probability")
 
@@ -141,8 +141,7 @@ class AttributionConfig:
             check_int("target_class", target, 0)
             object.__setattr__(self, "target_class", int(target))
         if self.baseline is not None:
-            if len(shape := np.shape(self.baseline)) != 1:
-                raise InputError(f"baseline must be 1-d, got shape {shape}")
+            check_shape("baseline", np.asarray(self.baseline), (None,))
             for i, value in enumerate(self.baseline):
                 check_real(f"baseline[{i}]", value)
             object.__setattr__(self, "baseline", tuple(as_f64(self.baseline).tolist()))
@@ -160,17 +159,10 @@ def _resolve_inputs(stack, x, config, ndim=1):
     checked for shape, and x for finiteness: the config checked the
     baseline's when it was made."""
     x = as_f64(x)
-    if x.ndim != ndim or x.shape[-1] != stack[0].in_dim:
-        raise InputError(
-            f"input shape {x.shape} incompatible with stack input dim "
-            f"{stack[0].in_dim}"
-        )
     dim = stack[0].in_dim
+    check_shape("input", x, (None,) * (ndim - 1) + (dim,))
     baseline = np.zeros(dim) if config.baseline is None else as_f64(config.baseline)
-    if baseline.shape != (dim,):
-        raise InputError(
-            f"baseline shape {baseline.shape} does not match input ({dim},)"
-        )
+    check_shape("baseline", baseline, (dim,))
     if not np.all(np.isfinite(x)):
         raise InputError("input contains non-finite values")
     return x, baseline

@@ -41,6 +41,7 @@ from .nn import (
     as_f64,
     check_int,
     check_real,
+    check_shape,
     cross_entropy,
     is_real,
     stack_backward,
@@ -123,10 +124,7 @@ class ModelGraph:
 
     def _rows(self, x):
         x = as_f64(x)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise InputError(
-                f"input shape {x.shape} incompatible with input_dim {self.input_dim}"
-            )
+        check_shape("input", x, (None, self.input_dim))
         return x
 
     def forward(self, x, noise=None):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .nn import as_f64, check_int, check_real
+from .nn import as_f64, check_int, check_real, check_shape
 
 
 @dataclass
@@ -41,20 +41,15 @@ class Dataset:
     def __post_init__(self):
         self.features = as_f64(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise InputError(f"features must be 2-d, got shape {self.features.shape}")
+        check_shape("features", self.features, (None, None))
         if self.feature_names is None:
-            self.feature_names = [f"f{i}" for i in range(self.features.shape[1])]
-        if len(self.feature_names) != self.features.shape[1]:
+            self.feature_names = [f"f{i}" for i in range(self.num_features)]
+        if len(self.feature_names) != self.num_features:
             raise InputError(
                 f"{len(self.feature_names)} feature names for "
-                f"{self.features.shape[1]} feature columns"
+                f"{self.num_features} feature columns"
             )
-        if self.labels.shape != (self.features.shape[0],):
-            raise InputError(
-                f"label count {self.labels.shape} does not match "
-                f"{self.features.shape[0]} feature rows"
-            )
+        check_shape("labels", self.labels, (self.num_samples,))
         if self.labels.size and (
             self.labels.min() < 0 or self.labels.max() >= len(self.class_names)
         ):
@@ -102,8 +97,9 @@ class SynthSpec:
 
 
 def _balanced_labels(n, num_classes):
-    # counts differ by at most one across classes
-    counts = np.full(num_classes, n // num_classes)
+    # counts differ by at most one across classes; a count too large for an
+    # intp raises OverflowError here, not a TypeError from an object array
+    counts = np.full(num_classes, n // num_classes, dtype=np.intp)
     counts[: n % num_classes] += 1
     return np.repeat(np.arange(num_classes), counts)
 
@@ -113,8 +109,8 @@ def generate_synthetic(spec):
     """Deterministic (train, val, test) datasets per the block-Gaussian spec.
     Class names carry the index zero-padded to one width, so that their
     sorted order, in which `load_csv` numbers them, is index order. A spec
-    whose features overflow to a non-finite value is an InputError, with no
-    numpy warning."""
+    whose features overflow to a non-finite value, or whose split numpy
+    cannot allocate, is an InputError, with no numpy warning."""
     width = len(str(spec.num_classes - 1))
     class_names = [f"class{c:0{width}d}" for c in range(spec.num_classes)]
     splits = []
@@ -125,10 +121,15 @@ def generate_synthetic(spec):
     ]
     for split_index, (tag, n) in enumerate(sizes):
         rng = np.random.default_rng([spec.seed, split_index])
-        labels = _balanced_labels(n, spec.num_classes)
-        rng.shuffle(labels)
-        # numpy rejects a scale of -0.0, which the spec's noise_sigma >= 0 allows
-        features = rng.normal(0.0, abs(spec.noise_sigma), size=(n, spec.feature_dim))
+        try:
+            labels = _balanced_labels(n, spec.num_classes)
+            rng.shuffle(labels)
+            # numpy rejects a scale of -0.0, which noise_sigma >= 0 allows
+            features = rng.normal(0.0, abs(spec.noise_sigma), size=(n, spec.feature_dim))
+        except (ValueError, OverflowError, MemoryError) as exc:
+            # no count has an upper bound: numpy's refusal is the only one
+            raise InputError(f"{tag}_samples, classes and block_size make the "
+                             f"{tag} split too large to allocate: {exc}") from None
         blocks = features.reshape(n, spec.num_classes, spec.block_size)
         blocks[np.arange(n), labels] += spec.mean_shift
         if not np.all(np.isfinite(features)):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .nn import as_f64, check_int, check_real, log_softmax, softmax
+from .nn import as_f64, check_int, check_real, check_shape, log_softmax, softmax
 
 # Uniform draws are clamped away from {0, 1} before the double log.
 UNIFORM_EPS = 1e-12
@@ -46,8 +46,7 @@ def hard_decode(logits):
     """Symbol index per row of [batch, K] logits (or relaxed rows): argmax,
     ties broken by lowest index. A non-finite value raises NumericalError."""
     logits = as_f64(logits)
-    if logits.ndim != 2:
-        raise InputError(f"expected [batch, K] rows, got shape {logits.shape}")
+    check_shape("logits", logits, (None, None))
     _check_finite(logits)
     return np.argmax(logits, axis=1)
 
@@ -76,11 +75,7 @@ class GumbelSoftmaxSampler:
         """Soft forward of float64 [batch, K] logits with [batch, K] noise;
         returns the tape (softmax(logits), relaxed output). A non-finite
         logit raises NumericalError: a training blow-up shows here."""
-        if logits.ndim != 2 or logits.shape[1] != self.vocab_size:
-            raise InputError(
-                f"logits shape {logits.shape} incompatible with vocabulary "
-                f"size {self.vocab_size}"
-            )
+        check_shape("logits", logits, (None, self.vocab_size))
         _check_finite(logits)
         if noise is None:
             raise InputError(
@@ -88,10 +83,7 @@ class GumbelSoftmaxSampler:
                 "noise; ModelGraph.decode runs without it"
             )
         noise = as_f64(noise)
-        if noise.shape != logits.shape:
-            raise InputError(
-                f"noise shape {noise.shape} does not match logits {logits.shape}"
-            )
+        check_shape("noise", noise, logits.shape)
         log_p = log_softmax(logits)
         relaxed = softmax((log_p + noise) / self.temperature)
         return np.exp(log_p), relaxed

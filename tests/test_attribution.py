@@ -742,7 +742,7 @@ def test_configs_with_equal_baselines_compare_and_hash_equal():
     assert hash(first) == hash(second)
     assert first != replace(first, baseline=np.ones(3))
     with pytest.raises(InputError,
-                       match=r"^baseline must be 1-d, got shape \(2, 2\)$"):
+                       match=r"^baseline must have shape \(\*,\), got \(2, 2\)$"):
         AttributionConfig(baseline=np.zeros((2, 2)))
 
 

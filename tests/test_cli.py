@@ -675,6 +675,26 @@ def test_gen_rejects_overflowing_features_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+# numpy refuses each split before it allocates anything
+@pytest.mark.parametrize("command, flag, value, split, refusal", [
+    ("gen", "--block-size", "100000000000", "train", "Unable to allocate"),
+    ("gen", "--test-samples", "100000000000000", "test", "Unable to allocate"),
+    ("gen", "--block-size", str(2**62), "train", "Maximum allowed dimension exceeded"),
+    ("gen", "--train-samples", str(10**30), "train", "Python int too large"),
+    ("repro", "--block-size", "100000000000", "train", "Unable to allocate"),
+], ids=["gen-block-1e11", "gen-test-1e14", "gen-block-2**62", "gen-train-1e30",
+        "repro-block-1e11"])
+def test_a_split_numpy_cannot_allocate_exits_2_before_any_output(
+        tmp_path, capsys, command, flag, value, split, refusal):
+    out = tmp_path / "out"
+    assert run([command, "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {split}_samples, classes and block_size make the "
+                          f"{split} split too large to allocate: {refusal}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_repro_writes_the_named_label_column(tmp_path):
     out = tmp_path / "out"
     assert run(["repro", "--out", str(out), *SMALL_GEN, *SMALL_TRAIN,

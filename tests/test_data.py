@@ -136,6 +136,25 @@ def test_generate_synthetic_rejects_overflowing_features():
     assert train.features.max() == 1e308
 
 
+@pytest.mark.parametrize("field, value, refusal", [
+    ("block_size", 10**11, "Unable to allocate"),
+    ("test_samples", 10**14, "Unable to allocate"),
+    ("block_size", 2**62, "Maximum allowed dimension exceeded"),
+    ("train_samples", 10**30, "Python int too large"),
+    # too long for repr, and still shown by numpy's refusal alone
+    ("val_samples", 10**5000, "Python int too large"),
+], ids=["block-1e11", "test-1e14", "block-2**62", "train-1e30", "val-1e5000"])
+def test_generate_synthetic_turns_a_split_numpy_cannot_allocate_into_an_input_error(
+        field, value, refusal):
+    # numpy refuses each split before it allocates anything; no count has an
+    # upper bound of its own
+    split = field.split("_")[0] if field.endswith("samples") else "train"
+    message = (f"{split}_samples, classes and block_size make the {split} split "
+               f"too large to allocate: {refusal}")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+        generate_synthetic(SynthSpec(**{field: value}))
+
+
 def test_a_noise_sigma_of_negative_zero_is_no_noise():
     # -0.0 >= 0 passes the spec's check, so it must not reach numpy's
     # normal, which rejects a scale whose sign bit is set

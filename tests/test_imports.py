@@ -38,3 +38,41 @@ def test_unused_imports_finds_each_name_never_read():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def bespoke_shape_messages(source):
+    """The lines of the module source whose InputError message interpolates
+    a `.shape`, outside `check_shape`, the one shape rule, which owns the
+    one message that shows shapes."""
+    tree = ast.parse(source)
+    skipped = {id(node) for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef) and function.name == "check_shape"
+               for node in ast.walk(function)}
+    lines = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or id(call) in skipped:
+            continue
+        named = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if named == "InputError" and any(
+                isinstance(node, ast.Attribute) and node.attr == "shape"
+                for value in ast.walk(call) if isinstance(value, ast.FormattedValue)
+                for node in ast.walk(value.value)):
+            lines.append(call.lineno)
+    return sorted(lines)
+
+
+def test_bespoke_shape_messages_finds_each_shape_in_an_input_error():
+    source = ("def check_shape(name, array, shape):\n"
+              "    raise InputError(f'{name} got {array.shape}')\n"
+              "def forward(x, w):\n"
+              "    if x.shape[1] != w:\n"
+              "        raise InputError(f'input shape {x.shape} does not fit')\n"
+              "    if x.ndim != 2:\n"
+              "        raise errors.InputError(f'{x.shape[0]} rows, ' f'{w}')\n"
+              "    raise ValueError(f'{x.shape}')\n")
+    assert bespoke_shape_messages(source) == [5, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_every_shape_message_comes_from_check_shape(path):
+    assert bespoke_shape_messages(path.read_text()) == []

@@ -6,15 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emlang.attribution import AttributionConfig, check_block_layout
+from emlang.attribution import (
+    AttributionConfig,
+    check_block_layout,
+    integrated_gradients,
+    per_symbol_report,
+)
 from emlang.classifier import TrainConfig, build_model
-from emlang.data import SynthSpec
+from emlang.data import Dataset, SynthSpec
 from emlang.errors import InputError
-from emlang.gumbel import GumbelSoftmaxSampler
+from emlang.gumbel import GumbelSoftmaxSampler, hard_decode
 from emlang.nn import (
     AdamState,
     DenseLayer,
     adam_step,
+    check_shape,
     glorot_uniform,
     log_softmax,
     softmax,
@@ -56,7 +62,8 @@ def test_dense_forward_zero_input_zero_bias_relu():
 
 def test_dense_forward_shape_mismatch_names_both_shapes():
     layer = DenseLayer(np.ones((2, 3)), np.zeros(2), activation="identity")
-    with pytest.raises(InputError, match=r"\(1, 4\).*\(2, 3\)"):
+    with pytest.raises(InputError,
+                       match=r"^input must have shape \(\*, 3\), got \(1, 4\)$"):
         layer.forward(np.ones((1, 4)))
 
 
@@ -463,3 +470,91 @@ def test_a_baseline_holds_numbers_only():
     config = AttributionConfig(baseline=[1, np.float32(0.5), np.int64(-2)])
     assert config.baseline == (1.0, 0.5, -2.0)
     assert all(type(value) is float for value in config.baseline)
+
+
+def _identity(in_dim, out_dim):
+    return DenseLayer(np.ones((out_dim, in_dim)), np.zeros(out_dim), "identity")
+
+
+# (where it is checked, a call that passes it a wrong shape, the message)
+SHAPE_SITES = [
+    ("DenseLayer-weights", lambda: DenseLayer(np.ones(3), np.zeros(3)),
+     "weights must have shape (*, *), got (3,)"),
+    ("DenseLayer-bias", lambda: DenseLayer(np.ones((2, 3)), np.zeros(3)),
+     "bias must have shape (2,), got (3,)"),
+    ("DenseLayer.forward", lambda: _identity(3, 2).forward(np.ones((1, 4))),
+     "input must have shape (*, 3), got (1, 4)"),
+    ("stack_backward", lambda: layer_backward(_identity(2, 2), np.ones((3, 2)),
+                                              np.ones((2, 2))),
+     "upstream grad must have shape (3, 2), got (2, 2)"),
+    ("softmax_cross_entropy-logits", lambda: softmax_cross_entropy(np.ones(3), [0]),
+     "logits must have shape (*, *), got (3,)"),
+    ("softmax_cross_entropy-labels",
+     lambda: softmax_cross_entropy(np.ones((2, 3)), [0]),
+     "labels must have shape (2,), got (1,)"),
+    ("hard_decode", lambda: hard_decode(np.ones(3)),
+     "logits must have shape (*, *), got (3,)"),
+    ("relax-logits", lambda: GumbelSoftmaxSampler(5).relax(np.ones((2, 4)),
+                                                          np.zeros((2, 4))),
+     "logits must have shape (*, 5), got (2, 4)"),
+    ("relax-noise", lambda: GumbelSoftmaxSampler(5).relax(np.ones((2, 5)),
+                                                         np.zeros((2, 4))),
+     "noise must have shape (2, 5), got (2, 4)"),
+    ("ModelGraph._rows", lambda: build_model(6, 3, 5, 4).decode(np.ones((2, 5))),
+     "input must have shape (*, 6), got (2, 5)"),
+    ("Dataset-features", lambda: Dataset(np.ones(3), [0], ["a"]),
+     "features must have shape (*, *), got (3,)"),
+    ("Dataset-labels", lambda: Dataset(np.ones((2, 3)), [0], ["a"]),
+     "labels must have shape (2,), got (1,)"),
+    ("AttributionConfig-baseline", lambda: AttributionConfig(baseline=np.zeros((2, 2))),
+     "baseline must have shape (*,), got (2, 2)"),
+    ("_resolve_inputs-input",
+     lambda: integrated_gradients([_identity(6, 3)], np.ones(5),
+                                  AttributionConfig(target_class=0)),
+     "input must have shape (6,), got (5,)"),
+    ("_resolve_inputs-rows",
+     lambda: per_symbol_report(build_model(6, 3, 5, 4),
+                               Dataset(np.ones((2, 5)), [0, 1], ["a", "b"]),
+                               AttributionConfig()),
+     "input must have shape (*, 6), got (2, 5)"),
+    ("_resolve_inputs-baseline",
+     lambda: integrated_gradients([_identity(6, 3)], np.ones(6),
+                                  AttributionConfig(baseline=np.zeros(5),
+                                                    target_class=0)),
+     "baseline must have shape (6,), got (5,)"),
+]
+
+
+@pytest.mark.parametrize("call, message", [site[1:] for site in SHAPE_SITES],
+                         ids=[site[0] for site in SHAPE_SITES])
+def test_every_array_shape_is_checked_with_one_message(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _matches(shape, pattern):
+    # the rule, restated: as many dimensions, and every given length equal
+    return len(shape) == len(pattern) and all(
+        want is None or want == length for length, want in zip(shape, pattern))
+
+
+_lengths = st.integers(0, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.lists(_lengths, max_size=4).map(tuple), data=st.data())
+def test_check_shape_agrees_with_the_rule(shape, data):
+    # patterns drawn from the shape itself, to match, or at random, to miss
+    # by a length or a rank; the empty shape and the empty pattern included
+    derived = st.tuples(*(st.sampled_from([length, None, length + 1])
+                          for length in shape))
+    anything = st.lists(st.one_of(st.none(), _lengths), max_size=4).map(tuple)
+    pattern = data.draw(st.one_of(derived, anything), label="pattern")
+    array = np.broadcast_to(0.0, shape)
+    if _matches(shape, pattern):
+        assert check_shape("x", array, pattern) is None
+    else:
+        got = re.escape(str(shape))
+        with pytest.raises(InputError, match=rf"^x must have shape \(.*\), got {got}$"):
+            check_shape("x", array, pattern)
+
