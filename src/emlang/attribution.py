@@ -75,7 +75,7 @@ import numpy as np
 
 from .classifier import ModelGraph
 from .errors import InputError, NumericalError
-from .nn import as_f64, check_int, check_real, check_shape, is_int, softmax
+from .nn import as_f64, check_int, check_real, check_shape, softmax
 
 OUTPUTS = ("logit", "probability")
 
@@ -365,10 +365,8 @@ def _decode(model, stack, xs, config):
     argmax on a bare layer list, whose non-finite output raises
     NumericalError with no numpy warning."""
     target = config.target_class
-    if target is not None and target >= stack[-1].out_dim:
-        raise InputError(
-            f"target class {target} out of range [0, {stack[-1].out_dim})"
-        )
+    if target is not None:
+        check_int("target_class", target, 0, stack[-1].out_dim - 1)
     symbols = None
     if isinstance(model, ModelGraph):
         logits, symbols = model.decode(xs)
@@ -397,20 +395,10 @@ def neuron_conductance(model, x, neuron, config):
     try:
         layer_index, unit = neuron
     except (TypeError, ValueError):
-        layer_index = unit = None
-    if not (is_int(layer_index) and is_int(unit)):
-        raise InputError(
-            f"neuron must be two ints (layer_index, unit), got {neuron!r}"
-        )
-    if not (0 <= layer_index < len(stack) - 1):
-        raise InputError(
-            f"neuron layer index {layer_index} must identify a hidden layer "
-            f"in [0, {len(stack) - 1})"
-        )
-    if not (0 <= unit < stack[layer_index].out_dim):
-        raise InputError(
-            f"unit {unit} out of range [0, {stack[layer_index].out_dim})"
-        )
+        raise InputError("neuron must be two ints (layer_index, unit), "
+                         f"got {neuron!r}") from None
+    check_int("neuron layer_index", layer_index, 0, len(stack) - 2)
+    check_int("neuron unit", unit, 0, stack[layer_index].out_dim - 1)
     x, baseline = _resolve_inputs(stack, x, config)
     _, targets = _decode(model, stack, x[None, :], config)
     return attribute_block(stack, x[None, :], baseline, targets, config.output,

@@ -39,6 +39,7 @@ from .nn import (
     DenseLayer,
     adam_step,
     as_f64,
+    as_labels,
     check_int,
     check_real,
     check_shape,
@@ -75,11 +76,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_real("learning_rate", self.learning_rate, 0, strict=True)
-        for name in ("batch_size", "max_epochs", "patience"):
-            check_int(name, getattr(self, name), 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("max_epochs", self.max_epochs, 1)
+        check_int("patience", self.patience, 1, self.max_epochs)
         check_int("seed", self.seed, 0)
-        if self.patience > self.max_epochs:
-            raise InputError("patience must not exceed max_epochs")
 
 
 class ModelGraph:
@@ -308,11 +308,7 @@ def _check_split(model, ds):
             raise InputError(f"{name} set has {got} {what}, model expects {want}")
     if not np.all(np.isfinite(ds.features)):
         raise InputError(f"{name} features contain non-finite values")
-    low, high = ds.labels.min(), ds.labels.max()
-    if low < 0 or high >= model.num_classes:
-        raise InputError(
-            f"{name} labels span [{low}, {high}], outside [0, {model.num_classes})"
-        )
+    as_labels(f"{name} labels", ds.labels, model.num_classes)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -380,8 +376,8 @@ def train(model, train_set, val_set, config):
 
 def confusion_matrix(labels, predictions, num_classes):
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (np.asarray(labels, dtype=np.int64),
-                   np.asarray(predictions, dtype=np.int64)), 1)
+    np.add.at(cm, (as_labels("labels", labels, num_classes),
+                   as_labels("predictions", predictions, num_classes)), 1)
     return cm
 
 

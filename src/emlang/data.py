@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .nn import as_f64, check_int, check_real, check_shape
+from .nn import as_f64, as_labels, check_int, check_real, check_shape
 
 
 @dataclass
@@ -40,7 +40,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = as_f64(self.features)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = as_labels("labels", self.labels, len(self.class_names))
         check_shape("features", self.features, (None, None))
         if self.feature_names is None:
             self.feature_names = [f"f{i}" for i in range(self.num_features)]
@@ -50,12 +50,6 @@ class Dataset:
                 f"{self.num_features} feature columns"
             )
         check_shape("labels", self.labels, (self.num_samples,))
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= len(self.class_names)
-        ):
-            raise InputError(
-                f"labels must lie in [0, {len(self.class_names)})"
-            )
 
     @property
     def num_samples(self):
@@ -245,7 +239,7 @@ def load_csv(path, label_column="label", split=""):
         )
     class_names = sorted(set(raw_labels))
     index = {name: i for i, name in enumerate(class_names)}
-    labels = np.array([index[name] for name in raw_labels], dtype=np.int64)
+    labels = np.array([index[name] for name in raw_labels])
     return Dataset(matrix, labels, class_names, split=split,
                    feature_names=feature_names)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .nn import as_f64, check_int, check_real, check_shape, log_softmax, softmax
+from .nn import (as_f64, as_labels, check_int, check_real, check_shape, log_softmax,
+                 softmax)
 
 # Uniform draws are clamped away from {0, 1} before the double log.
 UNIFORM_EPS = 1e-12
@@ -30,7 +31,7 @@ def noise_from_uniform(u):
 
 
 def one_hot(indices, depth):
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = as_labels("indices", indices, depth)
     out = np.zeros((indices.shape[0], depth))
     out[np.arange(indices.shape[0]), indices] = 1.0
     return out

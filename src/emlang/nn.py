@@ -12,12 +12,16 @@ bound vector. The decay rates and epsilon, which no caller varies, are the
 module constants ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
 
 The module also holds the package's one number rule: ``check_int`` checks
-every count, seed and index and ``check_real`` every real-valued setting,
-each with one message, which shows the value's ``repr``, or only the size
-of an int too long for one. ``is_int`` and ``is_real`` are their type tests,
-and neither ever reads a bool or a string as a number. ``check_shape`` is
-the one shape rule, for every array a function is given. The checks test
-values; they convert nothing, so a config keeps the value it was given.
+every count, seed and index, with an inclusive upper bound where one
+applies, and ``check_real`` every real-valued setting, each with one
+message, which shows the value's ``repr``, or only the size of an int too
+long for one. ``is_int`` and ``is_real`` are their type tests, and neither
+ever reads a bool or a string as a number. ``check_shape`` is the one shape
+rule, for every array a function is given. These checks test values; they
+convert nothing, so a config keeps the value it was given. ``as_labels`` is
+the rule for an array of labels or indices, and the one place the package
+converts to an integer dtype: it returns int64 labels only from an integer
+array whose every entry lies in [0, num_classes), and never truncates.
 """
 
 from __future__ import annotations
@@ -59,11 +63,29 @@ def is_int(value):
     return isinstance(value, (int, np.integer)) and type(value) is not bool
 
 
-def check_int(name, value, least):
-    """InputError unless value `is_int` and is at least `least`: the one
-    rule, and the one message, for every count, seed and index."""
-    if not (is_int(value) and value >= least):
-        raise InputError(f"{name} must be an int >= {least}, got {_shown(value)}")
+def check_int(name, value, least, most=None):
+    """InputError unless value `is_int` and is at least `least`, and at most
+    `most` if one is given: the one rule, and the one message, for every
+    count, seed and index."""
+    if not (is_int(value) and value >= least and (most is None or value <= most)):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise InputError(f"{name} must be an int {bound}, got {_shown(value)}")
+
+
+def as_labels(name, labels, num_classes):
+    """labels as an int64 array, or InputError unless numpy reads them as an
+    array of an integer dtype (so no bool, float, string or object) whose
+    every entry lies in [0, num_classes): the one rule, and the one message,
+    for every array of labels or indices. The message shows the first entry
+    outside the range, or of an array of another dtype its first entry. An
+    empty input has no entry to reject."""
+    labels = np.asarray(labels)
+    outside = (labels[(labels < 0) | (labels >= num_classes)]
+               if labels.dtype.kind in "iu" else labels)
+    if outside.size:
+        raise InputError(f"{name} must be ints in [0, {num_classes - 1}], "
+                         f"got {_shown(outside.ravel().tolist()[0])}")
+    return labels.astype(np.int64, copy=False)
 
 
 def is_real(value):
@@ -204,17 +226,12 @@ def softmax_cross_entropy(logits, labels):
     Returns (loss, logit_grad) with logit_grad = (softmax - onehot) / batch.
     """
     logits = as_f64(logits)
-    labels = np.asarray(labels, dtype=np.int64)
     check_shape("logits", logits, (None, None))
     n, num_classes = logits.shape
+    labels = as_labels("labels", labels, num_classes)
     check_shape("labels", labels, (n,))
     if n == 0:
         raise InputError("empty batch")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise InputError(
-            f"labels must lie in [0, {num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
     return cross_entropy(logits, labels)
 
 

@@ -689,7 +689,8 @@ def test_config_validation():
             AttributionConfig(target_class=0, baseline=np.zeros(4)),
         )
     model = build_model(5, 4, vocab_size=6, hidden_dim=7, seed=2)
-    with pytest.raises(InputError, match=r"^target class 5 out of range \[0, 4\)$"):
+    with pytest.raises(InputError,
+                       match=r"^target_class must be an int in \[0, 3\], got 5$"):
         integrated_gradients(model, np.ones(5), AttributionConfig(target_class=5))
 
 
@@ -697,7 +698,7 @@ def test_config_validation():
     (SynthSpec(), "test_samples", 3, "test_samples must be an int >= 4, got 3"),
     (SynthSpec(), "noise_sigma", np.nan,
      "noise_sigma must be a finite number >= 0, got nan"),
-    (TrainConfig(), "patience", 201, "patience must not exceed max_epochs"),
+    (TrainConfig(), "patience", 201, "patience must be an int in [1, 200], got 201"),
     (TrainConfig(), "learning_rate", np.inf,
      "learning_rate must be a finite number > 0, got inf"),
     (AttributionConfig(), "output", "odds",
@@ -754,8 +755,17 @@ def test_neuron_conductance_takes_a_neuron_of_two_ints():
     for neuron in ([0, 1], (np.int64(0), 1)):
         np.testing.assert_array_equal(
             neuron_conductance(stack, x, neuron, config), expected)
-    for neuron in ((0, 1.5), (0,), (0, 1, 2), 5, None, (True, 0), (0, False)):
-        with pytest.raises(InputError, match=r"^neuron must be two ints"):
+    for neuron in ((0,), (0, 1, 2), 5, None):
+        message = f"neuron must be two ints (layer_index, unit), got {neuron!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            neuron_conductance(stack, x, neuron, config)
+    # a pair of anything but ints meets the index rule: the stack's one
+    # hidden layer has index 0 and 6 units
+    for neuron, message in (
+            ((0, 1.5), "neuron unit must be an int in [0, 5], got 1.5"),
+            ((True, 0), "neuron layer_index must be an int in [0, 0], got True"),
+            ((0, False), "neuron unit must be an int in [0, 5], got False")):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             neuron_conductance(stack, x, neuron, config)
 
 

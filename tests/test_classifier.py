@@ -587,7 +587,8 @@ def test_train_rejects_labels_outside_the_class_range():
                 "test": two_class_toy(n=8, seed=60)}
         # set after construction, past the Dataset's own check
         sets[split].labels[0] = label
-        with pytest.raises(InputError, match=r"labels span"):
+        message = f"data labels must be ints in [0, 1], got {label}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             train(model, sets["train"], sets["val"], config)
             evaluate(model, sets["test"])
 

@@ -10,16 +10,26 @@ from emlang.attribution import (
     AttributionConfig,
     check_block_layout,
     integrated_gradients,
+    neuron_conductance,
     per_symbol_report,
 )
-from emlang.classifier import TrainConfig, build_model
+from emlang.classifier import (
+    TrainConfig,
+    build_model,
+    confusion_matrix,
+    evaluate,
+    macro_f1,
+    train,
+)
 from emlang.data import Dataset, SynthSpec
 from emlang.errors import InputError
-from emlang.gumbel import GumbelSoftmaxSampler, hard_decode
+from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, one_hot
 from emlang.nn import (
     AdamState,
     DenseLayer,
     adam_step,
+    as_labels,
+    check_int,
     check_shape,
     glorot_uniform,
     log_softmax,
@@ -362,52 +372,79 @@ def test_outputs_finite_on_finite_inputs():
     assert np.all(np.isfinite(grad))
 
 
-# (what checks it, the name in its message, the least value, a call that
-# passes it the value)
+def _three_layers():
+    # hidden layers 0 and 1, 5 units in layer 0, and 3 classes
+    return [_identity(6, 5), _identity(5, 4), _identity(4, 3)]
+
+
+def _targeting(value):
+    """An AttributionConfig whose target_class is set past its own check,
+    so that the attribution's bound on it is the check that meets it."""
+    config = AttributionConfig()
+    object.__setattr__(config, "target_class", value)
+    return config
+
+
+def _conductance(neuron):
+    return neuron_conductance(_three_layers(), np.ones(6), neuron,
+                              AttributionConfig(target_class=0))
+
+
+# (what checks it, the name in its message, the least value, the most value
+# or None for no upper bound, a call that passes it the value)
 INT_FIELDS = [
-    ("SynthSpec", "num_classes", 2, lambda v: SynthSpec(num_classes=v)),
-    ("SynthSpec", "block_size", 1, lambda v: SynthSpec(block_size=v)),
-    ("SynthSpec", "train_samples", 4, lambda v: SynthSpec(train_samples=v)),
-    ("SynthSpec", "val_samples", 4, lambda v: SynthSpec(val_samples=v)),
-    ("SynthSpec", "test_samples", 4, lambda v: SynthSpec(test_samples=v)),
-    ("SynthSpec", "seed", 0, lambda v: SynthSpec(seed=v)),
-    ("TrainConfig", "batch_size", 1, lambda v: TrainConfig(batch_size=v)),
-    ("TrainConfig", "max_epochs", 1, lambda v: TrainConfig(max_epochs=v, patience=1)),
-    ("TrainConfig", "patience", 1, lambda v: TrainConfig(patience=v)),
-    ("TrainConfig", "seed", 0, lambda v: TrainConfig(seed=v)),
-    ("build_model", "input_dim", 1, lambda v: build_model(v, 4, 5, 3)),
-    ("build_model", "num_classes", 1, lambda v: build_model(28, v, 5, 3)),
-    ("build_model", "seed", 0, lambda v: build_model(28, 4, 5, 3, seed=v)),
-    ("build_model", "hidden", 1, lambda v: build_model(28, 4, 5, hidden_dim=v)),
-    ("GumbelSoftmaxSampler", "vocab_size", 2, lambda v: GumbelSoftmaxSampler(v)),
-    ("GumbelSoftmaxSampler", "sampler seed", 0,
+    ("SynthSpec", "num_classes", 2, None, lambda v: SynthSpec(num_classes=v)),
+    ("SynthSpec", "block_size", 1, None, lambda v: SynthSpec(block_size=v)),
+    ("SynthSpec", "train_samples", 4, None, lambda v: SynthSpec(train_samples=v)),
+    ("SynthSpec", "val_samples", 4, None, lambda v: SynthSpec(val_samples=v)),
+    ("SynthSpec", "test_samples", 4, None, lambda v: SynthSpec(test_samples=v)),
+    ("SynthSpec", "seed", 0, None, lambda v: SynthSpec(seed=v)),
+    ("TrainConfig", "batch_size", 1, None, lambda v: TrainConfig(batch_size=v)),
+    ("TrainConfig", "max_epochs", 1, None,
+     lambda v: TrainConfig(max_epochs=v, patience=1)),
+    ("TrainConfig", "patience", 1, 200, lambda v: TrainConfig(patience=v)),
+    ("TrainConfig", "seed", 0, None, lambda v: TrainConfig(seed=v)),
+    ("build_model", "input_dim", 1, None, lambda v: build_model(v, 4, 5, 3)),
+    ("build_model", "num_classes", 1, None, lambda v: build_model(28, v, 5, 3)),
+    ("build_model", "seed", 0, None, lambda v: build_model(28, 4, 5, 3, seed=v)),
+    ("build_model", "hidden", 1, None,
+     lambda v: build_model(28, 4, 5, hidden_dim=v)),
+    ("GumbelSoftmaxSampler", "vocab_size", 2, None, lambda v: GumbelSoftmaxSampler(v)),
+    ("GumbelSoftmaxSampler", "sampler seed", 0, None,
      lambda v: GumbelSoftmaxSampler(5, seed=v)),
-    ("check_block_layout", "block_size", 1, lambda v: check_block_layout(28, v)),
-    ("AttributionConfig", "target_class", 0,
+    ("check_block_layout", "block_size", 1, None,
+     lambda v: check_block_layout(28, v)),
+    ("AttributionConfig", "target_class", 0, None,
      lambda v: AttributionConfig(target_class=v)),
+    ("_decode", "target_class", 0, 2,
+     lambda v: integrated_gradients(_three_layers(), np.ones(6), _targeting(v))),
+    ("neuron_conductance", "neuron layer_index", 0, 1, lambda v: _conductance((v, 0))),
+    ("neuron_conductance", "neuron unit", 0, 4, lambda v: _conductance((0, v))),
 ]
 
 
-@pytest.mark.parametrize("owner, name, least, call", INT_FIELDS,
+@pytest.mark.parametrize("owner, name, least, most, call", INT_FIELDS,
                          ids=[f"{owner}-{name.replace(' ', '_')}"
                               for owner, name, *_ in INT_FIELDS])
 def test_every_count_seed_and_index_is_an_int_with_one_message(owner, name, least,
-                                                               call):
+                                                               most, call):
     # a bool, a fraction, an integral float, a string or None is never read
-    # as a count, a seed or an index, and nothing below the least value is;
+    # as a count, a seed or an index, and nothing outside its range is;
     # a target_class of None means the predicted class
-    for value in (True, 2.5, 2.0, "3", None, least - 1):
+    bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+    outside = (least - 1,) if most is None else (least - 1, most + 1)
+    for value in (True, 2.5, 2.0, "3", None, *outside):
         if value is None and name == "target_class":
             continue
-        message = f"{name} must be an int >= {least}, got {value!r}"
+        message = f"{name} must be an int {bound}, got {value!r}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             call(value)
     # an int too long for repr is shown by its size
-    message = f"{name} must be an int >= {least}, got an int of 16610 bits"
+    message = f"{name} must be an int {bound}, got an int of 16610 bits"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call(-10**5000)
-    # numpy's ints are ints
-    call(np.int64(4))
+    # numpy's ints are ints, up to the bound
+    call(np.int64(4 if most is None else most))
 
 
 # The smallest int that does not fit in a finite float64: it and every int
@@ -558,3 +595,135 @@ def test_check_shape_agrees_with_the_rule(shape, data):
         with pytest.raises(InputError, match=rf"^x must have shape \(.*\), got {got}$"):
             check_shape("x", array, pattern)
 
+
+def _relabelled(split, label):
+    # a split whose second label is set after construction, past the
+    # Dataset's own check
+    ds = Dataset(np.zeros((2, 6)), [0, 1], ["a", "b", "c"], split=split)
+    ds.labels[1] = label
+    return ds
+
+
+def _train_on(train_set, val_set):
+    return train(build_model(6, 3, 5, 4), train_set, val_set,
+                 TrainConfig(max_epochs=1, patience=1))
+
+
+# (where it is checked, a call that passes it a label outside its classes,
+# the message)
+LABEL_SITES = [
+    ("Dataset", lambda: Dataset(np.zeros((2, 3)), [0, 2], ["a", "b"]),
+     "labels must be ints in [0, 1], got 2"),
+    ("softmax_cross_entropy", lambda: softmax_cross_entropy(np.zeros((2, 3)), [0, -1]),
+     "labels must be ints in [0, 2], got -1"),
+    ("_check_split-train",
+     lambda: _train_on(_relabelled("train", 3), _relabelled("val", 0)),
+     "train labels must be ints in [0, 2], got 3"),
+    ("_check_split-val",
+     lambda: _train_on(_relabelled("train", 0), _relabelled("val", -1)),
+     "val labels must be ints in [0, 2], got -1"),
+    ("_check_split-evaluate",
+     lambda: evaluate(build_model(6, 3, 5, 4), _relabelled("test", 3)),
+     "test labels must be ints in [0, 2], got 3"),
+    ("confusion_matrix-labels", lambda: confusion_matrix([0, 2], [0, 1], 2),
+     "labels must be ints in [0, 1], got 2"),
+    ("confusion_matrix-predictions", lambda: confusion_matrix([0, 1], [-1, 1], 2),
+     "predictions must be ints in [0, 1], got -1"),
+    ("one_hot", lambda: one_hot([0, 3], 3), "indices must be ints in [0, 2], got 3"),
+]
+
+
+@pytest.mark.parametrize("call, message", [site[1:] for site in LABEL_SITES],
+                         ids=[site[0] for site in LABEL_SITES])
+def test_every_label_array_is_checked_with_one_message(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# each of these truncated its labels or indices without a word, read a bool
+# or a string as a class, or raised OverflowError
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dataset(np.zeros((2, 3)), [0.9, 1.7], ["a", "b"]),
+     "labels must be ints in [0, 1], got 0.9"),
+    (lambda: Dataset(np.zeros((2, 3)), [True, False], ["a", "b"]),
+     "labels must be ints in [0, 1], got True"),
+    (lambda: Dataset(np.zeros((2, 3)), ["1", "0"], ["a", "b"]),
+     "labels must be ints in [0, 1], got '1'"),
+    (lambda: Dataset(np.zeros((2, 3)), [2**70, 0], ["a", "b"]),
+     f"labels must be ints in [0, 1], got {2**70}"),
+    (lambda: softmax_cross_entropy(np.zeros((2, 3)), [0.5, 2.9]),
+     "labels must be ints in [0, 2], got 0.5"),
+    (lambda: confusion_matrix([0.5, 1.2], [0, 1], 2),
+     "labels must be ints in [0, 1], got 0.5"),
+    (lambda: macro_f1([0.5, 1.2], [0, 1], 2), "labels must be ints in [0, 1], got 0.5"),
+    (lambda: one_hot([0.7, 2.2], 3), "indices must be ints in [0, 2], got 0.7"),
+], ids=["Dataset-fraction", "Dataset-bool", "Dataset-string", "Dataset-beyond-int64",
+        "softmax_cross_entropy-fraction", "confusion_matrix-fraction",
+        "macro_f1-fraction", "one_hot-fraction"])
+def test_labels_are_never_truncated_or_read_from_bools_or_strings(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _first_outside(values, num_classes):
+    """The rule for labels, restated: None if values are empty or are ints
+    of one numpy integer dtype each in [0, num_classes), else the first
+    entry outside the range, or, for values of any other kind, the first
+    entry. A list holds such ints when each is a Python int, not a bool,
+    that fits in int64."""
+    if isinstance(values, np.ndarray):
+        entries = values.tolist()
+        integral = np.issubdtype(values.dtype, np.integer)
+    else:
+        entries = values
+        integral = all(type(v) is int and -2**63 <= v < 2**63 for v in entries)
+    if not integral:
+        return entries[0] if entries else None
+    return next((v for v in entries if not 0 <= v < num_classes), None)
+
+
+# numpy reads a list that holds an int in [2**63, 2**64) as uint64, or as
+# float64 beside a negative int, so the lists of ints draw none
+_python_ints = (st.integers(-2**63, 2**63 - 1) | st.integers(-1, 4)
+                | st.integers(2**64, 2**70) | st.integers(-2**70, -2**63 - 1))
+_label_inputs = st.one_of(
+    arrays(st.sampled_from([np.int8, np.int64, np.uint8, np.uint64]),
+           st.integers(0, 4)),
+    arrays(np.float64, st.integers(0, 4), elements=st.floats(-1, 4)),
+    arrays(np.bool_, st.integers(0, 4)),
+    arrays(np.dtype("U2"), st.integers(0, 4)),
+    st.lists(_python_ints, max_size=4),
+    st.lists(st.booleans(), max_size=4),
+    st.lists(st.sampled_from(["0", "1", "x"]), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_label_inputs, num_classes=st.integers(1, 5))
+def test_as_labels_agrees_with_the_rule(values, num_classes):
+    first = _first_outside(values, num_classes)
+    if first is None:
+        labels = as_labels("y", values, num_classes)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == list(values)
+    else:
+        message = f"y must be ints in [0, {num_classes - 1}], got {first!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            as_labels("y", values, num_classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(st.integers(-2**70, 2**70), st.integers(-3, 8),
+                       st.integers(-3, 8).map(np.int64), st.floats(-3, 8),
+                       st.booleans(), st.text(max_size=2), st.none()),
+       least=st.integers(-2, 3), most=st.integers(-2, 6))
+def test_bounded_check_int_agrees_with_the_rule(value, least, most):
+    # the rule, restated: an int, numpy's included and a bool not, in
+    # [least, most]
+    if isinstance(value, (int, np.integer)) and type(value) is not bool \
+            and least <= value <= most:
+        assert check_int("k", value, least, most) is None
+    else:
+        message = f"k must be an int in [{least}, {most}], got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            check_int("k", value, least, most)
