@@ -28,37 +28,41 @@ Every attribution is one batched pass of `attribute_block` over the paths
 of several samples: segment rows carry a sample id and stay sorted by
 (sample, a), one forward over all rows keeps its relu masks in local
 arrays, one backward computes input gradients only, and `np.add.reduceat`
-sums each sample's rows. `integrated_gradients` and `neuron_conductance`
-are the one-sample case. An `AttributionConfig` holds what every entry
+sums each sample's rows. An `AttributionConfig` holds what every entry
 point reads, the baseline, the target class and the output, each checked
-when the config is made; `neuron_conductance` alone also takes a hidden
-unit, as its `neuron` argument, and checks it against the stack. Nothing
-is stored on the model, so attribution leaves a model's training state
-untouched.
+when the config is made. Nothing is stored on the model, so attribution
+leaves a model's training state untouched.
 
-`per_symbol_report` first takes every sample's symbol and default target
-from `ModelGraph.decode`, the call `evaluate` makes, which runs DECODE_ROWS
-rows at a time, so its hidden activations do not grow with the row count.
-It then feeds `attribute_block` BLOCK samples at a time. The blocks are
-independent, so it splits them into contiguous runs, one per usable CPU
-with at least MIN_RUN blocks each, and hands the runs to `fork_map`: this
-process attributes the first run and forked children the others, each
-child sending back only its run's attribution vectors. Every run keeps the
-BLOCK boundaries, and the parent concatenates the vectors and merges them
-once, in sample order, so the report's bytes do not depend on how many
-processes ran. Every row is decoded before any block is attributed, so an
-overflow that `decode` meets on either side of the channel is raised before
-any path is walked, a sender overflow on any row before a receiver overflow
-on an earlier one (both are NumericalError).
-
-For symbol models the attribution view replaces the bottleneck with the
+The three entry points, `integrated_gradients`, `neuron_conductance` and
+`per_symbol_report`, share one door, `_prepare`, which takes the model, the
+input and the config and returns what `attribute_block` reads: the dense
+stack, the input as checked 2-d rows, the baseline, and each row's symbol
+and target. For symbol models the stack replaces the bottleneck with the
 identity, so the graph becomes a single dense stack (sender layers followed
 by receiver layers) and y is the sender output logit feeding the decoded
-symbol's vocabulary slot. On a ModelGraph every entry point takes each
-sample's symbol, and its default target class, from `decode`, the
-noise-free decode `evaluate` reports, not from the identity-channel
-stack, whose argmax can name another class. This keeps attribution
-deterministic and symbol-specific.
+symbol's vocabulary slot. On a ModelGraph the door takes each row's
+symbol, and its default target class, from `ModelGraph.decode`, the
+noise-free decode `evaluate` reports, not from the identity-channel stack,
+whose argmax can name another class. This keeps attribution deterministic
+and symbol-specific. `decode` runs DECODE_ROWS rows at a time, so its
+hidden activations do not grow with the row count. The two single-sample
+entry points are the door and one `attribute_block` call on its one row;
+`neuron_conductance` also takes a hidden unit, as its `neuron` argument,
+and checks it against the stack the door returns, after the input's own
+checks.
+
+`per_symbol_report` passes every row through the door at once, then feeds
+`attribute_block` BLOCK samples at a time. The blocks are independent, so
+it splits them into contiguous runs, one per usable CPU with at least
+MIN_RUN blocks each, and hands the runs to `fork_map`: this process
+attributes the first run and forked children the others, each child
+sending back only its run's attribution vectors. Every run keeps the BLOCK
+boundaries, and the parent concatenates the vectors and merges them once,
+in sample order, so the report's bytes do not depend on how many processes
+ran. Every row is decoded before any block is attributed, so an overflow
+that `decode` meets on either side of the channel is raised before any
+path is walked, a sender overflow on any row before a receiver overflow on
+an earlier one (both are NumericalError).
 """
 
 from __future__ import annotations
@@ -145,27 +149,6 @@ class AttributionConfig:
             for i, value in enumerate(self.baseline):
                 check_real(f"baseline[{i}]", value)
             object.__setattr__(self, "baseline", tuple(as_f64(self.baseline).tolist()))
-
-
-def attribution_stack(model):
-    """The dense-stack view of a model: bottleneck treated as identity."""
-    if isinstance(model, ModelGraph):
-        return model.sender + model.receiver
-    return list(model)
-
-
-def _resolve_inputs(stack, x, config, ndim=1):
-    """x (one sample, or rows when ndim is 2) and the baseline as an array,
-    checked for shape, and x for finiteness: the config checked the
-    baseline's when it was made."""
-    x = as_f64(x)
-    dim = stack[0].in_dim
-    check_shape("input", x, (None,) * (ndim - 1) + (dim,))
-    baseline = np.zeros(dim) if config.baseline is None else as_f64(config.baseline)
-    check_shape("baseline", baseline, (dim,))
-    if not np.all(np.isfinite(x)):
-        raise InputError("input contains non-finite values")
-    return x, baseline
 
 
 def _affine(layer, h):
@@ -357,41 +340,51 @@ def attribute_block(stack, xs, baseline, targets, output="logit", layer=None,
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _decode(model, stack, xs, config):
-    """(symbols, targets) of the rows xs. symbols are those `decode` picks,
-    or None for a bare layer list; each target is config.target_class, or by
-    default the class the model predicts: the argmax of `decode`'s logits on
-    a ModelGraph, the noise-free decode `evaluate` reports, and the stack's
-    argmax on a bare layer list, whose non-finite output raises
-    NumericalError with no numpy warning."""
+def _prepare(model, x, config, ndim=1):
+    """(stack, rows, baseline, symbols, targets) for `attribute_block`: the
+    one door of every entry point. stack is the dense view of the model. x
+    is one sample, or rows when ndim is 2, checked for shape and finiteness
+    and returned as 2-d rows; the baseline is checked for shape, since the
+    config checked its values when it was made. symbols are those `decode`
+    picks, or None for a bare layer list; each target is
+    config.target_class, or by default the class the model predicts:
+    `decode`'s on a ModelGraph, and the stack's argmax on a bare layer
+    list, whose non-finite output raises NumericalError with no numpy
+    warning."""
+    stack = model.layers() if isinstance(model, ModelGraph) else list(model)
+    x = as_f64(x)
+    dim = stack[0].in_dim
+    check_shape("input", x, (None,) * (ndim - 1) + (dim,))
+    baseline = np.zeros(dim) if config.baseline is None else as_f64(config.baseline)
+    check_shape("baseline", baseline, (dim,))
+    if not np.all(np.isfinite(x)):
+        raise InputError("input contains non-finite values")
+    rows = x.reshape(-1, dim)
     target = config.target_class
     if target is not None:
         check_int("target_class", target, 0, stack[-1].out_dim - 1)
     symbols = None
     if isinstance(model, ModelGraph):
-        logits, symbols = model.decode(xs)
+        logits, symbols = model.decode(rows)
     elif target is None:
-        _, logits = _forward(stack, xs)
+        _, logits = _forward(stack, rows)
         if not np.all(np.isfinite(logits)):
             raise NumericalError("non-finite network output at path step 0")
-    if target is None:
-        return symbols, np.argmax(logits, axis=1)
-    return symbols, np.full(xs.shape[0], target)
+    targets = np.argmax(logits, axis=1) if target is None else np.full(len(rows), target)
+    return stack, rows, baseline, symbols, targets
 
 
 def integrated_gradients(model, x, config):
     """Integrated gradients of the target output w.r.t. x."""
-    stack = attribution_stack(model)
-    x, baseline = _resolve_inputs(stack, x, config)
-    _, targets = _decode(model, stack, x[None, :], config)
-    return attribute_block(stack, x[None, :], baseline, targets, config.output)[0]
+    stack, rows, baseline, _, targets = _prepare(model, x, config)
+    return attribute_block(stack, rows, baseline, targets, config.output)[0]
 
 
 def neuron_conductance(model, x, neuron, config):
     """Conductance of hidden unit y = neuron, two ints (layer_index, unit)
     in the stack: the part of the integrated-gradient attribution that
     flows through y."""
-    stack = attribution_stack(model)
+    stack, rows, baseline, _, targets = _prepare(model, x, config)
     try:
         layer_index, unit = neuron
     except (TypeError, ValueError):
@@ -399,9 +392,7 @@ def neuron_conductance(model, x, neuron, config):
                          f"got {neuron!r}") from None
     check_int("neuron layer_index", layer_index, 0, len(stack) - 2)
     check_int("neuron unit", unit, 0, stack[layer_index].out_dim - 1)
-    x, baseline = _resolve_inputs(stack, x, config)
-    _, targets = _decode(model, stack, x[None, :], config)
-    return attribute_block(stack, x[None, :], baseline, targets, config.output,
+    return attribute_block(stack, rows, baseline, targets, config.output,
                            layer_index, [unit])[0]
 
 
@@ -440,7 +431,9 @@ class ConductanceReport:
 
 def per_symbol_report(model, dataset, config):
     """Decode each sample's symbol, attribute the matching sender logit back
-    to the input features, and average the attributions per symbol."""
+    to the input features, and average the attributions per symbol. Every
+    row passes the door, `_prepare`, in one call, so every row is checked
+    and decoded before any block is attributed."""
     if not isinstance(model, ModelGraph) or model.bottleneck is None:
         raise InputError(
             "per-symbol attribution requires a model with a symbol bottleneck, "
@@ -448,9 +441,8 @@ def per_symbol_report(model, dataset, config):
         )
     if dataset.num_samples == 0:
         raise InputError("dataset must be non-empty")
-    stack = attribution_stack(model)
-    features, baseline = _resolve_inputs(stack, dataset.features, config, ndim=2)
-    symbols, targets = _decode(model, stack, features, config)
+    stack, features, baseline, symbols, targets = _prepare(
+        model, dataset.features, config, ndim=2)
     symbol_layer = len(model.sender) - 1
 
     def attribute(rows):

@@ -340,7 +340,6 @@ def train(model, train_set, val_set, config):
 
     log = TrainLog()
     best = params.copy()
-    stale_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(train_set.num_samples)
         running = 0.0
@@ -365,11 +364,10 @@ def train(model, train_set, val_set, config):
         if val_loss < log.best_val_loss:
             log.best_epoch, log.best_val_loss = epoch, val_loss
             best[...] = params
-            stale_epochs = 0
-        else:  # stop after `patience` epochs without a strictly lower loss
-            stale_epochs += 1
-            if stale_epochs == config.patience:
-                break
+        elif epoch - log.best_epoch == config.patience:
+            # `patience` epochs without a strictly lower loss: epoch 1 is
+            # always a best, since its finite loss is below inf
+            break
     params[...] = best
     return log
 

@@ -20,8 +20,9 @@ ever reads a bool or a string as a number. ``check_shape`` is the one shape
 rule, for every array a function is given. These checks test values; they
 convert nothing, so a config keeps the value it was given. ``as_labels`` is
 the rule for an array of labels or indices, and the one place the package
-converts to an integer dtype: it returns int64 labels only from an integer
-array whose every entry lies in [0, num_classes), and never truncates.
+converts to an integer dtype: it returns int64 labels only from a 1-d
+integer array whose every entry lies in [0, num_classes), and never
+truncates.
 """
 
 from __future__ import annotations
@@ -73,13 +74,19 @@ def check_int(name, value, least, most=None):
 
 
 def as_labels(name, labels, num_classes):
-    """labels as an int64 array, or InputError unless numpy reads them as an
-    array of an integer dtype (so no bool, float, string or object) whose
-    every entry lies in [0, num_classes): the one rule, and the one message,
-    for every array of labels or indices. The message shows the first entry
-    outside the range, or of an array of another dtype its first entry. An
-    empty input has no entry to reject."""
-    labels = np.asarray(labels)
+    """labels as an int64 array, or InputError unless numpy reads them as a
+    1-d array of an integer dtype (so no bool, float, string or object)
+    whose every entry lies in [0, num_classes): the one rule, and the one
+    message, for every array of labels or indices. The message shows the
+    first entry outside the range, or of an array of another dtype its
+    first entry; an array of another rank meets `check_shape`. An empty
+    input has no entry to reject."""
+    try:
+        labels = np.asarray(labels)
+    except ValueError:  # a ragged sequence
+        raise InputError(f"{name} must be ints in [0, {num_classes - 1}], got an "
+                         "input numpy cannot read as an array") from None
+    check_shape(name, labels, (None,))
     outside = (labels[(labels < 0) | (labels >= num_classes)]
                if labels.dtype.kind in "iu" else labels)
     if outside.size:

@@ -18,7 +18,6 @@ from emlang.attribution import (
     AttributionConfig,
     ConductanceReport,
     attribute_block,
-    attribution_stack,
     path_segments,
     per_symbol_report,
     integrated_gradients,
@@ -569,7 +568,7 @@ def test_per_symbol_report_matches_the_per_sample_reference(seed, n, output):
     ds = Dataset(rng.normal(size=(n, 5)) * 2.0, np.zeros(n, dtype=int), ["a"])
     report = per_symbol_report(model, ds, AttributionConfig(output=output))
     logits, symbols = model.decode(ds.features)
-    stack = attribution_stack(model)
+    stack = model.layers()
     sums, scales = {}, {}
     for x, symbol, target in zip(ds.features, symbols, np.argmax(logits, axis=1)):
         want, scale = reference_attribution(
@@ -692,6 +691,53 @@ def test_config_validation():
     with pytest.raises(InputError,
                        match=r"^target_class must be an int in \[0, 3\], got 5$"):
         integrated_gradients(model, np.ones(5), AttributionConfig(target_class=5))
+
+
+# each entry point, passing one sample x, or two rows of it for the report,
+# through the door
+ENTRY_POINTS = {
+    "integrated_gradients": integrated_gradients,
+    "neuron_conductance": lambda model, x, config: neuron_conductance(
+        model, x, (0, 0), config),
+    "per_symbol_report": lambda model, x, config: per_symbol_report(
+        model, Dataset(np.stack([x, x]), [0, 1], ["a", "b", "c"]), config),
+}
+
+# (check, x, config, the message for one sample, and for rows when it differs);
+# both models take 6 inputs and have 3 classes
+DOOR_CHECKS = [
+    ("input-width", np.ones(5), AttributionConfig(),
+     "input must have shape (6,), got (5,)",
+     "input must have shape (*, 6), got (2, 5)"),
+    ("baseline-length", np.ones(6), AttributionConfig(baseline=np.zeros(5)),
+     "baseline must have shape (6,), got (5,)", None),
+    ("non-finite-input", np.array([0.0, 1.0, np.inf, 0.0, 1.0, 0.0]),
+     AttributionConfig(), "input contains non-finite values", None),
+    ("target_class", np.ones(6), AttributionConfig(target_class=3),
+     "target_class must be an int in [0, 2], got 3", None),
+]
+
+DOOR_CASES = [
+    (entry, kind, check)
+    for entry in ENTRY_POINTS
+    for kind in ("ModelGraph", "layer-list")
+    if not (entry == "per_symbol_report" and kind == "layer-list")
+    for check in DOOR_CHECKS
+]
+
+
+@pytest.mark.parametrize("entry, kind, check", DOOR_CASES,
+                         ids=[f"{entry}-{kind}-{check[0]}"
+                              for entry, kind, check in DOOR_CASES])
+def test_every_entry_point_meets_the_door_checks_with_one_message(entry, kind,
+                                                                  check):
+    _, x, config, message, rows_message = check
+    if entry == "per_symbol_report" and rows_message is not None:
+        message = rows_message
+    model = (build_model(6, 3, vocab_size=5, hidden_dim=4, seed=1)
+             if kind == "ModelGraph" else random_relu_net(16))
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](model, x, config)
 
 
 @pytest.mark.parametrize("config, field, value, message", [
@@ -841,7 +887,7 @@ def symbol_model_case():
     xs = np.random.default_rng(3).normal(size=(20, 28))
     logits, symbols = model.decode(xs)
     decoded = np.argmax(logits, axis=1)
-    stacked = np.argmax(stack_forward(attribution_stack(model), xs), axis=1)
+    stacked = np.argmax(stack_forward(model.layers(), xs), axis=1)
     row = int(np.flatnonzero(decoded != stacked)[0])
     neuron = (len(model.sender) - 1, int(symbols[row]))
     return model, xs[row], int(decoded[row]), neuron

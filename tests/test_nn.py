@@ -416,7 +416,7 @@ INT_FIELDS = [
      lambda v: check_block_layout(28, v)),
     ("AttributionConfig", "target_class", 0, None,
      lambda v: AttributionConfig(target_class=v)),
-    ("_decode", "target_class", 0, 2,
+    ("_prepare", "target_class", 0, 2,
      lambda v: integrated_gradients(_three_layers(), np.ones(6), _targeting(v))),
     ("neuron_conductance", "neuron layer_index", 0, 1, lambda v: _conductance((v, 0))),
     ("neuron_conductance", "neuron unit", 0, 4, lambda v: _conductance((0, v))),
@@ -545,16 +545,16 @@ SHAPE_SITES = [
      "labels must have shape (2,), got (1,)"),
     ("AttributionConfig-baseline", lambda: AttributionConfig(baseline=np.zeros((2, 2))),
      "baseline must have shape (*,), got (2, 2)"),
-    ("_resolve_inputs-input",
+    ("_prepare-input",
      lambda: integrated_gradients([_identity(6, 3)], np.ones(5),
                                   AttributionConfig(target_class=0)),
      "input must have shape (6,), got (5,)"),
-    ("_resolve_inputs-rows",
+    ("_prepare-rows",
      lambda: per_symbol_report(build_model(6, 3, 5, 4),
                                Dataset(np.ones((2, 5)), [0, 1], ["a", "b"]),
                                AttributionConfig()),
      "input must have shape (*, 6), got (2, 5)"),
-    ("_resolve_inputs-baseline",
+    ("_prepare-baseline",
      lambda: integrated_gradients([_identity(6, 3)], np.ones(6),
                                   AttributionConfig(baseline=np.zeros(5),
                                                     target_class=0)),
@@ -630,6 +630,13 @@ LABEL_SITES = [
     ("confusion_matrix-predictions", lambda: confusion_matrix([0, 1], [-1, 1], 2),
      "predictions must be ints in [0, 1], got -1"),
     ("one_hot", lambda: one_hot([0, 3], 3), "indices must be ints in [0, 2], got 3"),
+    # labels that numpy cannot read as a 1-d array
+    ("Dataset-ragged", lambda: Dataset(np.zeros((2, 3)), [[0], 1], ["a", "b"]),
+     "labels must be ints in [0, 1], got an input numpy cannot read as an array"),
+    ("softmax_cross_entropy-ragged",
+     lambda: softmax_cross_entropy(np.zeros((2, 3)), [[0], 1]),
+     "labels must be ints in [0, 2], got an input numpy cannot read as an array"),
+    ("one_hot-scalar", lambda: one_hot(1, 3), "indices must have shape (*,), got ()"),
 ]
 
 

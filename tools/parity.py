@@ -44,6 +44,17 @@ CASES = {
     "prob": ["attribute", "--checkpoint", "{work}/repro-base/el/checkpoint.json",
              "--test-csv", "{work}/repro-base/data/test.csv",
              "--output-mode", "probability"],
+    # the one run from a non-zero baseline, which the attribution door
+    # converts and checks: 28 entries of +-1/8 to +-5/8
+    "baseline-vector": ["attribute", "--checkpoint",
+                        "{work}/repro-base/el/checkpoint.json",
+                        "--test-csv", "{work}/repro-base/data/test.csv",
+                        "--baseline-vector",
+                        ",".join(f"{(-1) ** i * (i % 5 + 1) / 8}" for i in range(28))],
+    # the one `repro` that trains in batches of 600, where BLAS's thread
+    # count changes the training bytes: a change to the threads that train
+    # shows here
+    "repro-batch600": ["repro", "--seed", "0", "--batch", "600"],
     "gen2000": ["gen", "--seed", "0", "--test-samples", "2000"],
     # 500 blocks of 4 samples, split over worker processes
     "attr2000": ["attribute", "--checkpoint", "{work}/repro-base/el/checkpoint.json",
