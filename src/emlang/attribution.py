@@ -79,7 +79,7 @@ import numpy as np
 
 from .classifier import ModelGraph
 from .errors import InputError, NumericalError
-from .nn import as_f64, check_int, check_real, check_shape, softmax
+from .nn import as_array, as_f64, check_int, check_real, check_shape, softmax
 
 OUTPUTS = ("logit", "probability")
 
@@ -145,7 +145,8 @@ class AttributionConfig:
             check_int("target_class", target, 0)
             object.__setattr__(self, "target_class", int(target))
         if self.baseline is not None:
-            check_shape("baseline", np.asarray(self.baseline), (None,))
+            check_shape("baseline", as_array("baseline", self.baseline, "numbers"),
+                        (None,))
             for i, value in enumerate(self.baseline):
                 check_real(f"baseline[{i}]", value)
             object.__setattr__(self, "baseline", tuple(as_f64(self.baseline).tolist()))

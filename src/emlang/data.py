@@ -39,7 +39,7 @@ class Dataset:
     feature_names: list[str] | None = None  # None means f0..f{D-1}
 
     def __post_init__(self):
-        self.features = as_f64(self.features)
+        self.features = as_f64(self.features, "features")
         self.labels = as_labels("labels", self.labels, len(self.class_names))
         check_shape("features", self.features, (None, None))
         if self.feature_names is None:

@@ -1,4 +1,7 @@
 import re
+import shutil
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from emlang.classifier import (
     train,
 )
 from emlang.data import Dataset, SynthSpec
+from emlang import nn
 from emlang.errors import InputError
 from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, one_hot
 from emlang.nn import (
@@ -245,11 +249,12 @@ def test_adam_first_step_is_signed_learning_rate():
     np.testing.assert_allclose(params, -1e-3 * np.sign(grads), atol=1e-9)
 
 
-def _out_of_place_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
-    # the textbook update, allocating fresh arrays at every step
+def _out_of_place_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8, first=1):
+    # the textbook update, allocating fresh arrays at every step, from zero
+    # moments at step `first`
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    for t, g in enumerate(grad_steps, start=1):
+    for t, g in enumerate(grad_steps, start=first):
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
@@ -302,17 +307,19 @@ def test_fused_adam_on_flat_vector_equals_per_tensor_steps(data):
 def test_adam_step_allocates_no_parameter_sized_temporary():
     import tracemalloc
 
-    params = np.zeros(19_240)  # the default study's parameter count
-    grads = np.random.default_rng(8).normal(size=params.size)
-    state = AdamState(params, grads)
-    adam_step(state)
-    tracemalloc.start()
-    try:
+    # on the kernel where one loads, and on the numpy passes
+    for compiled in (True, False) if nn._adam_kernel() else (False,):
+        params = np.zeros(19_240)  # the default study's parameter count
+        grads = np.random.default_rng(8).normal(size=params.size)
+        state = _on_path(AdamState(params, grads), compiled)
         adam_step(state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < params.nbytes // 2
+        tracemalloc.start()
+        try:
+            adam_step(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes // 2
 
 
 def test_adam_default_learning_rate():
@@ -337,6 +344,194 @@ def test_adam_state_binds_only_float64_arrays_of_one_shape(params, grads):
     message = "params and grads must be float64 arrays of one shape"
     with pytest.raises(InputError, match=f"^{message}$"):
         AdamState(params, grads)
+
+
+def _on_path(state, compiled):
+    """The state, on the numpy path unless `compiled`; skips where the kernel
+    is wanted and no `cc` runs."""
+    if compiled and state.kernel is None:
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        raise AssertionError("the compiled Adam kernel did not load")
+    if not compiled:
+        state.kernel = None
+    return state
+
+
+# gradients and parameters at the edges of float64
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300])
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_both_adam_paths_equal_the_textbook_update_bit_for_bit(compiled, data):
+    # from step 1, and from step 351, so that steps run past t = 356, where
+    # 1 - 0.9**t first rounds to 1.0
+    first = data.draw(st.sampled_from([1, 351]), label="first")
+    size = data.draw(st.integers(1, 12), label="size")
+    steps = data.draw(st.integers(1, 10), label="steps")
+    lr = data.draw(st.floats(1e-6, 1.0), label="lr")
+    value = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), EXTREMES)
+    params = data.draw(arrays(np.float64, size, elements=value), label="params")
+    grad_steps = data.draw(arrays(np.float64, (steps, size), elements=value),
+                           label="grads")
+
+    stepped, grads = params.copy(), np.empty(size)
+    state = _on_path(AdamState(stepped, grads, learning_rate=lr), compiled)
+    state.step_count = first - 1
+    with np.errstate(all="ignore"):  # a 1e300 gradient squares to inf
+        for g in grad_steps:
+            grads[...] = g
+            adam_step(state)
+        ref_params, ref_m, ref_v = _out_of_place_adam(params, grad_steps, lr,
+                                                      first=first)
+    assert stepped.tobytes() == ref_params.tobytes()
+    assert state.first_moment.tobytes() == ref_m.tobytes()
+    assert state.second_moment.tobytes() == ref_v.tobytes()
+
+
+def test_adam_kernel_loads_where_cc_runs():
+    # CI fails here when the kernel silently falls back to the numpy path
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    assert nn._adam_kernel() is not None
+    assert AdamState(np.zeros(3), np.zeros(3)).kernel is not None
+
+
+def test_the_kernel_keeps_its_vectors_alive():
+    # it holds their addresses, so a vector the state no longer names must
+    # live as long as the kernel steps it
+    import gc
+    import weakref
+
+    params = np.zeros(3)
+    alive = weakref.ref(params)
+    state = _on_path(AdamState(params, np.ones(3)), compiled=True)
+    state.params = params = None
+    gc.collect()
+    assert alive() is not None
+    adam_step(state)
+    assert np.array_equal(state.first_moment, np.full(3, 1.0 - 0.9))  # one step of g = 1
+
+
+@pytest.fixture
+def rebuilt(monkeypatch):
+    """Clears the kernel cache, so that the test's `_adam_kernel()` builds
+    again, and again after it, so that no patched build outlives it."""
+    nn._adam_kernel.cache_clear()
+    yield
+    monkeypatch.undo()
+    nn._adam_kernel.cache_clear()
+
+
+def _adam_probe():
+    rng = np.random.default_rng(31)
+    return rng.normal(size=40), rng.normal(size=(30, 40)) * 10.0 ** rng.integers(-8, 4, 40)
+
+
+# each makes (params, grads) for a state that must run the numpy passes
+def _no_cc(monkeypatch, tmp_path, params):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    return params.copy(), np.empty_like(params)
+
+
+def _failing_compile(monkeypatch, tmp_path, params):
+    monkeypatch.setattr(nn, "ADAM_C", "this is not C\n")
+    return params.copy(), np.empty_like(params)
+
+
+def _rounding_changed(monkeypatch, tmp_path, params):
+    # lr / c1 first: one rounding differs, which the self-check must catch
+    source = nn.ADAM_C.replace("((m[i] / c1) * lr)", "(m[i] * (lr / c1))")
+    assert source != nn.ADAM_C
+    monkeypatch.setattr(nn, "ADAM_C", source)
+    return params.copy(), np.empty_like(params)
+
+
+def _strided(monkeypatch, tmp_path, params):
+    stepped = np.zeros(2 * params.size)[::2]
+    stepped[...] = params
+    return stepped, np.empty_like(params)
+
+
+@pytest.mark.parametrize("case", [_no_cc, _failing_compile, _rounding_changed, _strided],
+                         ids=["no-cc", "compile-fails", "self-check-mismatch",
+                              "strided-params"])
+def test_adam_runs_numpy_passes_where_no_kernel_may(rebuilt, monkeypatch, tmp_path,
+                                                    capfd, case):
+    params, grad_steps = _adam_probe()
+    stepped, grads = case(monkeypatch, tmp_path, params)
+    state = AdamState(stepped, grads, learning_rate=0.01)
+    assert state.kernel is None
+    for g in grad_steps:
+        grads[...] = g
+        adam_step(state)
+    ref_params, ref_m, ref_v = _out_of_place_adam(params, grad_steps, 0.01)
+    assert stepped.tobytes() == ref_params.tobytes()
+    assert state.first_moment.tobytes() == ref_m.tobytes()
+    assert state.second_moment.tobytes() == ref_v.tobytes()
+    assert capfd.readouterr() == ("", "")  # the compiler's output is captured
+
+
+def test_adam_runs_numpy_passes_on_params_that_are_their_grads():
+    # each step reads the gradient before it writes the parameters, so
+    # stepping a vector bound as both equals stepping a separate copy whose
+    # gradient is set to the parameters before each step
+    params, _ = _adam_probe()
+    shared = params.copy()
+    state = AdamState(shared, shared, learning_rate=0.01)
+    assert state.kernel is None
+    apart, grads = params.copy(), np.empty_like(params)
+    reference = AdamState(apart, grads, learning_rate=0.01)
+    for _ in range(30):
+        grads[...] = apart
+        adam_step(state)
+        adam_step(reference)
+    assert shared.tobytes() == apart.tobytes()
+    assert state.first_moment.tobytes() == reference.first_moment.tobytes()
+    assert state.second_moment.tobytes() == reference.second_moment.tobytes()
+
+
+def test_no_compiler_process_outlives_the_build(rebuilt, monkeypatch):
+    import subprocess
+
+    compilers = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            compilers.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    assert nn._adam_kernel() is not None or shutil.which("cc") is None
+    assert all(cc.returncode is not None for cc in compilers)  # each one reaped
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_compile_that_outlasts_its_time_is_killed_with_what_it_started(
+        rebuilt, monkeypatch, tmp_path):
+    # a cc that starts a child and waits for it
+    pid_file = tmp_path / "pid"
+    (tmp_path / "cc").write_text(f"#!/bin/sh\nsleep 60 &\necho $! > {pid_file}\nwait\n")
+    (tmp_path / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}:/bin:/usr/bin")
+    monkeypatch.setattr(nn, "BUILD_SECONDS", 0.5)
+    started = time.monotonic()
+    assert nn._adam_kernel() is None
+    assert time.monotonic() - started < 10
+    stat = Path(f"/proc/{pid_file.read_text().strip()}/stat")
+
+    def running():
+        try:
+            return stat.read_text().rsplit(")", 1)[1].split()[0] not in "ZX"
+        except FileNotFoundError:  # reaped
+            return False
+
+    deadline = time.monotonic() + 5
+    while running():  # killed, so soon gone or a zombie
+        assert time.monotonic() < deadline, "the compiler's child outlived the build"
+        time.sleep(0.05)
 
 
 def test_operations_deterministic():
@@ -643,6 +838,26 @@ LABEL_SITES = [
 @pytest.mark.parametrize("call, message", [site[1:] for site in LABEL_SITES],
                          ids=[site[0] for site in LABEL_SITES])
 def test_every_label_array_is_checked_with_one_message(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# (where it is read, a call that passes it a float input numpy cannot read as
+# an array, the message): each raised numpy's own ValueError
+RAGGED_FLOAT_SITES = [
+    ("AttributionConfig-baseline", lambda: AttributionConfig(baseline=[[0.0], 1.0]),
+     "baseline must be numbers, got an input numpy cannot read as an array"),
+    ("Dataset-features", lambda: Dataset([[0.0, 1.0], [2.0]], [0, 1], ["a", "b"]),
+     "features must be numbers, got an input numpy cannot read as an array"),
+    ("_prepare-input", lambda: integrated_gradients(build_model(2, 2, 3, 2), [[0.0], 1.0],
+                                                    AttributionConfig()),
+     "input must be numbers, got an input numpy cannot read as an array"),
+]
+
+
+@pytest.mark.parametrize("call, message", [site[1:] for site in RAGGED_FLOAT_SITES],
+                         ids=[site[0] for site in RAGGED_FLOAT_SITES])
+def test_a_float_input_numpy_cannot_read_is_an_input_error(call, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
 
