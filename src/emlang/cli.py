@@ -15,6 +15,13 @@ range by what it configures. Explicit flags win over the file, the file wins
 over defaults. The effective options are echoed into the output directory,
 and all outputs are byte-deterministic given a seed.
 
+Each command is a run, (options, args) -> (files, error), that writes
+nothing; `main` resolves its options, calls it and writes its files under
+--out. A run that raises writes nothing. Only `repro` returns an error with
+files, the stages that finished before a numerical failure, and `main`
+writes those only into an --out that is missing or empty: beside an earlier
+run's files they would read as one tree.
+
 Exit codes: 0 success, 2 usage/config/input error, 3 numerical failure.
 """
 
@@ -73,7 +80,7 @@ TRAIN_OPTIONS = {
     "temperature": (1.0, {"help": "relaxation temperature"}),
     "lr": (1e-3, {"help": "Adam learning rate"}),
     "batch": (32, {"help": "mini-batch size"}),
-    "patience": (10, {"help": "early-stopping patience, epochs"}),
+    "patience": (10, {"help": "early-stopping patience, epochs, <= --max-epochs"}),
     "max_epochs": (200, {}),
     "hidden": (64, {"help": "hidden layer width"}),
     "label_column": ("label", {}),
@@ -114,11 +121,11 @@ def _write_run(out_dir, files):
     `write_csv`'s (header, rows[, text]) and any other path's is a JSON
     document.
 
-    This is the one place that writes a run's files, and each command calls
-    it once, with its computed run: the `_*_run` functions write nothing. So
-    a command that fails leaves no partial output directory, and `repro`,
+    This is the one place that writes a run's files, and `main` is its one
+    caller: the commands and their `_*_run` functions write nothing. So a
+    command that fails leaves no partial output directory, and `repro`,
     whose run returns the stages that finished before a numerical failure,
-    keeps those."""
+    keeps those, in an --out that held no files."""
     for name, content in files.items():
         path = os.path.join(out_dir, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -182,9 +189,9 @@ def _gen_run(spec, splits, label_column="label"):
             **{f"{ds.split}.csv": dataset_csv(ds, label_column) for ds in splits}}
 
 
-def cmd_gen(args):
-    spec = _spec_from_options(_resolve(GEN_OPTIONS, args))
-    _write_run(args.out, _gen_run(spec, generate_synthetic(spec)))
+def cmd_gen(opts, args):
+    spec = _spec_from_options(opts)
+    return _gen_run(spec, generate_synthetic(spec)), None
 
 
 def _check_columns(path, names, expected, owner):
@@ -264,10 +271,9 @@ def _train_run(opts, splits):
     }
 
 
-def cmd_train(args):
-    opts = _resolve(TRAIN_OPTIONS, args)
+def cmd_train(opts, args):
     splits = _load_split_dir(args.data, opts["label_column"])
-    _write_run(args.out, _train_run(opts, splits))
+    return _train_run(opts, splits), None
 
 
 def _parse_baseline_vector(text, dim):
@@ -326,11 +332,10 @@ def _attribute_run(opts, checkpoint, test_set, test_csv):
     }
 
 
-def cmd_attribute(args):
-    opts = _resolve(ATTRIBUTE_OPTIONS, args)
+def cmd_attribute(opts, args):
     checkpoint = load_checkpoint(_read_json(args.checkpoint, "checkpoint"))
     test_set = load_csv(args.test_csv, opts["label_column"], "test")
-    _write_run(args.out, _attribute_run(opts, checkpoint, test_set, args.test_csv))
+    return _attribute_run(opts, checkpoint, test_set, args.test_csv), None
 
 
 def _repro_stages(opts, spec, splits):
@@ -387,11 +392,8 @@ def _repro_run(opts):
     return files, None
 
 
-def cmd_repro(args):
-    files, error = _repro_run(_resolve(REPRO_OPTIONS, args))
-    _write_run(args.out, files)
-    if error is not None:
-        raise error
+def cmd_repro(opts, args):
+    return _repro_run(opts)
 
 
 def _add_options(parser, options):
@@ -423,7 +425,7 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file")
         _add_options(p, options)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, options=options)
     sub.choices["train"].add_argument("--data", required=True,
                                       help="directory with train/val/test.csv")
     sub.choices["attribute"].add_argument("--checkpoint", required=True,
@@ -436,13 +438,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except (InputError, OSError) as exc:
+        files, error = args.func(_resolve(args.options, args), args)
+        if error is not None and os.path.isdir(args.out) and os.listdir(args.out):
+            raise type(error)(f"{error}; {args.out} already holds files, so this "
+                              "run wrote nothing")
+        _write_run(args.out, files)
+        if error is not None:
+            raise error
+    except (InputError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NumericalError) else 2
     return 0
 
 

@@ -1030,6 +1030,33 @@ def test_repro_keeps_the_stages_that_finished_when_el_diverges(tmp_path, capsys)
         assert (out / "baseline" / name).read_bytes() == (alone / name).read_bytes()
 
 
+def test_a_failed_repro_writes_nothing_beside_an_earlier_run(tmp_path, capsys):
+    # the stages a diverged run keeps would sit beside the earlier run's el/,
+    # attribution/ and comparison.json, under a config.json that is not theirs
+    flags = ["--seed", "0", *SMALL_GEN, "--vocab", "12", "--hidden", "12",
+             "--max-epochs", "3", "--patience", "3"]
+    out = tmp_path / "repro"
+    assert run(["repro", "--out", str(out), *flags]) == 0
+
+    def tree():
+        return {p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    before = tree()
+    capsys.readouterr()
+    assert run(["repro", "--out", str(out), *flags, "--temperature", "1e-310"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: non-finite loss at epoch 1; {out} already holds files, so this "
+        "run wrote nothing\n")
+    assert tree() == before
+    # an empty --out is no earlier run: it gets the stages that finished
+    (tmp_path / "empty").mkdir()
+    assert run(["repro", "--out", str(tmp_path / "empty"), *flags,
+                "--temperature", "1e-310"]) == 3
+    assert sorted(p.name for p in (tmp_path / "empty").iterdir()) == [
+        "baseline", "config.json", "data"]
+
+
 def test_train_and_attribute_runs_write_nothing(tmp_path, monkeypatch):
     import pickle
 

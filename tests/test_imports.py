@@ -130,3 +130,28 @@ def test_integer_conversions_finds_each_conversion_to_an_int_dtype():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_every_integer_conversion_comes_from_as_labels(path):
     assert integer_conversions(path.read_text()) == []
+
+
+def run_writes(source, module):
+    """The lines of the module source that call `_write_run`, outside
+    `cli.main`, the one caller of the one writer, which owns the rule for
+    where a failed run may write."""
+    owner = "main" if module == "cli" else None
+    return sorted(call.lineno for call, named in calls_outside(source, owner)
+                  if named == "_write_run")
+
+
+def test_run_writes_finds_each_call_of_the_writer():
+    source = ("def main(argv=None):\n"
+              "    _write_run(args.out, files)\n"
+              "def cmd_repro(opts, args):\n"
+              "    files, error = _repro_run(opts)\n"
+              "    _write_run(args.out, files)\n"
+              "    return cli._write_run(args.out, {}), None\n")
+    assert run_writes(source, "cli") == [5, 6]
+    assert run_writes(source, "study") == [2, 5, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_only_main_writes_a_run(path):
+    assert run_writes(path.read_text(), path.stem) == []

@@ -42,7 +42,7 @@ def test_every_case_is_compared_after_the_first_difference(tmp_path, parity,
                ("two", "base"): b"2", ("two", "head"): b"2",
                ("three", "base"): b"3", ("three", "head"): b"4"}
 
-    def fake_run(name, argv, src, side, work):
+    def fake_run(name, argv, src, side, work, code):
         write_tree(Path(work) / f"{name}-{side}", {"out.txt": outputs[name, side]})
         return name != "two" or side == "base"
 
@@ -80,3 +80,35 @@ def test_a_check_of_two_trees_compares_them_whole(tmp_path, parity, monkeypatch,
         "  z.csv: only in head",
         "cmp a missing: DIFFERS",
     ]
+
+
+def test_a_case_passes_on_the_exit_code_it_names(tmp_path, parity, monkeypatch,
+                                                 capsys):
+    # a stand-in `emlang.cli` that writes its first argument into --out, the
+    # last, prints it to stderr and exits with it
+    write_tree(tmp_path / "src", {"emlang/__init__.py": b"", "emlang/cli.py": (
+        b"import os, sys\n"
+        b"os.makedirs(sys.argv[-1])\n"
+        b"open(os.path.join(sys.argv[-1], 'code.txt'), 'w').write(sys.argv[1])\n"
+        b"print('error: code', sys.argv[1], file=sys.stderr)\n"
+        b"sys.exit(int(sys.argv[1]))\n")})
+    monkeypatch.setattr(parity, "CASES", {"ok": ["0"], "fails": ["3"],
+                                          "passes-wrongly": ["0"],
+                                          "fails-wrongly": ["2"]})
+    monkeypatch.setattr(parity, "EXIT_CODES", {"fails": 3, "passes-wrongly": 3})
+    monkeypatch.setattr(parity, "CHECKS", [])
+    src = str(tmp_path / "src")
+    code = parity.main(["--base", src, "--head", src, "--work", str(tmp_path / "w")])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok: identical",
+        "fails: identical",
+        "passes-wrongly: base exited 0, not 3: error: code 0",
+        "passes-wrongly: head exited 0, not 3: error: code 0",
+        "passes-wrongly: FAILED",
+        "fails-wrongly: base exited 2, not 0: error: code 2",
+        "fails-wrongly: head exited 2, not 0: error: code 2",
+        "fails-wrongly: FAILED",
+    ]
+    # a case that fails as it should is compared on what it wrote
+    assert (tmp_path / "w" / "fails-head" / "code.txt").read_text() == "3"
