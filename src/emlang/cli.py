@@ -18,9 +18,11 @@ and all outputs are byte-deterministic given a seed.
 Each command is a run, (options, args) -> (files, error), that writes
 nothing; `main` resolves its options, calls it and writes its files under
 --out. A run that raises writes nothing. Only `repro` returns an error with
-files, the stages that finished before a numerical failure, and `main`
-writes those only into an --out that is missing or empty: beside an earlier
-run's files they would read as one tree.
+files, the stages that finished before a numerical failure. Every run, failed
+or not, writes only into an --out in which each file already present is one
+of its own files (a missing or empty --out, or the same command's earlier
+tree): beside any other file its files would read as one tree with it, so
+the run writes nothing and exits 2, or 3 with its own error.
 
 Exit codes: 0 success, 2 usage/config/input error, 3 numerical failure.
 """
@@ -125,7 +127,9 @@ def _write_run(out_dir, files):
     caller: the commands and their `_*_run` functions write nothing. So a
     command that fails leaves no partial output directory, and `repro`,
     whose run returns the stages that finished before a numerical failure,
-    keeps those, in an --out that held no files."""
+    keeps those. `main` calls it only when every file out_dir already holds
+    is a key of `files`, so it overwrites a file only with the same path's
+    new content and never writes beside another run's files."""
     for name, content in files.items():
         path = os.path.join(out_dir, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -439,9 +443,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         files, error = args.func(_resolve(args.options, args), args)
-        if error is not None and os.path.isdir(args.out) and os.listdir(args.out):
-            raise type(error)(f"{error}; {args.out} already holds files, so this "
-                              "run wrote nothing")
+        held = {os.path.relpath(os.path.join(top, name), args.out).replace(os.sep, "/")
+                for top, _, names in os.walk(args.out) for name in names}
+        if not held.issubset(files):
+            refusal = f"{args.out} already holds files, so this run wrote nothing"
+            raise type(error)(f"{error}; {refusal}") if error else InputError(refusal)
         _write_run(args.out, files)
         if error is not None:
             raise error

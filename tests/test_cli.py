@@ -1057,6 +1057,113 @@ def test_a_failed_repro_writes_nothing_beside_an_earlier_run(tmp_path, capsys):
         "baseline", "config.json", "data"]
 
 
+def files_under(out):
+    """Every file under the directory out: {path relative to out: bytes}."""
+    return {p.relative_to(out): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def run_leaves_out_as_it_was(capsys, argv, out, code, err):
+    """Run the command line argv with --out out, and check its exit code,
+    its whole stderr, and that every file under out holds the bytes it held
+    before."""
+    before = files_under(out)
+    capsys.readouterr()
+    assert run([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert files_under(out) == before
+
+
+def test_attribute_into_a_train_run_exits_2_and_writes_nothing(tmp_path, capsys):
+    # attribute's config.json would replace the one that says how the
+    # checkpoint beside it was trained
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    run_leaves_out_as_it_was(
+        capsys, ["attribute", "--checkpoint", str(out / "checkpoint.json"),
+                 "--test-csv", str(data / "test.csv")], out, 2,
+        f"error: {out} already holds files, so this run wrote nothing\n")
+
+
+def test_train_into_its_own_data_directory_exits_2_and_writes_nothing(tmp_path,
+                                                                       capsys):
+    data = gen_small(tmp_path)
+    run_leaves_out_as_it_was(
+        capsys, ["train", "--data", str(data), *SMALL_TRAIN], data, 2,
+        f"error: {data} already holds files, so this run wrote nothing\n")
+
+
+def test_gen_beside_a_stray_file_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("seed 0 looked odd\n")
+    run_leaves_out_as_it_was(
+        capsys, ["gen", *SMALL_GEN], out, 2,
+        f"error: {out} already holds files, so this run wrote nothing\n")
+    assert sorted(out.iterdir()) == [out / "notes.txt"]
+
+
+def test_a_train_rerun_into_its_own_directory_writes_the_same_bytes(tmp_path,
+                                                                    capsys):
+    data = gen_small(tmp_path)
+    out = train_small(tmp_path, data, "el")
+    run_leaves_out_as_it_was(
+        capsys, ["train", "--data", str(data), "--model", "el", "--seed", "0",
+                 *SMALL_TRAIN], out, 0, "")
+
+
+def test_a_failed_repro_rewrites_its_own_partial_tree(tmp_path, capsys):
+    # the files of the stages that finished are the run's own, so the rerun
+    # writes them again, and the same
+    argv = ["repro", "--seed", "0", *SMALL_GEN, "--vocab", "12", "--hidden", "12",
+            "--max-epochs", "3", "--patience", "3", "--temperature", "1e-310"]
+    out = tmp_path / "repro"
+    assert run([*argv, "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["baseline", "config.json", "data"]
+    run_leaves_out_as_it_was(capsys, argv, out, 3,
+                             "error: non-finite loss at epoch 1\n")
+
+
+# gen's own files, and paths that are none of them: another name, another
+# run's file, one of gen's names in a subdirectory, and a name gen's extends
+GEN_FILES = ["spec.json", "test.csv", "train.csv", "val.csv"]
+STRAY_FILES = ["notes.txt", "el/config.json", "data/train.csv", "train.csv.tmp"]
+
+
+@pytest.fixture(scope="module")
+def tiny_gen(tmp_path_factory):
+    """A directory for the runs, the argv of a tiny `gen` without --out, and
+    its files as written into an empty --out."""
+    base = tmp_path_factory.mktemp("held")
+    argv = ["gen", "--train-samples", "8", "--val-samples", "4",
+            "--test-samples", "4"]
+    (base / "fresh").mkdir()
+    assert run([*argv, "--out", str(base / "fresh")]) == 0
+    return base, argv, files_under(base / "fresh")
+
+
+@settings(max_examples=40, deadline=None)
+@given(held=st.dictionaries(st.sampled_from(GEN_FILES + STRAY_FILES),
+                            st.binary(max_size=16)))
+def test_a_run_writes_only_beside_its_own_files(tiny_gen, held):
+    base, argv, fresh = tiny_gen
+    out = Path(tempfile.mkdtemp(dir=base))
+    try:
+        for name, content in held.items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_bytes(content)
+        before = files_under(out)
+        code = main([*argv, "--out", str(out)])
+        event(f"exit {code}")
+        assert code == (2 if set(held) & set(STRAY_FILES) else 0)
+        if code:
+            assert files_under(out) == before
+        else:
+            assert files_under(out) == fresh
+    finally:
+        shutil.rmtree(out)
+
+
 def test_train_and_attribute_runs_write_nothing(tmp_path, monkeypatch):
     import pickle
 

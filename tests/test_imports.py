@@ -155,3 +155,35 @@ def test_run_writes_finds_each_call_of_the_writer():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_only_main_writes_a_run(path):
     assert run_writes(path.read_text(), path.stem) == []
+
+
+# the calls that list a directory's entries: os.walk, os.listdir, os.scandir,
+# Path.iterdir and Path.rglob
+LISTINGS = {"walk", "listdir", "scandir", "iterdir", "rglob"}
+
+
+def directory_listings(source, module):
+    """The lines of the module source that list a directory, outside
+    `cli.main`, the one owner of the rule for which files a run may write
+    beside."""
+    owner = "main" if module == "cli" else None
+    return sorted(call.lineno for call, named in calls_outside(source, owner)
+                  if named in LISTINGS)
+
+
+def test_directory_listings_finds_each_call_that_lists_a_directory():
+    source = ("def main(argv=None):\n"
+              "    held = [names for _, _, names in os.walk(args.out)]\n"
+              "def _load_split_dir(data_dir, label_column):\n"
+              "    names = os.listdir(data_dir)\n"
+              "    return sorted(Path(data_dir).iterdir())\n"
+              "EMPTY = not any(os.scandir('.'))\n"
+              "def count(root):\n"
+              "    return len(list(root.rglob('*')))\n")
+    assert directory_listings(source, "cli") == [4, 5, 6, 8]
+    assert directory_listings(source, "study") == [2, 4, 5, 6, 8]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_only_main_lists_a_directory(path):
+    assert directory_listings(path.read_text(), path.stem) == []
