@@ -16,6 +16,17 @@ walk, `_batch_losses`, which runs `forward` and the loss on each batch; on a
 symbol model the validation noise is drawn once per `train` call. Early
 stopping restores the parameters of the best validation epoch.
 
+The walk runs each batch of more than one row as one call of STEP_C, the
+whole batch in C (the noise, the forward, the loss and, when training, the
+backward), once its library has loaded: the first long `train` of a
+process starts building it in the background, and keeps it only if it
+gives the numpy path's bytes on a probe. It makes the calls numpy makes,
+into numpy's own dgemm and exp, log and maximum loops, and takes every
+other operation in numpy's IEEE order, so the two paths give the same
+bytes and which one ran cannot show in a run's output. The default study's two
+200-epoch trainings took ~1.9 s against ~2.9-3.4 s on the numpy path
+(2-vCPU VM, gcc 12.2, numpy 2.4.6; README).
+
 `ModelGraph.decode` is the one noise-free evaluation of the package, which
 `evaluate` and attribution share: each input's sender logits decode to their
 argmax symbol, and the receiver classifies from that symbol's one-hot alone.
@@ -26,16 +37,21 @@ side of the channel, so an overflow is never reported as a prediction.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .data import Dataset
 from .errors import InputError, NumericalError
-from .gumbel import GumbelSoftmaxSampler, hard_decode, noise_from_uniform, one_hot
+from .gumbel import (UNIFORM_EPS, GumbelSoftmaxSampler, hard_decode, noise_from_uniform,
+                     one_hot)
 from .nn import (
     AdamState,
+    Background,
     DenseLayer,
     adam_step,
     as_f64,
@@ -243,11 +259,12 @@ class TrainLog:
 
 def _pack(model):
     """Copy all weights and biases into one float64 vector `params` and point
-    the layers at views of it. Also returns `grads`, a vector of the same
-    layout, with each layer's (weight, bias) views into it in forward order."""
+    the layers at views of it. Also returns `grads`, a zeroed vector of the
+    same layout, with each layer's (weight, bias) views into it in forward
+    order; a batch whose loss is not finite writes no gradient into it."""
     layers = model.layers()
     params = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
-    grads = np.empty_like(params)
+    grads = np.zeros_like(params)
     grad_views = []
     start = 0
     for layer in layers:
@@ -263,35 +280,445 @@ def _pack(model):
     return params, grads, grad_views
 
 
-def _batch_losses(model, dataset, batch_size, order, noise=None):
+def _batch_losses(model, dataset, batch_size, order, noise=None, grads=None, step=None):
     """Walk the rows `order` names, batch_size at a time, yielding each
-    batch's (rows, tape, loss, dlogits): its row count, its `forward` tape,
-    and its `cross_entropy` mean loss and logit gradient. `noise` maps the
-    batch's row indices to its [rows, K] Gumbel noise; None for a baseline.
-    The caller drops each tape before it asks for the next batch, so two
-    batches' tapes are never alive at once."""
+    batch's (rows, loss): its row count and its `cross_entropy` mean loss.
+    `noise` maps the batch's row indices to its [rows, K] Gumbel noise; None
+    for a baseline. Given `grads`, the (weight, bias) gradient views of
+    `ModelGraph.backward`, a batch with a finite loss writes its gradients
+    there before it is yielded. Given `step`, STEP_C bound to the walk's
+    arrays by `_bind_steps`, a batch of more than one row is one call of
+    it, which draws its own noise; a 1-row batch always runs `forward`, as
+    numpy's matmul runs gemv or a dot product on a 1-row operand, not
+    dgemm, and the bytes could differ. Either way the batch takes the same
+    IEEE operations in the same order and gives the same bytes."""
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
-        batch_noise = None if noise is None else noise(idx)
-        logits, tape = model.forward(dataset.features[idx], batch_noise)
-        yield (len(idx), tape, *cross_entropy(logits, dataset.labels[idx]))
-        del logits, tape
+        if step and len(idx) > 1:
+            yield len(idx), step(start, len(idx))
+            continue
+        logits, tape = model.forward(dataset.features[idx],
+                                     None if noise is None else noise(idx))
+        loss, dlogits = cross_entropy(logits, dataset.labels[idx])
+        if grads is not None and math.isfinite(loss):
+            model.backward(tape, dlogits, grads)
+        del logits, tape, dlogits  # before the next batch's forward
+        yield len(idx), loss
 
 
-def dataset_loss(model, dataset, batch_size, noise=None):
+def dataset_loss(model, dataset, batch_size, noise=None, step=None):
     """Mean cross-entropy of `forward` over a dataset, batched in input
     order. A model with a bottleneck needs `noise`, one [num_samples, K] row
     of Gumbel noise per sample, and is scored through the soft relaxation
     with it (the validation contract); a baseline takes None. There is no
     noise-free loss of a symbol model. The caller checks the split once
-    (`train` does, with `_check_split`), so no batch is checked again."""
+    (`train` does, with `_check_split`), so no batch is checked again.
+    `step` is STEP_C bound to the dataset and the noise, as
+    `_batch_losses` takes it."""
     n = dataset.num_samples
     batches = _batch_losses(model, dataset, batch_size, np.arange(n),
-                            None if noise is None else noise.__getitem__)
+                            None if noise is None else noise.__getitem__, step=step)
     total = 0.0
-    for rows, _, loss, _ in batches:
+    for rows, loss in batches:
         total += loss * rows
     return total / n
+
+
+# One training or validation batch of `_batch_losses` in one C call, taking
+# the same IEEE operations in the same order as the numpy path: every
+# matmul is numpy's own cblas_dgemm called with the arguments np.matmul
+# passes it, every exp, log and relu is numpy's own float64 loop (from
+# `_numpy_calls`), row sums are numpy's pairwise sum from its identity 0.0,
+# bias gradients are summed row by row, and each elementwise expression
+# rounds each operation as numpy's separate passes do
+STEP_C = f"#define UNIFORM_EPS {UNIFORM_EPS!r}\n" + r"""#include <math.h>
+#include <string.h>
+
+typedef long long i64;
+/* a numpy strided loop, and the head of the call-info struct numpy fills
+   in for one: the loop, its context and its auxdata */
+typedef int (*loop_t)(void *, char *const *, const i64 *, const i64 *, void *);
+typedef struct { loop_t loop; void *context, *auxdata; } ufunc;
+typedef void (*gemm_t)(int, int, int, i64, i64, i64, double, const double *, i64,
+                       const double *, i64, double, double *, i64);
+enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
+
+/* the ufunc's loop on n contiguous doubles, as numpy runs it on an array */
+static void unary(const ufunc *f, const double *in, double *out, i64 n) {
+    char *data[2] = {(char *)in, (char *)out};
+    const i64 strides[2] = {8, 8};
+    f->loop(f->context, data, &n, strides, f->auxdata);
+}
+
+/* np.maximum(z, 0.0), through numpy's own loop */
+static void relu(const ufunc *f, const double *z, double *h, i64 n) {
+    const double zero = 0.0;
+    char *data[3] = {(char *)z, (char *)&zero, (char *)h};
+    const i64 strides[3] = {8, 0, 8};
+    f->loop(f->context, data, &n, strides, f->auxdata);
+}
+
+/* numpy's pairwise sum: 8 accumulators, halved above 128 terms */
+static double pairwise(const double *a, i64 n) {
+    if (n < 8) {
+        double res = -0.0;
+        for (i64 i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        i64 i;
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    i64 half = n / 2;
+    half -= half % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* each row's sum as np.sum(axis=-1) gives it, from its identity 0.0 */
+static void row_sums(const double *a, i64 rows, i64 k, double *s) {
+    for (i64 i = 0; i < rows; i++) s[i] = 0.0 + pairwise(a + i * k, k);
+}
+
+/* each row's max as np.max(axis=-1) gives it, NaN included */
+static double row_max(const double *a, i64 k) {
+    double m = a[0];
+    for (i64 j = 1; j < k; j++) m = (m >= a[j] || m != m) ? m : a[j];
+    return m;
+}
+
+/* log_softmax: z = x - max, out = z - log(sum(exp(z))); s holds 2 rows */
+static void log_softmax(const ufunc *ex, const ufunc *lg, const double *x, i64 rows,
+                        i64 k, double *z, double *e, double *s, double *out) {
+    for (i64 i = 0; i < rows; i++) {
+        double m = row_max(x + i * k, k);
+        for (i64 j = 0; j < k; j++) z[i * k + j] = x[i * k + j] - m;
+    }
+    unary(ex, z, e, rows * k);
+    row_sums(e, rows, k, s);
+    unary(lg, s, s + rows, rows);
+    for (i64 i = 0; i < rows; i++)
+        for (i64 j = 0; j < k; j++) out[i * k + j] = z[i * k + j] - s[rows + i];
+}
+
+/* where each buffer lies in the scratch, in doubles from its start */
+typedef struct {
+    i64 x0, z, h, noise, ca, cb, logp, probs, relaxed, la, lb, lp, dl, picked, s, g1, g2,
+        gm, end;
+} layout_t;
+
+static layout_t layout(const i64 *dims) {
+    i64 L = dims[0], K = dims[2], B = dims[3];
+    const i64 *w = dims + 4;
+    i64 wide = 0, widths = 0, at = 0;
+    for (i64 l = 0; l <= L; l++) wide = w[l] > wide ? w[l] : wide;
+    for (i64 l = 1; l <= L; l++) widths += B * w[l];
+    layout_t b;
+#define TAKE(name, n) (b.name = at, at += (n))
+    TAKE(x0, B * w[0]); TAKE(z, widths); TAKE(h, widths);
+    TAKE(noise, B * K); TAKE(ca, B * K); TAKE(cb, B * K); TAKE(logp, B * K);
+    TAKE(probs, B * K); TAKE(relaxed, B * K);
+    TAKE(la, B * w[L]); TAKE(lb, B * w[L]); TAKE(lp, B * w[L]); TAKE(dl, B * w[L]);
+    TAKE(picked, B); TAKE(s, 2 * B); TAKE(g1, B * wide); TAKE(g2, B * wide);
+    TAKE(gm, B * wide);
+#undef TAKE
+    b.end = at;
+    return b;
+}
+
+long long scratch_doubles(const i64 *dims) { return layout(dims).end; }
+
+/* One batch of `rows` rows through the chain that `dims` describes,
+   returning its mean cross-entropy, or NaN on a non-finite sender logit;
+   `_bind_steps` lays out dims and p. A batch with an order is a training
+   batch: its rows are order[start:start + rows], its noise comes from the
+   bound uniforms, and when its loss is finite it writes every layer's
+   gradients. One without is a validation batch of the `rows` rows and
+   rows of noise from `start`, and computes no gradient. */
+double step(const i64 *dims, void *const *p, double temperature, i64 start, i64 rows) {
+    const i64 L = dims[0], S = dims[1], K = dims[2], *w = dims + 4, *act = dims + 5 + L;
+    const gemm_t gemm = (gemm_t)p[0];
+    const ufunc *ex = p[1], *lg = p[2], *mx = p[3];
+    const double *features = p[4], *uniforms = p[7];
+    const i64 *labels = p[5], *order = p[6];
+    double *scratch = p[9];
+    void *const *params = p + 10;
+    const layout_t b = layout(dims);
+    double *s = scratch + b.s;
+    const double *x = features + start * w[0];
+    if (order) {
+        x = scratch + b.x0;
+        for (i64 i = 0; i < rows; i++)
+            memcpy(scratch + b.x0 + i * w[0], features + order[start + i] * w[0],
+                   w[0] * sizeof(double));
+    }
+    const double *noise = p[8] ? (const double *)p[8] + start * K : 0;
+    if (K && uniforms) {  /* -log(-log(clip(u, eps, 1 - eps))) */
+        double *ca = scratch + b.ca, *cb = scratch + b.cb, *out = scratch + b.noise;
+        for (i64 i = 0; i < rows * K; i++) {
+            double u = uniforms[i] > UNIFORM_EPS ? uniforms[i] : UNIFORM_EPS;
+            ca[i] = u < 1.0 - UNIFORM_EPS ? u : 1.0 - UNIFORM_EPS;
+        }
+        unary(lg, ca, cb, rows * K);
+        for (i64 i = 0; i < rows * K; i++) ca[i] = -cb[i];
+        unary(lg, ca, cb, rows * K);
+        for (i64 i = 0; i < rows * K; i++) out[i] = -cb[i];
+        noise = out;
+    }
+    /* forward, keeping each layer's input, pre-activation and output */
+    const double *in[L];
+    double *zs[L], *hs[L];
+    double *z = scratch + b.z, *h = scratch + b.h;
+    for (i64 l = 0; l < L; l++) {
+        const i64 n = rows * w[l + 1];
+        const double *wt = params[4 * l], *bias = params[4 * l + 1];
+        in[l] = x;
+        zs[l] = z;
+        /* x @ W.T, as np.matmul calls dgemm for it */
+        gemm(ROW_MAJOR, NO_TRANS, TRANS, rows, w[l + 1], w[l], 1.0, x, w[l], wt, w[l], 0.0,
+             z, w[l + 1]);
+        for (i64 i = 0; i < rows; i++)
+            for (i64 j = 0; j < w[l + 1]; j++) z[i * w[l + 1] + j] += bias[j];
+        hs[l] = z;
+        if (act[l]) {
+            relu(mx, z, h, n);
+            hs[l] = h;
+        }
+        x = hs[l];
+        z += dims[3] * w[l + 1];
+        h += dims[3] * w[l + 1];
+        if (K && l == S - 1) {  /* the channel: relaxed = softmax((log_p + g) / T) */
+            double *ca = scratch + b.ca, *cb = scratch + b.cb, *logp = scratch + b.logp,
+                   *relaxed = scratch + b.relaxed;
+            for (i64 i = 0; i < rows * K; i++)
+                if (!isfinite(x[i])) return NAN;
+            log_softmax(ex, lg, x, rows, K, ca, cb, s, logp);
+            for (i64 i = 0; i < rows; i++) {
+                for (i64 j = 0; j < K; j++)
+                    ca[i * K + j] = (logp[i * K + j] + noise[i * K + j]) / temperature;
+                double m = row_max(ca + i * K, K);
+                for (i64 j = 0; j < K; j++) ca[i * K + j] = ca[i * K + j] - m;
+            }
+            unary(ex, ca, cb, rows * K);
+            row_sums(cb, rows, K, s);
+            for (i64 i = 0; i < rows; i++)
+                for (i64 j = 0; j < K; j++) relaxed[i * K + j] = cb[i * K + j] / s[i];
+            unary(ex, logp, scratch + b.probs, rows * K);
+            x = relaxed;
+        }
+    }
+    /* cross_entropy of the class logits x */
+    const i64 C = w[L];
+    double *lp = scratch + b.lp, *dl = scratch + b.dl, *picked = scratch + b.picked;
+    log_softmax(ex, lg, x, rows, C, scratch + b.la, scratch + b.lb, s, lp);
+    for (i64 i = 0; i < rows; i++)
+        picked[i] = lp[i * C + labels[order ? order[start + i] : start + i]];
+    const double loss = -(0.0 + pairwise(picked, rows)) / (double)rows;
+    if (!order || !isfinite(loss)) return loss;
+    unary(ex, lp, dl, rows * C);
+    for (i64 i = 0; i < rows; i++) dl[i * C + labels[order[start + i]]] -= 1.0;
+    for (i64 i = 0; i < rows * C; i++) dl[i] /= (double)rows;
+    /* backward, into each layer's weight and bias gradient */
+    double *g = dl, *next = scratch + b.g1, *other = scratch + b.g2;
+    for (i64 l = L - 1; l >= 0; l--) {
+        const i64 out = w[l + 1], n = rows * out;
+        double *gw = params[4 * l + 2], *gb = params[4 * l + 3];
+        if (act[l]) {
+            double *gm = scratch + b.gm;
+            for (i64 i = 0; i < n; i++) gm[i] = g[i] * (zs[l][i] > 0.0 ? 1.0 : 0.0);
+            g = gm;
+        }
+        gemm(ROW_MAJOR, TRANS, NO_TRANS, out, w[l], rows, 1.0, g, out, in[l], w[l], 0.0,
+             gw, w[l]);
+        for (i64 j = 0; j < out; j++) gb[j] = 0.0;
+        for (i64 i = 0; i < rows; i++)
+            for (i64 j = 0; j < out; j++) gb[j] += g[i * out + j];
+        if (l == 0) break;
+        gemm(ROW_MAJOR, NO_TRANS, NO_TRANS, rows, w[l], out, 1.0, g, out, params[4 * l],
+             w[l], 0.0, next, w[l]);
+        g = next;
+        next = other;
+        other = g;
+        if (K && l == S) {  /* back through the channel to the sender's logits */
+            const double *relaxed = scratch + b.relaxed, *probs = scratch + b.probs;
+            double *ca = scratch + b.ca, *cb = scratch + b.cb;
+            for (i64 i = 0; i < rows * K; i++) ca[i] = g[i] * relaxed[i];
+            row_sums(ca, rows, K, s);
+            for (i64 i = 0; i < rows; i++)
+                for (i64 j = 0; j < K; j++)
+                    cb[i * K + j] = relaxed[i * K + j] * (g[i * K + j] - s[i]) / temperature;
+            row_sums(cb, rows, K, s);
+            for (i64 i = 0; i < rows; i++)
+                for (i64 j = 0; j < K; j++)
+                    next[i * K + j] = cb[i * K + j] - probs[i * K + j] * s[i];
+            g = next;
+            next = other;
+            other = g;
+        }
+    }
+    return loss;
+}
+"""
+# no fused multiply-adds and no reordering, as for ADAM_C; -O2 builds in
+# about half the time of -O3 (~0.3 s against ~0.55 s with gcc 12), and the
+# time of a batch is numpy's dgemm and loops
+STEP_CFLAGS = ("-pipe", "-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+# numpy's own ILP64 dgemm, as numpy 2's scipy-openblas and numpy 1's
+# openblas64_ name it; an LP64 or other BLAS is not taken
+DGEMM_SYMBOLS = ("scipy_cblas_dgemm64_", "cblas_dgemm64_")
+# the float64 loops STEP_C calls, in the order it reads them, with the byte
+# strides numpy calls each with
+LOOPS = ((np.exp, (8, 8)), (np.log, (8, 8)), (np.maximum, (8, 0, 8)))
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+class StepLibrary(NamedTuple):
+    """STEP_C's two functions, and the addresses of what it calls in numpy:
+    its dgemm, then the call-info of each of LOOPS, whose capsules keep
+    the loops' data alive."""
+
+    step: object
+    scratch_doubles: object
+    shared: tuple
+    capsules: list
+
+
+def _numpy_calls():
+    """(shared, capsules) of a StepLibrary: the address of numpy's dgemm
+    and of each LOOPS call-info, with the capsules numpy fills in for
+    them, or None where numpy hands out no such dgemm or loop, or a loop
+    that needs the GIL."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        blas = ctypes.CDLL(umath.__file__)  # its BLAS is among what it loaded
+        gemm = next(ctypes.cast(getattr(blas, name), ctypes.c_void_p).value
+                    for name in DGEMM_SYMBOLS if hasattr(blas, name))
+        f8 = np.dtype(np.float64)
+        capsules = [ufunc._resolve_dtypes_and_context((f8,) * len(strides))[1]
+                    for ufunc, strides in LOOPS]
+        for (ufunc, strides), info in zip(LOOPS, capsules):
+            ufunc._get_strided_loop(info, fixed_strides=strides)
+        infos = [_CAPSULE_POINTER(info, b"numpy_1.24_ufunc_call_info") for info in capsules]
+    except (OSError, StopIteration, AttributeError, TypeError, ValueError):
+        return None
+    # each call-info holds the loop, its context and auxdata, then a flag
+    # that the loop needs the GIL, which a ctypes call releases
+    if any(ctypes.c_bool.from_address(info + 3 * ctypes.sizeof(ctypes.c_void_p)).value
+           for info in infos):
+        return None
+    return (gemm, *infos), capsules
+
+
+def _load_steps(lib):
+    """The StepLibrary of a built STEP_C, or None where `_numpy_calls` finds
+    nothing or it fails `_steps_agree`."""
+    calls = _numpy_calls()
+    if calls is None:
+        return None
+    lib.step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
+                         ctypes.c_longlong, ctypes.c_longlong]
+    lib.step.restype = ctypes.c_double
+    lib.scratch_doubles.argtypes = [ctypes.c_void_p]
+    lib.scratch_doubles.restype = ctypes.c_longlong
+    library = StepLibrary(lib.step, lib.scratch_doubles, *calls)
+    return library if _steps_agree(library) else None
+
+
+# built in the background from the first long `train` of a process (~0.3 s),
+# which walks its batches through `forward` until the library has loaded
+_STEPS = Background(STEP_C, STEP_CFLAGS, _load_steps)
+# A training planned for fewer batches (max_epochs of them per epoch) starts
+# no build: on the numpy path it ends about when the library would load, and
+# the compile would only slow it (~4 ms of a 5-epoch el training's ~45 ms)
+BUILD_BATCHES = 600
+
+
+def _bind_steps(library, model, rows, grad_views):
+    """A function `bind(features, labels, order=None, uniforms=None,
+    noise=None)` that binds `library`'s STEP_C to the model's layers, their
+    gradient views and one split's arrays, for batches of at most `rows`
+    rows, and returns `step(start, rows) -> loss`: with an `order` a
+    training batch (and, on a symbol model, the [rows, K] `uniforms` its
+    noise comes from), otherwise a validation batch (and its `noise`). None
+    when a layer width is 1, where numpy's matmul runs gemv or a dot
+    product, not dgemm. Every address is bound once."""
+    layers = model.layers()
+    widths = [model.input_dim, *(layer.out_dim for layer in layers)]
+    if min(widths) == 1:
+        return None
+    # layers, sender layers, K (0 without a channel), rows, then the widths
+    # and each layer's relu flag
+    dims = (ctypes.c_longlong * (5 + 2 * len(layers)))(
+        len(layers), len(model.sender), model.vocab_size or 0, rows, *widths,
+        *(layer.activation == "relu" for layer in layers))
+    scratch = np.empty(library.scratch_doubles(dims))
+    arrays = [a for layer, grads in zip(layers, grad_views)
+              for a in (layer.weights, layer.bias, *grads)]
+    temperature = 1.0 if model.bottleneck is None else model.bottleneck.temperature
+
+    def bind(features, labels, order=None, uniforms=None, noise=None):
+        split = (np.ascontiguousarray(features), np.ascontiguousarray(labels), order,
+                 uniforms, noise)
+        # numpy's dgemm and loops, the split's arrays (NULL for None), the
+        # scratch, then each layer's weights, bias and their two gradients
+        pointers = (ctypes.c_void_p * (10 + len(arrays)))(
+            *library.shared, *(None if a is None else a.ctypes.data for a in split),
+            scratch.ctypes.data, *(a.ctypes.data for a in arrays))
+        step = functools.partial(library.step, dims, pointers, temperature)
+        step.arrays = split, scratch, arrays  # alive as long as it reads them
+        return step
+
+    return bind
+
+
+def _probe(model, dataset, uniforms, library=None):
+    """One training batch of all of `dataset`'s rows, with the Gumbel noise
+    of the [rows, K] `uniforms` on a symbol model, then one validation batch
+    of them scored with that noise, through STEP_C from `library`, or
+    through `forward` where it is None: (training loss, gradient vector,
+    validation loss). Packs the model's parameters; changes none."""
+    _, grads, grad_views = _pack(model)
+    n = dataset.num_samples
+    order = np.arange(n, dtype=np.int64)
+    noise = None if model.bottleneck is None else noise_from_uniform(uniforms)
+    bind = library and _bind_steps(library, model, n, grad_views)
+    steps = ((bind(dataset.features, dataset.labels, order, uniforms),
+              bind(dataset.features, dataset.labels, noise=noise)) if bind else (None, None))
+    [(_, loss)] = _batch_losses(model, dataset, n, order,
+                                None if noise is None else noise.__getitem__,
+                                grad_views, steps[0])
+    return loss, grads, dataset_loss(model, dataset, n, noise, steps[1])
+
+
+@np.errstate(all="ignore")
+def _steps_agree(library):
+    """Whether `library`'s STEP_C gives the numpy path's bytes in `_probe`
+    on both model kinds: 140 rows, so the loss sum's pairwise sum recurses,
+    130 symbols, so each row's does too, ReLU inputs of zero, uniforms that
+    the noise clips, and a temperature that is not 1."""
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(140, 5))
+    features[::7] = 0.0
+    data = Dataset(features, rng.integers(0, 3, 140), ["a", "b", "c"])
+    uniforms = rng.random((140, 130))
+    uniforms[::9, ::5] = 0.0
+    for symbols in (True, False):
+        model = build_model(5, 3, vocab_size=130, hidden_dim=6, temperature=0.7,
+                            with_bottleneck=symbols, seed=3)
+        numpy_path, kernel = (_probe(model, data, uniforms, lib) for lib in (None, library))
+        if not all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(numpy_path, kernel)):
+            return False
+    return True
 
 
 def _check_split(model, ds):
@@ -320,56 +747,96 @@ def train(model, train_set, val_set, config):
     up front; raises NumericalError (naming the epoch) on a non-finite logit
     or loss, with no numpy warning ahead of it. Every random stream starts
     here, so equal weights and config train to equal results.
+
+    Batches run STEP_C from the first epoch that finds its library loaded
+    and past its self-check. A training planned for at least BUILD_BATCHES
+    batches starts the library's build in the background at its first
+    epoch, after AdamState's own, unless it is built or building; a build
+    still running when training ends is stopped. Until the library loads,
+    and where `_bind_steps` binds nothing, batches run `forward`. Both give
+    the same bytes.
     """
     _check_split(model, train_set)
     _check_split(model, val_set)
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
     params, grads, grad_views = _pack(model)
     state = AdamState(params, grads, learning_rate=config.learning_rate)
-    # each batch's noise comes from the sampler's seed; the validation noise
-    # is drawn once per call, so losses compare across epochs
-    draw = val_noise = None
+    n = train_set.num_samples
+    order = np.empty(n, np.int64)
+    rows = min(config.batch_size, max(n, val_set.num_samples))
+    builds = config.max_epochs * -(-n // config.batch_size) >= BUILD_BATCHES
+    # each batch's noise comes from the sampler's seed, drawn into one bound
+    # array; the validation noise is drawn once per call, so losses compare
+    # across epochs
+    draw = val_noise = uniforms = None
     if model.bottleneck is not None:
         noise_rng = np.random.default_rng(model.bottleneck.rng_seed)
         val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
+        uniforms = np.empty((min(rows, n), model.vocab_size))
 
-        def draw(idx, rng=noise_rng):
-            return noise_from_uniform(rng.random((len(idx), model.vocab_size)))
+        def fill(count):
+            return noise_rng.random(out=uniforms[:count])
 
-        val_noise = draw(range(val_set.num_samples), val_rng)
+        def draw(idx):
+            return noise_from_uniform(fill(len(idx)))
+
+        val_noise = noise_from_uniform(val_rng.random((val_set.num_samples,
+                                                       model.vocab_size)))
 
     log = TrainLog()
     best = params.copy()
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(train_set.num_samples)
-        running = 0.0
-        # the splits were checked up front, so a non-finite logit or loss
-        # anywhere in the epoch means the optimization blew up
-        try:
-            batches = _batch_losses(model, train_set, config.batch_size, order, draw)
-            for rows, tape, loss, dlogits in batches:
-                if not math.isfinite(loss):
-                    raise NumericalError("non-finite training loss")
-                running += loss * rows
-                model.backward(tape, dlogits, grad_views)
-                del tape  # before the next batch's forward
-                adam_step(state)
-            val_loss = dataset_loss(model, val_set, config.batch_size, val_noise)
-            if not math.isfinite(val_loss):
-                raise NumericalError("non-finite validation loss")
-        except NumericalError:
-            raise NumericalError(f"non-finite loss at epoch {epoch}") from None
-        train_loss = running / train_set.num_samples
-        log.epochs.append(EpochStats(epoch, train_loss, val_loss))
-        if val_loss < log.best_val_loss:
-            log.best_epoch, log.best_val_loss = epoch, val_loss
-            best[...] = params
-        elif epoch - log.best_epoch == config.patience:
-            # `patience` epochs without a strictly lower loss: epoch 1 is
-            # always a best, since its finite loss is below inf
-            break
+    train_step = val_step = None
+    try:
+        for epoch in range(1, config.max_epochs + 1):
+            if train_step is None and (library := _STEPS.get(start=builds)) is not None:
+                bind = _bind_steps(library, model, rows, grad_views)
+                train_step = val_step = False
+                if bind:
+                    train_step = bind(train_set.features, train_set.labels, order, uniforms)
+                    val_step = bind(val_set.features, val_set.labels, noise=val_noise)
+                    if uniforms is not None:
+                        train_step = _drawing(train_step, fill)
+            order[...] = shuffle_rng.permutation(n)
+            running = 0.0
+            # the splits were checked up front, so a non-finite logit or loss
+            # anywhere in the epoch means the optimization blew up
+            try:
+                batches = _batch_losses(model, train_set, config.batch_size, order, draw,
+                                        grad_views, train_step)
+                for batch_rows, loss in batches:
+                    if not math.isfinite(loss):
+                        raise NumericalError("non-finite training loss")
+                    running += loss * batch_rows
+                    adam_step(state)
+                val_loss = dataset_loss(model, val_set, config.batch_size, val_noise,
+                                        val_step)
+                if not math.isfinite(val_loss):
+                    raise NumericalError("non-finite validation loss")
+            except NumericalError:
+                raise NumericalError(f"non-finite loss at epoch {epoch}") from None
+            train_loss = running / n
+            log.epochs.append(EpochStats(epoch, train_loss, val_loss))
+            if val_loss < log.best_val_loss:
+                log.best_epoch, log.best_val_loss = epoch, val_loss
+                best[...] = params
+            elif epoch - log.best_epoch == config.patience:
+                # `patience` epochs without a strictly lower loss: epoch 1 is
+                # always a best, since its finite loss is below inf
+                break
+    finally:
+        _STEPS.stop()
     params[...] = best
     return log
+
+
+def _drawing(kernel, fill):
+    """A training step that first draws its batch's uniforms with `fill`."""
+
+    def step(start, rows):
+        fill(rows)
+        return kernel(start, rows)
+
+    return step
 
 
 def confusion_matrix(labels, predictions, num_classes):

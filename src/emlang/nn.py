@@ -13,18 +13,23 @@ module constants ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
 
 Adam runs as one compiled loop where it can. The first ``AdamState`` of a
 process compiles ``ADAM_C``, the numpy passes written as one C loop, with
-``cc -O3 -ffp-contract=off -fno-math-errno -shared -fPIC`` in a temporary
-directory (~50 ms with gcc 12), loads it with ctypes, and keeps it only if
-it steps a probe of zeros, subnormals, +-1e300 and mixed signs, at steps on
-both sides of t = 356, to the numpy passes' bytes. A state runs it when its
-two vectors are aligned, writeable, C-contiguous and share no memory; other
+``cc -pipe -O3 -ffp-contract=off -fno-math-errno -shared -fPIC`` through
+``Build``, the package's one compile helper, in a temporary directory
+(~55 ms with gcc 12), loads it with ctypes, and keeps it only if it steps a
+probe of zeros, subnormals, +-1e300 and mixed signs, at steps on both sides
+of t = 356, to the numpy passes' bytes. A state runs it when its two
+vectors are aligned, writeable, C-contiguous and share no memory; other
 states, and every state where no kernel loads, run the numpy passes. The
 bytes cannot differ: both paths take the same IEEE operations in the same
 order on each element, each correctly rounded, and the flags allow no
 contraction into a fused multiply-add and no reordering (no -ffast-math).
-The kernel makes one pass where numpy makes fourteen: a step on the
-default study's 19,240 parameters took ~73 us instead of 115-130 us (2-vCPU
-VM, gcc 12.2, numpy 2.4.6).
+From t = 357, where c1 = 1 - b1^t rounds to 1.0, the loop skips its divide
+by c1, as x / 1.0 == x. The kernel makes one pass where numpy makes
+fourteen: a step on the default study's 19,240 parameters took ~70 us, and
+~53 us from t = 357, instead of 115-130 us (2-vCPU VM, gcc 12.2, numpy
+2.4.6). ``Background`` runs a ``Build`` at the lowest priority while its
+caller works on, for a library the caller can do without until it has
+loaded, as ``classifier`` does its training step.
 
 The module also holds the package's one number rule: ``check_int`` checks
 every count, seed and index, with an inclusive upper bound where one
@@ -44,11 +49,14 @@ num_classes), and never truncates.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import os
+import shutil
 import signal
+import time
 
 import numpy as np
 
@@ -285,54 +293,140 @@ def cross_entropy(logits, labels):
 
 
 # `_adam_passes` as one loop: each element takes the same IEEE operations in
-# the same order, each one correctly rounded, so it gets the same double
+# the same order, each one correctly rounded, so it gets the same double. Once
+# c1 = 1 - b1^t rounds to 1.0 (t >= 357), the second loop skips its divide,
+# since x / 1.0 == x for every double
 ADAM_C = r"""
 #include <math.h>
 
 void adam_step(long long n, double *restrict p, const double *restrict g,
                double *restrict m, double *restrict v, double b1, double b2,
                double eps, double c1, double c2, double lr) {
-    for (long long i = 0; i < n; i++) {
-        m[i] = m[i] * b1 + g[i] * (1.0 - b1);
-        v[i] = v[i] * b2 + (g[i] * (1.0 - b2)) * g[i];
-        p[i] = p[i] - ((m[i] / c1) * lr) / (sqrt(v[i] / c2) + eps);
-    }
+    if (c1 != 1.0)
+        for (long long i = 0; i < n; i++) {
+            m[i] = m[i] * b1 + g[i] * (1.0 - b1);
+            v[i] = v[i] * b2 + (g[i] * (1.0 - b2)) * g[i];
+            p[i] = p[i] - ((m[i] / c1) * lr) / (sqrt(v[i] / c2) + eps);
+        }
+    else
+        for (long long i = 0; i < n; i++) {
+            m[i] = m[i] * b1 + g[i] * (1.0 - b1);
+            v[i] = v[i] * b2 + (g[i] * (1.0 - b2)) * g[i];
+            p[i] = p[i] - (m[i] * lr) / (sqrt(v[i] / c2) + eps);
+        }
 }
 """
-# -O3 vectorizes the loop, as restrict lets it, and -ffp-contract=off forbids
+# -O3 vectorizes the loops, as restrict lets it, and -ffp-contract=off forbids
 # fused multiply-adds; never -ffast-math, -Ofast or -march=native, which may
-# reorder or contract the arithmetic
-ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+# reorder or contract the arithmetic. -pipe, and no -lm (sqrt compiles to one
+# instruction without errno), save ~2 ms of the build each
+ADAM_CFLAGS = ("-pipe", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 # a compile that takes longer is killed, with all it started; gcc takes ~50 ms
 BUILD_SECONDS = 60
+
+
+class Build:
+    """`cc` compiling one C source into a shared library in a temporary
+    directory, started when the Build is made and running in the
+    background. `library(wait)` is None while it runs (`wait` waits for it),
+    and then, once, the loaded library, or False when no `cc` runs, the
+    compile fails or outlasts BUILD_SECONDS, or the library does not load.
+    `stop()` kills a compile still running, with every process it started,
+    and reaps it. The compiler's output is discarded, and the directory
+    deleted once the compile ends. A `background` compile runs at the
+    lowest priority, so that it takes only CPU time that nothing else
+    wants."""
+
+    def __init__(self, source, flags, background=False):
+        import subprocess
+        import tempfile
+
+        self.deadline = time.monotonic() + BUILD_SECONDS
+        self.cc = self.dir = None
+        try:
+            self.dir = tempfile.mkdtemp(prefix="emlang-cc-")
+            with open(os.path.join(self.dir, "lib.c"), "w", encoding="utf-8") as fh:
+                fh.write(source)
+            self.cc = subprocess.Popen(["cc", *flags, "-o", "lib.so", "lib.c"],
+                                       cwd=self.dir, stdin=subprocess.DEVNULL,
+                                       stdout=subprocess.DEVNULL,
+                                       stderr=subprocess.DEVNULL, start_new_session=True)
+        except OSError:  # no cc, or no temporary directory
+            self.stop()
+            return
+        if background:  # before cc starts cc1, which inherits it
+            with contextlib.suppress(OSError):
+                os.setpriority(os.PRIO_PROCESS, self.cc.pid, 19)
+
+    def library(self, wait=False):
+        if self.cc is None:
+            return False
+        # polled each millisecond: Popen.wait's timeout sleeps up to 50 ms at
+        # a time, and took ~10 ms past a ~55 ms compile's end
+        while self.cc.poll() is None:
+            if time.monotonic() >= self.deadline:
+                self.stop()
+                return False
+            if not wait:
+                return None
+            time.sleep(0.001)
+        try:
+            return self.cc.returncode == 0 and ctypes.CDLL(os.path.join(self.dir, "lib.so"))
+        except OSError:  # a library that does not load
+            return False
+        finally:
+            self.stop()
+
+    def stop(self):
+        if self.cc is not None and self.cc.returncode is None:
+            os.killpg(self.cc.pid, signal.SIGKILL)  # cc and every process it started
+            self.cc.wait()
+        if self.dir is not None:
+            shutil.rmtree(self.dir, ignore_errors=True)
+        self.cc = self.dir = None
+
+
+class Background:
+    """A library that `Build` compiles from `source` with `flags` in the
+    background, once per process: `get(wait, start)` starts the build where
+    none runs, if `start`, and is None while it runs (`wait` waits for it);
+    from then on it is what `load` makes of the library, or None where the
+    build or `load` fails. `stop()` kills a build still running, and the
+    next `get` starts it again."""
+
+    def __init__(self, source, flags, load):
+        self.source, self.flags, self.load = source, flags, load
+        self.build = self.loaded = None
+        self.done = False
+
+    def get(self, wait=False, start=True):
+        if not self.done:
+            if self.build is None:
+                if not start:
+                    return None
+                self.build = Build(self.source, self.flags, background=True)
+            lib = self.build.library(wait)
+            if lib is None:
+                return None
+            self.build = None
+            self.done, self.loaded = True, self.load(lib) if lib else None
+        return self.loaded
+
+    def stop(self):
+        if self.build is not None:
+            self.build.stop()
+            self.build = None
 
 
 @functools.cache
 def _adam_kernel():
     """ADAM_C compiled by `cc` and loaded as a ctypes function, built at the
-    first call in a process, or None when no `cc` runs, the compile fails or
-    outlasts BUILD_SECONDS, the library does not load, or the kernel does
-    not pass `_agrees`. The compiler's output is captured, and its directory
-    deleted once the library is loaded."""
-    import subprocess
-    import tempfile
-
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            lib = os.path.join(tmp, "adam.so")
-            cc = subprocess.Popen(["cc", *ADAM_CFLAGS, "-o", lib, "-x", "c", "-", "-lm"],
-                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                  stderr=subprocess.STDOUT, start_new_session=True)
-            try:
-                cc.communicate(ADAM_C.encode(), timeout=BUILD_SECONDS)
-            except subprocess.TimeoutExpired:
-                os.killpg(cc.pid, signal.SIGKILL)  # cc and every process it started
-                cc.communicate()
-            if cc.returncode != 0:
-                return None
-            kernel = ctypes.CDLL(lib).adam_step
-    except OSError:  # no cc, no temporary directory, or a library that does not load
+    first call in a process, or None when the `Build` gives no library or
+    the kernel does not pass `_agrees`."""
+    lib = Build(ADAM_C, ADAM_CFLAGS).library(wait=True)
+    if not lib:
         return None
+    kernel = lib.adam_step
     kernel.argtypes = [ctypes.c_longlong] + [ctypes.c_void_p] * 4 + [ctypes.c_double] * 6
     kernel.restype = None
     return kernel if _agrees(kernel) else None

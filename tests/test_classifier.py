@@ -483,7 +483,7 @@ def test_train_losses_match_a_per_batch_reference(with_bottleneck):
 
 
 @pytest.mark.parametrize("with_bottleneck", [True, False], ids=["el", "baseline"])
-def test_two_batches_tapes_are_never_alive_at_once(with_bottleneck):
+def test_two_batches_tapes_are_never_alive_at_once(numpy_path, with_bottleneck):
     model = build_model(2, 2, vocab_size=4, hidden_dim=4,
                         with_bottleneck=with_bottleneck, seed=64)
     real = model.forward

@@ -187,3 +187,45 @@ def test_directory_listings_finds_each_call_that_lists_a_directory():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_only_main_lists_a_directory(path):
     assert directory_listings(path.read_text(), path.stem) == []
+
+
+# imported only where a compile starts (nn.Build), so that `import
+# emlang.cli` does not load them for a command that never compiles
+LAZY = {"subprocess", "tempfile"}
+
+
+def top_level_imports(source):
+    """The modules the module source imports outside any function or class,
+    by their top-level package name."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_top_level_imports_skips_what_a_function_imports():
+    source = ("import os.path\nfrom numpy import ndarray\nfrom .nn import Build\n"
+              "def build():\n    import subprocess\n"
+              "class Lazy:\n    import tempfile\n")
+    assert top_level_imports(source) == {"os", "numpy"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_module_imports_the_compiler_modules_at_its_top_level(path):
+    assert top_level_imports(path.read_text()) & LAZY == set()
+
+
+def test_importing_the_cli_loads_no_compiler_module():
+    import os
+    import subprocess
+    import sys
+
+    # numpy loads tempfile itself, so only subprocess shows here
+    script = "import sys, emlang.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert "'subprocess'" not in loaded.stdout
+    assert "'emlang.cli'" in loaded.stdout

@@ -1,0 +1,238 @@
+"""STEP_C, the compiled training and validation batch: it must give the
+bytes of the numpy path, load only where it does, and leave no compiler
+running."""
+
+import math
+import shutil
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emlang import classifier, nn
+from emlang.classifier import TrainConfig, _bind_steps, _pack, _probe, build_model, train
+from emlang.data import Dataset, SynthSpec, generate_synthetic
+from emlang.errors import NumericalError
+
+
+def _library():
+    """STEP_C's library, waited for; skips where no `cc` runs."""
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    loaded = classifier._STEPS.get(wait=True)
+    assert loaded is not None, "the step library did not load or failed its self-check"
+    return loaded
+
+
+library = pytest.fixture(_library)
+
+
+def test_the_step_library_loads_where_cc_runs(library):
+    # CI fails here when training silently falls back to the numpy path
+    assert library.shared[0]  # numpy's own ILP64 dgemm
+
+
+def _bytes(result):
+    return [np.asarray(value).tobytes() for value in result]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_one_kernel_batch_equals_the_numpy_batch_bit_for_bit(data):
+    library = _library()
+    symbols = data.draw(st.booleans(), label="el")
+    width = st.integers(2, 9)
+    inputs, hidden, classes = (data.draw(width, label=name)
+                               for name in ("inputs", "hidden", "classes"))
+    # past 128 symbols each row's pairwise sum recurses
+    vocab = data.draw(st.integers(2, 140), label="vocab")
+    # any temperature, but mostly ones that neither flatten nor overflow the
+    # channel, where the bytes of every step of it show
+    temperature = data.draw(st.one_of(st.floats(0.05, 20.0),
+                                      st.floats(1e-300, 1e300, allow_subnormal=False)),
+                            label="temperature")
+    rows = data.draw(st.integers(1, 40), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    features = rng.normal(size=(rows, inputs)) * 10.0 ** rng.integers(-3, 3, (rows, 1))
+    dataset = Dataset(features, rng.integers(0, classes, rows),
+                      [f"c{c}" for c in range(classes)])
+    uniforms = rng.random((rows, vocab))
+    model = build_model(inputs, classes, vocab_size=vocab, hidden_dim=hidden,
+                        temperature=temperature, with_bottleneck=symbols,
+                        seed=int(rng.integers(0, 1000)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return library.step(*args)
+
+    with np.errstate(all="ignore"):
+        expected = _probe(model, dataset, uniforms)
+        got = _probe(model, dataset, uniforms, library._replace(step=counted))
+    assert _bytes(got) == _bytes(expected)
+    # a 1-row batch is numpy's gemv, not dgemm, so it never reaches the kernel
+    assert calls == ([] if rows == 1 else [rows, rows])
+
+
+@pytest.mark.parametrize("shape", [dict(input_dim=1, num_classes=3, hidden_dim=4),
+                                   dict(input_dim=3, num_classes=1, hidden_dim=4),
+                                   dict(input_dim=3, num_classes=3, hidden_dim=1)],
+                         ids=["one-input", "one-class", "hidden-1"])
+def test_a_width_of_one_binds_no_kernel(library, shape):
+    model = build_model(**shape, vocab_size=5)
+    _, _, grad_views = _pack(model)
+    assert _bind_steps(library, model, 8, grad_views) is None
+
+
+def _trained(kind, temperature=1.0, **options):
+    """(every epoch's losses, the best epoch and its loss, the parameters)
+    of a 534-row training, or the message of the NumericalError it raised."""
+    train_set, val_set, _ = generate_synthetic(SynthSpec(seed=4))
+    model = build_model(train_set.num_features, train_set.num_classes, vocab_size=20,
+                        hidden_dim=16, temperature=temperature,
+                        with_bottleneck=kind == "el", seed=4)
+    try:
+        log = train(model, train_set, val_set, TrainConfig(**options))
+    except NumericalError as exc:
+        return str(exc)
+    return ([(e.epoch, e.train_loss, e.val_loss) for e in log.epochs],
+            [log.best_epoch, log.best_val_loss],
+            b"".join(a.tobytes() for layer in model.layers()
+                     for a in (layer.weights, layer.bias)))
+
+
+@pytest.mark.parametrize("kind", ["el", "baseline"])
+@pytest.mark.parametrize("options", [
+    # 534 and 133 rows in batches of 33: the validation split ends in a 1-row batch
+    dict(batch_size=33, max_epochs=8, patience=8),
+    dict(batch_size=64, max_epochs=6, patience=2, seed=5),
+    dict(temperature=1e-310, max_epochs=3, patience=3),
+], ids=["batch-33", "early-stop", "temperature-1e-310"])
+def test_train_gives_the_same_log_and_parameters_on_both_paths(library, request,
+                                                                kind, options):
+    kernel = _trained(kind, **options)
+    request.getfixturevalue("numpy_path")
+    assert _trained(kind, **options) == kernel
+    if options.get("temperature") and kind == "el":
+        assert kernel == "non-finite loss at epoch 1"
+
+
+@pytest.fixture
+def rebuilt(monkeypatch):
+    """A fresh `_STEPS` for the test, so that its patched build loads
+    nothing into the one the other tests share."""
+    fresh = nn.Background(classifier.STEP_C, classifier.STEP_CFLAGS, classifier._load_steps)
+    monkeypatch.setattr(classifier, "_STEPS", fresh)
+    yield fresh
+    fresh.stop()
+
+
+def _not_c(monkeypatch, fresh):
+    fresh.source = "this is not C\n"
+
+
+def _rounding_changed(monkeypatch, fresh):
+    # a multiply by the reciprocal rounds differently from the divide
+    source = classifier.STEP_C.replace("cb[i * K + j] / s[i]", "cb[i * K + j] * (1.0 / s[i])")
+    assert source != classifier.STEP_C
+    fresh.source = source
+
+
+def _no_numpy_dgemm(monkeypatch, fresh):
+    # as where numpy is linked to a BLAS that has no ILP64 `*cblas_dgemm64_`
+    monkeypatch.setattr(classifier, "DGEMM_SYMBOLS", ("no_such_cblas_dgemm64_",))
+
+
+def _no_cc(monkeypatch, fresh):
+    nn._adam_kernel()  # built before the PATH goes
+    monkeypatch.setenv("PATH", "/nonexistent")
+
+
+@pytest.mark.parametrize("case", [_not_c, _rounding_changed, _no_numpy_dgemm, _no_cc],
+                         ids=["compile-fails", "self-check-mismatch", "no-ilp64-dgemm",
+                              "no-cc"])
+def test_training_runs_the_numpy_path_where_no_step_library_loads(
+        rebuilt, monkeypatch, capfd, case):
+    case(monkeypatch, rebuilt)
+    assert rebuilt.get(wait=True) is None
+    train_set, val_set, _ = generate_synthetic(SynthSpec(seed=6, train_samples=64,
+                                                         val_samples=16))
+    model = build_model(train_set.num_features, train_set.num_classes, vocab_size=8,
+                        hidden_dim=8, seed=6)
+    log = train(model, train_set, val_set, TrainConfig(max_epochs=2, patience=2))
+    assert len(log.epochs) == 2
+    assert capfd.readouterr() == ("", "")  # the compiler's output is discarded
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_build_still_running_when_train_returns_is_killed(rebuilt, monkeypatch,
+                                                            tmp_path):
+    nn._adam_kernel()  # built before `cc` is replaced
+    pid_file = tmp_path / "pid"
+    (tmp_path / "cc").write_text(f"#!/bin/sh\nsleep 60 &\necho $! > {pid_file}\nwait\n")
+    (tmp_path / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}:/bin:/usr/bin")
+    train_set, val_set, _ = generate_synthetic(SynthSpec(seed=7, train_samples=32,
+                                                         val_samples=8))
+    model = build_model(train_set.num_features, train_set.num_classes, vocab_size=8,
+                        hidden_dim=8, seed=7)
+    deadline = time.monotonic() + 5
+    while not pid_file.exists() or not pid_file.read_text().strip():
+        rebuilt.get()  # starts the build, as a long training's first epoch does
+        assert time.monotonic() < deadline, "the stand-in cc never started"
+        time.sleep(0.01)
+    train(model, train_set, val_set, TrainConfig(max_epochs=1, patience=1))
+    assert rebuilt.build is None  # stopped, and cc reaped
+    stat = Path(f"/proc/{pid_file.read_text().strip()}/stat")
+
+    def running():
+        try:
+            return stat.read_text().rsplit(")", 1)[1].split()[0] not in "ZX"
+        except FileNotFoundError:  # reaped
+            return False
+
+    deadline = time.monotonic() + 5
+    while running():  # killed, so soon gone or a zombie
+        assert time.monotonic() < deadline, "the compiler's child outlived train"
+        time.sleep(0.05)
+    # the next `get` starts it again
+    assert rebuilt.get() is None and rebuilt.build is not None
+
+
+def test_a_batch_of_non_finite_sender_logits_fails_on_both_paths(library):
+    # `forward` raises, and the kernel returns a NaN loss, which `train`
+    # reports with the same NumericalError
+    model = build_model(3, 2, vocab_size=4, hidden_dim=3, seed=8)
+    model.sender[0].weights[...] = 1.0  # 3 x 1e308 overflows
+    dataset = Dataset(np.full((5, 3), 1e308), [0, 1, 0, 1, 0], ["a", "b"])
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError):  # relax rejects the overflowed logits
+            _probe(model, dataset, np.full((5, 4), 0.5))
+        loss, _, val_loss = _probe(model, dataset, np.full((5, 4), 0.5), library)
+    assert math.isnan(loss) and math.isnan(val_loss)
+
+
+def test_only_a_training_planned_for_build_batches_starts_the_build(rebuilt, monkeypatch):
+    started = []
+
+    class Recorded(nn.Build):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    nn._adam_kernel()  # built before `Build` is recorded
+    monkeypatch.setattr(nn, "Build", Recorded)
+    train_set, val_set, _ = generate_synthetic(SynthSpec(seed=9, train_samples=32,
+                                                         val_samples=8))
+    model = build_model(train_set.num_features, train_set.num_classes, vocab_size=8,
+                        hidden_dim=8, seed=9)
+    # one batch an epoch; early stopping ends both trainings long before
+    # their last epoch, so only the plan differs
+    planned = classifier.BUILD_BATCHES
+    train(model, train_set, val_set, TrainConfig(max_epochs=planned - 1, patience=1))
+    assert started == []
+    train(model, train_set, val_set, TrainConfig(max_epochs=planned, patience=1))
+    assert len(started) == 1 and started[0].cc is None  # started, then stopped
