@@ -18,14 +18,15 @@ stopping restores the parameters of the best validation epoch.
 
 The walk runs each batch of more than one row as one call of STEP_C, the
 whole batch in C (the noise, the forward, the loss and, when training, the
-backward), once its library has loaded: the first long `train` of a
-process starts building it in the background, and keeps it only if it
-gives the numpy path's bytes on a probe. It makes the calls numpy makes,
-into numpy's own dgemm and exp, log and maximum loops, and takes every
-other operation in numpy's IEEE order, so the two paths give the same
-bytes and which one ran cannot show in a run's output. The default study's two
-200-epoch trainings took ~1.9 s against ~2.9-3.4 s on the numpy path
-(2-vCPU VM, gcc 12.2, numpy 2.4.6; README).
+backward), from a training's first batch: the first `train` of a process
+loads its library through `nn.compiled`, which compiles it once per
+machine, and keeps it only if it gives the numpy path's bytes on a probe.
+It makes the calls numpy makes, into numpy's own dgemm and exp, log and
+maximum loops, and takes every other operation in numpy's IEEE order, so
+the two paths give the same bytes and which one ran cannot show in a
+run's output. The default study's two 200-epoch trainings took ~1.9 s
+against ~2.9-3.4 s on the numpy path (2-vCPU VM, gcc 12.2, numpy 2.4.6;
+README).
 
 `ModelGraph.decode` is the one noise-free evaluation of the package, which
 `evaluate` and attribution share: each input's sender logits decode to their
@@ -51,7 +52,6 @@ from .gumbel import (UNIFORM_EPS, GumbelSoftmaxSampler, hard_decode, noise_from_
                      one_hot)
 from .nn import (
     AdamState,
-    Background,
     DenseLayer,
     adam_step,
     as_f64,
@@ -59,6 +59,7 @@ from .nn import (
     check_int,
     check_real,
     check_shape,
+    compiled,
     cross_entropy,
     is_real,
     stack_backward,
@@ -618,12 +619,9 @@ def _numpy_calls():
     return (gemm, *infos), capsules
 
 
-def _load_steps(lib):
-    """The StepLibrary of a built STEP_C, or None where `_numpy_calls` finds
-    nothing or it fails `_steps_agree`."""
-    calls = _numpy_calls()
-    if calls is None:
-        return None
+def _load_steps(calls, lib):
+    """The StepLibrary of a built STEP_C, calling what `_numpy_calls` gave,
+    or None where it fails `_steps_agree`."""
     lib.step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
                          ctypes.c_longlong, ctypes.c_longlong]
     lib.step.restype = ctypes.c_double
@@ -633,13 +631,13 @@ def _load_steps(lib):
     return library if _steps_agree(library) else None
 
 
-# built in the background from the first long `train` of a process (~0.3 s),
-# which walks its batches through `forward` until the library has loaded
-_STEPS = Background(STEP_C, STEP_CFLAGS, _load_steps)
-# A training planned for fewer batches (max_epochs of them per epoch) starts
-# no build: on the numpy path it ends about when the library would load, and
-# the compile would only slow it (~4 ms of a 5-epoch el training's ~45 ms)
-BUILD_BATCHES = 600
+@functools.cache
+def _steps():
+    """STEP_C's StepLibrary, `compiled` and loaded at the first `train` of a
+    process, or None where `_numpy_calls` finds nothing to call or no
+    library passes `_steps_agree`."""
+    calls = _numpy_calls()
+    return calls and compiled(STEP_C, STEP_CFLAGS, functools.partial(_load_steps, calls))
 
 
 def _bind_steps(library, model, rows, grad_views):
@@ -748,13 +746,10 @@ def train(model, train_set, val_set, config):
     or loss, with no numpy warning ahead of it. Every random stream starts
     here, so equal weights and config train to equal results.
 
-    Batches run STEP_C from the first epoch that finds its library loaded
-    and past its self-check. A training planned for at least BUILD_BATCHES
-    batches starts the library's build in the background at its first
-    epoch, after AdamState's own, unless it is built or building; a build
-    still running when training ends is stopped. Until the library loads,
-    and where `_bind_steps` binds nothing, batches run `forward`. Both give
-    the same bytes.
+    Batches run STEP_C from the first, wherever `_steps` gives its library
+    (loaded after AdamState's kernel); where it gives none, or
+    `_bind_steps` binds nothing, they run `forward`. Both give the same
+    bytes.
     """
     _check_split(model, train_set)
     _check_split(model, val_set)
@@ -764,7 +759,6 @@ def train(model, train_set, val_set, config):
     n = train_set.num_samples
     order = np.empty(n, np.int64)
     rows = min(config.batch_size, max(n, val_set.num_samples))
-    builds = config.max_epochs * -(-n // config.batch_size) >= BUILD_BATCHES
     # each batch's noise comes from the sampler's seed, drawn into one bound
     # array; the validation noise is drawn once per call, so losses compare
     # across epochs
@@ -783,48 +777,43 @@ def train(model, train_set, val_set, config):
         val_noise = noise_from_uniform(val_rng.random((val_set.num_samples,
                                                        model.vocab_size)))
 
+    library = _steps()
+    bind = library and _bind_steps(library, model, rows, grad_views)
+    train_step = bind and bind(train_set.features, train_set.labels, order, uniforms)
+    val_step = bind and bind(val_set.features, val_set.labels, noise=val_noise)
+    if train_step and uniforms is not None:
+        train_step = _drawing(train_step, fill)
+
     log = TrainLog()
     best = params.copy()
-    train_step = val_step = None
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            if train_step is None and (library := _STEPS.get(start=builds)) is not None:
-                bind = _bind_steps(library, model, rows, grad_views)
-                train_step = val_step = False
-                if bind:
-                    train_step = bind(train_set.features, train_set.labels, order, uniforms)
-                    val_step = bind(val_set.features, val_set.labels, noise=val_noise)
-                    if uniforms is not None:
-                        train_step = _drawing(train_step, fill)
-            order[...] = shuffle_rng.permutation(n)
-            running = 0.0
-            # the splits were checked up front, so a non-finite logit or loss
-            # anywhere in the epoch means the optimization blew up
-            try:
-                batches = _batch_losses(model, train_set, config.batch_size, order, draw,
-                                        grad_views, train_step)
-                for batch_rows, loss in batches:
-                    if not math.isfinite(loss):
-                        raise NumericalError("non-finite training loss")
-                    running += loss * batch_rows
-                    adam_step(state)
-                val_loss = dataset_loss(model, val_set, config.batch_size, val_noise,
-                                        val_step)
-                if not math.isfinite(val_loss):
-                    raise NumericalError("non-finite validation loss")
-            except NumericalError:
-                raise NumericalError(f"non-finite loss at epoch {epoch}") from None
-            train_loss = running / n
-            log.epochs.append(EpochStats(epoch, train_loss, val_loss))
-            if val_loss < log.best_val_loss:
-                log.best_epoch, log.best_val_loss = epoch, val_loss
-                best[...] = params
-            elif epoch - log.best_epoch == config.patience:
-                # `patience` epochs without a strictly lower loss: epoch 1 is
-                # always a best, since its finite loss is below inf
-                break
-    finally:
-        _STEPS.stop()
+    for epoch in range(1, config.max_epochs + 1):
+        order[...] = shuffle_rng.permutation(n)
+        running = 0.0
+        # the splits were checked up front, so a non-finite logit or loss
+        # anywhere in the epoch means the optimization blew up
+        try:
+            batches = _batch_losses(model, train_set, config.batch_size, order, draw,
+                                    grad_views, train_step)
+            for batch_rows, loss in batches:
+                if not math.isfinite(loss):
+                    raise NumericalError("non-finite training loss")
+                running += loss * batch_rows
+                adam_step(state)
+            val_loss = dataset_loss(model, val_set, config.batch_size, val_noise,
+                                    val_step)
+            if not math.isfinite(val_loss):
+                raise NumericalError("non-finite validation loss")
+        except NumericalError:
+            raise NumericalError(f"non-finite loss at epoch {epoch}") from None
+        train_loss = running / n
+        log.epochs.append(EpochStats(epoch, train_loss, val_loss))
+        if val_loss < log.best_val_loss:
+            log.best_epoch, log.best_val_loss = epoch, val_loss
+            best[...] = params
+        elif epoch - log.best_epoch == config.patience:
+            # `patience` epochs without a strictly lower loss: epoch 1 is
+            # always a best, since its finite loss is below inf
+            break
     params[...] = best
     return log
 

@@ -12,24 +12,26 @@ bound vector. The decay rates and epsilon, which no caller varies, are the
 module constants ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
 
 Adam runs as one compiled loop where it can. The first ``AdamState`` of a
-process compiles ``ADAM_C``, the numpy passes written as one C loop, with
-``cc -pipe -O3 -ffp-contract=off -fno-math-errno -shared -fPIC`` through
-``Build``, the package's one compile helper, in a temporary directory
-(~55 ms with gcc 12), loads it with ctypes, and keeps it only if it steps a
-probe of zeros, subnormals, +-1e300 and mixed signs, at steps on both sides
-of t = 356, to the numpy passes' bytes. A state runs it when its two
-vectors are aligned, writeable, C-contiguous and share no memory; other
-states, and every state where no kernel loads, run the numpy passes. The
-bytes cannot differ: both paths take the same IEEE operations in the same
-order on each element, each correctly rounded, and the flags allow no
-contraction into a fused multiply-add and no reordering (no -ffast-math).
+process loads ``ADAM_C``, the numpy passes written as one C loop, through
+``compiled``, the package's one loader of C: it keeps each library it
+builds in a cache directory, ``$XDG_CACHE_HOME/emlang`` or
+``~/.cache/emlang``, named by the sha256 of the source, the flags and the
+machine type, so each kernel compiles once per machine (``ADAM_C`` in
+~65-95 ms, with ``cc -pipe -O3 -ffp-contract=off -fno-math-errno -shared
+-fPIC`` and gcc 12), and later processes load the file (~5 ms). The kernel is
+kept, cached or new, only if it steps a probe of zeros, subnormals,
++-1e300 and mixed signs, at steps on both sides of t = 356, to the numpy
+passes' bytes. A state runs it when its two vectors are aligned,
+writeable, C-contiguous and share no memory; other states, and every state
+where no kernel loads, run the numpy passes. The bytes cannot differ:
+both paths take the same IEEE operations in the same order on each
+element, each correctly rounded, and the flags allow no contraction into a
+fused multiply-add and no reordering (no -ffast-math).
 From t = 357, where c1 = 1 - b1^t rounds to 1.0, the loop skips its divide
 by c1, as x / 1.0 == x. The kernel makes one pass where numpy makes
 fourteen: a step on the default study's 19,240 parameters took ~70 us, and
 ~53 us from t = 357, instead of 115-130 us (2-vCPU VM, gcc 12.2, numpy
-2.4.6). ``Background`` runs a ``Build`` at the lowest priority while its
-caller works on, for a library the caller can do without until it has
-loaded, as ``classifier`` does its training step.
+2.4.6). ``classifier`` loads its training step through ``compiled`` too.
 
 The module also holds the package's one number rule: ``check_int`` checks
 every count, seed and index, with an inclusive upper bound where one
@@ -56,7 +58,7 @@ import math
 import os
 import shutil
 import signal
-import time
+import stat
 
 import numpy as np
 
@@ -321,115 +323,118 @@ void adam_step(long long n, double *restrict p, const double *restrict g,
 # reorder or contract the arithmetic. -pipe, and no -lm (sqrt compiles to one
 # instruction without errno), save ~2 ms of the build each
 ADAM_CFLAGS = ("-pipe", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-# a compile that takes longer is killed, with all it started; gcc takes ~50 ms
+# a compile that takes longer is killed, with all it started; gcc takes 0.05-0.4 s
 BUILD_SECONDS = 60
 
 
-class Build:
-    """`cc` compiling one C source into a shared library in a temporary
-    directory, started when the Build is made and running in the
-    background. `library(wait)` is None while it runs (`wait` waits for it),
-    and then, once, the loaded library, or False when no `cc` runs, the
-    compile fails or outlasts BUILD_SECONDS, or the library does not load.
-    `stop()` kills a compile still running, with every process it started,
-    and reaps it. The compiler's output is discarded, and the directory
-    deleted once the compile ends. A `background` compile runs at the
-    lowest priority, so that it takes only CPU time that nothing else
-    wants."""
-
-    def __init__(self, source, flags, background=False):
-        import subprocess
-        import tempfile
-
-        self.deadline = time.monotonic() + BUILD_SECONDS
-        self.cc = self.dir = None
-        try:
-            self.dir = tempfile.mkdtemp(prefix="emlang-cc-")
-            with open(os.path.join(self.dir, "lib.c"), "w", encoding="utf-8") as fh:
-                fh.write(source)
-            self.cc = subprocess.Popen(["cc", *flags, "-o", "lib.so", "lib.c"],
-                                       cwd=self.dir, stdin=subprocess.DEVNULL,
-                                       stdout=subprocess.DEVNULL,
-                                       stderr=subprocess.DEVNULL, start_new_session=True)
-        except OSError:  # no cc, or no temporary directory
-            self.stop()
-            return
-        if background:  # before cc starts cc1, which inherits it
-            with contextlib.suppress(OSError):
-                os.setpriority(os.PRIO_PROCESS, self.cc.pid, 19)
-
-    def library(self, wait=False):
-        if self.cc is None:
-            return False
-        # polled each millisecond: Popen.wait's timeout sleeps up to 50 ms at
-        # a time, and took ~10 ms past a ~55 ms compile's end
-        while self.cc.poll() is None:
-            if time.monotonic() >= self.deadline:
-                self.stop()
-                return False
-            if not wait:
-                return None
-            time.sleep(0.001)
-        try:
-            return self.cc.returncode == 0 and ctypes.CDLL(os.path.join(self.dir, "lib.so"))
-        except OSError:  # a library that does not load
-            return False
-        finally:
-            self.stop()
-
-    def stop(self):
-        if self.cc is not None and self.cc.returncode is None:
-            os.killpg(self.cc.pid, signal.SIGKILL)  # cc and every process it started
-            self.cc.wait()
-        if self.dir is not None:
-            shutil.rmtree(self.dir, ignore_errors=True)
-        self.cc = self.dir = None
-
-
-class Background:
-    """A library that `Build` compiles from `source` with `flags` in the
-    background, once per process: `get(wait, start)` starts the build where
-    none runs, if `start`, and is None while it runs (`wait` waits for it);
-    from then on it is what `load` makes of the library, or None where the
-    build or `load` fails. `stop()` kills a build still running, and the
-    next `get` starts it again."""
-
-    def __init__(self, source, flags, load):
-        self.source, self.flags, self.load = source, flags, load
-        self.build = self.loaded = None
-        self.done = False
-
-    def get(self, wait=False, start=True):
-        if not self.done:
-            if self.build is None:
-                if not start:
-                    return None
-                self.build = Build(self.source, self.flags, background=True)
-            lib = self.build.library(wait)
-            if lib is None:
-                return None
-            self.build = None
-            self.done, self.loaded = True, self.load(lib) if lib else None
-        return self.loaded
-
-    def stop(self):
-        if self.build is not None:
-            self.build.stop()
-            self.build = None
-
-
-@functools.cache
-def _adam_kernel():
-    """ADAM_C compiled by `cc` and loaded as a ctypes function, built at the
-    first call in a process, or None when the `Build` gives no library or
-    the kernel does not pass `_agrees`."""
-    lib = Build(ADAM_C, ADAM_CFLAGS).library(wait=True)
-    if not lib:
+def cache_directory():
+    """Where `compiled` keeps its libraries: `$XDG_CACHE_HOME/emlang`, or
+    `~/.cache/emlang` where that variable is unset or not an absolute path,
+    made with mode 0700 if missing. None unless it is a directory, not a
+    link, that this user owns and may write and that nobody else may write,
+    so that no other user can put a library there."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(root, "emlang")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.lstat(path)
+    except OSError:  # no home, or nothing may be written there
         return None
+    private = (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+               and not st.st_mode & 0o022 and os.access(path, os.W_OK | os.X_OK))
+    return path if private else None
+
+
+def _loaded(path, load):
+    """What `load` makes of the library at path, or None where it does not
+    load or lacks a function."""
+    try:
+        return load(ctypes.CDLL(path))
+    except (OSError, AttributeError):
+        return None
+
+
+def compiled(source, flags, load):
+    """What `load` makes of the library `cc` compiles from the C `source`
+    with `flags`, or None where no library passes it. `load` binds the
+    library's functions and returns None unless they pass its self-check,
+    which runs on every load, cached or new.
+
+    The library is kept in `cache_directory()`, named by the sha256 of the
+    source, the flags and the machine type, and sealed by the sha256 of its
+    bytes, appended to them, which dlopen ignores. A file there that is not
+    whole, does not load or does not pass is rebuilt, never used. A build
+    runs `cc` in a new directory inside the cache, or in the system's
+    temporary directory where there is no cache, and only a library that
+    passed is moved into place, by `os.replace`, so no process reads a
+    partial file and processes that build at once each end with a valid
+    one. `cc`'s output is discarded, and a compile that outlasts
+    BUILD_SECONDS is killed with every process it started."""
+    import hashlib
+    import platform
+    import subprocess
+    import tempfile
+
+    cache = cache_directory()
+    if cache is not None:
+        key = hashlib.sha256(repr((source, flags, platform.machine())).encode())
+        path = os.path.join(cache, f"{key.hexdigest()}.so")
+        try:
+            with open(path, "rb") as fh:
+                sealed = fh.read()
+        except OSError:  # not built yet
+            sealed = b""
+        # checked before dlopen, which dies of SIGBUS on a truncated library
+        if hashlib.sha256(sealed[:-32]).digest() == sealed[-32:]:
+            loaded = _loaded(path, load)
+            if loaded is not None:
+                return loaded
+    try:
+        work = tempfile.mkdtemp(prefix="build-", dir=cache)
+    except OSError:  # no temporary directory
+        return None
+    built = os.path.join(work, "lib.so")
+    cc = None
+    try:
+        with open(os.path.join(work, "lib.c"), "w", encoding="utf-8") as fh:
+            fh.write(source)
+        cc = subprocess.Popen(["cc", *flags, "-o", built, "lib.c"], cwd=work,
+                              stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, start_new_session=True)
+        if cc.wait(BUILD_SECONDS) != 0:
+            return None
+        with open(built, "rb+") as fh:  # sealed before it is mapped
+            fh.write(hashlib.sha256(fh.read()).digest())
+        loaded = _loaded(built, load)
+        if loaded is not None and cache is not None:
+            with contextlib.suppress(OSError):  # kept, if not for the next process
+                os.replace(built, path)
+        return loaded
+    except (OSError, subprocess.TimeoutExpired):  # no cc, no room, or no time
+        return None
+    finally:
+        if cc is not None and cc.poll() is None:  # out of time, or interrupted
+            os.killpg(cc.pid, signal.SIGKILL)  # cc and every process it started
+            cc.wait()
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _load_adam(lib):
+    """ADAM_C's kernel from `lib` as a ctypes function, or None where it
+    does not pass `_agrees`."""
     kernel = lib.adam_step
     kernel.argtypes = [ctypes.c_longlong] + [ctypes.c_void_p] * 4 + [ctypes.c_double] * 6
     kernel.restype = None
     return kernel if _agrees(kernel) else None
+
+
+@functools.cache
+def _adam_kernel():
+    """ADAM_C `compiled` and loaded at the first call in a process, or None
+    where no kernel passes `_agrees`."""
+    return compiled(ADAM_C, ADAM_CFLAGS, _load_adam)
 
 
 @np.errstate(all="ignore")  # the probe overflows, as it is meant to
@@ -488,9 +493,10 @@ def adam_step(state):
 
     Elementwise, so one call on a flat vector equals separate calls on any
     split of it, bit for bit. It runs the state's `kernel` in one pass over
-    the vectors: ADAM_C, compiled once per process by `cc` with
-    ADAM_CFLAGS (-O3, no fused multiply-add, no -ffast-math), and kept
-    only after it matched the numpy passes bit for bit on a probe. A state
+    the vectors: ADAM_C, compiled by `cc` with ADAM_CFLAGS (-O3, no fused
+    multiply-add, no -ffast-math) once per machine, loaded once per
+    process, and kept only after it matched the numpy passes bit for bit
+    on a probe. A state
     has no kernel where none was built, or where its vectors are strided,
     unaligned, read-only or overlapping; then the numpy passes of
     `_adam_passes` run, computing in the state's scratch arrays. The bytes

@@ -1,4 +1,7 @@
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -7,20 +10,38 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
-class _NoSteps:
-    """A `classifier._STEPS` that never gives a library."""
+def pytest_configure(config):
+    # one kernel cache for the whole session, this process and every one it
+    # starts: no test reads or writes the user's, and each kernel compiles
+    # once a session
+    config.kernel_cache = tempfile.mkdtemp(prefix="emlang-test-cache-")
+    os.environ["XDG_CACHE_HOME"] = config.kernel_cache
 
-    def get(self, wait=False, start=True):
-        return None
 
-    def stop(self):
-        pass
+def pytest_unconfigure(config):
+    shutil.rmtree(config.kernel_cache, ignore_errors=True)
 
 
 @pytest.fixture
 def numpy_path(monkeypatch):
-    """`train` walks every batch through `forward`, as it does until its
-    compiled step has loaded."""
+    """`train` walks every batch through `forward`, as it does where no
+    compiled step loads."""
     from emlang import classifier
 
-    monkeypatch.setattr(classifier, "_STEPS", _NoSteps())
+    monkeypatch.setattr(classifier, "_steps", lambda: None)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch, tmp_path):
+    """An empty kernel cache for the test, whose directory it returns, with
+    neither kernel loaded in this process until the test loads it; both
+    load again from the session's cache after it."""
+    from emlang import classifier, nn
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    nn._adam_kernel.cache_clear()
+    classifier._steps.cache_clear()
+    yield tmp_path / "cache" / "emlang"
+    monkeypatch.undo()
+    nn._adam_kernel.cache_clear()
+    classifier._steps.cache_clear()

@@ -189,7 +189,7 @@ def test_only_main_lists_a_directory(path):
     assert directory_listings(path.read_text(), path.stem) == []
 
 
-# imported only where a compile starts (nn.Build), so that `import
+# imported only where a kernel loads (nn.compiled), so that `import
 # emlang.cli` does not load them for a command that never compiles
 LAZY = {"subprocess", "tempfile"}
 
@@ -207,7 +207,7 @@ def top_level_imports(source):
 
 
 def test_top_level_imports_skips_what_a_function_imports():
-    source = ("import os.path\nfrom numpy import ndarray\nfrom .nn import Build\n"
+    source = ("import os.path\nfrom numpy import ndarray\nfrom .nn import compiled\n"
               "def build():\n    import subprocess\n"
               "class Lazy:\n    import tempfile\n")
     assert top_level_imports(source) == {"os", "numpy"}

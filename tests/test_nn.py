@@ -415,16 +415,6 @@ def test_the_kernel_keeps_its_vectors_alive():
     assert np.array_equal(state.first_moment, np.full(3, 1.0 - 0.9))  # one step of g = 1
 
 
-@pytest.fixture
-def rebuilt(monkeypatch):
-    """Clears the kernel cache, so that the test's `_adam_kernel()` builds
-    again, and again after it, so that no patched build outlives it."""
-    nn._adam_kernel.cache_clear()
-    yield
-    monkeypatch.undo()
-    nn._adam_kernel.cache_clear()
-
-
 def _adam_probe():
     rng = np.random.default_rng(31)
     return rng.normal(size=40), rng.normal(size=(30, 40)) * 10.0 ** rng.integers(-8, 4, 40)
@@ -441,11 +431,15 @@ def _failing_compile(monkeypatch, tmp_path, params):
     return params.copy(), np.empty_like(params)
 
 
-def _rounding_changed(monkeypatch, tmp_path, params):
+def rounding_changed_adam_c():
     # lr / c1 first: one rounding differs, which the self-check must catch
     source = nn.ADAM_C.replace("((m[i] / c1) * lr)", "(m[i] * (lr / c1))")
     assert source != nn.ADAM_C
-    monkeypatch.setattr(nn, "ADAM_C", source)
+    return source
+
+
+def _rounding_changed(monkeypatch, tmp_path, params):
+    monkeypatch.setattr(nn, "ADAM_C", rounding_changed_adam_c())
     return params.copy(), np.empty_like(params)
 
 
@@ -458,7 +452,7 @@ def _strided(monkeypatch, tmp_path, params):
 @pytest.mark.parametrize("case", [_no_cc, _failing_compile, _rounding_changed, _strided],
                          ids=["no-cc", "compile-fails", "self-check-mismatch",
                               "strided-params"])
-def test_adam_runs_numpy_passes_where_no_kernel_may(rebuilt, monkeypatch, tmp_path,
+def test_adam_runs_numpy_passes_where_no_kernel_may(cold_cache, monkeypatch, tmp_path,
                                                     capfd, case):
     params, grad_steps = _adam_probe()
     stepped, grads = case(monkeypatch, tmp_path, params)
@@ -493,7 +487,7 @@ def test_adam_runs_numpy_passes_on_params_that_are_their_grads():
     assert state.second_moment.tobytes() == reference.second_moment.tobytes()
 
 
-def test_no_compiler_process_outlives_the_build(rebuilt, monkeypatch):
+def test_no_compiler_process_outlives_the_build(cold_cache, monkeypatch):
     import subprocess
 
     compilers = []
@@ -510,7 +504,7 @@ def test_no_compiler_process_outlives_the_build(rebuilt, monkeypatch):
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 def test_a_compile_that_outlasts_its_time_is_killed_with_what_it_started(
-        rebuilt, monkeypatch, tmp_path):
+        cold_cache, monkeypatch, tmp_path):
     # a cc that starts a child and waits for it
     pid_file = tmp_path / "pid"
     (tmp_path / "cc").write_text(f"#!/bin/sh\nsleep 60 &\necho $! > {pid_file}\nwait\n")

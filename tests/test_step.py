@@ -1,11 +1,9 @@
 """STEP_C, the compiled training and validation batch: it must give the
-bytes of the numpy path, load only where it does, and leave no compiler
-running."""
+bytes of the numpy path, load only where it does, and run from a training's
+first batch."""
 
 import math
 import shutil
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +17,10 @@ from emlang.errors import NumericalError
 
 
 def _library():
-    """STEP_C's library, waited for; skips where no `cc` runs."""
+    """STEP_C's library, loaded; skips where no `cc` runs."""
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    loaded = classifier._STEPS.get(wait=True)
+    loaded = classifier._steps()
     assert loaded is not None, "the step library did not load or failed its self-check"
     return loaded
 
@@ -120,33 +118,27 @@ def test_train_gives_the_same_log_and_parameters_on_both_paths(library, request,
         assert kernel == "non-finite loss at epoch 1"
 
 
-@pytest.fixture
-def rebuilt(monkeypatch):
-    """A fresh `_STEPS` for the test, so that its patched build loads
-    nothing into the one the other tests share."""
-    fresh = nn.Background(classifier.STEP_C, classifier.STEP_CFLAGS, classifier._load_steps)
-    monkeypatch.setattr(classifier, "_STEPS", fresh)
-    yield fresh
-    fresh.stop()
+def _not_c(monkeypatch):
+    monkeypatch.setattr(classifier, "STEP_C", "this is not C\n")
 
 
-def _not_c(monkeypatch, fresh):
-    fresh.source = "this is not C\n"
-
-
-def _rounding_changed(monkeypatch, fresh):
+def rounding_changed_step_c():
     # a multiply by the reciprocal rounds differently from the divide
     source = classifier.STEP_C.replace("cb[i * K + j] / s[i]", "cb[i * K + j] * (1.0 / s[i])")
     assert source != classifier.STEP_C
-    fresh.source = source
+    return source
 
 
-def _no_numpy_dgemm(monkeypatch, fresh):
+def _rounding_changed(monkeypatch):
+    monkeypatch.setattr(classifier, "STEP_C", rounding_changed_step_c())
+
+
+def _no_numpy_dgemm(monkeypatch):
     # as where numpy is linked to a BLAS that has no ILP64 `*cblas_dgemm64_`
     monkeypatch.setattr(classifier, "DGEMM_SYMBOLS", ("no_such_cblas_dgemm64_",))
 
 
-def _no_cc(monkeypatch, fresh):
+def _no_cc(monkeypatch):
     nn._adam_kernel()  # built before the PATH goes
     monkeypatch.setenv("PATH", "/nonexistent")
 
@@ -155,9 +147,9 @@ def _no_cc(monkeypatch, fresh):
                          ids=["compile-fails", "self-check-mismatch", "no-ilp64-dgemm",
                               "no-cc"])
 def test_training_runs_the_numpy_path_where_no_step_library_loads(
-        rebuilt, monkeypatch, capfd, case):
-    case(monkeypatch, rebuilt)
-    assert rebuilt.get(wait=True) is None
+        cold_cache, monkeypatch, capfd, case):
+    case(monkeypatch)
+    assert classifier._steps() is None
     train_set, val_set, _ = generate_synthetic(SynthSpec(seed=6, train_samples=64,
                                                          val_samples=16))
     model = build_model(train_set.num_features, train_set.num_classes, vocab_size=8,
@@ -165,41 +157,6 @@ def test_training_runs_the_numpy_path_where_no_step_library_loads(
     log = train(model, train_set, val_set, TrainConfig(max_epochs=2, patience=2))
     assert len(log.epochs) == 2
     assert capfd.readouterr() == ("", "")  # the compiler's output is discarded
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-def test_a_build_still_running_when_train_returns_is_killed(rebuilt, monkeypatch,
-                                                            tmp_path):
-    nn._adam_kernel()  # built before `cc` is replaced
-    pid_file = tmp_path / "pid"
-    (tmp_path / "cc").write_text(f"#!/bin/sh\nsleep 60 &\necho $! > {pid_file}\nwait\n")
-    (tmp_path / "cc").chmod(0o755)
-    monkeypatch.setenv("PATH", f"{tmp_path}:/bin:/usr/bin")
-    train_set, val_set, _ = generate_synthetic(SynthSpec(seed=7, train_samples=32,
-                                                         val_samples=8))
-    model = build_model(train_set.num_features, train_set.num_classes, vocab_size=8,
-                        hidden_dim=8, seed=7)
-    deadline = time.monotonic() + 5
-    while not pid_file.exists() or not pid_file.read_text().strip():
-        rebuilt.get()  # starts the build, as a long training's first epoch does
-        assert time.monotonic() < deadline, "the stand-in cc never started"
-        time.sleep(0.01)
-    train(model, train_set, val_set, TrainConfig(max_epochs=1, patience=1))
-    assert rebuilt.build is None  # stopped, and cc reaped
-    stat = Path(f"/proc/{pid_file.read_text().strip()}/stat")
-
-    def running():
-        try:
-            return stat.read_text().rsplit(")", 1)[1].split()[0] not in "ZX"
-        except FileNotFoundError:  # reaped
-            return False
-
-    deadline = time.monotonic() + 5
-    while running():  # killed, so soon gone or a zombie
-        assert time.monotonic() < deadline, "the compiler's child outlived train"
-        time.sleep(0.05)
-    # the next `get` starts it again
-    assert rebuilt.get() is None and rebuilt.build is not None
 
 
 def test_a_batch_of_non_finite_sender_logits_fails_on_both_paths(library):
@@ -215,24 +172,29 @@ def test_a_batch_of_non_finite_sender_logits_fails_on_both_paths(library):
     assert math.isnan(loss) and math.isnan(val_loss)
 
 
-def test_only_a_training_planned_for_build_batches_starts_the_build(rebuilt, monkeypatch):
-    started = []
+def test_a_one_epoch_training_on_a_warm_cache_runs_step_c_from_its_first_batch(
+        library, monkeypatch):
+    # no cc can run, so the library comes from the cache
+    monkeypatch.setenv("PATH", "/nonexistent")
+    forwards, steps = [], []
+    numpy_forward = classifier.ModelGraph.forward
 
-    class Recorded(nn.Build):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
+    def forward(model, x, noise=None):
+        forwards.append(len(x))
+        return numpy_forward(model, x, noise)
 
-    nn._adam_kernel()  # built before `Build` is recorded
-    monkeypatch.setattr(nn, "Build", Recorded)
-    train_set, val_set, _ = generate_synthetic(SynthSpec(seed=9, train_samples=32,
-                                                         val_samples=8))
+    def counted(*args):
+        steps.append(args[-1])
+        return library.step(*args)
+
+    warm = classifier._steps.__wrapped__()  # loaded again, not this process's
+    assert warm is not None
+    monkeypatch.setattr(classifier, "_steps", lambda: warm._replace(step=counted))
+    monkeypatch.setattr(classifier.ModelGraph, "forward", forward)
+    # 64 training rows in batches of 32, and 16 validation rows in one
+    train_set, val_set, _ = generate_synthetic(SynthSpec(seed=9, train_samples=64,
+                                                         val_samples=16))
     model = build_model(train_set.num_features, train_set.num_classes, vocab_size=8,
                         hidden_dim=8, seed=9)
-    # one batch an epoch; early stopping ends both trainings long before
-    # their last epoch, so only the plan differs
-    planned = classifier.BUILD_BATCHES
-    train(model, train_set, val_set, TrainConfig(max_epochs=planned - 1, patience=1))
-    assert started == []
-    train(model, train_set, val_set, TrainConfig(max_epochs=planned, patience=1))
-    assert len(started) == 1 and started[0].cc is None  # started, then stopped
+    train(model, train_set, val_set, TrainConfig(max_epochs=1, patience=1))
+    assert forwards == [] and steps == [32, 32, 16]
