@@ -79,7 +79,8 @@ import numpy as np
 
 from .classifier import ModelGraph
 from .errors import InputError, NumericalError
-from .nn import as_array, as_f64, check_int, check_real, check_shape, softmax
+from .nn import (as_array, as_f64, check_int, check_real, check_shape, numpy_extension,
+                 softmax)
 
 OUTPUTS = ("logit", "probability")
 
@@ -483,26 +484,18 @@ def _processes(num_blocks):
 
 
 def _blas_pin():
-    """(get, set) of the loaded OpenBLAS's thread count, or None when no
-    OpenBLAS that exports them is mapped into this process."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    """(get, set) of the thread count of numpy's own OpenBLAS, looked up
+    through `numpy_extension`, the handle the training step finds numpy's
+    dgemm through, or None where that BLAS exports no such pair."""
+    lib = numpy_extension()
+    for name in ("scipy_openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
@@ -511,13 +504,14 @@ def fork_map(fn, jobs):
     each other one in a forked child that sends its result back, pickled,
     through a pipe.
 
-    OpenBLAS is pinned to one thread meanwhile, since two processes with a
-    BLAS pool each oversubscribe the CPUs, and restored afterwards; one job
-    runs pinned too, so that every map computes on one BLAS thread. The
-    error raised is that of the first failing job in job order, as the list
-    comprehension would raise it, and every child is reaped. Without a BLAS
-    pin or `os.fork`, or beside other Python threads (fork copies only the
-    calling thread), this process runs every job.
+    numpy's OpenBLAS is pinned to one thread meanwhile, through `_blas_pin`,
+    since two processes with a BLAS pool each oversubscribe the CPUs, and
+    restored afterwards; one job runs pinned too, so that every map
+    computes on one BLAS thread. The error raised is that of the first
+    failing job in job order, as the list comprehension would raise it, and
+    every child is reaped. Where numpy's BLAS has no thread count to pin or
+    there is no `os.fork`, or beside other Python threads (fork copies only
+    the calling thread), this process runs every job.
     """
     pin = None
     if jobs and hasattr(os, "fork") and threading.active_count() == 1:

@@ -18,15 +18,17 @@ stopping restores the parameters of the best validation epoch.
 
 The walk runs each batch of more than one row as one call of STEP_C, the
 whole batch in C (the noise, the forward, the loss and, when training, the
-backward), from a training's first batch: the first `train` of a process
-loads its library through `nn.compiled`, which compiles it once per
-machine, and keeps it only if it gives the numpy path's bytes on a probe.
-It makes the calls numpy makes, into numpy's own dgemm and exp, log and
-maximum loops, and takes every other operation in numpy's IEEE order, so
-the two paths give the same bytes and which one ran cannot show in a
-run's output. The default study's two 200-epoch trainings took ~1.9 s
-against ~2.9-3.4 s on the numpy path (2-vCPU VM, gcc 12.2, numpy 2.4.6;
-README).
+backward), from a training's first batch. STEP_C and `nn.ADAM_C` are one
+library, which the first `train` of a process loads through `nn.compiled`,
+which compiles it once per machine, before it makes its `AdamState`; the
+library is kept only if both halves give the numpy path's bytes on their
+probes, `_steps_agree` and `nn._agrees`, so a process trains either fully
+compiled or fully on numpy. STEP_C makes the calls numpy makes, into
+numpy's own dgemm and exp, log and maximum loops, and takes every other
+operation in numpy's IEEE order, so the two paths give the same bytes and
+which one ran cannot show in a run's output. The default study's two
+200-epoch trainings took ~1.9 s against ~2.9-3.4 s on the numpy path
+(2-vCPU VM, gcc 12.2, numpy 2.4.6; README).
 
 `ModelGraph.decode` is the one noise-free evaluation of the package, which
 `evaluate` and attribution share: each input's sender logits decode to their
@@ -46,6 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import nn
 from .data import Dataset
 from .errors import InputError, NumericalError
 from .gumbel import (UNIFORM_EPS, GumbelSoftmaxSampler, hard_decode, noise_from_uniform,
@@ -59,7 +62,6 @@ from .nn import (
     check_int,
     check_real,
     check_shape,
-    compiled,
     cross_entropy,
     is_real,
     stack_backward,
@@ -565,10 +567,14 @@ double step(const i64 *dims, void *const *p, double temperature, i64 start, i64 
     return loss;
 }
 """
-# no fused multiply-adds and no reordering, as for ADAM_C; -O2 builds in
-# about half the time of -O3 (~0.3 s against ~0.55 s with gcc 12), and the
-# time of a batch is numpy's dgemm and loops
-STEP_CFLAGS = ("-pipe", "-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+# -O3 vectorizes ADAM_C's loops, as restrict lets it, where -O2 does not
+# (~50 against ~95-100 us a step on 19,240 parameters; the build takes
+# ~0.45-0.55 s against ~0.25), and runs a batch of STEP_C as fast, since its
+# time is numpy's dgemm and loops. -ffp-contract=off forbids fused
+# multiply-adds; never -ffast-math, -Ofast or -march=native, which may reorder
+# or contract the arithmetic. -pipe, and no -lm (sqrt compiles to one
+# instruction without errno), each save a little of the build
+CFLAGS = ("-pipe", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 # numpy's own ILP64 dgemm, as numpy 2's scipy-openblas and numpy 1's
 # openblas64_ name it; an LP64 or other BLAS is not taken
 DGEMM_SYMBOLS = ("scipy_cblas_dgemm64_", "cblas_dgemm64_")
@@ -579,28 +585,25 @@ _CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-class StepLibrary(NamedTuple):
-    """STEP_C's two functions, and the addresses of what it calls in numpy:
-    its dgemm, then the call-info of each of LOOPS, whose capsules keep
-    the loops' data alive."""
+class Library(NamedTuple):
+    """The compiled library's functions, STEP_C's two and ADAM_C's, and the
+    addresses of what STEP_C calls in numpy: its dgemm, then the call-info
+    of each of LOOPS, whose capsules keep the loops' data alive."""
 
     step: object
     scratch_doubles: object
+    adam: object
     shared: tuple
     capsules: list
 
 
 def _numpy_calls():
-    """(shared, capsules) of a StepLibrary: the address of numpy's dgemm
-    and of each LOOPS call-info, with the capsules numpy fills in for
-    them, or None where numpy hands out no such dgemm or loop, or a loop
-    that needs the GIL."""
+    """(shared, capsules) of a Library: the address of numpy's dgemm and of
+    each LOOPS call-info, with the capsules numpy fills in for them, or
+    None where numpy hands out no such dgemm or loop, or a loop that needs
+    the GIL."""
+    blas = nn.numpy_extension()
     try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    try:
-        blas = ctypes.CDLL(umath.__file__)  # its BLAS is among what it loaded
         gemm = next(ctypes.cast(getattr(blas, name), ctypes.c_void_p).value
                     for name in DGEMM_SYMBOLS if hasattr(blas, name))
         f8 = np.dtype(np.float64)
@@ -609,7 +612,7 @@ def _numpy_calls():
         for (ufunc, strides), info in zip(LOOPS, capsules):
             ufunc._get_strided_loop(info, fixed_strides=strides)
         infos = [_CAPSULE_POINTER(info, b"numpy_1.24_ufunc_call_info") for info in capsules]
-    except (OSError, StopIteration, AttributeError, TypeError, ValueError):
+    except (StopIteration, AttributeError, TypeError, ValueError):
         return None
     # each call-info holds the loop, its context and auxdata, then a flag
     # that the loop needs the GIL, which a ctypes call releases
@@ -619,25 +622,29 @@ def _numpy_calls():
     return (gemm, *infos), capsules
 
 
-def _load_steps(calls, lib):
-    """The StepLibrary of a built STEP_C, calling what `_numpy_calls` gave,
-    or None where it fails `_steps_agree`."""
+def _load(calls, lib):
+    """The Library of a built `nn.ADAM_C` and STEP_C, calling what
+    `_numpy_calls` gave, or None where either half fails its self-check,
+    `nn._agrees` or `_steps_agree`."""
     lib.step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
                          ctypes.c_longlong, ctypes.c_longlong]
     lib.step.restype = ctypes.c_double
     lib.scratch_doubles.argtypes = [ctypes.c_void_p]
     lib.scratch_doubles.restype = ctypes.c_longlong
-    library = StepLibrary(lib.step, lib.scratch_doubles, *calls)
-    return library if _steps_agree(library) else None
+    lib.adam_step.argtypes = ([ctypes.c_longlong] + [ctypes.c_void_p] * 4
+                              + [ctypes.c_double] * 6)
+    lib.adam_step.restype = None
+    library = Library(lib.step, lib.scratch_doubles, lib.adam_step, *calls)
+    return library if nn._agrees(library.adam) and _steps_agree(library) else None
 
 
 @functools.cache
-def _steps():
-    """STEP_C's StepLibrary, `compiled` and loaded at the first `train` of a
-    process, or None where `_numpy_calls` finds nothing to call or no
-    library passes `_steps_agree`."""
+def _library():
+    """The Library of `nn.ADAM_C` and STEP_C, joined into one source and
+    `compiled` with CFLAGS at the first `train` of a process, or None where
+    `_numpy_calls` finds nothing to call or no library passes `_load`."""
     calls = _numpy_calls()
-    return calls and compiled(STEP_C, STEP_CFLAGS, functools.partial(_load_steps, calls))
+    return calls and nn.compiled(nn.ADAM_C + STEP_C, CFLAGS, functools.partial(_load, calls))
 
 
 def _bind_steps(library, model, rows, grad_views):
@@ -746,16 +753,19 @@ def train(model, train_set, val_set, config):
     or loss, with no numpy warning ahead of it. Every random stream starts
     here, so equal weights and config train to equal results.
 
-    Batches run STEP_C from the first, wherever `_steps` gives its library
-    (loaded after AdamState's kernel); where it gives none, or
-    `_bind_steps` binds nothing, they run `forward`. Both give the same
-    bytes.
+    Where `_library` gives the compiled library, loaded before the
+    `AdamState`, the state steps with its ADAM_C and batches run its STEP_C
+    from the first; where it gives none, Adam runs its numpy passes and
+    batches run `forward`, as they do where `_bind_steps` binds nothing.
+    Both paths give the same bytes.
     """
     _check_split(model, train_set)
     _check_split(model, val_set)
     shuffle_rng = np.random.default_rng(config.seed + _SHUFFLE_STREAM)
     params, grads, grad_views = _pack(model)
-    state = AdamState(params, grads, learning_rate=config.learning_rate)
+    library = _library()
+    state = AdamState(params, grads, learning_rate=config.learning_rate,
+                      kernel=library and library.adam)
     n = train_set.num_samples
     order = np.empty(n, np.int64)
     rows = min(config.batch_size, max(n, val_set.num_samples))
@@ -777,7 +787,6 @@ def train(model, train_set, val_set, config):
         val_noise = noise_from_uniform(val_rng.random((val_set.num_samples,
                                                        model.vocab_size)))
 
-    library = _steps()
     bind = library and _bind_steps(library, model, rows, grad_views)
     train_step = bind and bind(train_set.features, train_set.labels, order, uniforms)
     val_step = bind and bind(val_set.features, val_set.labels, noise=val_noise)

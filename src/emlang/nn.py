@@ -11,27 +11,27 @@ nothing, so one call steps every layer whose weights are views into the
 bound vector. The decay rates and epsilon, which no caller varies, are the
 module constants ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
 
-Adam runs as one compiled loop where it can. The first ``AdamState`` of a
-process loads ``ADAM_C``, the numpy passes written as one C loop, through
-``compiled``, the package's one loader of C: it keeps each library it
-builds in a cache directory, ``$XDG_CACHE_HOME/emlang`` or
-``~/.cache/emlang``, named by the sha256 of the source, the flags and the
-machine type, so each kernel compiles once per machine (``ADAM_C`` in
-~65-95 ms, with ``cc -pipe -O3 -ffp-contract=off -fno-math-errno -shared
--fPIC`` and gcc 12), and later processes load the file (~5 ms). The kernel is
-kept, cached or new, only if it steps a probe of zeros, subnormals,
-+-1e300 and mixed signs, at steps on both sides of t = 356, to the numpy
-passes' bytes. A state runs it when its two vectors are aligned,
-writeable, C-contiguous and share no memory; other states, and every state
-where no kernel loads, run the numpy passes. The bytes cannot differ:
-both paths take the same IEEE operations in the same order on each
-element, each correctly rounded, and the flags allow no contraction into a
-fused multiply-add and no reordering (no -ffast-math).
-From t = 357, where c1 = 1 - b1^t rounds to 1.0, the loop skips its divide
-by c1, as x / 1.0 == x. The kernel makes one pass where numpy makes
-fourteen: a step on the default study's 19,240 parameters took ~70 us, and
-~53 us from t = 357, instead of 115-130 us (2-vCPU VM, gcc 12.2, numpy
-2.4.6). ``classifier`` loads its training step through ``compiled`` too.
+Adam runs as one compiled loop where it can: ``ADAM_C``, the numpy passes
+written as one C loop, which ``classifier`` compiles into one library with
+its training step and keeps only if ``_agrees`` passes, and which a state
+runs when it is given that loop as its ``kernel``. ``compiled`` is the
+package's one loader of C: it keeps each library it builds in a cache
+directory, ``$XDG_CACHE_HOME/emlang`` or ``~/.cache/emlang``, named by the
+sha256 of the source, the flags and the machine type, so it compiles once
+per machine and later processes load the file. ``_agrees`` steps a probe
+of zeros, subnormals, +-1e300 and mixed signs, at steps on both sides of
+t = 356, and passes the loop only if it gives the numpy passes' bytes. A
+state runs its kernel when its two vectors are aligned, writeable,
+C-contiguous and share no memory; other states, and every state given no
+kernel, run the numpy passes. The bytes cannot differ: both paths take the
+same IEEE operations in the same order on each element, each correctly
+rounded, and the flags allow no contraction into a fused multiply-add and
+no reordering (no -ffast-math). From t = 357, where c1 = 1 - b1^t rounds
+to 1.0, the loop skips its divide by c1, as x / 1.0 == x. The kernel makes
+one pass where numpy makes fourteen: a step on the default study's 19,240
+parameters took ~70 us, and ~55 us from t = 357, instead of 115-130 us
+(2-vCPU VM, gcc 12.2 at -O3, numpy 2.4.6). ``numpy_extension`` is the one
+way into numpy's own BLAS, for its dgemm and its thread count.
 
 The module also holds the package's one number rule: ``check_int`` checks
 every count, seed and index, with an inclusive upper bound where one
@@ -318,13 +318,20 @@ void adam_step(long long n, double *restrict p, const double *restrict g,
         }
 }
 """
-# -O3 vectorizes the loops, as restrict lets it, and -ffp-contract=off forbids
-# fused multiply-adds; never -ffast-math, -Ofast or -march=native, which may
-# reorder or contract the arithmetic. -pipe, and no -lm (sqrt compiles to one
-# instruction without errno), save ~2 ms of the build each
-ADAM_CFLAGS = ("-pipe", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-# a compile that takes longer is killed, with all it started; gcc takes 0.05-0.4 s
+# a compile that takes longer is killed, with all it started; gcc takes ~0.5 s
 BUILD_SECONDS = 60
+
+
+@functools.cache
+def numpy_extension():
+    """numpy's compiled core module opened by ctypes, or None where it does
+    not open: a symbol looked up through it is found in what numpy itself
+    loaded, so its BLAS is numpy's own and no other on the system."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return _loaded(umath.__file__, lambda lib: lib)
 
 
 def cache_directory():
@@ -356,6 +363,19 @@ def _loaded(path, load):
         return None
 
 
+def _sweep(cache):
+    """Delete each `build-*` directory in `cache` that is older than twice
+    BUILD_SECONDS, which a build killed midway leaves behind: no live build
+    is that old."""
+    import time
+
+    old = time.time() - 2 * BUILD_SECONDS
+    with contextlib.suppress(OSError), os.scandir(cache) as entries:
+        for entry in entries:
+            if entry.name.startswith("build-") and entry.stat().st_mtime < old:
+                shutil.rmtree(entry.path, ignore_errors=True)
+
+
 def compiled(source, flags, load):
     """What `load` makes of the library `cc` compiles from the C `source`
     with `flags`, or None where no library passes it. `load` binds the
@@ -371,7 +391,8 @@ def compiled(source, flags, load):
     passed is moved into place, by `os.replace`, so no process reads a
     partial file and processes that build at once each end with a valid
     one. `cc`'s output is discarded, and a compile that outlasts
-    BUILD_SECONDS is killed with every process it started."""
+    BUILD_SECONDS is killed with every process it started. A miss first
+    deletes what `_sweep` finds stale, the directories of killed builds."""
     import hashlib
     import platform
     import subprocess
@@ -391,6 +412,7 @@ def compiled(source, flags, load):
             loaded = _loaded(path, load)
             if loaded is not None:
                 return loaded
+        _sweep(cache)
     try:
         work = tempfile.mkdtemp(prefix="build-", dir=cache)
     except OSError:  # no temporary directory
@@ -421,27 +443,12 @@ def compiled(source, flags, load):
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _load_adam(lib):
-    """ADAM_C's kernel from `lib` as a ctypes function, or None where it
-    does not pass `_agrees`."""
-    kernel = lib.adam_step
-    kernel.argtypes = [ctypes.c_longlong] + [ctypes.c_void_p] * 4 + [ctypes.c_double] * 6
-    kernel.restype = None
-    return kernel if _agrees(kernel) else None
-
-
-@functools.cache
-def _adam_kernel():
-    """ADAM_C `compiled` and loaded at the first call in a process, or None
-    where no kernel passes `_agrees`."""
-    return compiled(ADAM_C, ADAM_CFLAGS, _load_adam)
-
-
 @np.errstate(all="ignore")  # the probe overflows, as it is meant to
 def _agrees(kernel):
-    """Whether `kernel` steps a probe of zeros, subnormals, +-1e300 and mixed
-    signs to the bytes `_adam_passes` gives, at steps on both sides of
-    t = 356, where 1 - 0.9**t first rounds to 1.0."""
+    """Whether `kernel`, ADAM_C's `adam_step` as a ctypes function, steps a
+    probe of zeros, subnormals, +-1e300 and mixed signs to the bytes
+    `_adam_passes` gives, at steps on both sides of t = 356, where
+    1 - 0.9**t first rounds to 1.0."""
     probe = np.array([0.0, -0.0, 5e-324, -2.5e-308, 1e300, -1e300, 1.5, -3e-7, 42.0, 1e-8])
     sides = np.zeros((2, 4, probe.size))  # params, grads and moments, per path
     sides[:, 0] = probe[::-1]
@@ -461,14 +468,15 @@ class AdamState:
     each step's gradient into the bound `grads` before it calls
     `adam_step`.
 
-    `kernel` is the compiled kernel bound to the four vectors, which it
+    `kernel` is the compiled loop the state is given, ADAM_C's as a ctypes
+    function that passed `_agrees`, bound to the four vectors, which it
     keeps alive, so an attribute set to another array later does not
-    rebind it, when `_adam_kernel` gives one and both bound arrays are
-    aligned, writeable and C-contiguous and share no memory (the kernel's
-    pointers are restrict); otherwise it is None, and `adam_step` computes
-    in the two `scratch` arrays."""
+    rebind it, when both bound arrays are aligned, writeable and
+    C-contiguous and share no memory (the loop's pointers are restrict);
+    otherwise, and when it is given none, it is None, and `adam_step`
+    computes in the two `scratch` arrays."""
 
-    def __init__(self, params, grads, learning_rate=1e-3):
+    def __init__(self, params, grads, learning_rate=1e-3, kernel=None):
         if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64
                     for a in (params, grads)) and params.shape == grads.shape):
             raise InputError("params and grads must be float64 arrays of one shape")
@@ -478,10 +486,10 @@ class AdamState:
         self.scratch = (np.empty_like(params), np.empty_like(params))
         self.step_count = 0
         self.learning_rate = learning_rate
-        kernel = (params.flags.carray and grads.flags.carray
-                  and not np.may_share_memory(params, grads) and _adam_kernel())
+        bound = (kernel is not None and params.flags.carray and grads.flags.carray
+                 and not np.may_share_memory(params, grads))
         # ctypes views of the vectors, which keep them alive with the kernel
-        self.kernel = None if not kernel else functools.partial(kernel, params.size, *(
+        self.kernel = None if not bound else functools.partial(kernel, params.size, *(
             np.ctypeslib.as_ctypes(a.reshape(-1)) for a in (
                 params, grads, self.first_moment, self.second_moment)),
             ADAM_B1, ADAM_B2, ADAM_EPS)
@@ -493,13 +501,12 @@ def adam_step(state):
 
     Elementwise, so one call on a flat vector equals separate calls on any
     split of it, bit for bit. It runs the state's `kernel` in one pass over
-    the vectors: ADAM_C, compiled by `cc` with ADAM_CFLAGS (-O3, no fused
-    multiply-add, no -ffast-math) once per machine, loaded once per
-    process, and kept only after it matched the numpy passes bit for bit
-    on a probe. A state
-    has no kernel where none was built, or where its vectors are strided,
-    unaligned, read-only or overlapping; then the numpy passes of
-    `_adam_passes` run, computing in the state's scratch arrays. The bytes
+    the vectors: ADAM_C, compiled with the training step (no fused
+    multiply-add, no -ffast-math) once per machine, and kept only after it
+    matched the numpy passes bit for bit on a probe. A state has no kernel
+    where it was given none, or where its vectors are strided, unaligned,
+    read-only or overlapping; then the numpy passes of `_adam_passes` run,
+    computing in the state's scratch arrays. The bytes
     cannot differ: both take the same IEEE operations in the same order on
     each element, each correctly rounded. Neither allocates an array of
     the parameters' size.

@@ -24,24 +24,22 @@ def pytest_unconfigure(config):
 
 @pytest.fixture
 def numpy_path(monkeypatch):
-    """`train` walks every batch through `forward`, as it does where no
-    compiled step loads."""
+    """`train` walks every batch through `forward` and steps Adam's numpy
+    passes, as it does where no compiled library loads."""
     from emlang import classifier
 
-    monkeypatch.setattr(classifier, "_steps", lambda: None)
+    monkeypatch.setattr(classifier, "_library", lambda: None)
 
 
 @pytest.fixture
 def cold_cache(monkeypatch, tmp_path):
     """An empty kernel cache for the test, whose directory it returns, with
-    neither kernel loaded in this process until the test loads it; both
-    load again from the session's cache after it."""
-    from emlang import classifier, nn
+    the compiled library not loaded in this process until the test loads
+    it; it loads again from the session's cache after it."""
+    from emlang import classifier
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    nn._adam_kernel.cache_clear()
-    classifier._steps.cache_clear()
+    classifier._library.cache_clear()
     yield tmp_path / "cache" / "emlang"
     monkeypatch.undo()
-    nn._adam_kernel.cache_clear()
-    classifier._steps.cache_clear()
+    classifier._library.cache_clear()

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emlang import attribution
+from emlang import attribution, nn
 from emlang.attribution import (
     BLOCK,
     MIN_RUN,
@@ -1200,6 +1201,22 @@ def test_without_a_blas_pin_one_process_runs_every_block(monkeypatch):
     alone = per_symbol_report(model, ds, AttributionConfig())
     assert np.array_equal(alone.matrix, forked.matrix)
     assert alone.counts == forked.counts
+
+
+def test_the_blas_pin_is_found_without_reading_a_file(monkeypatch):
+    # through numpy's extension module, as the training step finds numpy's
+    # dgemm, not from the list of what the process has mapped
+    if attribution._blas_pin() is None:
+        pytest.skip("numpy's BLAS has no thread count to pin")
+    nn.numpy_extension.cache_clear()
+
+    def no_file(*args, **kwargs):
+        raise OSError("no file may be opened")
+
+    monkeypatch.setattr(builtins, "open", no_file)
+    assert attribution._blas_pin() is not None
+    parent = os.getpid()
+    assert fork_map_case(lambda job: os.getpid() != parent, [0, 1]) == [False, True]
 
 
 def test_process_count_gives_each_run_min_run_blocks():

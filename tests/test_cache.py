@@ -1,11 +1,13 @@
-"""The kernel cache: each kernel compiles once per machine, and a cached
-library is used only where it loads, passes its self-check and lies in a
+"""The compiled library and its cache: Adam's loop and the training step
+compile without a warning into one library, once per machine, and a cached
+library is used only where it loads, passes both self-checks and lies in a
 directory that no other user can write."""
 
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,20 +22,27 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 
-# trains a small el model, then prints whether each kernel loaded
+# trains a small el model, then prints whether the library loaded and
+# whether every Adam step ran its loop
 TRAIN = """
-from emlang import classifier, nn
+from emlang import classifier
 from emlang.classifier import TrainConfig, build_model, train
 from emlang.data import SynthSpec, generate_synthetic
+kernels = []
+adam_step = classifier.adam_step
+def recorded(state):
+    kernels.append(state.kernel is not None)
+    adam_step(state)
+classifier.adam_step = recorded
 train_set, val_set, _ = generate_synthetic(SynthSpec(seed=3, train_samples=64, val_samples=16))
 model = build_model(train_set.num_features, train_set.num_classes, vocab_size=8,
                     hidden_dim=8, seed=3)
 train(model, train_set, val_set, TrainConfig(max_epochs=1, patience=1))
-print(nn._adam_kernel() is not None, classifier._steps() is not None)
+print(classifier._library() is not None, kernels == [True, True])
 """
 
 
-LOAD_ADAM = "from emlang import nn; print(nn._adam_kernel() is not None)"
+LOAD = "from emlang import classifier; print(classifier._library() is not None)"
 
 
 def _python(script, cache, path=None):
@@ -85,12 +94,12 @@ def test_a_truncated_library_is_replaced(tmp_path):
     # library dies of SIGBUS when it is truncated in place, at its next read
     # of a lost page (at the latest its exit), as dlopen of the truncated
     # file would kill it
-    building = _python(LOAD_ADAM, tmp_path)
+    building = _python(LOAD, tmp_path)
     assert building.communicate()[0] == "True\n"
     [path] = (tmp_path / "emlang").glob("*.so")
     whole = path.read_bytes()
     path.write_bytes(whole[: len(whole) // 2])
-    loading = _python(LOAD_ADAM, tmp_path)
+    loading = _python(LOAD, tmp_path)
     assert loading.communicate()[0] == "True\n"
     assert [building.returncode, loading.returncode] == [0, 0]
     assert path.stat().st_size == len(whole)
@@ -101,10 +110,12 @@ def test_a_truncated_library_is_replaced(tmp_path):
 @pytest.mark.parametrize("kernel", ["ADAM_C", "STEP_C"])
 def test_a_library_that_fails_the_self_check_is_replaced_never_used(
         cold_cache, monkeypatch, kernel):
-    module, check, load, changed = {
-        "ADAM_C": (nn, "_agrees", nn._adam_kernel, rounding_changed_adam_c),
-        "STEP_C": (classifier, "_steps_agree", classifier._steps, rounding_changed_step_c),
+    # either half of the one library, wrong, keeps the whole of it out
+    module, check, changed = {
+        "ADAM_C": (nn, "_agrees", rounding_changed_adam_c),
+        "STEP_C": (classifier, "_steps_agree", rounding_changed_step_c),
     }[kernel]
+    load = classifier._library
     assert load() is not None
     [path] = cold_cache.glob("*.so")
     # a library whose one rounding differs, cached past a check that passes
@@ -156,18 +167,24 @@ def test_a_cache_directory_another_user_could_write_is_not_used(
     watched = unsafe(monkeypatch, cold_cache)
     assert nn.cache_directory() is None
     # compiled in a private temporary directory instead
-    assert (nn._adam_kernel() is None) == (shutil.which("cc") is None)
+    assert (classifier._library() is None) == (shutil.which("cc") is None)
     assert list(watched.iterdir()) == []
 
 
 @needs_cc
-def test_two_processes_on_an_empty_cache_both_train_compiled_and_leave_one_library_each(
+def test_a_cold_train_leaves_one_library(cold_cache):
+    _train()
+    assert [p.suffix for p in cold_cache.iterdir()] == [".so"]
+
+
+@needs_cc
+def test_two_processes_on_an_empty_cache_both_train_compiled_and_leave_one_library(
         tmp_path):
     racing = [_python(TRAIN, tmp_path), _python(TRAIN, tmp_path)]
     assert [p.communicate()[0] for p in racing] == ["True True\n"] * 2
     assert [p.returncode for p in racing] == [0, 0]
-    # one file a kernel, and no build left behind
-    assert [p.suffix for p in (tmp_path / "emlang").iterdir()] == [".so", ".so"]
+    # one file, and no build left behind
+    assert [p.suffix for p in (tmp_path / "emlang").iterdir()] == [".so"]
     # both load where no cc runs, so both are valid
     warm = _python(TRAIN, tmp_path, path="/nonexistent")
     assert warm.communicate()[0] == "True True\n"
@@ -191,8 +208,7 @@ def _compilers():
 def test_no_compiler_remains_after_a_cold_or_a_warm_train(cold_cache):
     before = _compilers()
     for cache in ("cold", "warm"):
-        nn._adam_kernel.cache_clear()
-        classifier._steps.cache_clear()
+        classifier._library.cache_clear()
         _train()
         assert _compilers() - before == set(), cache
 
@@ -208,3 +224,29 @@ def test_importing_the_cli_makes_no_cache_and_starts_no_cc(tmp_path):
     assert imported.returncode == 0
     assert not (tmp_path / "cache").exists()
     assert not marker.exists()
+
+
+def test_a_miss_deletes_only_the_build_directories_no_live_build_can_own(
+        cold_cache, monkeypatch, tmp_path):
+    # a killed build leaves its directory; a live one is at most
+    # BUILD_SECONDS old
+    cold_cache.mkdir(parents=True, mode=0o700)
+    for name in ("build-killed", "build-running"):
+        (cold_cache / name).mkdir()
+        (cold_cache / name / "lib.c").write_text("int x;\n")
+    aged = time.time() - 2 * nn.BUILD_SECONDS - 10
+    os.utime(cold_cache / "build-killed", (aged, aged))
+    monkeypatch.setenv("PATH", str(tmp_path))  # no cc: the miss itself sweeps
+    assert nn.compiled("int x;\n", (), lambda lib: lib) is None
+    assert [p.name for p in cold_cache.iterdir()] == ["build-running"]
+
+
+@needs_cc
+def test_the_one_source_compiles_without_a_warning(tmp_path):
+    # the runtime flags stay as chosen, so that a new compiler's new warning
+    # never sends a user to the numpy path; here every warning fails
+    (tmp_path / "lib.c").write_text(nn.ADAM_C + classifier.STEP_C)
+    built = subprocess.run(["cc", *classifier.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                            "-o", "lib.so", "lib.c"], cwd=tmp_path, text=True,
+                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    assert built.returncode == 0, built.stdout

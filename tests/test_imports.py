@@ -162,11 +162,16 @@ def test_only_main_writes_a_run(path):
 LISTINGS = {"walk", "listdir", "scandir", "iterdir", "rglob"}
 
 
+# the one function of each module that may list a directory: `cli.main`
+# owns the rule for which files a run may write beside, and `nn._sweep` the
+# rule for which build directories a kernel cache deletes
+LISTING_OWNERS = {"cli": "main", "nn": "_sweep"}
+
+
 def directory_listings(source, module):
-    """The lines of the module source that list a directory, outside
-    `cli.main`, the one owner of the rule for which files a run may write
-    beside."""
-    owner = "main" if module == "cli" else None
+    """The lines of the module source that list a directory, outside the
+    module's one owner in LISTING_OWNERS, if it has one."""
+    owner = LISTING_OWNERS.get(module)
     return sorted(call.lineno for call, named in calls_outside(source, owner)
                   if named in LISTINGS)
 
@@ -179,9 +184,12 @@ def test_directory_listings_finds_each_call_that_lists_a_directory():
               "    return sorted(Path(data_dir).iterdir())\n"
               "EMPTY = not any(os.scandir('.'))\n"
               "def count(root):\n"
-              "    return len(list(root.rglob('*')))\n")
-    assert directory_listings(source, "cli") == [4, 5, 6, 8]
-    assert directory_listings(source, "study") == [2, 4, 5, 6, 8]
+              "    return len(list(root.rglob('*')))\n"
+              "def _sweep(cache):\n"
+              "    return os.scandir(cache)\n")
+    assert directory_listings(source, "cli") == [4, 5, 6, 8, 10]
+    assert directory_listings(source, "nn") == [2, 4, 5, 6, 8]
+    assert directory_listings(source, "study") == [2, 4, 5, 6, 8, 10]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])

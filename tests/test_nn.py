@@ -25,7 +25,7 @@ from emlang.classifier import (
     train,
 )
 from emlang.data import Dataset, SynthSpec
-from emlang import nn
+from emlang import classifier, nn
 from emlang.errors import InputError
 from emlang.gumbel import GumbelSoftmaxSampler, hard_decode, one_hot
 from emlang.nn import (
@@ -308,10 +308,10 @@ def test_adam_step_allocates_no_parameter_sized_temporary():
     import tracemalloc
 
     # on the kernel where one loads, and on the numpy passes
-    for compiled in (True, False) if nn._adam_kernel() else (False,):
+    for compiled in (True, False) if shutil.which("cc") else (False,):
         params = np.zeros(19_240)  # the default study's parameter count
         grads = np.random.default_rng(8).normal(size=params.size)
-        state = _on_path(AdamState(params, grads), compiled)
+        state = _state(params, grads, compiled)
         adam_step(state)
         tracemalloc.start()
         try:
@@ -346,15 +346,21 @@ def test_adam_state_binds_only_float64_arrays_of_one_shape(params, grads):
         AdamState(params, grads)
 
 
-def _on_path(state, compiled):
-    """The state, on the numpy path unless `compiled`; skips where the kernel
-    is wanted and no `cc` runs."""
-    if compiled and state.kernel is None:
-        if shutil.which("cc") is None:
-            pytest.skip("no cc on PATH")
-        raise AssertionError("the compiled Adam kernel did not load")
-    if not compiled:
-        state.kernel = None
+def _compiled_adam():
+    """ADAM_C's loop from the compiled library; skips where no `cc` runs."""
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    library = classifier._library()
+    assert library is not None, "the compiled library did not load"
+    return library.adam
+
+
+def _state(params, grads, compiled, learning_rate=1e-3):
+    """An AdamState on the compiled loop if `compiled`, else on the numpy
+    passes."""
+    state = AdamState(params, grads, learning_rate,
+                      kernel=_compiled_adam() if compiled else None)
+    assert (state.kernel is not None) == compiled
     return state
 
 
@@ -378,7 +384,7 @@ def test_both_adam_paths_equal_the_textbook_update_bit_for_bit(compiled, data):
                            label="grads")
 
     stepped, grads = params.copy(), np.empty(size)
-    state = _on_path(AdamState(stepped, grads, learning_rate=lr), compiled)
+    state = _state(stepped, grads, compiled, learning_rate=lr)
     state.step_count = first - 1
     with np.errstate(all="ignore"):  # a 1e300 gradient squares to inf
         for g in grad_steps:
@@ -393,10 +399,8 @@ def test_both_adam_paths_equal_the_textbook_update_bit_for_bit(compiled, data):
 
 def test_adam_kernel_loads_where_cc_runs():
     # CI fails here when the kernel silently falls back to the numpy path
-    if shutil.which("cc") is None:
-        pytest.skip("no cc on PATH")
-    assert nn._adam_kernel() is not None
-    assert AdamState(np.zeros(3), np.zeros(3)).kernel is not None
+    assert AdamState(np.zeros(3), np.zeros(3), kernel=_compiled_adam()).kernel is not None
+    assert AdamState(np.zeros(3), np.zeros(3)).kernel is None  # given none
 
 
 def test_the_kernel_keeps_its_vectors_alive():
@@ -407,7 +411,7 @@ def test_the_kernel_keeps_its_vectors_alive():
 
     params = np.zeros(3)
     alive = weakref.ref(params)
-    state = _on_path(AdamState(params, np.ones(3)), compiled=True)
+    state = _state(params, np.ones(3), compiled=True)
     state.params = params = None
     gc.collect()
     assert alive() is not None
@@ -420,15 +424,24 @@ def _adam_probe():
     return rng.normal(size=40), rng.normal(size=(30, 40)) * 10.0 ** rng.integers(-8, 4, 40)
 
 
-# each makes (params, grads) for a state that must run the numpy passes
-def _no_cc(monkeypatch, tmp_path, params):
+def _library_adam():
+    """ADAM_C's loop from the compiled library, or None where none loads."""
+    library = classifier._library()
+    return library and library.adam
+
+
+# each makes (params, grads, kernel) for a state that must run the numpy
+# passes: the first three load no library, so the state is given no loop
+def _no_cc(request, monkeypatch, tmp_path, params):
+    request.getfixturevalue("cold_cache")
     monkeypatch.setenv("PATH", str(tmp_path))
-    return params.copy(), np.empty_like(params)
+    return params.copy(), np.empty_like(params), _library_adam()
 
 
-def _failing_compile(monkeypatch, tmp_path, params):
+def _failing_compile(request, monkeypatch, tmp_path, params):
+    request.getfixturevalue("cold_cache")
     monkeypatch.setattr(nn, "ADAM_C", "this is not C\n")
-    return params.copy(), np.empty_like(params)
+    return params.copy(), np.empty_like(params), _library_adam()
 
 
 def rounding_changed_adam_c():
@@ -438,25 +451,26 @@ def rounding_changed_adam_c():
     return source
 
 
-def _rounding_changed(monkeypatch, tmp_path, params):
+def _rounding_changed(request, monkeypatch, tmp_path, params):
+    request.getfixturevalue("cold_cache")
     monkeypatch.setattr(nn, "ADAM_C", rounding_changed_adam_c())
-    return params.copy(), np.empty_like(params)
+    return params.copy(), np.empty_like(params), _library_adam()
 
 
-def _strided(monkeypatch, tmp_path, params):
+def _strided(request, monkeypatch, tmp_path, params):
     stepped = np.zeros(2 * params.size)[::2]
     stepped[...] = params
-    return stepped, np.empty_like(params)
+    return stepped, np.empty_like(params), _compiled_adam()
 
 
 @pytest.mark.parametrize("case", [_no_cc, _failing_compile, _rounding_changed, _strided],
                          ids=["no-cc", "compile-fails", "self-check-mismatch",
                               "strided-params"])
-def test_adam_runs_numpy_passes_where_no_kernel_may(cold_cache, monkeypatch, tmp_path,
+def test_adam_runs_numpy_passes_where_no_kernel_may(request, monkeypatch, tmp_path,
                                                     capfd, case):
     params, grad_steps = _adam_probe()
-    stepped, grads = case(monkeypatch, tmp_path, params)
-    state = AdamState(stepped, grads, learning_rate=0.01)
+    stepped, grads, kernel = case(request, monkeypatch, tmp_path, params)
+    state = AdamState(stepped, grads, learning_rate=0.01, kernel=kernel)
     assert state.kernel is None
     for g in grad_steps:
         grads[...] = g
@@ -474,7 +488,7 @@ def test_adam_runs_numpy_passes_on_params_that_are_their_grads():
     # gradient is set to the parameters before each step
     params, _ = _adam_probe()
     shared = params.copy()
-    state = AdamState(shared, shared, learning_rate=0.01)
+    state = AdamState(shared, shared, learning_rate=0.01, kernel=_library_adam())
     assert state.kernel is None
     apart, grads = params.copy(), np.empty_like(params)
     reference = AdamState(apart, grads, learning_rate=0.01)
@@ -498,7 +512,7 @@ def test_no_compiler_process_outlives_the_build(cold_cache, monkeypatch):
             compilers.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
-    assert nn._adam_kernel() is not None or shutil.which("cc") is None
+    assert classifier._library() is not None or shutil.which("cc") is None
     assert all(cc.returncode is not None for cc in compilers)  # each one reaped
 
 
@@ -512,7 +526,7 @@ def test_a_compile_that_outlasts_its_time_is_killed_with_what_it_started(
     monkeypatch.setenv("PATH", f"{tmp_path}:/bin:/usr/bin")
     monkeypatch.setattr(nn, "BUILD_SECONDS", 0.5)
     started = time.monotonic()
-    assert nn._adam_kernel() is None
+    assert classifier._library() is None
     assert time.monotonic() - started < 10
     stat = Path(f"/proc/{pid_file.read_text().strip()}/stat")
 

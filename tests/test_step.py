@@ -1,6 +1,7 @@
-"""STEP_C, the compiled training and validation batch: it must give the
-bytes of the numpy path, load only where it does, and run from a training's
-first batch."""
+"""STEP_C, the compiled training and validation batch, in one library with
+Adam's loop: it must give the bytes of the numpy path, load only where it
+does, and run from a training's first batch, with the state's Adam on the
+same library's loop."""
 
 import math
 import shutil
@@ -10,18 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emlang import classifier, nn
+from emlang import classifier
 from emlang.classifier import TrainConfig, _bind_steps, _pack, _probe, build_model, train
 from emlang.data import Dataset, SynthSpec, generate_synthetic
 from emlang.errors import NumericalError
 
 
 def _library():
-    """STEP_C's library, loaded; skips where no `cc` runs."""
+    """The compiled library, loaded; skips where no `cc` runs."""
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    loaded = classifier._steps()
-    assert loaded is not None, "the step library did not load or failed its self-check"
+    loaded = classifier._library()
+    assert loaded is not None, "the compiled library did not load or failed a self-check"
     return loaded
 
 
@@ -139,7 +140,6 @@ def _no_numpy_dgemm(monkeypatch):
 
 
 def _no_cc(monkeypatch):
-    nn._adam_kernel()  # built before the PATH goes
     monkeypatch.setenv("PATH", "/nonexistent")
 
 
@@ -149,13 +149,15 @@ def _no_cc(monkeypatch):
 def test_training_runs_the_numpy_path_where_no_step_library_loads(
         cold_cache, monkeypatch, capfd, case):
     case(monkeypatch)
-    assert classifier._steps() is None
+    assert classifier._library() is None
+    kernels = _adam_kernels(monkeypatch)
     train_set, val_set, _ = generate_synthetic(SynthSpec(seed=6, train_samples=64,
                                                          val_samples=16))
     model = build_model(train_set.num_features, train_set.num_classes, vocab_size=8,
                         hidden_dim=8, seed=6)
     log = train(model, train_set, val_set, TrainConfig(max_epochs=2, patience=2))
     assert len(log.epochs) == 2
+    assert kernels == [None] * 4  # Adam on its numpy passes too
     assert capfd.readouterr() == ("", "")  # the compiler's output is discarded
 
 
@@ -187,9 +189,10 @@ def test_a_one_epoch_training_on_a_warm_cache_runs_step_c_from_its_first_batch(
         steps.append(args[-1])
         return library.step(*args)
 
-    warm = classifier._steps.__wrapped__()  # loaded again, not this process's
+    warm = classifier._library.__wrapped__()  # loaded again, not this process's
     assert warm is not None
-    monkeypatch.setattr(classifier, "_steps", lambda: warm._replace(step=counted))
+    monkeypatch.setattr(classifier, "_library", lambda: warm._replace(step=counted))
+    kernels = _adam_kernels(monkeypatch)
     monkeypatch.setattr(classifier.ModelGraph, "forward", forward)
     # 64 training rows in batches of 32, and 16 validation rows in one
     train_set, val_set, _ = generate_synthetic(SynthSpec(seed=9, train_samples=64,
@@ -198,3 +201,18 @@ def test_a_one_epoch_training_on_a_warm_cache_runs_step_c_from_its_first_batch(
                         hidden_dim=8, seed=9)
     train(model, train_set, val_set, TrainConfig(max_epochs=1, patience=1))
     assert forwards == [] and steps == [32, 32, 16]
+    assert kernels == [warm.adam] * 2  # each Adam step on the library's loop
+
+
+def _adam_kernels(monkeypatch):
+    """The compiled loop (or None) of the state of every `adam_step` that
+    `train` makes from now on."""
+    kernels = []
+    adam_step = classifier.adam_step
+
+    def recorded(state):
+        kernels.append(state.kernel and state.kernel.func)
+        adam_step(state)
+
+    monkeypatch.setattr(classifier, "adam_step", recorded)
+    return kernels
