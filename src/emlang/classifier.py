@@ -11,24 +11,24 @@ is one optimizer step: `ModelGraph.forward` takes each batch's Gumbel noise,
 which `train` draws from the sampler's seed, and returns an explicit `Tape`;
 the backward writes every layer's gradients straight into its views of one
 flat gradient vector, which one `AdamState` binds with the parameter vector
-for the whole call. Training and validation score their batches in one
-walk, `_batch_losses`, which runs `forward` and the loss on each batch; on a
-symbol model the validation noise is drawn once per `train` call. Early
-stopping restores the parameters of the best validation epoch.
+for the whole call. Each batch is one call of a step bound to its split's
+arrays, with one contract on both paths: `_numpy_steps` binds `forward`,
+the loss and `backward`, and `_bind_steps` binds STEP_C, the whole batch in
+C (the noise, the forward, the loss and, when training, the backward).
+`train` binds STEP_C where it can and the numpy path otherwise; on a symbol
+model the validation noise is drawn once per `train` call. Early stopping
+restores the parameters of the best validation epoch.
 
-The walk runs each batch of more than one row as one call of STEP_C, the
-whole batch in C (the noise, the forward, the loss and, when training, the
-backward), from a training's first batch. STEP_C and `nn.ADAM_C` are one
-library, which the first `train` of a process loads through `nn.compiled`,
-which compiles it once per machine, before it makes its `AdamState`; the
-library is kept only if both halves give the numpy path's bytes on their
-probes, `_steps_agree` and `nn._agrees`, so a process trains either fully
-compiled or fully on numpy. STEP_C makes the calls numpy makes, into
-numpy's own dgemm and exp, log and maximum loops, and takes every other
-operation in numpy's IEEE order, so the two paths give the same bytes and
-which one ran cannot show in a run's output. The default study's two
-200-epoch trainings took ~1.9 s against ~2.9-3.4 s on the numpy path
-(2-vCPU VM, gcc 12.2, numpy 2.4.6; README).
+STEP_C and `nn.ADAM_C` are one library, which the first `train` of a
+process loads through `nn.compiled`, which compiles it once per machine,
+before it makes its `AdamState`; the library is kept only if both halves
+give the numpy path's bytes on their probes, `_steps_agree` and
+`nn._agrees`, so a process trains either fully compiled or fully on numpy.
+STEP_C makes the calls numpy makes, into numpy's own dgemm and exp, log and
+maximum loops, and takes every other operation in numpy's IEEE order, so
+the two paths give the same bytes and which one ran cannot show in a run's
+output. The default study's two 200-epoch trainings took ~1.9 s against
+~2.9-3.4 s on the numpy path (2-vCPU VM, gcc 12.2, numpy 2.4.6; README).
 
 `ModelGraph.decode` is the one noise-free evaluation of the package, which
 `evaluate` and attribution share: each input's sender logits decode to their
@@ -283,51 +283,49 @@ def _pack(model):
     return params, grads, grad_views
 
 
-def _batch_losses(model, dataset, batch_size, order, noise=None, grads=None, step=None):
-    """Walk the rows `order` names, batch_size at a time, yielding each
-    batch's (rows, loss): its row count and its `cross_entropy` mean loss.
-    `noise` maps the batch's row indices to its [rows, K] Gumbel noise; None
-    for a baseline. Given `grads`, the (weight, bias) gradient views of
-    `ModelGraph.backward`, a batch with a finite loss writes its gradients
-    there before it is yielded. Given `step`, STEP_C bound to the walk's
-    arrays by `_bind_steps`, a batch of more than one row is one call of
-    it, which draws its own noise; a 1-row batch always runs `forward`, as
-    numpy's matmul runs gemv or a dot product on a 1-row operand, not
-    dgemm, and the bytes could differ. Either way the batch takes the same
-    IEEE operations in the same order and gives the same bytes."""
-    for start in range(0, len(order), batch_size):
-        idx = order[start : start + batch_size]
-        if step and len(idx) > 1:
-            yield len(idx), step(start, len(idx))
-            continue
-        logits, tape = model.forward(dataset.features[idx],
-                                     None if noise is None else noise(idx))
-        loss, dlogits = cross_entropy(logits, dataset.labels[idx])
-        if grads is not None and math.isfinite(loss):
-            model.backward(tape, dlogits, grads)
-        del logits, tape, dlogits  # before the next batch's forward
-        yield len(idx), loss
+def _numpy_steps(model, grad_views):
+    """`bind(features, labels, order=None, uniforms=None, noise=None)`,
+    which binds the numpy path to the model, its (weight, bias) gradient
+    views (forward order) and one split's arrays, and returns `step(start,
+    rows) -> loss`, the batch's `cross_entropy` mean loss through `forward`.
+    With an `order`, a training batch of the rows `order[start:start +
+    rows]`, with the Gumbel noise of `uniforms[:rows]` on a symbol model,
+    which writes its gradients only when its loss is finite; without one,
+    a validation batch of the rows from `start` and their rows of `noise`,
+    which writes none. STEP_C's contract, as `_bind_steps` binds it."""
+
+    def bind(features, labels, order=None, uniforms=None, noise=None):
+        def step(start, rows):
+            if order is None:
+                idx = slice(start, start + rows)
+                batch = None if noise is None else noise[idx]
+            else:
+                idx = order[start : start + rows]
+                batch = None if uniforms is None else noise_from_uniform(uniforms[:rows])
+            logits, tape = model.forward(features[idx], batch)
+            loss, dlogits = cross_entropy(logits, labels[idx])
+            if order is not None and math.isfinite(loss):
+                model.backward(tape, dlogits, grad_views)
+            return loss
+
+        return step
+
+    return bind
 
 
-def dataset_loss(model, dataset, batch_size, noise=None, step=None):
-    """Mean cross-entropy of `forward` over a dataset, batched in input
-    order. A model with a bottleneck needs `noise`, one [num_samples, K] row
-    of Gumbel noise per sample, and is scored through the soft relaxation
-    with it (the validation contract); a baseline takes None. There is no
-    noise-free loss of a symbol model. The caller checks the split once
-    (`train` does, with `_check_split`), so no batch is checked again.
-    `step` is STEP_C bound to the dataset and the noise, as
-    `_batch_losses` takes it."""
-    n = dataset.num_samples
-    batches = _batch_losses(model, dataset, batch_size, np.arange(n),
-                            None if noise is None else noise.__getitem__, step=step)
+def dataset_loss(step, n, batch_size):
+    """Mean loss of a bound validation `step` over its split's n rows,
+    batch_size at a time in input order, weighted by row count. A symbol
+    model is scored through the soft relaxation with the noise bound to the
+    step; there is no noise-free loss of one."""
     total = 0.0
-    for rows, loss in batches:
-        total += loss * rows
+    for start in range(0, n, batch_size):
+        rows = min(batch_size, n - start)
+        total += step(start, rows) * rows
     return total / n
 
 
-# One training or validation batch of `_batch_losses` in one C call, taking
+# One training or validation batch of `_numpy_steps` in one C call, taking
 # the same IEEE operations in the same order as the numpy path: every
 # matmul is numpy's own cblas_dgemm called with the arguments np.matmul
 # passes it, every exp, log and relu is numpy's own float64 loop (from
@@ -648,14 +646,12 @@ def _library():
 
 
 def _bind_steps(library, model, rows, grad_views):
-    """A function `bind(features, labels, order=None, uniforms=None,
-    noise=None)` that binds `library`'s STEP_C to the model's layers, their
-    gradient views and one split's arrays, for batches of at most `rows`
-    rows, and returns `step(start, rows) -> loss`: with an `order` a
-    training batch (and, on a symbol model, the [rows, K] `uniforms` its
-    noise comes from), otherwise a validation batch (and its `noise`). None
-    when a layer width is 1, where numpy's matmul runs gemv or a dot
-    product, not dgemm. Every address is bound once."""
+    """A `bind` with `_numpy_steps`' contract that binds `library`'s STEP_C
+    to the model's layers, their gradient views and one split's arrays, for
+    batches of at most `rows` rows. Its step runs a 1-row batch on the
+    numpy path, as numpy's matmul runs gemv or a dot product on a 1-row
+    operand, not dgemm, and the bytes could differ; for the same reason it
+    is None when a layer width is 1. Every address is bound once."""
     layers = model.layers()
     widths = [model.input_dim, *(layer.out_dim for layer in layers)]
     if min(widths) == 1:
@@ -678,7 +674,12 @@ def _bind_steps(library, model, rows, grad_views):
         pointers = (ctypes.c_void_p * (10 + len(arrays)))(
             *library.shared, *(None if a is None else a.ctypes.data for a in split),
             scratch.ctypes.data, *(a.ctypes.data for a in arrays))
-        step = functools.partial(library.step, dims, pointers, temperature)
+        kernel = functools.partial(library.step, dims, pointers, temperature)
+        one_row = _numpy_steps(model, grad_views)(*split)
+
+        def step(start, rows):
+            return kernel(start, rows) if rows > 1 else one_row(start, rows)
+
         step.arrays = split, scratch, arrays  # alive as long as it reads them
         return step
 
@@ -693,15 +694,12 @@ def _probe(model, dataset, uniforms, library=None):
     validation loss). Packs the model's parameters; changes none."""
     _, grads, grad_views = _pack(model)
     n = dataset.num_samples
-    order = np.arange(n, dtype=np.int64)
     noise = None if model.bottleneck is None else noise_from_uniform(uniforms)
-    bind = library and _bind_steps(library, model, n, grad_views)
-    steps = ((bind(dataset.features, dataset.labels, order, uniforms),
-              bind(dataset.features, dataset.labels, noise=noise)) if bind else (None, None))
-    [(_, loss)] = _batch_losses(model, dataset, n, order,
-                                None if noise is None else noise.__getitem__,
-                                grad_views, steps[0])
-    return loss, grads, dataset_loss(model, dataset, n, noise, steps[1])
+    bind = (library and _bind_steps(library, model, n, grad_views)
+            or _numpy_steps(model, grad_views))
+    loss = bind(dataset.features, dataset.labels, np.arange(n, dtype=np.int64),
+                uniforms)(0, n)
+    return loss, grads, bind(dataset.features, dataset.labels, noise=noise)(0, n)
 
 
 @np.errstate(all="ignore")
@@ -755,9 +753,9 @@ def train(model, train_set, val_set, config):
 
     Where `_library` gives the compiled library, loaded before the
     `AdamState`, the state steps with its ADAM_C and batches run its STEP_C
-    from the first; where it gives none, Adam runs its numpy passes and
-    batches run `forward`, as they do where `_bind_steps` binds nothing.
-    Both paths give the same bytes.
+    from the first, bound by `_bind_steps`; where it gives none, or
+    `_bind_steps` binds nothing, Adam runs its numpy passes and batches run
+    the numpy path that `_numpy_steps` binds. Both paths give the same bytes.
     """
     _check_split(model, train_set)
     _check_split(model, val_set)
@@ -769,29 +767,20 @@ def train(model, train_set, val_set, config):
     n = train_set.num_samples
     order = np.empty(n, np.int64)
     rows = min(config.batch_size, max(n, val_set.num_samples))
-    # each batch's noise comes from the sampler's seed, drawn into one bound
-    # array; the validation noise is drawn once per call, so losses compare
-    # across epochs
-    draw = val_noise = uniforms = None
+    # each batch's uniforms come from the sampler's seed, drawn into one
+    # bound array; the validation noise is drawn once per call, so losses
+    # compare across epochs
+    val_noise = uniforms = None
     if model.bottleneck is not None:
         noise_rng = np.random.default_rng(model.bottleneck.rng_seed)
         val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
         uniforms = np.empty((min(rows, n), model.vocab_size))
-
-        def fill(count):
-            return noise_rng.random(out=uniforms[:count])
-
-        def draw(idx):
-            return noise_from_uniform(fill(len(idx)))
-
         val_noise = noise_from_uniform(val_rng.random((val_set.num_samples,
                                                        model.vocab_size)))
-
-    bind = library and _bind_steps(library, model, rows, grad_views)
-    train_step = bind and bind(train_set.features, train_set.labels, order, uniforms)
-    val_step = bind and bind(val_set.features, val_set.labels, noise=val_noise)
-    if train_step and uniforms is not None:
-        train_step = _drawing(train_step, fill)
+    bind = (library and _bind_steps(library, model, rows, grad_views)
+            or _numpy_steps(model, grad_views))
+    train_step = bind(train_set.features, train_set.labels, order, uniforms)
+    val_step = bind(val_set.features, val_set.labels, noise=val_noise)
 
     log = TrainLog()
     best = params.copy()
@@ -801,15 +790,16 @@ def train(model, train_set, val_set, config):
         # the splits were checked up front, so a non-finite logit or loss
         # anywhere in the epoch means the optimization blew up
         try:
-            batches = _batch_losses(model, train_set, config.batch_size, order, draw,
-                                    grad_views, train_step)
-            for batch_rows, loss in batches:
+            for start in range(0, n, config.batch_size):
+                batch_rows = min(config.batch_size, n - start)
+                if uniforms is not None:
+                    noise_rng.random(out=uniforms[:batch_rows])
+                loss = train_step(start, batch_rows)
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite training loss")
                 running += loss * batch_rows
                 adam_step(state)
-            val_loss = dataset_loss(model, val_set, config.batch_size, val_noise,
-                                    val_step)
+            val_loss = dataset_loss(val_step, val_set.num_samples, config.batch_size)
             if not math.isfinite(val_loss):
                 raise NumericalError("non-finite validation loss")
         except NumericalError:
@@ -825,16 +815,6 @@ def train(model, train_set, val_set, config):
             break
     params[...] = best
     return log
-
-
-def _drawing(kernel, fill):
-    """A training step that first draws its batch's uniforms with `fill`."""
-
-    def step(start, rows):
-        fill(rows)
-        return kernel(start, rows)
-
-    return step
 
 
 def confusion_matrix(labels, predictions, num_classes):

@@ -59,6 +59,7 @@ import os
 import shutil
 import signal
 import stat
+import time
 
 import numpy as np
 
@@ -320,6 +321,8 @@ void adam_step(long long n, double *restrict p, const double *restrict g,
 """
 # a compile that takes longer is killed, with all it started; gcc takes ~0.5 s
 BUILD_SECONDS = 60
+# how long a killed compile's orphans are waited for, until init reaps them
+REAP_SECONDS = 5
 
 
 @functools.cache
@@ -367,8 +370,6 @@ def _sweep(cache):
     """Delete each `build-*` directory in `cache` that is older than twice
     BUILD_SECONDS, which a build killed midway leaves behind: no live build
     is that old."""
-    import time
-
     old = time.time() - 2 * BUILD_SECONDS
     with contextlib.suppress(OSError), os.scandir(cache) as entries:
         for entry in entries:
@@ -391,8 +392,10 @@ def compiled(source, flags, load):
     passed is moved into place, by `os.replace`, so no process reads a
     partial file and processes that build at once each end with a valid
     one. `cc`'s output is discarded, and a compile that outlasts
-    BUILD_SECONDS is killed with every process it started. A miss first
-    deletes what `_sweep` finds stale, the directories of killed builds."""
+    BUILD_SECONDS is killed with every process it started, which are then
+    waited for, up to REAP_SECONDS, until none is left, not even a zombie.
+    A miss first deletes what `_sweep` finds stale, the directories of
+    killed builds."""
     import hashlib
     import platform
     import subprocess
@@ -440,6 +443,13 @@ def compiled(source, flags, load):
         if cc is not None and cc.poll() is None:  # out of time, or interrupted
             os.killpg(cc.pid, signal.SIGKILL)  # cc and every process it started
             cc.wait()
+            # the rest of the group are orphans that init reaps, not this
+            # process: the group exists until the last of them is gone
+            deadline = time.monotonic() + REAP_SECONDS
+            with contextlib.suppress(ProcessLookupError):
+                while time.monotonic() < deadline:
+                    os.killpg(cc.pid, 0)
+                    time.sleep(0.01)
         shutil.rmtree(work, ignore_errors=True)
 
 

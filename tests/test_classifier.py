@@ -385,11 +385,12 @@ def test_train_restores_best_epoch_parameters():
     assert log.best_epoch >= 1
     assert log.best_val_loss == min(s.val_loss for s in log.epochs)
     # restored parameters reproduce the best recorded validation loss
-    from emlang.classifier import dataset_loss, _VAL_NOISE_STREAM
+    from emlang.classifier import dataset_loss, _numpy_steps, _VAL_NOISE_STREAM
 
     val_rng = np.random.default_rng(config.seed + _VAL_NOISE_STREAM)
     noise = noise_from_uniform(val_rng.uniform(size=(val.num_samples, 4)))
-    reproduced = dataset_loss(model, val, config.batch_size, noise)
+    step = _numpy_steps(model, None)(val.features, val.labels, noise=noise)
+    reproduced = dataset_loss(step, val.num_samples, config.batch_size)
     assert reproduced == pytest.approx(log.best_val_loss, abs=1e-12)
 
 

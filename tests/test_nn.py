@@ -529,6 +529,8 @@ def test_a_compile_that_outlasts_its_time_is_killed_with_what_it_started(
     assert classifier._library() is None
     assert time.monotonic() - started < 10
     stat = Path(f"/proc/{pid_file.read_text().strip()}/stat")
+    # reaped by the time the build returns, not left a zombie of init's
+    assert not stat.exists(), "the compiler's child is left in the process table"
 
     def running():
         try:

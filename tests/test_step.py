@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlang import classifier
-from emlang.classifier import TrainConfig, _bind_steps, _pack, _probe, build_model, train
+from emlang.classifier import (TrainConfig, _bind_steps, _numpy_steps, _pack, _probe,
+                               build_model, train)
 from emlang.data import Dataset, SynthSpec, generate_synthetic
 from emlang.errors import NumericalError
+from emlang.gumbel import noise_from_uniform
 
 
 def _library():
@@ -84,6 +86,39 @@ def test_a_width_of_one_binds_no_kernel(library, shape):
     model = build_model(**shape, vocab_size=5)
     _, _, grad_views = _pack(model)
     assert _bind_steps(library, model, 8, grad_views) is None
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("kind", ["el", "baseline"])
+@pytest.mark.parametrize("path", ["numpy", "kernel"])
+def test_only_a_training_batch_with_a_finite_loss_writes_gradients(path, kind, rows):
+    # the contract of both binds: a validation batch never writes the
+    # gradient vector, and a training batch only when its loss is finite
+    model = build_model(3, 2, vocab_size=4, hidden_dim=3, with_bottleneck=kind == "el",
+                        seed=8)
+    _, grads, grad_views = _pack(model)
+    bind = (_numpy_steps(model, grad_views) if path == "numpy"
+            else _bind_steps(_library(), model, rows, grad_views))
+    rng = np.random.default_rng(8)
+    features, uniforms = rng.normal(size=(rows, 3)), rng.random((rows, 4))
+    labels = np.arange(rows, dtype=np.int64) % 2
+    train_step = bind(features, labels, np.arange(rows, dtype=np.int64), uniforms)
+    val_step = bind(features, labels, noise=noise_from_uniform(uniforms))
+    sentinel = np.full_like(grads, -7.25).tobytes()
+
+    def written(step):
+        """(loss, whether any byte of the gradient vector changed)"""
+        grads[...] = -7.25
+        with np.errstate(all="ignore"):
+            loss = step(0, rows)
+        return math.isfinite(loss), grads.tobytes() != sentinel
+
+    assert written(val_step) == (True, False)
+    assert written(train_step) == (True, True)
+    # a class logit of inf, past the channel: a NaN loss on both paths
+    model.receiver[-1].bias[...] = np.inf
+    assert written(train_step) == (False, False)
+    assert written(val_step) == (False, False)
 
 
 def _trained(kind, temperature=1.0, **options):
